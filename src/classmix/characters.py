@@ -39,11 +39,10 @@ def structure_constants(table: GroupTable, classes: ClassData) -> StructureConst
     """
     k = classes.k
     tensor = np.zeros((k, k, k), dtype=np.int64)
-    inv_of = np.fromiter((table.inv_index(u) for u in range(table.order)), dtype=np.int64, count=table.order)
     class_of = classes.class_of
     for kk, rep in enumerate(classes.reps):
         rm = table.right_mul_indices(rep)  # h -> h * g_k
-        j_arr = class_of[rm[inv_of]]  # class of u^-1 * g_k
+        j_arr = class_of[rm[table.inverses]]  # class of u^-1 * g_k
         flat = class_of * k + j_arr
         tensor[:, :, kk] = np.bincount(flat, minlength=k * k).reshape(k, k)
     return StructureConstants(tensor=tensor)

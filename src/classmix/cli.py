@@ -9,6 +9,7 @@ identical configs produce identical bytes.  Timestamps go to a separate
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -16,8 +17,8 @@ from pathlib import Path
 
 from . import __version__
 from .characters import dixon_character_table, structure_constants, verify_orthogonality, witten_zeta
-from .errors import ClassmixError, GoldenMismatch, SpecSyntax, UnsupportedParameters
-from .groups import GroupSpec, conj_classes, group_build, parse_cycles
+from .errors import ClassmixError, GoldenMismatch, SpecSyntax, UnsupportedParameters, parse_int
+from .groups import GroupSpec, conj_classes, group_build
 from .interleave import (
     advantage,
     deviation_report,
@@ -46,80 +47,15 @@ from .rng import make_stream
 FLOAT_TOL = 1e-12
 
 
-def parse_spec(text: str) -> GroupSpec:
-    """Grammar: A:<n> | S:<n> | SL2:<q> | PSL2:<q> | permgen:<file> | matgen:<file>,q=<q>."""
-    text = text.strip()
-    head, sep, rest = text.partition(":")
-    if not sep:
-        raise SpecSyntax(f"group spec needs a ':': {text!r}")
-    if head in ("A", "S", "SL2", "PSL2"):
-        try:
-            value = int(rest)
-        except ValueError as exc:
-            raise SpecSyntax(f"numeric parameter expected in {text!r}") from exc
-        if head == "A":
-            return GroupSpec.alt(value)
-        if head == "S":
-            return GroupSpec.sym(value)
-        if head == "SL2":
-            return GroupSpec.sl2(value)
-        return GroupSpec.psl2(value)
-    if head == "permgen":
-        return _permgen_spec(rest)
-    if head == "matgen":
-        return _matgen_spec(rest)
-    raise SpecSyntax(f"unknown group kind {head!r} in {text!r}")
-
-
-def _permgen_spec(path_text: str) -> GroupSpec:
-    path = Path(path_text)
-    if not path.exists():
-        raise SpecSyntax(f"generator file not found: {path}")
-    lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    degree = None
-    if lines and lines[0].startswith("n="):
-        degree = int(lines[0][2:])
-        lines = lines[1:]
-    if not lines:
-        raise SpecSyntax(f"no generators in {path}")
-    gens = [parse_cycles(ln, degree) for ln in lines]
-    if degree is None:
-        degree = max(len(g) for g in gens)
-        gens = [g + tuple(range(len(g), degree)) for g in gens]
-    return GroupSpec.from_perm_generators([tuple(g) for g in gens], label=f"permgen:{path.name}")
-
-
-def _matgen_spec(rest: str) -> GroupSpec:
-    path_text, _, qpart = rest.partition(",")
-    if not qpart.startswith("q="):
-        raise SpecSyntax("matgen spec must look like matgen:<file>,q=<q>")
-    q = int(qpart[2:])
-    path = Path(path_text)
-    if not path.exists():
-        raise SpecSyntax(f"generator file not found: {path}")
-    gens = []
-    for ln in path.read_text(encoding="utf-8").splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise SpecSyntax(f"matrix generator needs four entries: {ln!r}")
-        gens.append(tuple(int(p) for p in parts))
-    if not gens:
-        raise SpecSyntax(f"no generators in {path}")
-    return GroupSpec.from_matrix_generators(gens, q=q, label=f"matgen:{path.name}")
-
-
 def _parse_element(table, text: str) -> int:
     """Element reference: decimal index, or hex:<canonical bytes>."""
     if text.startswith("hex:"):
-        return table.index_of(bytes.fromhex(text[4:]))
-    try:
-        idx = int(text)
-    except ValueError as exc:
-        raise SpecSyntax(f"element reference must be an index or hex:<bytes>: {text!r}") from exc
+        try:
+            key = bytes.fromhex(text[4:])
+        except ValueError as exc:
+            raise SpecSyntax(f"bad hex element reference: {text!r}") from exc
+        return table.index_of(key)
+    idx = parse_int(text, "element reference (an index or hex:<bytes>)")
     if not (0 <= idx < table.order):
         raise SpecSyntax(f"element index {idx} out of range [0, {table.order})")
     return idx
@@ -136,7 +72,7 @@ def _parse_coupling(table, text: str):
         path = Path(text.split(":", 1)[1])
         if not path.exists():
             raise SpecSyntax(f"bijection file not found: {path}")
-        mapping = tuple(int(ln) for ln in path.read_text().split())
+        mapping = tuple(parse_int(ln, "bijection entry") for ln in path.read_text().split())
         if len(mapping) != table.order:
             raise SpecSyntax(f"bijection file has {len(mapping)} entries, group order is {table.order}")
         return BijectionCoupling(mapping)
@@ -185,9 +121,12 @@ def _emit(args, payload: dict, csv_text: str | None = None) -> int:
         else:
             if not golden_path.exists():
                 raise GoldenMismatch(f"golden file missing: {golden_path}")
-            recorded = golden_path.read_text(encoding="utf-8")
-            if recorded != body:
-                drift = _first_drift(json.loads(recorded), json.loads(body))
+            try:
+                recorded = json.loads(golden_path.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise GoldenMismatch(f"golden file {golden_path.name} is not valid JSON: {exc}") from None
+            drift = _first_drift(recorded, json.loads(body))
+            if drift:
                 raise GoldenMismatch(f"golden drift in {golden_path.name}: {drift}")
     return 0
 
@@ -220,17 +159,9 @@ def _first_drift(old, new, path="$"):
 
 
 def _build_all(args):
-    spec = parse_spec(args.group)
+    spec = GroupSpec.parse(args.group)
     if args.max_order:
-        spec = GroupSpec(
-            kind=spec.kind,
-            n=spec.n,
-            q=spec.q,
-            perm_generators=spec.perm_generators,
-            mat_generators=spec.mat_generators,
-            max_order=args.max_order,
-            label=spec.label,
-        )
+        spec = dataclasses.replace(spec, max_order=args.max_order)
     table = group_build(spec)
     classes = conj_classes(table)
     return table, classes
@@ -389,7 +320,6 @@ def _add_common(sub):
     sub.add_argument("--max-order", type=int, default=None, help="enumeration cap override")
     sub.add_argument("--golden", choices=["write", "compare"], default=None)
     sub.add_argument("--golden-dir", default="goldens/v1")
-    sub.add_argument("--threads", type=int, default=1, help="worker cap (modules parallelize internally)")
     sub.add_argument("--quiet", action="store_true", help="suppress stdout report")
 
 
@@ -429,9 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--alpha", type=float, default=0.5, help="tuple-set density (1.0 = full)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", help="exact enumeration (default)")
-    group.add_argument("--mc", type=int, default=None, help="Monte Carlo with this many samples")
+    p.add_argument("--mc", type=int, default=None, help="Monte Carlo with this many samples (default: exact)")
     p.set_defaults(func=_cmd_interleave)
 
     p = subs.add_parser("advantage", help="rectangle-protocol distinguishing advantage")

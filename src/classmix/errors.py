@@ -91,3 +91,11 @@ class InvariantViolation(ClassmixError):
     """A hard mathematical invariant failed; the computed tables are suspect."""
 
     exit_code = 13
+
+
+def parse_int(text: str, what: str) -> int:
+    """int(text) for outside input; anything else is a SpecSyntax naming `what`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecSyntax(f"{what} must be an integer, got {text!r}") from None

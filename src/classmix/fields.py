@@ -9,7 +9,9 @@ length k + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .errors import NoIrreducibleFound, NonPrimeCharacteristic, UnsupportedParameters
 
@@ -190,14 +192,13 @@ def _digits(m: int, p: int, k: int) -> list[int]:
     return out
 
 
-_TABLE_LIMIT = 512
-
-
 class Field:
-    """Concrete arithmetic for a FieldSpec; elements are ints in [0, q).
+    """Vectorized arithmetic for a FieldSpec; elements are ints in [0, q).
 
-    For q <= 512 full multiplication/addition tables are precomputed, which is
-    the regime every group engine under the enumeration cap lives in.
+    Every operation takes ints or integer numpy arrays and broadcasts.  Addition
+    and negation work digit by digit in base p.  Multiplication and inversion
+    look up exp/log tables of a primitive element; the tables take O(q) memory
+    and are built on first use, so constructing a large field stays cheap.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -205,88 +206,73 @@ class Field:
         self.p = spec.p
         self.k = spec.k
         self.q = spec.q
-        self._mod_list = list(spec.modulus)
-        if self.q <= _TABLE_LIMIT:
-            self._add = [[self._add_raw(a, b) for b in range(self.q)] for a in range(self.q)]
-            self._mul = [[self._mul_raw(a, b) for b in range(self.q)] for a in range(self.q)]
-            self._neg = [self._neg_raw(a) for a in range(self.q)]
-            self._inv = self._build_inverses()
-        else:
-            self._add = self._mul = self._neg = self._inv = None
+        self._place = [self.p**i for i in range(self.k)]
 
-    # raw (table-free) arithmetic -------------------------------------------
+    def _digit_array(self, a: np.ndarray) -> np.ndarray:
+        """(..., k) base-p digits of an array of encodings."""
+        return a[..., None] // np.asarray(self._place, dtype=np.int64) % self.p
 
-    def _decode(self, a: int) -> list[int]:
-        return _digits(a, self.p, self.k)
+    def _times(self, a: np.ndarray, c: int) -> np.ndarray:
+        """a * c for a fixed scalar c, as the GF(p)-linear map x^i -> x^i c on digits."""
+        rows = [_digits(c, self.p, self.k)]  # row i = digits of x^i * c
+        for _ in range(1, self.k):
+            v = rows[-1]
+            top = v[-1]
+            rows.append([(s - top * m) % self.p for s, m in zip([0] + v[:-1], self.spec.modulus)])
+        # entries stay below k * p^2 < 2^53, so float64 matrix products are exact
+        prod = self._digit_array(a).astype(np.float64) @ np.asarray(rows, dtype=np.float64)
+        return (prod.astype(np.int64) % self.p) @ np.asarray(self._place, dtype=np.int64)
 
-    def _encode(self, coeffs: list[int]) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * self.p + c
-        return acc
-
-    def _add_raw(self, a: int, b: int) -> int:
-        da, db = self._decode(a), self._decode(b)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
-
-    def _neg_raw(self, a: int) -> int:
-        return self._encode([(-x) % self.p for x in self._decode(a)])
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return a * b % self.p
-        prod = _poly_mulmod(_poly_trim(self._decode(a)), _poly_trim(self._decode(b)), self._mod_list, self.p)
-        prod += [0] * (self.k - len(prod))
-        return self._encode(prod)
-
-    def _build_inverses(self) -> list[int | None]:
-        inv: list[int | None] = [None] * self.q
-        for a in range(1, self.q):
-            if inv[a] is not None:
-                continue
-            b = self._pow_raw(a, self.q - 2)
-            inv[a] = b
-            inv[b] = a
-        return inv
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        result = 1
-        acc = a
+    def _scalar_pow(self, a: int, e: int) -> int:
+        result, acc = np.ones(1, dtype=np.int64), a
         while e:
             if e & 1:
-                result = self._mul_raw(result, acc)
-            acc = self._mul_raw(acc, acc)
+                result = self._times(result, acc)
+            acc = int(self._times(np.array([acc]), acc)[0])
             e >>= 1
-        return result
+        return int(result[0])
 
-    # public ops -------------------------------------------------------------
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exp, log) of the least primitive element, with zero folded in.
 
-    def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][b]
-        return self._add_raw(a, b)
+        log[0] is a sentinel 2(q - 1) that lands every product involving zero
+        in the zero-filled tail of exp, so mul is one gather with no masking.
+        """
+        n = self.q - 1
+        factors = _prime_factors(n)
+        g = next(c for c in range(1, self.q) if all(self._scalar_pow(c, n // r) != 1 for r in factors))
+        powers = np.ones(1, dtype=np.int64)
+        while len(powers) < n:  # doubling: g^(m + i) = g^i * g^m
+            powers = np.concatenate([powers, self._times(powers, self._scalar_pow(g, len(powers)))])
+        powers = powers[:n]
+        exp = np.concatenate([powers, powers, np.zeros(2 * n + 1, dtype=np.int64)])
+        log = np.empty(self.q, dtype=np.int64)
+        log[powers] = np.arange(n)
+        log[0] = 2 * n
+        return exp, log
 
-    def sub(self, a: int, b: int) -> int:
+    def add(self, a, b):
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        # a // w + b // w is congruent to digit_w(a) + digit_w(b) mod p
+        return sum((a // w + b // w) % self.p * w for w in self._place)
+
+    def neg(self, a):
+        a = np.asarray(a, dtype=np.int64)
+        return sum(-(a // w) % self.p * w for w in self._place)
+
+    def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def neg(self, a: int) -> int:
-        if self._neg is not None:
-            return self._neg[a]
-        return self._neg_raw(a)
+    def mul(self, a, b):
+        exp, log = self._tables
+        return exp[log[a] + log[b]]
 
-    def mul(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return self._mul[a][b]
-        return self._mul_raw(a, b)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
+    def inv(self, a):
+        if np.any(np.asarray(a) == 0):
             raise ZeroDivisionError("inverse of zero in a finite field")
-        if self._inv is not None:
-            value = self._inv[a]
-            assert value is not None
-            return value
-        return self._pow_raw(a, self.q - 2)
+        exp, log = self._tables
+        return exp[self.q - 1 - log[a]]
 
     @property
     def one(self) -> int:

@@ -3,8 +3,8 @@
 Supported engines: permutation groups on up to 12 points (alternating,
 symmetric, or generator-defined) and 2x2 matrix groups over GF(q) (SL2, PSL2,
 or generator-defined).  Groups are fully enumerated up to a configurable cap;
-elements are canonical byte strings so that tables, reports, and golden files
-are reproducible byte for byte.
+elements are fixed-width integer rows whose bytes are canonical keys, so that
+tables, reports, and golden files are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -12,43 +12,46 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
 from . import config
-from .errors import CapExceeded, MixedGroups, SpecSyntax, UnsupportedParameters
+from .errors import CapExceeded, MixedGroups, SpecSyntax, UnsupportedParameters, parse_int
 from .fields import Field, field_for_size
 
 MAX_PERM_DEGREE = 12
+MAX_MATRIX_Q = 55_108  # largest q with q^4 < 2^63, so a matrix's rank code fits int64
 
 
 # ---------------------------------------------------------------------------
 # engines
+#
+# An element is a fixed-width row of small ints in the engine's dtype; the row's
+# bytes are its canonical key.  Engines multiply and invert batches of rows:
+# arrays whose last axis is the row and whose leading axes broadcast (both
+# operands have the same number of axes).
 
 
 class PermEngine:
-    """Permutations of {0..n-1} stored as image arrays, one byte per point."""
+    """Permutations of {0..n-1}: one uint8 point image per column."""
 
     def __init__(self, n: int):
-        self.n = n
-        self.identity = bytes(range(n))
+        self.base = n
+        self.dtype = np.dtype(np.uint8)
+        self.identity = np.arange(n, dtype=self.dtype)
 
-    def mul(self, a: bytes, b: bytes) -> bytes:
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # (a*b)(x) = a(b(x)): apply b first
-        return bytes(a[x] for x in b)
+        return np.take_along_axis(a, b.astype(np.intp), axis=-1)
 
-    def inv(self, a: bytes) -> bytes:
-        out = bytearray(self.n)
-        for i, x in enumerate(a):
-            out[x] = i
-        return bytes(out)
-
-    def describe(self) -> str:
-        return f"perm({self.n})"
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        return np.argsort(a, axis=-1).astype(self.dtype)
 
 
 class Mat2Engine:
-    """2x2 matrices over GF(q), row-major entries, fixed-width byte encoding.
+    """2x2 matrices over GF(q): row-major entries, big-endian 1- or 2-byte columns.
 
     With projective=True elements are the cosets {M, -M}: the canonical
     representative is the lift whose first nonzero entry (row-major) has the
@@ -59,52 +62,56 @@ class Mat2Engine:
     def __init__(self, gf: Field, projective: bool = False):
         self.field = gf
         self.projective = projective
-        self.width = 1 if gf.q <= 256 else (2 if gf.q <= 65536 else 3)
-        self.identity = self.encode((1, 0, 0, 1))
+        self.base = gf.q
+        self.dtype = np.dtype(np.uint8 if gf.q <= 256 else ">u2")
+        self.identity = self.canonical(np.array([1, 0, 0, 1]))
 
-    def encode(self, entries: tuple[int, int, int, int]) -> bytes:
-        raw = b"".join(e.to_bytes(self.width, "big") for e in entries)
-        if not self.projective:
-            return raw
-        return self._canonical_lift(entries)
+    def canonical(self, entries) -> np.ndarray:
+        """Stored rows for matrices given by their entries (the sign choice for PSL2)."""
+        entries = np.asarray(entries, dtype=np.int64)
+        if self.projective:
+            neg = self.field.neg(entries)
+            first = np.argmax(entries != neg, axis=-1)[..., None]
+            flip = np.take_along_axis(neg < entries, first, axis=-1)
+            entries = np.where(flip, neg, entries)
+        return entries.astype(self.dtype)
 
-    def _canonical_lift(self, entries: tuple[int, int, int, int]) -> bytes:
-        neg = tuple(self.field.neg(e) for e in entries)
-        for a, b in zip(entries, neg):
-            if a != b:
-                chosen = entries if a < b else neg
-                break
-        else:
-            chosen = entries  # characteristic 2, or the zero matrix
-        return b"".join(e.to_bytes(self.width, "big") for e in chosen)
-
-    def decode(self, data: bytes) -> tuple[int, int, int, int]:
-        w = self.width
-        return tuple(int.from_bytes(data[i * w : (i + 1) * w], "big") for i in range(4))
-
-    def mul(self, a: bytes, b: bytes) -> bytes:
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         f = self.field
-        a11, a12, a21, a22 = self.decode(a)
-        b11, b12, b21, b22 = self.decode(b)
+        a11, a12, a21, a22 = np.moveaxis(a, -1, 0)
+        b11, b12, b21, b22 = np.moveaxis(b, -1, 0)
         prod = (
             f.add(f.mul(a11, b11), f.mul(a12, b21)),
             f.add(f.mul(a11, b12), f.mul(a12, b22)),
             f.add(f.mul(a21, b11), f.mul(a22, b21)),
             f.add(f.mul(a21, b12), f.mul(a22, b22)),
         )
-        return self.encode(prod)
+        return self.canonical(np.stack(prod, axis=-1))
 
-    def inv(self, a: bytes) -> bytes:
+    def inv(self, a: np.ndarray) -> np.ndarray:
         f = self.field
-        a11, a12, a21, a22 = self.decode(a)
-        det = f.sub(f.mul(a11, a22), f.mul(a12, a21))
-        d = f.inv(det)
+        a11, a12, a21, a22 = np.moveaxis(a, -1, 0)
+        d = f.inv(f.sub(f.mul(a11, a22), f.mul(a12, a21)))
         entries = (f.mul(d, a22), f.mul(d, f.neg(a12)), f.mul(d, f.neg(a21)), f.mul(d, a11))
-        return self.encode(entries)
+        return self.canonical(np.stack(entries, axis=-1))
 
-    def describe(self) -> str:
-        tag = "psl2" if self.projective else "mat2"
-        return f"{tag}(q={self.field.q})"
+
+def _codes(rows: np.ndarray, base: int) -> np.ndarray:
+    """Rank codes: each row read as a big-endian base-`base` number.
+
+    Every entry is below `base`, so code order is the canonical byte order.
+    """
+    codes = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for i in range(rows.shape[-1]):
+        codes = codes * base + rows[..., i]
+    return codes
+
+
+def _decode(codes: np.ndarray, engine) -> np.ndarray:
+    rows = np.empty((len(codes), len(engine.identity)), dtype=engine.dtype)
+    for i in reversed(range(rows.shape[1])):
+        codes, rows[:, i] = np.divmod(codes, engine.base)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +144,22 @@ class GroupSpec:
         if self.kind == "psl2":
             return f"PSL2:{self.q}"
         return self.kind
+
+    @staticmethod
+    def parse(text: str) -> "GroupSpec":
+        """Grammar: A:<n> | S:<n> | SL2:<q> | PSL2:<q> | permgen:<file> | matgen:<file>,q=<q>."""
+        text = text.strip()
+        head, sep, rest = text.partition(":")
+        if not sep:
+            raise SpecSyntax(f"group spec needs a ':': {text!r}")
+        families = {"A": GroupSpec.alt, "S": GroupSpec.sym, "SL2": GroupSpec.sl2, "PSL2": GroupSpec.psl2}
+        if head in families:
+            return families[head](parse_int(rest, f"parameter of {text!r}"))
+        if head == "permgen":
+            return _permgen_spec(rest)
+        if head == "matgen":
+            return _matgen_spec(rest)
+        raise SpecSyntax(f"unknown group kind {head!r} in {text!r}")
 
     @staticmethod
     def alt(n: int, max_order: int | None = None) -> "GroupSpec":
@@ -182,17 +205,19 @@ class GroupSpec:
     def from_matrix_generators(
         gens: list[tuple[int, int, int, int]],
         q: int,
-        projective: bool = False,
         max_order: int | None = None,
         label: str = "matgen",
     ) -> "GroupSpec":
-        _check_field_size(q)
+        gf = _check_field_size(q)
+        if not gens:
+            raise UnsupportedParameters("at least one matrix generator required")
         for g in gens:
             if len(g) != 4 or any(not (0 <= e < q) for e in g):
                 raise SpecSyntax(f"matrix entries must lie in [0, {q}): {g}")
-        kind = "matgen"
+            if gf.sub(gf.mul(g[0], g[3]), gf.mul(g[1], g[2])) == 0:
+                raise UnsupportedParameters(f"matrix generator {g} is singular over GF({q})")
         return GroupSpec(
-            kind=kind,
+            kind="matgen",
             q=q,
             mat_generators=tuple(tuple(g) for g in gens),
             max_order=max_order,
@@ -216,10 +241,53 @@ def _check_degree(n):
         raise UnsupportedParameters(f"degree must be in [3, {MAX_PERM_DEGREE}], got {n}")
 
 
-def _check_field_size(q):
+def _check_field_size(q) -> Field:
     if q < 4:
         raise UnsupportedParameters(f"SL2/PSL2 require q >= 4, got {q}")
-    field_for_size(q)  # raises UnsupportedParameters unless q is a prime power
+    if q > MAX_MATRIX_Q:
+        raise UnsupportedParameters(f"matrix groups need q <= {MAX_MATRIX_Q} (q^4 < 2^63), got {q}")
+    return field_for_size(q)  # raises UnsupportedParameters unless q is a prime power
+
+
+def _read_lines(path: Path) -> list[str]:
+    if not path.exists():
+        raise SpecSyntax(f"generator file not found: {path}")
+    lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise SpecSyntax(f"no generators in {path}")
+    return lines
+
+
+def _permgen_spec(path_text: str) -> GroupSpec:
+    path = Path(path_text)
+    lines = _read_lines(path)
+    degree = None
+    if lines[0].startswith("n="):
+        degree = parse_int(lines[0][2:], "permgen degree n=")
+        lines = lines[1:]
+    if not lines:
+        raise SpecSyntax(f"no generators in {path}")
+    gens = [parse_cycles(ln, degree) for ln in lines]
+    if degree is None:
+        degree = max(len(g) for g in gens)
+        gens = [g + tuple(range(len(g), degree)) for g in gens]
+    return GroupSpec.from_perm_generators([tuple(g) for g in gens], label=f"permgen:{path.name}")
+
+
+def _matgen_spec(rest: str) -> GroupSpec:
+    path_text, _, qpart = rest.partition(",")
+    if not qpart.startswith("q="):
+        raise SpecSyntax("matgen spec must look like matgen:<file>,q=<q>")
+    q = parse_int(qpart[2:], "matgen field size q=")
+    path = Path(path_text)
+    gens = []
+    for ln in _read_lines(path):
+        parts = ln.split(",")
+        if len(parts) != 4:
+            raise SpecSyntax(f"matrix generator needs four entries: {ln!r}")
+        gens.append(tuple(parse_int(p, "matrix entry") for p in parts))
+    return GroupSpec.from_matrix_generators(gens, q=q, label=f"matgen:{path.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +334,38 @@ class Element:
 
 
 class GroupTable:
-    """Fully enumerated group: canonical elements, index map, generator indices.
+    """Fully enumerated group: element rows, their rank codes, generator indices.
 
-    The element list is sorted by canonical bytes except that the identity is
-    pinned to index 0.  Immutable after construction and safe to share.
+    Elements are sorted by rank code, which is canonical byte order, except
+    that the identity is pinned to index 0; so one searchsorted over codes[1:]
+    maps rows to indices.  Immutable after construction and safe to share.
     """
 
-    def __init__(self, spec: GroupSpec, engine, elements: list[bytes], generators: list[bytes], degenerate: bool):
+    def __init__(self, spec: GroupSpec, engine, codes: np.ndarray, generators: np.ndarray):
         self.spec = spec
         self.engine = engine
-        self.elements = elements
-        self.order = len(elements)
-        self.index = {e: i for i, e in enumerate(elements)}
-        self.generator_indices = tuple(self.index[g] for g in generators)
+        self.codes = codes
+        self.rows = _decode(codes, engine)
+        self.order = len(codes)
+        self.generator_indices = tuple(dict.fromkeys(self.lookup(generators).tolist()))
         self.identity_index = 0
-        self.degenerate = degenerate
-        self._inv_idx: np.ndarray | None = None
+        self.degenerate = self.order == 1
         self._mul_table: np.ndarray | None = None
-        self._rows: np.ndarray | None = None
-        self._codes: tuple[np.ndarray, np.ndarray] | None = None
+
+    @cached_property
+    def elements(self) -> list[bytes]:
+        """Canonical byte keys in index order."""
+        return [row.tobytes() for row in self.rows]
+
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        """Array with inverses[g] = index(g^-1)."""
+        return self.lookup(self.engine.inv(self.rows))
+
+    def lookup(self, rows: np.ndarray) -> np.ndarray:
+        """Indices of rows of group elements (any leading shape)."""
+        codes = _codes(rows, self.engine.base)
+        return np.where(codes == self.codes[0], 0, np.searchsorted(self.codes[1:], codes) + 1)
 
     # -- element-level ops ---------------------------------------------------
 
@@ -295,20 +376,25 @@ class GroupTable:
         return Element(self, 0)
 
     def index_of(self, key: bytes) -> int:
-        try:
-            return self.index[key]
-        except KeyError:
-            raise MixedGroups(f"element {key.hex()} does not belong to group {self.spec.label}") from None
+        width = self.rows.shape[1] * self.engine.dtype.itemsize
+        if len(key) == width:
+            row = np.frombuffer(key, dtype=self.engine.dtype)
+            i = int(self.lookup(row))
+            if i < self.order and np.array_equal(self.rows[i], row):
+                return i
+        raise MixedGroups(f"element {key.hex()} does not belong to group {self.spec.label}")
+
+    def mul_indices(self, i, j) -> np.ndarray:
+        """Elementwise index(i * j) for index arrays of equal ndim that broadcast."""
+        return self.lookup(self.engine.mul(self.rows[i], self.rows[j]))
 
     def mul_index(self, i: int, j: int) -> int:
         if self._mul_table is not None:
             return int(self._mul_table[i, j])
-        return self.index_of(self.engine.mul(self.elements[i], self.elements[j]))
+        return int(self.mul_indices([i], [j])[0])
 
     def inv_index(self, i: int) -> int:
-        if self._inv_idx is None:
-            self._build_inverses()
-        return int(self._inv_idx[i])
+        return int(self.inverses[i])
 
     def pow_index(self, i: int, m: int) -> int:
         if m < 0:
@@ -334,65 +420,14 @@ class GroupTable:
 
     # -- bulk helpers ----------------------------------------------------------
 
-    def _build_inverses(self) -> None:
-        if isinstance(self.engine, PermEngine) and self.order > 1:
-            rows = self._perm_rows()
-            inv_rows = np.argsort(rows, axis=1).astype(np.uint8)
-            self._inv_idx = self._perm_lookup(inv_rows)
-        else:
-            self._inv_idx = np.fromiter(
-                (self.index_of(self.engine.inv(e)) for e in self.elements), dtype=np.int64, count=self.order
-            )
-
-    def _perm_rows(self) -> np.ndarray:
-        if self._rows is None:
-            self._rows = np.frombuffer(b"".join(self.elements), dtype=np.uint8).reshape(self.order, self.engine.n)
-        return self._rows
-
-    def _perm_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._codes is None:
-            n = self.engine.n
-            weights = (n ** np.arange(n)).astype(np.int64)
-            codes = self._perm_rows().astype(np.int64) @ weights
-            order_perm = np.argsort(codes, kind="stable")
-            self._codes = (codes[order_perm], order_perm)
-        return self._codes
-
-    def _perm_lookup(self, rows: np.ndarray) -> np.ndarray:
-        """Map a (m, n) array of image rows to element indices."""
-        n = self.engine.n
-        weights = (n ** np.arange(n)).astype(np.int64)
-        q = rows.astype(np.int64) @ weights
-        sorted_codes, order_perm = self._perm_codes()
-        pos = np.searchsorted(sorted_codes, q)
-        return order_perm[pos].astype(np.int64)
-
     def right_mul_indices(self, g: int) -> np.ndarray:
         """Array r with r[h] = index(h * g) for every element h."""
-        if isinstance(self.engine, PermEngine) and self.order > 1:
-            rows = self._perm_rows()
-            g_img = np.frombuffer(self.elements[g], dtype=np.uint8)
-            return self._perm_lookup(rows[:, g_img])
-        return np.fromiter(
-            (self.index_of(self.engine.mul(e, self.elements[g])) for e in self.elements),
-            dtype=np.int64,
-            count=self.order,
-        )
+        return self.lookup(self.engine.mul(self.rows, self.rows[[g]]))
 
     def conjugation_permutation(self, h: int) -> np.ndarray:
         """Array c with c[g] = index(h g h^-1)."""
-        if isinstance(self.engine, PermEngine) and self.order > 1:
-            rows = self._perm_rows()
-            h_img = np.frombuffer(self.elements[h], dtype=np.uint8)
-            hinv_img = np.frombuffer(self.elements[self.inv_index(h)], dtype=np.uint8)
-            conj = h_img[rows[:, hinv_img]]
-            return self._perm_lookup(conj)
-        hinv = self.inv_index(h)
-        return np.fromiter(
-            (self.index_of(self.engine.mul(self.engine.mul(self.elements[h], e), self.elements[hinv])) for e in self.elements),
-            dtype=np.int64,
-            count=self.order,
-        )
+        left = self.engine.mul(self.rows[[h]], self.rows)
+        return self.lookup(self.engine.mul(left, self.rows[[self.inv_index(h)]]))
 
     def full_mul_table(self, limit: int = 4096) -> np.ndarray:
         """Dense index multiplication table; only sensible for small groups."""
@@ -410,7 +445,7 @@ class GroupTable:
 
 
 def group_build(spec: GroupSpec) -> GroupTable:
-    """Breadth-first closure over the spec's generators.
+    """Breadth-first closure over the spec's generators, one level per step.
 
     Raises CapExceeded when the (predicted or discovered) order exceeds the
     cap.  A generator set producing the trivial group is allowed and flagged.
@@ -421,28 +456,24 @@ def group_build(spec: GroupSpec) -> GroupTable:
         raise CapExceeded(f"{spec.label} has order {predicted}, above the cap {cap}")
 
     engine, generators = _make_engine(spec)
-    seen = {engine.identity}
-    frontier = [engine.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in generators:
-                y = engine.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        raise CapExceeded(f"{spec.label} enumeration passed the cap {cap}")
-        frontier = nxt
+    identity = _codes(engine.identity, engine.base)
+    seen = identity[None]  # sorted codes of every element found so far
+    frontier = engine.identity[None]
+    while len(frontier):
+        products = engine.mul(frontier[:, None], generators[None]).reshape(-1, frontier.shape[1])
+        codes, first = np.unique(_codes(products, engine.base), return_index=True)
+        known = seen[np.minimum(np.searchsorted(seen, codes), len(seen) - 1)] == codes
+        seen = np.sort(np.concatenate([seen, codes[~known]]), kind="stable")  # merges two sorted runs
+        if len(seen) > cap:
+            raise CapExceeded(f"{spec.label} enumeration passed the cap {cap}")
+        frontier = products[first[~known]]
 
-    rest = sorted(seen - {engine.identity})
-    elements = [engine.identity] + rest
-    degenerate = len(elements) == 1
-    if predicted is not None and len(elements) != predicted:
+    codes = np.concatenate([identity[None], seen[seen != identity]])
+    if predicted is not None and len(codes) != predicted:
         raise UnsupportedParameters(
-            f"{spec.label}: enumerated order {len(elements)} != predicted {predicted}"
+            f"{spec.label}: enumerated order {len(codes)} != predicted {predicted}"
         )
-    return GroupTable(spec, engine, elements, list(dict.fromkeys(generators)), degenerate)
+    return GroupTable(spec, engine, codes, generators)
 
 
 def _make_engine(spec: GroupSpec):
@@ -453,40 +484,33 @@ def _make_engine(spec: GroupSpec):
         elif spec.kind == "sym":
             gens = _sym_generators(spec.n)
         else:
-            gens = [bytes(g) for g in spec.perm_generators]
-        return engine, gens
+            gens = list(spec.perm_generators)
+        return engine, np.array(gens, dtype=engine.dtype)
     if spec.kind in ("sl2", "psl2", "matgen"):
         gf = field_for_size(spec.q)
-        projective = spec.kind == "psl2"
-        engine = Mat2Engine(gf, projective=projective)
+        engine = Mat2Engine(gf, projective=spec.kind == "psl2")
         if spec.kind == "matgen":
-            gens = [engine.encode(g) for g in spec.mat_generators]
+            gens = list(spec.mat_generators)
         else:
-            gens = _sl2_generators(engine, gf)
-        return engine, gens
+            # upper transvections for an additive basis of GF(q), plus the Weyl element
+            gens = [(1, b, 0, 1) for b in gf.generator_candidates()] + [(0, 1, int(gf.neg(1)), 0)]
+        return engine, engine.canonical(gens)
     raise UnsupportedParameters(f"unknown group kind {spec.kind!r}")
 
 
-def _alt_generators(n: int) -> list[bytes]:
+def _alt_generators(n: int) -> list[list[int]]:
     three = _cycle_to_image([(0, 1, 2)], n)
     if n % 2 == 1:
         big = _cycle_to_image([tuple(range(n))], n)
     else:
         big = _cycle_to_image([tuple(range(1, n))], n)
-    return [bytes(three), bytes(big)]
+    return [three, big]
 
 
-def _sym_generators(n: int) -> list[bytes]:
+def _sym_generators(n: int) -> list[list[int]]:
     swap = _cycle_to_image([(0, 1)], n)
     big = _cycle_to_image([tuple(range(n))], n)
-    return [bytes(swap), bytes(big)]
-
-
-def _sl2_generators(engine: Mat2Engine, gf: Field) -> list[bytes]:
-    # upper transvections for an additive basis of GF(q), plus the Weyl element
-    gens = [engine.encode((1, b, 0, 1)) for b in gf.generator_candidates()]
-    gens.append(engine.encode((0, 1, gf.neg(1), 0)))
-    return gens
+    return [swap, big]
 
 
 def _cycle_to_image(cycles: list[tuple[int, ...]], n: int) -> list[int]:
@@ -630,22 +654,26 @@ def conj_classes(table: GroupTable) -> ClassData:
         sizes.append(count)
 
     k = len(reps)
-    orders = tuple(table.element_order(r) for r in reps)
-    exponent = math.lcm(*orders) if orders else 1
-    power_map = np.empty((exponent + 1, k), dtype=np.int64)
-    power_map[0, :] = class_of[0]
-    for j, r in enumerate(reps):
-        cur = 0
-        for m in range(1, exponent + 1):
-            cur = table.mul_index(cur, r)
-            power_map[m, j] = class_of[cur]
-    inverse_class = tuple(int(class_of[table.inv_index(r)]) for r in reps)
+    # powers[m, j] = index of reps[j]^m, up to the largest representative order
+    rep_rows = table.rows[reps]
+    powers = [np.zeros(k, dtype=np.int64)]
+    orders = np.zeros(k, dtype=np.int64)
+    cur = rep_rows
+    while not orders.all():
+        idx = table.lookup(cur)
+        orders[(idx == 0) & (orders == 0)] = len(powers)
+        powers.append(idx)
+        cur = table.engine.mul(cur, rep_rows)
+    exponent = math.lcm(*orders.tolist())
+    m = np.arange(exponent + 1)[:, None]
+    power_map = class_of[np.array(powers)[m % orders, np.arange(k)]]
+    inverse_class = tuple(class_of[table.inverses[reps]].tolist())
     return ClassData(
         reps=tuple(reps),
         sizes=tuple(sizes),
         class_of=class_of,
         inverse_class=inverse_class,
-        orders=orders,
+        orders=tuple(orders.tolist()),
         exponent=exponent,
         power_map=power_map,
     )

@@ -11,6 +11,7 @@ uniformly is exactly uniform on the fiber.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from .errors import (
     OverlappingRectangles,
     SpecSyntax,
     UncoveredProbe,
+    parse_int,
 )
 from .groups import Element, GroupTable
 
@@ -48,10 +50,6 @@ class TupleSet:
 
     def rows(self, selection: np.ndarray | slice = slice(None)) -> np.ndarray:
         return decode_tuples(self.codes[selection], self.arity, self.group_order)
-
-    def contains_code(self, code: int) -> bool:
-        pos = int(np.searchsorted(self.codes, code))
-        return pos < len(self.codes) and int(self.codes[pos]) == code
 
     def contains_codes(self, codes: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(self.codes, codes)
@@ -338,7 +336,6 @@ def fiber_sample(
         raise ArityMismatch(f"arity must be >= 1, got {arity}")
     g_idx = g.index if isinstance(g, Element) else int(g)
     mul = table.full_mul_table()
-    inv = np.fromiter((table.inv_index(i) for i in range(table.order)), dtype=np.int64, count=table.order)
     a_rows = stream.integers(0, table.order, size=(draws, arity)).astype(np.int64)
     b_rows = np.empty((draws, arity), dtype=np.int64)
     if arity > 1:
@@ -348,7 +345,7 @@ def fiber_sample(
     for i in range(1, arity):
         acc = mul[acc, b_rows[:, i - 1]]
         acc = mul[acc, a_rows[:, i]]
-    b_rows[:, arity - 1] = mul[inv[acc], g_idx]
+    b_rows[:, arity - 1] = mul[table.inverses[acc], g_idx]
     return a_rows, b_rows
 
 
@@ -361,7 +358,6 @@ def enumerate_fiber(table: GroupTable, g: int | Element, arity: int, budget: int
     if total > config.loop_budget(budget):
         raise LoopBudgetExceeded(f"fiber enumeration needs {total} tuples")
     mul = table.full_mul_table()
-    inv = np.fromiter((table.inv_index(i) for i in range(order)), dtype=np.int64, count=order)
     free_rows = decode_tuples(np.arange(total, dtype=np.int64), free, order)
     a_rows = free_rows[:, :arity]
     b_rows = np.empty((total, arity), dtype=np.int64)
@@ -371,7 +367,7 @@ def enumerate_fiber(table: GroupTable, g: int | Element, arity: int, budget: int
     for i in range(1, arity):
         acc = mul[acc, b_rows[:, i - 1]]
         acc = mul[acc, a_rows[:, i]]
-    b_rows[:, arity - 1] = mul[inv[acc], g_idx]
+    b_rows[:, arity - 1] = mul[table.inverses[acc], g_idx]
     return a_rows, b_rows
 
 
@@ -396,14 +392,6 @@ class RectangleProtocol:
     def bit_budget(self) -> int:
         n = len(self.rectangles)
         return 0 if n <= 1 else math.ceil(math.log2(n))
-
-    def evaluate(self, a_code: int, b_code: int) -> int:
-        hits = [r for r in self.rectangles if r.a_set.contains_code(a_code) and r.b_set.contains_code(b_code)]
-        if not hits:
-            raise UncoveredProbe(f"pair (a={a_code}, b={b_code}) not covered by any rectangle")
-        if len(hits) > 1:
-            raise OverlappingRectangles(f"pair (a={a_code}, b={b_code}) covered {len(hits)} times")
-        return hits[0].bit
 
     def evaluate_codes(self, a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; raises on uncovered or doubly covered pairs."""
@@ -530,12 +518,14 @@ def save_tuple_set(path, tset: TupleSet, group_label: str):
 
 
 def load_tuple_set(path, table: GroupTable) -> TupleSet:
+    if not os.path.isfile(path):
+        raise SpecSyntax(f"tuple-set file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         m = _parse_header(header)
         if m["group"] != table.spec.label:
             raise SpecSyntax(f"tuple set was built for {m['group']}, not {table.spec.label}")
-        arity = int(m["t"])
+        arity = parse_int(m["t"], "tuple-set arity t=")
         rows = []
         for line in fh:
             line = line.strip()
@@ -544,7 +534,7 @@ def load_tuple_set(path, table: GroupTable) -> TupleSet:
             parts = line.split(",")
             if len(parts) != arity:
                 raise SpecSyntax(f"tuple {line!r} does not have arity {arity}")
-            rows.append(tuple(int(p) for p in parts))
+            rows.append(tuple(parse_int(p, "tuple entry") for p in parts))
     return explicit_tuple_set(table, rows, descriptor=f"file:{path}")
 
 
@@ -562,8 +552,8 @@ def _parse_header(header: str) -> dict:
 
 def load_protocol(path, table: GroupTable) -> RectangleProtocol:
     """Protocol file: one rectangle per line, `bit,<afile>,<bfile>` (paths relative to the file)."""
-    import os
-
+    if not os.path.isfile(path):
+        raise SpecSyntax(f"protocol file not found: {path}")
     base = os.path.dirname(os.path.abspath(path))
     rects = []
     with open(path, encoding="utf-8") as fh:
@@ -574,7 +564,7 @@ def load_protocol(path, table: GroupTable) -> RectangleProtocol:
             parts = line.split(",")
             if len(parts) != 3:
                 raise SpecSyntax(f"protocol line must be bit,<afile>,<bfile>: {line!r}")
-            bit = int(parts[0])
+            bit = parse_int(parts[0], "protocol output bit")
             if bit not in (0, 1):
                 raise SpecSyntax(f"protocol output bit must be 0 or 1, got {parts[0]}")
             a_set = load_tuple_set(os.path.join(base, parts[1]), table)

@@ -22,6 +22,7 @@ from .groups import ClassData, GroupTable
 
 CLAMP_FLOOR = -1e-12
 SUPPORT_THRESHOLD = 1e-10
+PAIR_CHUNK = 1 << 18  # pair products held in memory at once by p_brute
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,6 @@ class PairDistribution:
     source: str  # "char" | "brute"
     counts: tuple[int, ...] | None = None
     clamped: int = 0
-
-    def weighted_sum(self, sizes) -> float:
-        return float(np.asarray(sizes, dtype=np.float64) @ self.probs)
 
 
 def p_char(xc: int, yc: int, table: CharacterTable, classes: ClassData) -> PairDistribution:
@@ -79,16 +77,11 @@ def p_brute(
     if pairs > config.loop_budget(budget):
         raise LoopBudgetExceeded(f"{pairs} pairs exceed the loop budget")
     k = classes.k
-    class_of = classes.class_of
     counts = np.zeros(k, dtype=np.int64)
-    if table.order <= 4096:
-        mul = table.full_mul_table()
-        prods = mul[np.ix_(mx, my)].ravel()
-        counts = np.bincount(class_of[prods], minlength=k)
-    else:
-        for u in mx:
-            rm_u = [table.mul_index(int(u), int(v)) for v in my]
-            counts += np.bincount(class_of[rm_u], minlength=k)
+    step = max(1, PAIR_CHUNK // len(my))
+    for start in range(0, len(mx), step):
+        prods = table.mul_indices(mx[start : start + step, None], my[None, :])
+        counts += np.bincount(classes.class_of[prods.ravel()], minlength=k)
     sizes = np.asarray(classes.sizes, dtype=np.float64)
     probs = counts / (float(pairs) * sizes)
     return PairDistribution(
@@ -333,23 +326,21 @@ def survey(
         for i, s in enumerate(sizes):
             weights[i, i] = s / order
     elif isinstance(coupling, (TranslatedInverse, BijectionCoupling)):
+        if isinstance(coupling, TranslatedInverse):
+            partner = table.right_mul_indices(coupling.a_index)[table.inverses]  # x -> x^-1 a
+        else:
+            partner = np.asarray(coupling.mapping, dtype=np.int64)
         if order <= EXACT_SWEEP_LIMIT:
-            counts = np.zeros((k, k), dtype=np.int64)
-            for x in range(order):
-                y = _coupled_partner(table, coupling, x)
-                counts[classes.class_of[x], classes.class_of[y]] += 1
-            weights = counts / float(order)
+            xs = np.arange(order)
         else:
             if stream is None:
                 raise SpecSyntax("sampling fallback requires a random stream")
             sampled = True
             sample_count = max(int(samples), MIN_SAMPLES)
-            counts = np.zeros((k, k), dtype=np.int64)
-            draws = stream.integers(0, order, size=sample_count)
-            for x in draws:
-                y = _coupled_partner(table, coupling, int(x))
-                counts[classes.class_of[int(x)], classes.class_of[y]] += 1
-            weights = counts / float(sample_count)
+            xs = stream.integers(0, order, size=sample_count)
+        pair_class = classes.class_of[xs] * k + classes.class_of[partner[xs]]
+        counts = np.bincount(pair_class, minlength=k * k).reshape(k, k)
+        weights = counts / float(len(xs))
     else:
         raise SpecSyntax(f"unknown coupling {coupling!r}")
 
@@ -391,12 +382,6 @@ def survey(
         sampled=sampled,
         sample_count=sample_count,
     )
-
-
-def _coupled_partner(table: GroupTable, coupling, x: int) -> int:
-    if isinstance(coupling, TranslatedInverse):
-        return table.mul_index(table.inv_index(x), coupling.a_index)
-    return coupling.mapping[x]
 
 
 def _weighted_quantiles(values, weights, points) -> tuple[tuple[float, float], ...]:

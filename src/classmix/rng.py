@@ -18,12 +18,3 @@ def make_stream(seed: int, *path: int) -> np.random.Generator:
     seq = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.PCG64(seq))
 
-
-def substream(seed: int, *path: int):
-    """Factory fixing the master seed: substream(seed)(i, j) == make_stream(seed, i, j)."""
-    base = tuple(int(p) for p in path)
-
-    def make(*extra: int) -> np.random.Generator:
-        return make_stream(seed, *base, *extra)
-
-    return make

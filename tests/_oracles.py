@@ -46,6 +46,41 @@ def perm_inv(a):
     return tuple(out)
 
 
+def mat_mul(a, b, p):
+    """Product of 2x2 matrices over prime GF(p), entries row-major."""
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (
+        (a11 * b11 + a12 * b21) % p,
+        (a11 * b12 + a12 * b22) % p,
+        (a21 * b11 + a22 * b21) % p,
+        (a21 * b12 + a22 * b22) % p,
+    )
+
+
+def mat_inv(a, p):
+    a11, a12, a21, a22 = a
+    d = pow((a11 * a22 - a12 * a21) % p, p - 2, p)
+    return (a22 * d % p, -a12 * d % p, -a21 * d % p, a11 * d % p)
+
+
+def psl2_lift(a, p):
+    """The lift of {a, -a} whose first entry differing from its negation is smaller."""
+    neg = tuple(-x % p for x in a)
+    for x, y in zip(a, neg):
+        if x != y:
+            return a if x < y else neg
+    return a
+
+
+def sl2_elements(p, projective=False):
+    """SL2(p) or PSL2(p) (canonical lifts): identity first, the rest sorted."""
+    lift = (lambda m: psl2_lift(m, p)) if projective else (lambda m: m)
+    elems = {lift(m) for m in itertools.product(range(p), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % p == 1}
+    identity = (1, 0, 0, 1)
+    return [identity] + sorted(elems - {identity})
+
+
 def brute_conjugacy_classes(elements):
     """Orbits under conjugation by every group element."""
     elems = set(elements)

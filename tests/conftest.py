@@ -14,26 +14,12 @@ _cache: dict[str, tuple] = {}
 def built(label: str):
     """Session-wide cache of (table, classes, constants, chartable) per group."""
     if label not in _cache:
-        table = group_build(parse_label(label))
+        table = group_build(GroupSpec.parse(label))
         classes = conj_classes(table)
         constants = structure_constants(table, classes)
         chartable = dixon_character_table(classes, constants)
         _cache[label] = (table, classes, constants, chartable)
     return _cache[label]
-
-
-def parse_label(label: str) -> GroupSpec:
-    kind, _, arg = label.partition(":")
-    n = int(arg)
-    if kind == "A":
-        return GroupSpec.alt(n)
-    if kind == "S":
-        return GroupSpec.sym(n)
-    if kind == "SL2":
-        return GroupSpec.sl2(n)
-    if kind == "PSL2":
-        return GroupSpec.psl2(n)
-    raise ValueError(label)
 
 
 @pytest.fixture(scope="session")

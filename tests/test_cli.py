@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from classmix.cli import main, parse_spec
+from classmix.cli import main
 from classmix.errors import SpecSyntax, UnsupportedParameters
 from classmix.groups import GroupSpec
 
@@ -12,37 +12,37 @@ def run_cli(*argv):
 
 
 def test_parse_spec_examples():
-    assert parse_spec("A:5").kind == "alt"
-    assert parse_spec("A:5").n == 5
-    assert parse_spec("PSL2:11").kind == "psl2"
-    assert parse_spec("PSL2:11").q == 11
-    assert parse_spec("S:4").kind == "sym"
-    assert parse_spec("SL2:7").kind == "sl2"
+    assert GroupSpec.parse("A:5").kind == "alt"
+    assert GroupSpec.parse("A:5").n == 5
+    assert GroupSpec.parse("PSL2:11").kind == "psl2"
+    assert GroupSpec.parse("PSL2:11").q == 11
+    assert GroupSpec.parse("S:4").kind == "sym"
+    assert GroupSpec.parse("SL2:7").kind == "sl2"
 
 
 def test_parse_spec_rejects_non_prime_power():
     with pytest.raises(UnsupportedParameters):
-        parse_spec("PSL2:6")
+        GroupSpec.parse("PSL2:6")
 
 
 def test_parse_spec_rejects_small_degree():
     with pytest.raises(UnsupportedParameters):
-        parse_spec("A:2")
+        GroupSpec.parse("A:2")
 
 
 def test_parse_spec_syntax_errors():
     with pytest.raises(SpecSyntax):
-        parse_spec("A5")
+        GroupSpec.parse("A5")
     with pytest.raises(SpecSyntax):
-        parse_spec("Q:5")
+        GroupSpec.parse("Q:5")
     with pytest.raises(SpecSyntax):
-        parse_spec("A:x")
+        GroupSpec.parse("A:x")
 
 
 def test_permgen_file(tmp_path):
     gen = tmp_path / "gens.txt"
     gen.write_text("n=5\n(1 2 3)\n(1 2 3 4 5)\n")
-    spec = parse_spec(f"permgen:{gen}")
+    spec = GroupSpec.parse(f"permgen:{gen}")
     assert spec.kind == "permgen"
     assert spec.n == 5
     from classmix.groups import group_build
@@ -53,7 +53,7 @@ def test_permgen_file(tmp_path):
 def test_matgen_file(tmp_path):
     gen = tmp_path / "mats.txt"
     gen.write_text("1,1,0,1\n0,1,4,0\n")
-    spec = parse_spec(f"matgen:{gen},q=5")
+    spec = GroupSpec.parse(f"matgen:{gen},q=5")
     from classmix.groups import group_build
 
     assert group_build(spec).order == 120  # generates SL2(5)
@@ -125,6 +125,21 @@ def test_golden_write_compare_cycle(tmp_path):
     ) == 7
 
 
+def test_golden_compare_applies_float_tolerance(tmp_path):
+    golden = tmp_path / "goldens"
+    argv = ["zeta", "PSL2:7", "--s", "1", "2", "--golden-dir", str(golden), "--quiet"]
+    assert run_cli(*argv, "--golden", "write") == 0
+    path = golden / "zeta__PSL27__seed0.json"
+    data = json.loads(path.read_text())
+    path.write_text(json.dumps(data, sort_keys=True, indent=4))  # reformatted, same values
+    assert run_cli(*argv, "--golden", "compare") == 0
+    original = data["zeta"]["1.0"]
+    data["zeta"]["1.0"] = original * (1 + 1e-15)
+    assert data["zeta"]["1.0"] != original
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    assert run_cli(*argv, "--golden", "compare") == 0
+
+
 def test_golden_missing_is_error(tmp_path):
     assert run_cli(
         "zeta", "A:5", "--s", "1",
@@ -177,3 +192,30 @@ def test_seed_changes_sampled_reports(tmp_path):
     a = json.loads((tmp_path / "interleave__S3__seed1.json").read_text())
     b = json.loads((tmp_path / "interleave__S3__seed2.json").read_text())
     assert a["probs"] != b["probs"]
+
+
+PROTOCOL_ARGS = ["advantage", "S:3", "--protocol", "{d}/p.txt", "--g", "0", "--h", "1", "--samples", "10"]
+
+# (id, files written to the temporary directory {d}, argv, documented exit code)
+BAD_INPUTS = [
+    ("singular-matgen", {"m.txt": "1,1,0,0\n"}, ["thompson", "matgen:{d}/m.txt,q=5"], 3),
+    ("matgen-q-not-int", {"m.txt": "1,1,0,1\n"}, ["thompson", "matgen:{d}/m.txt,q=abc"], 2),
+    ("matgen-entry-not-int", {"m.txt": "1,x,0,1\n"}, ["thompson", "matgen:{d}/m.txt,q=5"], 2),
+    ("matgen-q4-overflows-int64", {"m.txt": "1,1,0,1\n"}, ["thompson", "matgen:{d}/m.txt,q=65536"], 3),
+    ("sl2-q4-overflows-int64", {}, ["thompson", "SL2:65536"], 3),
+    ("permgen-n-not-int", {"g.txt": "n=x\n(1 2 3)\n"}, ["thompson", "permgen:{d}/g.txt"], 2),
+    ("bijfile-entry-not-int", {"b.txt": "0\n1\n2\n3\n4\nx\n"}, ["survey", "S:3", "--coupling", "bijfile:{d}/b.txt"], 2),
+    ("transinv-bad-hex", {}, ["survey", "S:3", "--coupling", "transinv:hex:zz"], 2),
+    ("tuple-arity-not-int", {"a.txt": "t=x group=S:3\n0,1\n", "p.txt": "1,a.txt,a.txt\n"}, PROTOCOL_ARGS, 2),
+    ("tuple-entry-not-int", {"a.txt": "t=2 group=S:3\n0,x\n", "p.txt": "1,a.txt,a.txt\n"}, PROTOCOL_ARGS, 2),
+    ("protocol-bit-not-int", {"a.txt": "t=1 group=S:3\n0\n", "p.txt": "x,a.txt,a.txt\n"}, PROTOCOL_ARGS, 2),
+    ("protocol-file-missing", {}, PROTOCOL_ARGS, 2),
+    ("tuple-file-missing", {"p.txt": "1,a.txt,a.txt\n"}, PROTOCOL_ARGS, 2),
+]
+
+
+@pytest.mark.parametrize("files,argv,code", [c[1:] for c in BAD_INPUTS], ids=[c[0] for c in BAD_INPUTS])
+def test_bad_input_exit_codes(tmp_path, files, argv, code):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run_cli(*[a.format(d=tmp_path) for a in argv], "--quiet") == code

@@ -15,6 +15,10 @@ CASES = [
     ("thompson__PSL27__seed0", ["thompson", "PSL2:7"]),
     ("survey__A5__seed0", ["survey", "A:5", "--coupling", "independent"]),
     ("interleave__A5__seed2024", ["interleave", "A:5", "--t", "2", "--alpha", "0.5", "--seed", "2024"]),
+    ("chartable__PSL29__seed0", ["chartable", "PSL2:9"]),
+    ("thompson__SL28__seed0", ["thompson", "SL2:8"]),
+    # keys all 360 elements by canonical hex, so it pins element order and multiplication
+    ("interleave__PSL29__seed0", ["interleave", "PSL2:9", "--t", "2", "--mc", "100000"]),
 ]
 
 

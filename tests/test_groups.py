@@ -12,7 +12,16 @@ from classmix.groups import (
 )
 from classmix.rng import make_stream
 
-from _oracles import alt_elements, brute_conjugacy_classes, partition_class_count_alt
+from _oracles import (
+    alt_elements,
+    brute_conjugacy_classes,
+    mat_inv,
+    mat_mul,
+    partition_class_count_alt,
+    perm_mul,
+    psl2_lift,
+    sl2_elements,
+)
 
 
 def test_alt5_order():
@@ -38,7 +47,7 @@ def test_psl2_orders(q, expected):
 def test_identity_is_index_zero():
     for spec in [GroupSpec.alt(5), GroupSpec.sym(4), GroupSpec.psl2(7)]:
         table = group_build(spec)
-        assert table.elements[0] == table.engine.identity
+        assert table.elements[0] == table.engine.identity.tobytes()
         assert table.mul_index(0, 3) == 3
         assert table.mul_index(3, 0) == 3
 
@@ -90,36 +99,52 @@ def test_mixed_groups_rejected():
 
 
 def test_psl2_canonical_identifies_negation():
-    for q in (5, 7, 9, 11, 13):
-        spec = GroupSpec.sl2(q)
-        sl2 = group_build(spec)
-        from classmix.fields import field_for_size
-        from classmix.groups import Mat2Engine
+    from classmix.fields import field_for_size
+    from classmix.groups import Mat2Engine
 
+    for q in (5, 7, 9, 11, 13):
+        sl2 = group_build(GroupSpec.sl2(q))
         gf = field_for_size(q)
         proj = Mat2Engine(gf, projective=True)
-        for key in sl2.elements:
-            entries = sl2.engine.decode(key)
-            neg = tuple(gf.neg(e) for e in entries)
-            assert proj.encode(entries) == proj.encode(neg)
+        assert np.array_equal(proj.canonical(sl2.rows), proj.canonical(gf.neg(sl2.rows)))
 
 
 def test_mul_table_consistency_small():
     for spec in [GroupSpec.sym(4), GroupSpec.alt(5)]:
         table = group_build(spec)
+        elems = [tuple(e) for e in table.elements]
+        idx = np.arange(table.order)
+        grid = table.mul_indices(idx[:, None], idx[None, :])
+        assert np.array_equal(grid, table.full_mul_table())
         for i in range(table.order):
             for j in range(table.order):
-                k = table.mul_index(i, j)
-                assert table.elements[k] == table.engine.mul(table.elements[i], table.elements[j])
+                assert elems[grid[i, j]] == perm_mul(elems[i], elems[j])
+                assert table.mul_index(i, j) == grid[i, j]
 
 
 def test_mul_table_consistency_sampled():
     table = group_build(GroupSpec.alt(7))
     stream = make_stream(3)
     idx = stream.integers(0, table.order, size=(1000, 2))
-    for i, j in idx:
-        k = table.mul_index(int(i), int(j))
-        assert table.elements[k] == table.engine.mul(table.elements[int(i)], table.elements[int(j)])
+    prods = table.mul_indices(idx[:, 0], idx[:, 1])
+    for (i, j), k in zip(idx.tolist(), prods.tolist()):
+        assert table.elements[k] == bytes(perm_mul(table.elements[i], table.elements[j]))
+        assert table.mul_index(i, j) == k
+
+
+@pytest.mark.parametrize("label", ["SL2:5", "SL2:7", "PSL2:7", "PSL2:11"])
+def test_matrix_groups_match_oracle(label):
+    table = group_build(GroupSpec.parse(label))
+    p = table.spec.q
+    lift = (lambda m: psl2_lift(m, p)) if table.spec.kind == "psl2" else (lambda m: m)
+    expected = sl2_elements(p, projective=table.spec.kind == "psl2")
+    assert table.elements == [bytes(m) for m in expected]
+    idx = make_stream(5).integers(0, table.order, size=(500, 2))
+    prods = table.mul_indices(idx[:, 0], idx[:, 1])
+    for (i, j), k in zip(idx.tolist(), prods.tolist()):
+        assert expected[k] == lift(mat_mul(expected[i], expected[j], p))
+    for i, m in enumerate(expected):
+        assert expected[table.inverses[i]] == lift(mat_inv(m, p))
 
 
 # -- conjugacy classes -------------------------------------------------------
