@@ -92,7 +92,7 @@ def _report_name(args) -> str:
     return f"{args.command}__{spec_key}__seed{args.seed}"
 
 
-def _emit(args, payload: dict, csv_text: str | None = None) -> int:
+def _emit(args, payload: dict, csv_text: str | None = None, meta: dict | None = None) -> int:
     payload = dict(payload)
     payload.setdefault("schema", 1)
     payload["subcommand"] = args.command
@@ -105,7 +105,7 @@ def _emit(args, payload: dict, csv_text: str | None = None) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / f"{name}.json").write_text(body, encoding="utf-8")
-        meta = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S"), "version": __version__}
+        meta = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S"), "version": __version__, **(meta or {})}
         (outdir / f"{name}.meta.json").write_text(_canonical_json(meta), encoding="utf-8")
         if csv_text is not None and "csv" in args.formats:
             (outdir / f"{name}.csv").write_text(csv_text, encoding="utf-8")
@@ -271,10 +271,13 @@ def _cmd_interleave(args) -> int:
     else:
         a_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 1), "A")
         b_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 2), "B")
+    start = time.perf_counter()
     if args.mc:
         est = mc_distribution(a_set, b_set, args.mc, make_stream(args.seed, 3), table)
     else:
         est = exact_distribution(a_set, b_set, table)
+    seconds = time.perf_counter() - start
+    meta = {"mode": est.mode, "kernel_s": seconds, "total_per_s": est.total / seconds, **est.work}
     family, base = _family_base(table)
     rep = deviation_report(
         est, float(a_set.density), float(b_set.density), family=family, base=base, arity=args.t
@@ -284,7 +287,7 @@ def _cmd_interleave(args) -> int:
     payload["alpha"] = float(a_set.density)
     payload["beta"] = float(b_set.density)
     payload["t"] = args.t
-    return _emit(args, payload)
+    return _emit(args, payload, meta=meta)
 
 
 def _family_base(table) -> tuple[str, float]:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import SpecSyntax, parse_int
+
 DEFAULT_MAX_ORDER = 2_000_000
 DEFAULT_LOOP_BUDGET = 10**9
 
@@ -17,12 +19,9 @@ def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
+    value = parse_int(raw, name)
     if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+        raise SpecSyntax(f"{name} must be positive, got {value}")
     return value
 
 

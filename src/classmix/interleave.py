@@ -12,23 +12,27 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import config
 from .errors import (
     ArityMismatch,
+    InvariantViolation,
     LoopBudgetExceeded,
     OverlappingRectangles,
     SpecSyntax,
     UncoveredProbe,
+    UnsupportedParameters,
     parse_int,
 )
 from .groups import Element, GroupTable
 
 MAX_MATERIALIZED = 64_000_000  # tuple-set codes kept in memory
+CHUNK = 1 << 20  # products per chunk of the exact fold
 
 
 @dataclass(frozen=True)
@@ -48,13 +52,16 @@ class TupleSet:
     def density(self) -> Fraction:
         return Fraction(self.size, self.group_order**self.arity)
 
-    def rows(self, selection: np.ndarray | slice = slice(None)) -> np.ndarray:
-        return decode_tuples(self.codes[selection], self.arity, self.group_order)
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """Coordinates, shape (size, arity): column i is coordinate i, each tuple one contiguous row."""
+        return decode_tuples(self.codes, self.arity, self.group_order)
+
+    def rows(self) -> np.ndarray:
+        return self.columns.astype(np.int64)
 
     def contains_codes(self, codes: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(self.codes, codes)
-        pos = np.minimum(pos, len(self.codes) - 1)
-        return self.codes[pos] == codes
+        return np.isin(codes, self.codes)
 
 
 def encode_tuples(rows: np.ndarray, order: int) -> np.ndarray:
@@ -65,8 +72,9 @@ def encode_tuples(rows: np.ndarray, order: int) -> np.ndarray:
 
 
 def decode_tuples(codes: np.ndarray, arity: int, order: int) -> np.ndarray:
-    out = np.empty((len(codes), arity), dtype=np.int64)
-    rem = np.asarray(codes, dtype=np.int64).copy()
+    """Coordinates of tuple codes, shape (len, arity), in the smallest unsigned dtype holding order - 1."""
+    rem = np.asarray(codes).astype(np.min_scalar_type(order**arity))  # holds every code and the base
+    out = np.empty((len(rem), arity), dtype=np.min_scalar_type(order - 1))
     for i in range(arity):
         out[:, i] = rem % order
         rem //= order
@@ -77,6 +85,8 @@ def explicit_tuple_set(table: GroupTable, rows: list[tuple[int, ...]], descripto
     if not rows:
         raise SpecSyntax("tuple set cannot be empty")
     t = len(rows[0])
+    if table.order**t > 2**63 - 1:  # codes are int64
+        raise UnsupportedParameters(f"|G|^t = {table.order}^{t} tuple codes overflow int64")
     for r in rows:
         if len(r) != t:
             raise ArityMismatch(f"tuple {r} has arity {len(r)}, expected {t}")
@@ -158,13 +168,19 @@ def _tuple_indices(table: GroupTable, tup) -> list[int]:
     return out
 
 
-def _fold_products(table: GroupTable, a_row: np.ndarray, b_rows: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    """Vectorized a . b over all rows of b_rows for a fixed a_row."""
-    acc = mul[a_row[0], b_rows[:, 0]]
-    for i in range(1, len(a_row)):
-        acc = mul[acc, a_row[i]]
-        acc = mul[acc, b_rows[:, i]]
+def _chain(mul: np.ndarray, factors) -> np.ndarray:
+    """Indices of f0 f1 f2 ... for index arrays (or scalars) broadcasting to f0: one lookup per factor."""
+    flat = mul.ravel()
+    acc = np.array(factors[0], dtype=np.intp)
+    for f in factors[1:]:
+        acc *= mul.shape[0]
+        acc += f
+        acc = flat.take(acc)
     return acc
+
+
+def _interleave(a_cols, b_cols) -> list:
+    return [col for pair in zip(a_cols, b_cols) for col in pair]
 
 
 @dataclass(frozen=True)
@@ -177,6 +193,7 @@ class InterleaveEstimate:
     mode: str  # "exact" | "montecarlo"
     linf_dev: float
     stderr: np.ndarray | None = None  # per-cell standard error in MC mode
+    work: dict | None = None  # counts of the work done, for run metadata (never in the report)
 
     def to_json_dict(self, table: GroupTable) -> dict:
         return {
@@ -204,18 +221,39 @@ def _estimate_from_counts(counts: np.ndarray, total: int, order: int, mode: str)
 def exact_distribution(
     a_set: TupleSet, b_set: TupleSet, table: GroupTable, budget: int | None = None
 ) -> InterleaveEstimate:
-    """Exact counts of a . b over all of A x B, within the loop budget."""
+    """Exact counts of a . b over all of A x B, within the loop budget (at most 2^53 - 1 pairs).
+
+    a . b = a1 h where h = b1 a2 b2 ... at bt depends on a only through s = (a2..at):
+    B is folded once per suffix s into tails[s, h], and pair_counts = firsts^T tails.
+    """
     _check_compat(a_set, b_set, table)
     pairs = a_set.size * b_set.size
-    if pairs > config.loop_budget(budget):
+    limit = min(config.loop_budget(budget), 2**53 - 1)
+    if pairs > limit:
         raise LoopBudgetExceeded(f"{pairs} pairs exceed the loop budget")
+    order = table.order
     mul = table.full_mul_table()
-    b_rows = b_set.rows()
-    counts = np.zeros(table.order, dtype=np.int64)
-    for a_row in a_set.rows():
-        prods = _fold_products(table, a_row, b_rows, mul)
-        counts += np.bincount(prods, minlength=table.order)
-    return _estimate_from_counts(counts, pairs, table.order, "exact")
+    # codes are sorted, so the tuples sharing a suffix (code // |G|) are contiguous
+    new = np.diff(a_set.codes // order, prepend=-1) != 0
+    rank = np.cumsum(new) - 1  # suffix index of every tuple of A
+    suffixes = a_set.columns[new, 1:]  # one row per distinct suffix
+    step = max(1, CHUNK // max(b_set.size, order))
+    pair_counts = np.zeros((order, order))
+    for lo in range(0, len(suffixes), step):
+        n = len(suffixes[lo : lo + step])
+        r0, r1 = np.searchsorted(rank, [lo, lo + n])
+        firsts = np.zeros((n, order))  # float64 BLAS; every sum is at most |A||B| < 2^53, so exact
+        firsts[rank[r0:r1] - lo, a_set.columns[r0:r1, 0]] = 1
+        heads = np.broadcast_to(b_set.columns[:, 0], (n, b_set.size))
+        h = _chain(mul, [heads] + _interleave(suffixes[lo : lo + n].T[:, :, None], b_set.columns.T[1:]))
+        h += np.arange(n)[:, None] * order
+        pair_counts += firsts.T @ np.bincount(h.ravel(), minlength=n * order).reshape(n, order)
+    counts = np.rint(np.bincount(mul.ravel(), weights=pair_counts.ravel(), minlength=order)).astype(np.int64)
+    if int(counts.sum()) != pairs:
+        raise InvariantViolation(f"exact counts sum to {int(counts.sum())}, not {pairs} pairs")
+    lookups = len(suffixes) * b_set.size * (2 * a_set.arity - 1)
+    work = {"pairs": pairs, "loop_budget": limit, "suffixes": len(suffixes), "fold_lookups": lookups}
+    return replace(_estimate_from_counts(counts, pairs, order, "exact"), work=work)
 
 
 def mc_distribution(
@@ -235,17 +273,11 @@ def mc_distribution(
     done = 0
     while done < samples:
         n = min(block, samples - done)
-        ai = stream.integers(0, a_set.size, size=n)
-        bi = stream.integers(0, b_set.size, size=n)
-        a_rows = a_set.rows(ai)
-        b_rows = b_set.rows(bi)
-        acc = mul[a_rows[:, 0], b_rows[:, 0]]
-        for i in range(1, a_set.arity):
-            acc = mul[acc, a_rows[:, i]]
-            acc = mul[acc, b_rows[:, i]]
-        counts += np.bincount(acc, minlength=table.order)
+        a = a_set.columns.take(stream.integers(0, a_set.size, size=n), axis=0)
+        b = b_set.columns.take(stream.integers(0, b_set.size, size=n), axis=0)
+        counts += np.bincount(_chain(mul, _interleave(a.T, b.T)), minlength=table.order)
         done += n
-    return _estimate_from_counts(counts, samples, table.order, "montecarlo")
+    return replace(_estimate_from_counts(counts, samples, table.order, "montecarlo"), work={"samples": samples})
 
 
 def _check_compat(a_set: TupleSet, b_set: TupleSet, table: GroupTable):
@@ -335,17 +367,11 @@ def fiber_sample(
     if arity < 1:
         raise ArityMismatch(f"arity must be >= 1, got {arity}")
     g_idx = g.index if isinstance(g, Element) else int(g)
-    mul = table.full_mul_table()
-    a_rows = stream.integers(0, table.order, size=(draws, arity)).astype(np.int64)
+    a_rows = stream.integers(0, table.order, size=(draws, arity))
     b_rows = np.empty((draws, arity), dtype=np.int64)
     if arity > 1:
         b_rows[:, : arity - 1] = stream.integers(0, table.order, size=(draws, arity - 1))
-    # prefix = a1 b1 ... b_{t-1} a_t ; then b_t = prefix^-1 g
-    acc = a_rows[:, 0]
-    for i in range(1, arity):
-        acc = mul[acc, b_rows[:, i - 1]]
-        acc = mul[acc, a_rows[:, i]]
-    b_rows[:, arity - 1] = mul[table.inverses[acc], g_idx]
+    _complete_fiber(table, a_rows, b_rows, g_idx)
     return a_rows, b_rows
 
 
@@ -357,18 +383,19 @@ def enumerate_fiber(table: GroupTable, g: int | Element, arity: int, budget: int
     total = order**free
     if total > config.loop_budget(budget):
         raise LoopBudgetExceeded(f"fiber enumeration needs {total} tuples")
-    mul = table.full_mul_table()
     free_rows = decode_tuples(np.arange(total, dtype=np.int64), free, order)
     a_rows = free_rows[:, :arity]
-    b_rows = np.empty((total, arity), dtype=np.int64)
-    if arity > 1:
-        b_rows[:, : arity - 1] = free_rows[:, arity:]
-    acc = a_rows[:, 0]
-    for i in range(1, arity):
-        acc = mul[acc, b_rows[:, i - 1]]
-        acc = mul[acc, a_rows[:, i]]
-    b_rows[:, arity - 1] = mul[table.inverses[acc], g_idx]
+    b_rows = np.empty((total, arity), dtype=free_rows.dtype)
+    b_rows[:, : arity - 1] = free_rows[:, arity:]
+    _complete_fiber(table, a_rows, b_rows, g_idx)
     return a_rows, b_rows
+
+
+def _complete_fiber(table: GroupTable, a_rows: np.ndarray, b_rows: np.ndarray, g_idx: int):
+    """Fill b_t with the unique completion: prefix = a1 b1 ... b_{t-1} a_t, b_t = prefix^-1 g."""
+    mul = table.full_mul_table()
+    prefix = _chain(mul, _interleave(a_rows.T, b_rows.T)[:-1])
+    b_rows[:, -1] = _chain(mul, [table.inverses[prefix], g_idx])
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +421,20 @@ class RectangleProtocol:
         return 0 if n <= 1 else math.ceil(math.log2(n))
 
     def evaluate_codes(self, a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; raises on uncovered or doubly covered pairs."""
+        """Vectorized evaluation, one membership test per distinct code; raises on the first bad pair."""
+        a_keys, a_inv = np.unique(a_codes, return_inverse=True)
+        b_keys, b_inv = np.unique(b_codes, return_inverse=True)
         bits = np.full(len(a_codes), -1, dtype=np.int64)
         covered = np.zeros(len(a_codes), dtype=np.int64)
         for rect in self.rectangles:
-            mask = rect.a_set.contains_codes(a_codes) & rect.b_set.contains_codes(b_codes)
+            mask = rect.a_set.contains_codes(a_keys)[a_inv] & rect.b_set.contains_codes(b_keys)[b_inv]
             covered += mask
             bits[mask] = rect.bit
         if (covered > 1).any():
-            i = int(np.nonzero(covered > 1)[0][0])
+            i = int(np.argmax(covered > 1))
             raise OverlappingRectangles(f"pair (a={int(a_codes[i])}, b={int(b_codes[i])}) multiply covered")
         if (covered == 0).any():
-            i = int(np.nonzero(covered == 0)[0][0])
+            i = int(np.argmax(covered == 0))
             raise UncoveredProbe(f"pair (a={int(a_codes[i])}, b={int(b_codes[i])}) not covered")
         return bits
 
@@ -454,10 +483,9 @@ def advantage(
     estimates = []
     for target in (g, h):
         a_rows, b_rows = fiber_sample(table, target, arity, stream, draws=samples)
-        a_codes = encode_tuples(a_rows, table.order)
-        b_codes = encode_tuples(b_rows, table.order)
-        bits = protocol.evaluate_codes(a_codes, b_codes)
-        estimates.append(float(bits.mean()))
+        codes = encode_tuples(a_rows, table.order), encode_tuples(b_rows, table.order)
+        del a_rows, b_rows  # only the codes stay alive while the protocol is evaluated
+        estimates.append(float(protocol.evaluate_codes(*codes).mean()))
     p_g, p_h = estimates
     se = math.sqrt((p_g * (1 - p_g) + p_h * (1 - p_h)) / samples)
     return AdvantageReport(

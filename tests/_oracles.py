@@ -2,13 +2,17 @@
 
 These deliberately re-derive everything from first principles with plain
 Python data structures so they can serve as oracles for the package paths.
-Only usable for small groups.
+Only usable for small groups.  The interleave references at the end are plain
+numpy kernels (a per-tuple fold and a decode-and-fold Monte Carlo loop) that
+the production kernels must match count for count.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 
 def sym_elements(n: int) -> list[tuple[int, ...]]:
@@ -133,3 +137,45 @@ def _partitions(n: int, maxpart: int | None = None):
     for first in range(min(n, maxpart), 0, -1):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
+
+
+def _decode(codes, arity, order):
+    """(len, arity) int64 coordinates of base-order tuple codes."""
+    rem = np.asarray(codes, dtype=np.int64).copy()
+    out = np.empty((len(rem), arity), dtype=np.int64)
+    for i in range(arity):
+        out[:, i] = rem % order
+        rem //= order
+    return out
+
+
+def fold_exact_counts(mul, a_codes, b_codes, arity):
+    """Exact interleave counts folding all of B once per tuple of A (the per-tuple fold)."""
+    order = len(mul)
+    b_rows = _decode(b_codes, arity, order)
+    counts = np.zeros(order, dtype=np.int64)
+    for a_row in _decode(a_codes, arity, order):
+        acc = mul[a_row[0], b_rows[:, 0]]
+        for i in range(1, arity):
+            acc = mul[acc, a_row[i]]
+            acc = mul[acc, b_rows[:, i]]
+        counts += np.bincount(acc, minlength=order)
+    return counts
+
+
+def decode_fold_mc_counts(mul, a_codes, b_codes, arity, samples, stream, block):
+    """Monte Carlo interleave counts decoding every drawn code and folding the 2-D table."""
+    order = len(mul)
+    counts = np.zeros(order, dtype=np.int64)
+    done = 0
+    while done < samples:
+        n = min(block, samples - done)
+        a_rows = _decode(a_codes[stream.integers(0, len(a_codes), size=n)], arity, order)
+        b_rows = _decode(b_codes[stream.integers(0, len(b_codes), size=n)], arity, order)
+        acc = mul[a_rows[:, 0], b_rows[:, 0]]
+        for i in range(1, arity):
+            acc = mul[acc, a_rows[:, i]]
+            acc = mul[acc, b_rows[:, i]]
+        counts += np.bincount(acc, minlength=order)
+        done += n
+    return counts

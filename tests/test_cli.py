@@ -164,6 +164,25 @@ def test_interleave_exact_full_density(tmp_path):
     assert payload["deviation"]["implied_exponent"] == "inf"
 
 
+def test_interleave_meta_records_work(tmp_path):
+    argv = ["interleave", "A:5", "--alpha", "0.5", "--quiet"]
+    assert run_cli(*argv, "--t", "2", "--out", str(tmp_path / "exact")) == 0
+    meta = json.loads((tmp_path / "exact" / "interleave__A5__seed0.meta.json").read_text())
+    assert meta["mode"] == "exact"
+    assert meta["pairs"] == 1800 * 1800
+    assert meta["loop_budget"] == 10**9
+    assert meta["suffixes"] == 60  # the 1800 tuples of A hit all 60 second coordinates
+    assert meta["fold_lookups"] == 60 * 1800 * 3
+    assert meta["kernel_s"] > 0 and meta["total_per_s"] > 0
+    report = json.loads((tmp_path / "exact" / "interleave__A5__seed0.json").read_text())
+    assert not {"pairs", "suffixes", "kernel_s"} & set(report)
+    assert run_cli(*argv, "--t", "3", "--mc", "20000", "--out", str(tmp_path / "mc")) == 0
+    meta = json.loads((tmp_path / "mc" / "interleave__A5__seed0.meta.json").read_text())
+    assert meta["mode"] == "montecarlo"
+    assert meta["samples"] == 20000
+    assert meta["total_per_s"] == pytest.approx(20000 / meta["kernel_s"])
+
+
 def test_advantage_cli(tmp_path):
     from classmix.groups import group_build
     from classmix.interleave import full_tuple_set, save_tuple_set
@@ -195,8 +214,10 @@ def test_seed_changes_sampled_reports(tmp_path):
 
 
 PROTOCOL_ARGS = ["advantage", "S:3", "--protocol", "{d}/p.txt", "--g", "0", "--h", "1", "--samples", "10"]
+S8_PROTOCOL_ARGS = ["advantage", "S:8", *PROTOCOL_ARGS[2:]]
+EXACT_ARGS = ["interleave", "S:3", "--t", "1", "--alpha", "1.0"]
 
-# (id, files written to the temporary directory {d}, argv, documented exit code)
+# (id, files written to the temporary directory {d}, argv, documented exit code[, environment])
 BAD_INPUTS = [
     ("singular-matgen", {"m.txt": "1,1,0,0\n"}, ["thompson", "matgen:{d}/m.txt,q=5"], 3),
     ("matgen-q-not-int", {"m.txt": "1,1,0,1\n"}, ["thompson", "matgen:{d}/m.txt,q=abc"], 2),
@@ -211,11 +232,25 @@ BAD_INPUTS = [
     ("protocol-bit-not-int", {"a.txt": "t=1 group=S:3\n0\n", "p.txt": "x,a.txt,a.txt\n"}, PROTOCOL_ARGS, 2),
     ("protocol-file-missing", {}, PROTOCOL_ARGS, 2),
     ("tuple-file-missing", {"p.txt": "1,a.txt,a.txt\n"}, PROTOCOL_ARGS, 2),
+    # 40320^5 > 2^63: the code of this tuple would wrap to a negative int64
+    (
+        "tuple-code-overflows-int64",
+        {"a.txt": "t=5 group=S:8\n0,0,0,0,4\n", "p.txt": "1,a.txt,a.txt\n"},
+        S8_PROTOCOL_ARGS,
+        3,
+    ),
+    ("loop-budget-not-int", {}, EXACT_ARGS, 2, {"MIXER_LOOP_BUDGET": "abc"}),
+    ("loop-budget-not-positive", {}, EXACT_ARGS, 2, {"MIXER_LOOP_BUDGET": "0"}),
+    ("max-order-not-int", {}, ["thompson", "S:3"], 2, {"MIXER_MAX_ORDER": "1e6"}),
+    ("max-order-not-positive", {}, ["thompson", "S:3"], 2, {"MIXER_MAX_ORDER": "-5"}),
 ]
 
 
-@pytest.mark.parametrize("files,argv,code", [c[1:] for c in BAD_INPUTS], ids=[c[0] for c in BAD_INPUTS])
-def test_bad_input_exit_codes(tmp_path, files, argv, code):
+@pytest.mark.parametrize("case", BAD_INPUTS, ids=[c[0] for c in BAD_INPUTS])
+def test_bad_input_exit_codes(tmp_path, monkeypatch, case):
+    _, files, argv, code, *env = case
+    for name, value in (env[0] if env else {}).items():
+        monkeypatch.setenv(name, value)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert run_cli(*[a.format(d=tmp_path) for a in argv], "--quiet") == code

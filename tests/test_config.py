@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from classmix import config
-from classmix.errors import CapExceeded, LoopBudgetExceeded
+from classmix.errors import CapExceeded, LoopBudgetExceeded, SpecSyntax
 from classmix.groups import GroupSpec, conj_classes, group_build
 from classmix.mixing import p_brute
 
@@ -34,10 +34,10 @@ def test_explicit_override_beats_env(monkeypatch):
 
 def test_bad_env_value(monkeypatch):
     monkeypatch.setenv("MIXER_MAX_ORDER", "many")
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecSyntax):
         config.max_order()
     monkeypatch.setenv("MIXER_MAX_ORDER", "-3")
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecSyntax):
         config.max_order()
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from classmix import interleave
 from classmix.errors import (
     ArityMismatch,
     LoopBudgetExceeded,
@@ -33,6 +34,8 @@ from classmix.interleave import (
     seeded_tuple_set,
 )
 from classmix.rng import make_stream
+
+from _oracles import decode_fold_mc_counts, fold_exact_counts
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +102,76 @@ def test_exact_distribution_matches_naive_loop(s3):
             counts[interleave_product(s3, ra, rb)] += 1
     assert list(est.counts) == counts
     assert sum(counts) == a.size * b.size
+
+
+def _pair_loop_counts(table, a_set, b_set):
+    counts = np.zeros(table.order, dtype=np.int64)
+    for ra in a_set.rows():
+        for rb in b_set.rows():
+            counts[interleave_product(table, ra, rb)] += 1
+    return counts
+
+
+def _exact_shapes(table, t, stream):
+    """(A, B) pairs: singletons, A on one shared suffix, A on distinct suffixes, and small G^t."""
+    order = table.order
+
+    def draw():
+        return tuple(int(x) for x in stream.integers(0, order, size=t))
+
+    b_set = seeded_tuple_set(table, t, min(1.0, 30 / order**t), stream)
+    suffix = draw()[1:]
+    suffixes = {draw()[1:] for _ in range(40)}
+    shapes = [
+        (explicit_tuple_set(table, [draw()]), explicit_tuple_set(table, [draw()])),
+        (explicit_tuple_set(table, [(x, *suffix) for x in range(order)]), b_set),
+        (explicit_tuple_set(table, [(int(stream.integers(order)), *s) for s in suffixes]), b_set),
+    ]
+    if t <= 2 and order ** (2 * t) <= 5000:
+        shapes.append((full_tuple_set(table, t), full_tuple_set(table, t)))
+    return shapes
+
+
+@pytest.mark.parametrize("label", ["S:3", "A:5"])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_exact_distribution_matches_pair_loop(group_cache, label, t):
+    table = group_cache(label)[0]
+    for a_set, b_set in _exact_shapes(table, t, make_stream(60 + t)):
+        est = exact_distribution(a_set, b_set, table)
+        assert np.array_equal(est.counts, _pair_loop_counts(table, a_set, b_set))
+        assert est.total == a_set.size * b_set.size
+
+
+@pytest.mark.parametrize(
+    "label,t,density,dtype,chunk_sizes",
+    [
+        ("A:5", 2, 1.0, np.uint8, (1, 7)),
+        ("A:5", 3, 0.01, np.uint8, (1, 7)),
+        ("PSL2:7", 2, 0.05, np.uint8, (1, 7)),
+        ("PSL2:17", 2, 1e-4, np.uint16, ()),
+    ],
+    ids=["A5-t2-full", "A5-t3", "PSL27-t2", "PSL217-t2-uint16"],
+)
+def test_exact_distribution_matches_per_tuple_fold(monkeypatch, label, t, density, dtype, chunk_sizes):
+    table = group_build(GroupSpec.parse(label))
+    a_set = seeded_tuple_set(table, t, density, make_stream(70))
+    b_set = seeded_tuple_set(table, t, density, make_stream(71))
+    assert a_set.columns.dtype == dtype
+    reference = fold_exact_counts(table.full_mul_table(), a_set.codes, b_set.codes, t)
+    assert np.array_equal(exact_distribution(a_set, b_set, table).counts, reference)
+    for suffixes_per_chunk in chunk_sizes:
+        monkeypatch.setattr(interleave, "CHUNK", suffixes_per_chunk * max(b_set.size, table.order))
+        assert np.array_equal(exact_distribution(a_set, b_set, table).counts, reference)
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_mc_distribution_matches_decode_fold_loop(a5, t):
+    a_set = seeded_tuple_set(a5, t, 0.5, make_stream(80))
+    b_set = seeded_tuple_set(a5, t, 0.5, make_stream(81))
+    est = mc_distribution(a_set, b_set, 50_000, make_stream(82), a5, block=12_345)
+    mul = a5.full_mul_table()
+    reference = decode_fold_mc_counts(mul, a_set.codes, b_set.codes, t, 50_000, make_stream(82), 12_345)
+    assert np.array_equal(est.counts, reference)
 
 
 def test_exact_budget_guard(s3):
@@ -301,6 +374,22 @@ def test_overlapping_rectangles_detected(s3):
     )
     with pytest.raises(OverlappingRectangles):
         advantage(proto, s3, 0, 1, samples=10_000, stream=make_stream(4))
+
+
+def test_protocol_errors_name_first_pair_in_input_order(s3):
+    """The first bad pair in input order is reported, not the one with the smallest code."""
+    full = full_tuple_set(s3, 1)
+    low = explicit_tuple_set(s3, [(0,), (1,), (2,)])
+    b_codes = np.array([3, 1, 4, 0])
+    partial = RectangleProtocol(rectangles=(Rectangle(a_set=low, b_set=full, bit=1),))
+    with pytest.raises(UncoveredProbe, match=r"pair \(a=5, b=1\) not covered"):
+        partial.evaluate_codes(np.array([0, 5, 1, 3]), b_codes)
+    pair = explicit_tuple_set(s3, [(2,), (4,)])
+    double = RectangleProtocol(
+        rectangles=(Rectangle(a_set=full, b_set=full, bit=1), Rectangle(a_set=pair, b_set=full, bit=0))
+    )
+    with pytest.raises(OverlappingRectangles, match=r"pair \(a=4, b=1\) multiply covered"):
+        double.evaluate_codes(np.array([0, 4, 1, 2]), b_codes)
 
 
 # -- files -----------------------------------------------------------------------
