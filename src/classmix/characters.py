@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigensplitFailure, NoSuitablePrime
+from .errors import EigensplitFailure, NoSuitablePrime, SpecSyntax, UnsupportedParameters
 from .fields import is_prime
 from .groups import ClassData, GroupTable
 
@@ -384,7 +384,12 @@ def verify_orthogonality(table: CharacterTable, classes: ClassData | None = None
 
 def witten_zeta(table: CharacterTable, s: float) -> float:
     """Sum over irreducible degrees of degree^(-s)."""
-    return float(sum(float(d) ** (-s) for d in table.degrees))
+    if math.isnan(s):
+        raise SpecSyntax("zeta needs a number s, got nan")
+    try:
+        return float(sum(float(d) ** (-s) for d in table.degrees))
+    except OverflowError:
+        raise UnsupportedParameters(f"zeta at s = {s} overflows a float") from None
 
 
 @dataclass(frozen=True)

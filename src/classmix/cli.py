@@ -33,12 +33,12 @@ from .mixing import (
     Diagonal,
     Independent,
     TranslatedInverse,
-    coverage,
     dist_to_uniform,
     l2_sq,
     l2_sq_char,
     p_brute,
     p_char,
+    support_table,
     survey,
     thompson_search,
 )
@@ -203,7 +203,8 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_mixpair(args) -> int:
     table, classes = _build_all(args)
-    chartable = dixon_character_table(classes, structure_constants(table, classes))
+    constants = structure_constants(table, classes)
+    chartable = dixon_character_table(classes, constants)
     if not (0 <= args.x < classes.k and 0 <= args.y < classes.k):
         raise UnsupportedParameters(f"class indices must lie in [0, {classes.k})")
     dist = (
@@ -212,7 +213,7 @@ def _cmd_mixpair(args) -> int:
         else p_char(args.x, args.y, chartable, classes)
     )
     dr = dist_to_uniform(dist, classes)
-    cov = coverage(dist, classes)
+    support = int(support_table(classes, constants)[args.x, args.y])
     payload = {
         "x_class": args.x,
         "y_class": args.y,
@@ -225,14 +226,15 @@ def _cmd_mixpair(args) -> int:
         "l1": dr.l1,
         "l2_sq_dist": dr.l2_sq,
         "linf": dr.linf,
-        "coverage": {"support": cov.support, "fraction": cov.fraction, "exact": cov.exact},
+        "coverage": {"support": support, "fraction": support / table.order, "exact": True},
     }
     return _emit(args, payload)
 
 
 def _cmd_survey(args) -> int:
     table, classes = _build_all(args)
-    chartable = dixon_character_table(classes, structure_constants(table, classes))
+    constants = structure_constants(table, classes)
+    chartable = dixon_character_table(classes, constants)
     coupling = _parse_coupling(table, args.coupling)
     stream = make_stream(args.seed, 0)
     rep = survey(
@@ -243,6 +245,7 @@ def _cmd_survey(args) -> int:
         thresholds=tuple(args.thresholds),
         stream=stream,
         samples=args.samples,
+        constants=constants,
     )
     return _emit(args, rep.to_json_dict(), csv_text=rep.to_csv())
 

@@ -188,8 +188,8 @@ class GroupSpec:
         if not gens:
             raise UnsupportedParameters("at least one permutation generator required")
         degree = len(gens[0])
-        if degree > MAX_PERM_DEGREE:
-            raise UnsupportedParameters(f"permutation degree {degree} exceeds {MAX_PERM_DEGREE}")
+        if not (1 <= degree <= MAX_PERM_DEGREE):
+            raise UnsupportedParameters(f"permutation degree must be in [1, {MAX_PERM_DEGREE}], got {degree}")
         for g in gens:
             if len(g) != degree or sorted(g) != list(range(degree)):
                 raise SpecSyntax(f"not a permutation of 0..{degree - 1}: {g}")
@@ -320,9 +320,6 @@ class Element:
     def __pow__(self, m: int) -> "Element":
         return Element(self.table, self.table.pow_index(self.index, m))
 
-    def order(self) -> int:
-        return self.table.element_order(self.index)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Element) and other.table is self.table and other.index == self.index
 
@@ -406,13 +403,6 @@ class GroupTable:
             cur = self.mul_index(cur, cur)
             m >>= 1
         return acc
-
-    def element_order(self, i: int) -> int:
-        m, cur = 1, i
-        while cur != 0:
-            cur = self.mul_index(cur, i)
-            m += 1
-        return m
 
     def conjugate_index(self, h: int, g: int) -> int:
         """Index of h g h^-1."""
@@ -621,38 +611,24 @@ class ClassData:
 
 
 def conj_classes(table: GroupTable) -> ClassData:
-    """Partition the element indices into conjugation orbits.
+    """Partition the element indices into conjugation orbits by min-label propagation.
 
-    Orbits are closed under conjugation by the generators, which act as
-    permutations of finite order, so forward closure suffices.  Class
-    representatives are the minimal canonical elements, and classes are
-    numbered by their representative's index (identity class first).
+    Each round lowers every label to its conjugates' labels under each generator,
+    then to its label's label.  Labels only decrease and always name an element of
+    the same orbit; at the fixpoint they are constant along every generator cycle,
+    so each orbit is labelled by its smallest index.  That index is the class
+    representative, and classes are numbered by it (identity class first).
     """
-    n = table.order
-    gens = table.generator_indices if table.order > 1 else ()
-    conj_perms = [table.conjugation_permutation(h) for h in gens]
-
-    class_of = np.full(n, -1, dtype=np.int64)
-    reps: list[int] = []
-    sizes: list[int] = []
-    for start in range(n):
-        if class_of[start] >= 0:
-            continue
-        cidx = len(reps)
-        stack = [start]
-        class_of[start] = cidx
-        count = 0
-        while stack:
-            g = stack.pop()
-            count += 1
-            for perm in conj_perms:
-                h = int(perm[g])
-                if class_of[h] < 0:
-                    class_of[h] = cidx
-                    stack.append(h)
-        reps.append(start)
-        sizes.append(count)
-
+    conj_perms = [table.conjugation_permutation(h) for h in table.generator_indices]
+    labels = np.arange(table.order)
+    while True:
+        prev = labels
+        for perm in conj_perms:
+            labels = np.minimum(labels, labels[perm])
+        labels = labels[labels]
+        if np.array_equal(labels, prev):
+            break
+    reps, class_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     k = len(reps)
     # powers[m, j] = index of reps[j]^m, up to the largest representative order
     rep_rows = table.rows[reps]
@@ -669,8 +645,8 @@ def conj_classes(table: GroupTable) -> ClassData:
     power_map = class_of[np.array(powers)[m % orders, np.arange(k)]]
     inverse_class = tuple(class_of[table.inverses[reps]].tolist())
     return ClassData(
-        reps=tuple(reps),
-        sizes=tuple(sizes),
+        reps=tuple(reps.tolist()),
+        sizes=tuple(sizes.tolist()),
         class_of=class_of,
         inverse_class=inverse_class,
         orders=tuple(orders.tolist()),

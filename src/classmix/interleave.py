@@ -128,6 +128,8 @@ def seeded_tuple_set(
 
 
 def full_tuple_set(table: GroupTable, arity: int) -> TupleSet:
+    if arity < 1:
+        raise ArityMismatch(f"arity must be >= 1, got {arity}")
     total = table.order**arity
     if total > MAX_MATERIALIZED:
         raise LoopBudgetExceeded(f"G^t has {total} tuples; too large to materialize")
@@ -479,6 +481,8 @@ def advantage(
     stream: np.random.Generator,
 ) -> AdvantageReport:
     """Monte Carlo |p_g - p_h| via conditional fiber sampling."""
+    if samples < 1:
+        raise SpecSyntax(f"advantage needs at least one sample, got {samples}")
     arity = protocol.rectangles[0].a_set.arity
     estimates = []
     for target in (g, h):
@@ -600,4 +604,7 @@ def load_protocol(path, table: GroupTable) -> RectangleProtocol:
             rects.append(Rectangle(a_set=a_set, b_set=b_set, bit=bit))
     if not rects:
         raise SpecSyntax("protocol file has no rectangles")
+    arities = sorted({s.arity for r in rects for s in (r.a_set, r.b_set)})
+    if len(arities) > 1:
+        raise ArityMismatch(f"protocol tuple sets mix arities {arities}")
     return RectangleProtocol(rectangles=tuple(rects))

@@ -16,12 +16,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import config
-from .characters import CharacterTable, StructureConstants, witten_zeta
+from .characters import CharacterTable, StructureConstants, structure_constants, witten_zeta
 from .errors import InvariantViolation, LoopBudgetExceeded, SpecSyntax
 from .groups import ClassData, GroupTable
 
 CLAMP_FLOOR = -1e-12
-SUPPORT_THRESHOLD = 1e-10
 PAIR_CHUNK = 1 << 18  # pair products held in memory at once by p_brute
 
 
@@ -43,23 +42,32 @@ class PairDistribution:
     clamped: int = 0
 
 
-def p_char(xc: int, yc: int, table: CharacterTable, classes: ClassData) -> PairDistribution:
-    """Distribution via the character sum; tiny negative lift noise is clamped."""
+def _char_probs(xs, ys, table: CharacterTable, classes: ClassData) -> tuple[np.ndarray, np.ndarray]:
+    """Character-sum probabilities, one row per class pair (xs[m], ys[m]), and clamps per row.
+
+    Tiny negative lift noise is clamped to zero; an imaginary part above 1e-8
+    or a value below CLAMP_FLOOR raises InvariantViolation.
+    """
     vals = table.values
     degrees = np.asarray(table.degrees, dtype=np.float64)
-    weights = vals[:, xc] * vals[:, yc] / degrees
+    weights = vals[:, xs] * vals[:, ys] / degrees[:, None]
     inv_cols = np.asarray(classes.inverse_class, dtype=np.intp)
-    raw = (weights @ vals[:, inv_cols]) / table.order
+    raw = (weights.T @ vals[:, inv_cols]) / table.order
     probs = raw.real.copy()
     if np.abs(raw.imag).max() > 1e-8:
         raise InvariantViolation(f"character sum has imaginary part {np.abs(raw.imag).max():.2e}")
     below = probs < 0
     if probs.min() < CLAMP_FLOOR:
         raise InvariantViolation(f"character sum produced negative probability {probs.min():.2e}")
-    clamped = int(below.sum())
     probs[below] = 0.0
+    return probs, below.sum(axis=-1)
+
+
+def p_char(xc: int, yc: int, table: CharacterTable, classes: ClassData) -> PairDistribution:
+    """Distribution via the character sum; tiny negative lift noise is clamped."""
+    probs, clamped = _char_probs([xc], [yc], table, classes)
     return PairDistribution(
-        x_class=xc, y_class=yc, probs=probs, order=table.order, source="char", clamped=clamped
+        x_class=xc, y_class=yc, probs=probs[0], order=table.order, source="char", clamped=int(clamped[0])
     )
 
 
@@ -100,12 +108,14 @@ def l2_sq(dist: PairDistribution, classes: ClassData) -> float:
     return float(sizes @ (dist.probs * dist.probs))
 
 
-def l2_sq_char(xc: int, yc: int, table: CharacterTable) -> float:
-    """Closed form |G|^-1 sum over characters of |chi(x)|^2 |chi(y)|^2 / chi(1)^2."""
-    vals = table.values
-    degrees = np.asarray(table.degrees, dtype=np.float64)
-    terms = (np.abs(vals[:, xc]) ** 2) * (np.abs(vals[:, yc]) ** 2) / degrees**2
-    return float(terms.sum() / table.order)
+def l2_sq_char(xc, yc, table: CharacterTable):
+    """Closed form |G|^-1 sum over characters of |chi(x)|^2 |chi(y)|^2 / chi(1)^2.
+
+    xc and yc are class indices or index arrays of many pairs; characters run
+    along the last axis, so one pair or many give bit-identical values.
+    """
+    sq = np.abs(table.values.T) ** 2
+    return (sq[xc] * sq[yc] / np.asarray(table.degrees, dtype=np.float64) ** 2).sum(axis=-1) / table.order
 
 
 @dataclass(frozen=True)
@@ -126,24 +136,24 @@ def dist_to_uniform(dist: PairDistribution, classes: ClassData) -> DistanceRepor
     )
 
 
+def support_table(classes: ClassData, constants: StructureConstants) -> np.ndarray:
+    """(k, k) integer matrix of |C_i C_j|: class k lies in C_i C_j exactly when a_ijk > 0."""
+    return (constants.tensor > 0) @ np.asarray(classes.sizes, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class CoverageReport:
     support: int  # |x^G y^G| in elements
     fraction: float
-    exact: bool
 
 
 def coverage(dist: PairDistribution, classes: ClassData) -> CoverageReport:
-    """Support of the product set, exact from brute counts, thresholded otherwise."""
+    """Support of the product set from a brute distribution's exact pair counts."""
+    if dist.counts is None:
+        raise SpecSyntax("coverage needs exact pair counts; use support_table for character routes")
     sizes = np.asarray(classes.sizes, dtype=np.int64)
-    if dist.counts is not None:
-        mask = np.asarray(dist.counts) > 0
-        exact = True
-    else:
-        mask = dist.probs > SUPPORT_THRESHOLD
-        exact = False
-    support = int(sizes[mask].sum())
-    return CoverageReport(support=support, fraction=support / dist.order, exact=exact)
+    support = int(sizes[np.asarray(dist.counts) > 0].sum())
+    return CoverageReport(support=support, fraction=support / dist.order)
 
 
 # ---------------------------------------------------------------------------
@@ -164,24 +174,18 @@ def thompson_search(
 ) -> ThompsonResult:
     """Exact search for a class whose square covers the group.
 
-    Uses the integer structure constants: class k lies in (C_i)^2 exactly when
-    tensor[i, i, k] > 0, so the coverage count is exact.
+    Reads the diagonal |C_i^2| of the exact support table; the best class is
+    the first one of largest support.
     """
-    sizes = np.asarray(classes.sizes, dtype=np.int64)
-    best_class, best_support = 0, 0
-    per_class = []
-    for i in range(classes.k):
-        mask = constants.tensor[i, i, :] > 0
-        support = int(sizes[mask].sum())
-        per_class.append((i, support))
-        if support > best_support:
-            best_class, best_support = i, support
+    supports = np.diagonal(support_table(classes, constants)).tolist()
+    best_class = int(np.argmax(supports))
+    best_support = supports[best_class]
     return ThompsonResult(
         best_class=best_class,
         support=best_support,
         fraction=best_support / table.order,
         witness=best_support == table.order,
-        per_class=tuple(per_class),
+        per_class=tuple(enumerate(supports)),
     )
 
 
@@ -305,17 +309,24 @@ def survey(
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
     stream: np.random.Generator | None = None,
     samples: int = MIN_SAMPLES,
+    constants: StructureConstants | None = None,
 ) -> SurveyReport:
     """Coupling-weighted sweep of the normalized collision statistic N.
 
     Independent and Diagonal couplings are exact class sweeps.  Element-indexed
     couplings sweep every x in G exactly when |G| <= 10^5 and otherwise fall
-    back to seeded sampling, flagged in the report.
+    back to seeded sampling, flagged in the report.  Coverage and threshold
+    membership are exact, from the structure constants (built here when not
+    given): N <= 1 + delta exactly when
+    |G| sum_k |C_k| a_ijk^2 <= (1 + delta) (|C_i| |C_j|)^2.
     """
+    if np.isnan(thresholds).any():
+        raise SpecSyntax(f"survey thresholds must be numbers, got {list(thresholds)}")
+    if constants is None:
+        constants = structure_constants(table, classes)
     k = classes.k
     sizes = classes.sizes
     order = table.order
-    weights = np.zeros((k, k), dtype=np.float64)
     sampled = False
     sample_count = 0
 
@@ -323,8 +334,7 @@ def survey(
         w = np.asarray(sizes, dtype=np.float64) / order
         weights = np.outer(w, w)
     elif isinstance(coupling, Diagonal):
-        for i, s in enumerate(sizes):
-            weights[i, i] = s / order
+        weights = np.diag(np.asarray(sizes, dtype=np.float64) / order)
     elif isinstance(coupling, (TranslatedInverse, BijectionCoupling)):
         if isinstance(coupling, TranslatedInverse):
             partner = table.right_mul_indices(coupling.a_index)[table.inverses]  # x -> x^-1 a
@@ -344,39 +354,25 @@ def survey(
     else:
         raise SpecSyntax(f"unknown coupling {coupling!r}")
 
-    n_matrix = np.empty((k, k), dtype=np.float64)
-    for i in range(k):
-        for j in range(i, k):
-            n = order * l2_sq_char(i, j, chartable)
-            n_matrix[i, j] = n_matrix[j, i] = n
+    xs, ys = np.nonzero(weights)  # row-major: pairs in (x_class, y_class) order
+    w_arr = weights[xs, ys]
+    probs, _ = _char_probs(xs, ys, chartable, classes)
+    l1 = np.abs(probs - 1.0 / order) @ np.asarray(sizes, dtype=np.float64)
+    n_arr = order * l2_sq_char(xs, ys, chartable)
+    cover = support_table(classes, constants)[xs, ys] / order
+    pair_rows = tuple(map(SurveyPair, *(c.tolist() for c in (xs, ys, w_arr, n_arr, l1, cover))))
 
-    pair_rows = []
-    for i in range(k):
-        for j in range(k):
-            if weights[i, j] == 0.0:
-                continue
-            dist = p_char(i, j, chartable, classes)
-            dr = dist_to_uniform(dist, classes)
-            cov = coverage(dist, classes)
-            pair_rows.append(
-                SurveyPair(
-                    x_class=i,
-                    y_class=j,
-                    weight=float(weights[i, j]),
-                    n_stat=float(n_matrix[i, j]),
-                    l1=dr.l1,
-                    coverage_fraction=cov.fraction,
-                )
-            )
-
-    w_arr = np.array([p.weight for p in pair_rows])
-    n_arr = np.array([p.n_stat for p in pair_rows])
-    thr = tuple((float(d), float(w_arr[n_arr <= 1.0 + d].sum())) for d in thresholds)
+    # exact N - 1 per pair from Python ints, which unlike int64 cannot overflow here
+    a = constants.tensor[xs, ys].astype(object)
+    size_obj = np.array(sizes, dtype=object)
+    collisions = order * ((a * a) @ size_obj)  # |G| sum_k |C_k| a_ijk^2
+    excess = np.frompyfunc(Fraction, 2, 1)(collisions, (size_obj[xs] * size_obj[ys]) ** 2) - 1
+    thr = tuple((float(d), float(w_arr[(excess <= d).astype(bool)].sum())) for d in thresholds)
     quant = _weighted_quantiles(n_arr, w_arr, _QUANTILE_POINTS)
     return SurveyReport(
         group=table.spec.label,
         coupling=coupling.describe(),
-        pairs=tuple(pair_rows),
+        pairs=pair_rows,
         thresholds=thr,
         quantiles=quant,
         sampled=sampled,
@@ -386,16 +382,9 @@ def survey(
 
 def _weighted_quantiles(values, weights, points) -> tuple[tuple[float, float], ...]:
     order = np.argsort(values, kind="stable")
-    v = values[order]
     cw = np.cumsum(weights[order])
-    total = cw[-1]
-    out = []
-    for q in points:
-        target = q * total
-        idx = int(np.searchsorted(cw, target, side="left"))
-        idx = min(idx, len(v) - 1)
-        out.append((float(q), float(v[idx])))
-    return tuple(out)
+    idx = np.minimum(np.searchsorted(cw, np.asarray(points) * cw[-1], side="left"), len(cw) - 1)
+    return tuple(zip(map(float, points), values[order][idx].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,7 @@ def test_seed_changes_sampled_reports(tmp_path):
 PROTOCOL_ARGS = ["advantage", "S:3", "--protocol", "{d}/p.txt", "--g", "0", "--h", "1", "--samples", "10"]
 S8_PROTOCOL_ARGS = ["advantage", "S:8", *PROTOCOL_ARGS[2:]]
 EXACT_ARGS = ["interleave", "S:3", "--t", "1", "--alpha", "1.0"]
+FULL_S3_PROTOCOL = {"a.txt": "t=1 group=S:3\n" + "".join(f"{i}\n" for i in range(6)), "p.txt": "1,a.txt,a.txt\n"}
 
 # (id, files written to the temporary directory {d}, argv, documented exit code[, environment])
 BAD_INPUTS = [
@@ -239,6 +240,19 @@ BAD_INPUTS = [
         S8_PROTOCOL_ARGS,
         3,
     ),
+    ("advantage-samples-zero", FULL_S3_PROTOCOL, [*PROTOCOL_ARGS[:-1], "0"], 2),
+    ("advantage-samples-negative", FULL_S3_PROTOCOL, [*PROTOCOL_ARGS[:-1], "-5"], 2),
+    ("permgen-degree-zero", {"g.txt": "n=0\n()\n"}, ["thompson", "permgen:{d}/g.txt"], 3),
+    (
+        "protocol-arity-mismatch",
+        {"a.txt": "t=2 group=S:3\n0,1\n", "b.txt": "t=3 group=S:3\n0,1,2\n", "p.txt": "1,a.txt,b.txt\n"},
+        PROTOCOL_ARGS,
+        11,
+    ),
+    ("survey-threshold-nan", {}, ["survey", "S:3", "--thresholds", "1", "nan"], 2),
+    ("zeta-overflows-float", {}, ["zeta", "S:3", "--s", "-1024"], 3),
+    ("zeta-s-nan", {}, ["zeta", "S:3", "--s", "2", "nan"], 2),
+    ("interleave-arity-zero", {}, [*EXACT_ARGS[:3], "0", *EXACT_ARGS[4:]], 11),
     ("loop-budget-not-int", {}, EXACT_ARGS, 2, {"MIXER_LOOP_BUDGET": "abc"}),
     ("loop-budget-not-positive", {}, EXACT_ARGS, 2, {"MIXER_LOOP_BUDGET": "0"}),
     ("max-order-not-int", {}, ["thompson", "S:3"], 2, {"MIXER_MAX_ORDER": "1e6"}),

@@ -159,6 +159,36 @@ def test_alt5_class_sizes_match_oracle():
     assert sorted(len(c) for c in oracle_classes) == sorted(classes.sizes)
 
 
+# S:4, S:5, A:5, D4 x C3 from three generators on 7 points, and the trivial group
+CLASS_ORACLE_SPECS = [
+    GroupSpec.sym(4),
+    GroupSpec.sym(5),
+    GroupSpec.alt(5),
+    GroupSpec.from_perm_generators(
+        [parse_cycles("(1 2)(3 4)", 7), parse_cycles("(1 3)", 7), parse_cycles("(5 6 7)", 7)]
+    ),
+    GroupSpec.from_perm_generators([tuple(range(3))]),
+]
+
+
+@pytest.mark.parametrize("spec", CLASS_ORACLE_SPECS, ids=["S4", "S5", "A5", "permgen-3-gens", "trivial"])
+def test_conj_classes_match_brute_orbits(spec):
+    """Partition, representatives and numbering equal the orbits under conjugation by every element.
+
+    Permutation rows sort like their tuples and the identity is the smallest, so
+    the oracle's classes (ordered by smallest member) number the classes the same way.
+    """
+    table = group_build(spec)
+    classes = conj_classes(table)
+    elements = [tuple(key) for key in table.elements]
+    oracle_classes, _ = brute_conjugacy_classes(elements)
+    members = [sorted(elements[i] for i in classes.members(c)) for c in range(classes.k)]
+    assert members == oracle_classes
+    assert [elements[r] for r in classes.reps] == [c[0] for c in oracle_classes]
+    assert list(classes.sizes) == [len(c) for c in oracle_classes]
+    assert list(classes.reps) == sorted(classes.reps)
+
+
 def test_psl2_7_class_count():
     table = group_build(GroupSpec.psl2(7))
     classes = conj_classes(table)

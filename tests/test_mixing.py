@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from classmix.mixing import (
     l2_sq_char,
     p_brute,
     p_char,
+    support_table,
     survey,
     thompson_search,
 )
@@ -183,7 +186,6 @@ def test_coverage_examples(group_cache):
     for yc in range(classes.k):
         cov = coverage(p_brute(0, yc, table, classes), classes)
         assert cov.support == classes.sizes[yc]
-        assert cov.exact
     # oracle-confirmed: a 5-cycle class squared misses the double
     # transpositions, covering 45 of 60; the 3-cycle class covers everything
     five = next(c for c in range(classes.k) if classes.orders[c] == 5)
@@ -194,13 +196,16 @@ def test_coverage_examples(group_cache):
     assert cov3.support == 60 and cov3.fraction == 1.0
 
 
-def test_coverage_exact_and_numeric_paths_agree(group_cache):
-    table, classes, _, chartable = group_cache("A:5")
+@pytest.mark.parametrize("label", ["A:5", "S:4", "PSL2:7"])
+def test_coverage_brute_counts_match_support_table(label, group_cache):
+    table, classes, constants, chartable = group_cache(label)
+    supports = support_table(classes, constants)
+    assert supports.shape == (classes.k, classes.k)
     for xc in range(classes.k):
         for yc in range(classes.k):
-            exact = coverage(p_brute(xc, yc, table, classes), classes)
-            numeric = coverage(p_char(xc, yc, chartable, classes), classes)
-            assert exact.support == numeric.support
+            assert coverage(p_brute(xc, yc, table, classes), classes).support == supports[xc, yc]
+    with pytest.raises(SpecSyntax):
+        coverage(p_char(0, 0, chartable, classes), classes)  # no exact counts on the character route
 
 
 def test_coverage_norm_link(group_cache):
@@ -263,18 +268,20 @@ def test_thompson_matches_brute_squares(group_cache):
 
 
 def test_survey_independent_total_probability(group_cache):
-    table, classes, _, chartable = group_cache("A:5")
-    rep = survey(table, classes, chartable, Independent(), thresholds=(0.5, 1.0))
+    table, classes, constants, chartable = group_cache("A:5")
+    rep = survey(table, classes, chartable, Independent(), thresholds=(0.5, 1.0), constants=constants)
     weights = sum(p.weight for p in rep.pairs)
     assert weights == pytest.approx(1.0, abs=1e-10)
     # delta = infinity: every pair counts
-    big = survey(table, classes, chartable, Independent(), thresholds=(float("inf"),))
+    big = survey(
+        table, classes, chartable, Independent(), thresholds=(float("inf"),), constants=constants
+    )
     assert big.thresholds[0][1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_survey_weighted_mean_consistency(group_cache):
-    table, classes, _, chartable = group_cache("A:5")
-    rep = survey(table, classes, chartable, Independent())
+    table, classes, constants, chartable = group_cache("A:5")
+    rep = survey(table, classes, chartable, Independent(), constants=constants)
     mean_from_report = sum(p.weight * p.n_stat for p in rep.pairs)
     direct = 0.0
     for i in range(classes.k):
@@ -285,18 +292,18 @@ def test_survey_weighted_mean_consistency(group_cache):
 
 
 def test_survey_diagonal_weights(group_cache):
-    table, classes, _, chartable = group_cache("S:4")
-    rep = survey(table, classes, chartable, Diagonal())
+    table, classes, constants, chartable = group_cache("S:4")
+    rep = survey(table, classes, chartable, Diagonal(), constants=constants)
     for p in rep.pairs:
         assert p.x_class == p.y_class
         assert p.weight == pytest.approx(classes.sizes[p.x_class] / table.order)
 
 
 def test_survey_translated_inverse_matches_full_sweep(group_cache):
-    table, classes, _, chartable = group_cache("PSL2:11")
+    table, classes, constants, chartable = group_cache("PSL2:11")
     stream = make_stream(5)
     a = int(stream.integers(0, table.order))
-    rep = survey(table, classes, chartable, TranslatedInverse(a))
+    rep = survey(table, classes, chartable, TranslatedInverse(a), constants=constants)
     assert not rep.sampled
     # independent recomputation of the pair weights
     counts = {}
@@ -306,29 +313,29 @@ def test_survey_translated_inverse_matches_full_sweep(group_cache):
         counts[key] = counts.get(key, 0) + 1
     for p in rep.pairs:
         assert p.weight == counts[(p.x_class, p.y_class)] / table.order
-    rep2 = survey(table, classes, chartable, TranslatedInverse(a))
+    rep2 = survey(table, classes, chartable, TranslatedInverse(a), constants=constants)
     assert rep.to_json() == rep2.to_json()
 
 
 def test_survey_sampling_fallback_above_sweep_limit(group_cache):
     # A_9 (181440 elements) is above the exact-sweep limit of 1e5
-    table, classes, _, chartable = group_cache("A:9")
+    table, classes, constants, chartable = group_cache("A:9")
     rep = survey(
         table, classes, chartable, TranslatedInverse(12345),
-        thresholds=(1.0,), stream=make_stream(61), samples=10**5,
+        thresholds=(1.0,), stream=make_stream(61), samples=10**5, constants=constants,
     )
     assert rep.sampled
     assert rep.sample_count == 10**5
     assert sum(p.weight for p in rep.pairs) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(SpecSyntax):
-        survey(table, classes, chartable, TranslatedInverse(12345))  # no stream
+        survey(table, classes, chartable, TranslatedInverse(12345), constants=constants)  # no stream
 
 
 def test_survey_bijection_coupling(group_cache):
-    table, classes, _, chartable = group_cache("S:4")
+    table, classes, constants, chartable = group_cache("S:4")
     stream = make_stream(17)
     mapping = tuple(int(i) for i in stream.permutation(table.order))
-    rep = survey(table, classes, chartable, BijectionCoupling(mapping))
+    rep = survey(table, classes, chartable, BijectionCoupling(mapping), constants=constants)
     assert sum(p.weight for p in rep.pairs) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -338,10 +345,76 @@ def test_bijection_validation():
 
 
 def test_survey_quantiles_monotone(group_cache):
-    table, classes, _, chartable = group_cache("A:6")
-    rep = survey(table, classes, chartable, Independent())
+    table, classes, constants, chartable = group_cache("A:6")
+    rep = survey(table, classes, chartable, Independent(), constants=constants)
     values = [v for _, v in rep.quantiles]
     assert values == sorted(values)
+
+
+def _all_couplings(table):
+    stream = make_stream(23)
+    a = int(stream.integers(0, table.order))
+    mapping = tuple(int(i) for i in stream.permutation(table.order))
+    return [Independent(), Diagonal(), TranslatedInverse(a), BijectionCoupling(mapping)]
+
+
+@pytest.mark.parametrize("label", ["A:5", "S:4", "PSL2:7"])
+def test_survey_pairs_match_per_pair_routes(label, group_cache):
+    """Batched survey rows equal the per-pair character, distance and brute coverage routes."""
+    table, classes, constants, chartable = group_cache(label)
+    for coupling in _all_couplings(table):
+        rep = survey(table, classes, chartable, coupling, constants=constants)
+        assert [(p.x_class, p.y_class) for p in rep.pairs] == sorted((p.x_class, p.y_class) for p in rep.pairs)
+        for p in rep.pairs:
+            dist = p_char(p.x_class, p.y_class, chartable, classes)
+            assert p.l1 == pytest.approx(dist_to_uniform(dist, classes).l1, abs=1e-12)
+            assert p.n_stat == table.order * l2_sq_char(p.x_class, p.y_class, chartable)
+            brute = coverage(p_brute(p.x_class, p.y_class, table, classes), classes)
+            assert p.coverage_fraction == brute.fraction
+
+
+@pytest.mark.parametrize("label", ["A:5", "S:4", "PSL2:7"])
+def test_survey_thresholds_are_exact(label, group_cache):
+    """P[N <= 1 + delta] counts a pair exactly when its rational N, from brute pair counts, does."""
+    table, classes, constants, chartable = group_cache(label)
+    deltas = (0.0, 0.5, 1.0, 2.0, 3.0)
+    for coupling in _all_couplings(table):
+        rep = survey(table, classes, chartable, coupling, thresholds=deltas, constants=constants)
+        for delta, prob in rep.thresholds:
+            expected = 0.0
+            for p in rep.pairs:
+                counts = p_brute(p.x_class, p.y_class, table, classes).counts
+                pairs = classes.sizes[p.x_class] * classes.sizes[p.y_class]
+                n_exact = table.order * sum(Fraction(c * c, s) for c, s in zip(counts, classes.sizes)) / pairs**2
+                if n_exact <= 1 + Fraction(delta):
+                    expected += p.weight
+            assert prob == pytest.approx(expected, abs=1e-12), (coupling, delta)
+
+
+def test_survey_threshold_ties_count(group_cache):
+    """Pairs with N exactly 1 + delta count: A_5 (identity, 3-cycles) has N = 3, float 3.0000000000000004."""
+    for label, exact in (("A:5", Fraction(3521, 3600)), ("PSL2:7", Fraction(28001, 28224))):
+        table, classes, constants, chartable = group_cache(label)
+        rep = survey(table, classes, chartable, Independent(), thresholds=(2.0,), constants=constants)
+        assert rep.threshold_prob(2.0) == pytest.approx(float(exact), abs=1e-12), label
+
+
+def test_survey_rejects_nan_threshold(group_cache):
+    table, classes, constants, chartable = group_cache("S:4")
+    with pytest.raises(SpecSyntax):
+        survey(table, classes, chartable, Independent(), thresholds=(1.0, float("nan")), constants=constants)
+    rep = survey(table, classes, chartable, Independent(), thresholds=(-math.inf, math.inf), constants=constants)
+    assert rep.thresholds[0][1] == 0.0
+    assert rep.thresholds[1][1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_survey_rejects_imaginary_character_noise(group_cache):
+    table, classes, constants, chartable = group_cache("A:5")
+    noisy = dataclasses.replace(chartable, values=chartable.values + 1e-6j * np.arange(classes.k))
+    with pytest.raises(InvariantViolation):
+        survey(table, classes, noisy, Independent(), constants=constants)
+    with pytest.raises(InvariantViolation):
+        p_char(1, 2, noisy, classes)
 
 
 # -- character-bound fraction ----------------------------------------------------
