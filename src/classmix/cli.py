@@ -268,7 +268,7 @@ def _cmd_thompson(args) -> int:
 
 def _cmd_interleave(args) -> int:
     table, _ = _build_all(args)
-    if args.alpha >= 1.0:
+    if args.alpha == 1.0:
         a_set = full_tuple_set(table, args.t)
         b_set = full_tuple_set(table, args.t)
     else:

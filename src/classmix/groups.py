@@ -417,7 +417,7 @@ class GroupTable:
     def conjugation_permutation(self, h: int) -> np.ndarray:
         """Array c with c[g] = index(h g h^-1)."""
         left = self.engine.mul(self.rows[[h]], self.rows)
-        return self.lookup(self.engine.mul(left, self.rows[[self.inv_index(h)]]))
+        return self.lookup(self.engine.mul(left, self.engine.inv(self.rows[[h]])))
 
     def full_mul_table(self, limit: int = 4096) -> np.ndarray:
         """Dense index multiplication table; only sensible for small groups."""
@@ -643,7 +643,7 @@ def conj_classes(table: GroupTable) -> ClassData:
     exponent = math.lcm(*orders.tolist())
     m = np.arange(exponent + 1)[:, None]
     power_map = class_of[np.array(powers)[m % orders, np.arange(k)]]
-    inverse_class = tuple(class_of[table.inverses[reps]].tolist())
+    inverse_class = tuple(class_of[table.lookup(table.engine.inv(rep_rows))].tolist())
     return ClassData(
         reps=tuple(reps.tolist()),
         sizes=tuple(sizes.tolist()),

@@ -2,9 +2,10 @@
 
 These deliberately re-derive everything from first principles with plain
 Python data structures so they can serve as oracles for the package paths.
-Only usable for small groups.  The interleave references at the end are plain
-numpy kernels (a per-tuple fold and a decode-and-fold Monte Carlo loop) that
-the production kernels must match count for count.
+Only usable for small groups.  The references at the end are plain numpy
+kernels (an interleave per-tuple fold, a decode-and-fold Monte Carlo loop and
+one whole-group sweep per class for the structure constants) that the
+production kernels must match count for count.
 """
 
 from __future__ import annotations
@@ -85,15 +86,67 @@ def sl2_elements(p, projective=False):
     return [identity] + sorted(elems - {identity})
 
 
-def brute_conjugacy_classes(elements):
-    """Orbits under conjugation by every group element."""
+def gf2m_mul(a, b, modulus):
+    """Product in GF(2^m) = GF(2)[x]/(modulus); elements and modulus as bit masks (bit i = x^i)."""
+    top = 1 << (modulus.bit_length() - 1)
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= modulus
+    return out
+
+
+def sl2_char2_elements(modulus):
+    """SL2(2^m) = PSL2(2^m) over GF(2)[x]/(modulus), with its product and inverse.
+
+    In characteristic 2 the determinant is ad + bc and the inverse is (d, b, c, a).
+    """
+    q = 1 << (modulus.bit_length() - 1)
+
+    def mul(a, b):
+        a11, a12, a21, a22 = a
+        b11, b12, b21, b22 = b
+        return (
+            gf2m_mul(a11, b11, modulus) ^ gf2m_mul(a12, b21, modulus),
+            gf2m_mul(a11, b12, modulus) ^ gf2m_mul(a12, b22, modulus),
+            gf2m_mul(a21, b11, modulus) ^ gf2m_mul(a22, b21, modulus),
+            gf2m_mul(a21, b12, modulus) ^ gf2m_mul(a22, b22, modulus),
+        )
+
+    def inv(a):
+        return (a[3], a[1], a[2], a[0])
+
+    elements = [
+        m for m in itertools.product(range(q), repeat=4)
+        if gf2m_mul(m[0], m[3], modulus) ^ gf2m_mul(m[1], m[2], modulus) == 1
+    ]
+    return elements, mul, inv
+
+
+def perm_closure(gens):
+    """Every product of the permutation generators, by breadth-first search from the identity."""
+    identity = tuple(range(len(gens[0])))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        frontier = [g for g in {perm_mul(x, s) for x in frontier for s in gens} if g not in seen]
+        seen.update(frontier)
+    return sorted(seen)
+
+
+def brute_conjugacy_classes(elements, mul=perm_mul, inv=perm_inv):
+    """Orbits under conjugation by every group element, ordered by their smallest member."""
     elems = set(elements)
     classes = []
     assigned = {}
     for g in sorted(elems):
         if g in assigned:
             continue
-        orbit = {perm_mul(perm_mul(h, g), perm_inv(h)) for h in elems}
+        orbit = {mul(mul(h, g), inv(h)) for h in elems}
         idx = len(classes)
         classes.append(sorted(orbit))
         for x in orbit:
@@ -109,6 +162,21 @@ def brute_pair_distribution(class_x, class_y, assigned, class_sizes):
             counts[assigned[perm_mul(u, v)]] += 1
     total = len(class_x) * len(class_y)
     return [Fraction(c, total * class_sizes[k]) for k, c in enumerate(counts)]
+
+
+def brute_structure_constants(elements, mul=perm_mul, inv=perm_inv):
+    """Classes and tensor[i][j][l] = #{(u, v) in C_i x C_j : u v = rep(C_l)} by pair counting.
+
+    Classes and their representatives (smallest members) come from
+    brute_conjugacy_classes; every u in G is paired with v = u^-1 rep(C_l).
+    """
+    classes, assigned = brute_conjugacy_classes(elements, mul, inv)
+    k = len(classes)
+    tensor = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for l, cls in enumerate(classes):
+        for u in elements:
+            tensor[assigned[u]][assigned[mul(inv(u), cls[0])]][l] += 1
+    return classes, tensor
 
 
 def partition_class_count_alt(n: int) -> int:
@@ -179,3 +247,17 @@ def decode_fold_mc_counts(mul, a_codes, b_codes, arity, samples, stream, block):
         counts += np.bincount(acc, minlength=order)
         done += n
     return counts
+
+
+def full_sweep_structure_constants(table, classes):
+    """Class-algebra constants from one sweep of the whole group per class representative.
+
+    u contributes to (i, j, l) with i = class(u) and j = class(u^-1 z_l), for the
+    representative z_l of class l.
+    """
+    k = classes.k
+    tensor = np.zeros((k, k, k), dtype=np.int64)
+    for l, rep in enumerate(classes.reps):
+        j_arr = classes.class_of[table.right_mul_indices(rep)[table.inverses]]
+        tensor[:, :, l] = np.bincount(classes.class_of * k + j_arr, minlength=k * k).reshape(k, k)
+    return tensor

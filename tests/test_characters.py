@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,21 @@ from classmix.characters import (
     witten_zeta,
     zeta_trend,
 )
+from classmix.errors import InvariantViolation
 from classmix.groups import GroupSpec, conj_classes, group_build
+
+from _oracles import (
+    alt_elements,
+    brute_structure_constants,
+    full_sweep_structure_constants,
+    mat_inv,
+    mat_mul,
+    perm_closure,
+    psl2_lift,
+    sl2_char2_elements,
+    sl2_elements,
+    sym_elements,
+)
 
 
 def _rebuild(label, group_cache):
@@ -43,6 +59,67 @@ def test_structure_constants_nonnegative(group_cache):
     for label in ["S:4", "PSL2:7"]:
         _, _, constants, _ = group_cache(label)
         assert constants.tensor.min() >= 0
+
+
+def _oracle_group(label, table):
+    """Plain-Python elements, product and inverse of the group built for `label`."""
+    kind, _, param = label.partition(":")
+    if kind in ("S", "A"):
+        return (sym_elements if kind == "S" else alt_elements)(int(param)), {}
+    if kind == "PSL2" and table.engine.field.p == 2:
+        modulus = sum(c << i for i, c in enumerate(table.engine.field.spec.modulus))
+        elements, mul, inv = sl2_char2_elements(modulus)
+        return elements, {"mul": mul, "inv": inv}
+    if kind in ("SL2", "PSL2"):
+        p = int(param)
+        lift = (lambda m: psl2_lift(m, p)) if kind == "PSL2" else (lambda m: m)
+        ops = {"mul": lambda a, b: lift(mat_mul(a, b, p)), "inv": lambda a: lift(mat_inv(a, p))}
+        return sl2_elements(p, projective=kind == "PSL2"), ops
+    return perm_closure(table.spec.perm_generators), {}
+
+
+# D4 x C3 on seven points: its order-3 and order-6 classes come in inverse pairs
+PERMGEN_FILE = "n=7\n(1 2)(3 4)\n(1 3)\n(5 6 7)\n"
+ORACLE_LABELS = ["S:3", "S:4", "S:5", "A:5", "A:6", "PSL2:7", "PSL2:8", "SL2:5", "permgen", "trivial"]
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_structure_constants_match_oracles(label, tmp_path):
+    """The symmetric sweep equals brute pair counting and the one-sweep-per-class tensor exactly.
+
+    PSL2:7 has the inverse-pair classes 7A/7B and SL2:5 a central involution.
+    """
+    if label == "permgen":
+        (tmp_path / "g.txt").write_text(PERMGEN_FILE)
+        spec = GroupSpec.parse(f"permgen:{tmp_path / 'g.txt'}")
+    elif label == "trivial":
+        spec = GroupSpec.from_perm_generators([tuple(range(3))])
+    else:
+        spec = GroupSpec.parse(label)
+    table = group_build(spec)
+    classes = conj_classes(table)
+    tensor = structure_constants(table, classes).tensor
+    assert np.array_equal(tensor, full_sweep_structure_constants(table, classes))
+
+    elements, ops = _oracle_group(label, table)
+    oracle_classes, oracle_tensor = brute_structure_constants(elements, **ops)
+    # production class of each oracle class, found through its smallest member
+    perm = [int(classes.class_of[table.index_of(bytes(c[0]))]) for c in oracle_classes]
+    assert sorted(perm) == list(range(classes.k))
+    assert [classes.sizes[c] for c in perm] == [len(c) for c in oracle_classes]
+    assert np.array_equal(tensor[np.ix_(perm, perm, perm)], np.array(oracle_tensor, dtype=np.int64))
+    if label == "PSL2:7":
+        assert any(classes.inverse_class[c] != c for c in range(classes.k))
+
+
+def test_structure_constants_reject_wrong_inverse_classes(group_cache):
+    """Swapping the inverse classes of 3A (20) and 2A (15) in A:5 breaks the row sums."""
+    table, classes, _, _ = group_cache("A:5")
+    inv = list(classes.inverse_class)
+    three_a, two_a = classes.sizes.index(20), classes.sizes.index(15)
+    inv[three_a], inv[two_a] = inv[two_a], inv[three_a]
+    with pytest.raises(InvariantViolation):
+        structure_constants(table, dataclasses.replace(classes, inverse_class=tuple(inv)))
 
 
 def test_dixon_degree_multisets(group_cache):

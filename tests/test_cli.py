@@ -253,6 +253,7 @@ BAD_INPUTS = [
     ("zeta-overflows-float", {}, ["zeta", "S:3", "--s", "-1024"], 3),
     ("zeta-s-nan", {}, ["zeta", "S:3", "--s", "2", "nan"], 2),
     ("interleave-arity-zero", {}, [*EXACT_ARGS[:3], "0", *EXACT_ARGS[4:]], 11),
+    ("interleave-alpha-above-one", {}, [*EXACT_ARGS[:5], "5"], 2),
     ("loop-budget-not-int", {}, EXACT_ARGS, 2, {"MIXER_LOOP_BUDGET": "abc"}),
     ("loop-budget-not-positive", {}, EXACT_ARGS, 2, {"MIXER_LOOP_BUDGET": "0"}),
     ("max-order-not-int", {}, ["thompson", "S:3"], 2, {"MIXER_MAX_ORDER": "1e6"}),

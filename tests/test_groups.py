@@ -243,6 +243,16 @@ def test_inverse_class_involution(group_cache):
             assert inv[inv[c]] == c
 
 
+@pytest.mark.parametrize("label", ["A:5", "S:5", "PSL2:7", "PSL2:8", "SL2:5"])
+def test_inverse_class_from_representatives(label):
+    """inverse_class, taken from the representatives' inverses, is the class of every member's inverse."""
+    table = group_build(GroupSpec.parse(label))
+    classes = conj_classes(table)
+    reps = np.asarray(classes.reps)
+    assert list(classes.inverse_class) == classes.class_of[table.inverses[reps]].tolist()
+    assert np.array_equal(np.asarray(classes.inverse_class)[classes.class_of], classes.class_of[table.inverses])
+
+
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
 def test_alt_class_count_matches_partitions(n, group_cache):
     _, classes, _, _ = group_cache(f"A:{n}")
