@@ -12,16 +12,18 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EigensplitFailure, InvariantViolation, NoSuitablePrime, SpecSyntax, UnsupportedParameters
-from .fields import is_prime
+from .fields import is_prime, prime_factors
 from .groups import ClassData, GroupTable
 
 PRIME_SEARCH_BOUND = 2**31
 ORTHOGONALITY_TOL = 1e-8
+ROW_CHUNK = 1 << 18  # class-matrix row products held in memory at once
+ROOT_CHUNK = 1 << 16  # residues evaluated at once by the root search (cache-sized)
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,48 @@ class StructureConstants:
     """tensor[i, j, k] = number of pairs (u, v) in C_i x C_j with u*v = rep(C_k)."""
 
     tensor: np.ndarray
+    products = 0  # reading a row costs no group products: the sweep paid for the whole tensor
+
+    def rows(self, j: int, pivots: np.ndarray) -> np.ndarray:
+        """tensor[j, i, :] for every i in pivots: those rows of the class matrix of C_j."""
+        return self.tensor[j, pivots]
+
+
+class ClassRows:
+    """Rows of the class matrices computed from the group, without the tensor.
+
+    tensor[j, i, l] = eta[l*, j, i] / |C_l| by the full symmetry of eta (see
+    structure_constants).  In a triple (y, v, w) of C_l* x C_j x C_i with
+    y v w = 1, y = w^-1 v^-1, and conjugating w^-1 to the representative z_i*
+    of C_i* keeps the count, so eta[l*, j, i] = |C_i| h[l*] with
+    h[c] = #{x in C_j* : z_i* x in C_c}.  Each row costs |C_j| products and
+    lookups; `products` counts them.
+    """
+
+    def __init__(self, table: GroupTable, classes: ClassData):
+        self.table = table
+        self.classes = classes
+        self.products = 0
+
+    def rows(self, j: int, pivots: np.ndarray) -> np.ndarray:
+        """tensor[j, i, :] for every i in pivots."""
+        table, classes = self.table, self.classes
+        k = classes.k
+        sizes = np.asarray(classes.sizes, dtype=np.int64)
+        inv = np.asarray(classes.inverse_class, dtype=np.intp)
+        ws = table.rows[classes.members(inv[j])]
+        zs = table.rows[np.asarray(classes.reps)[inv[pivots]]]
+        per = max(1, ROW_CHUNK // len(ws))
+        h = np.empty((len(pivots), k), dtype=np.int64)
+        for s in range(0, len(pivots), per):
+            c = classes.class_of[table.lookup(table.engine.mul(zs[s : s + per, None], ws[None]))]
+            n = len(c)
+            h[s : s + n] = np.bincount((c + k * np.arange(n)[:, None]).ravel(), minlength=n * k).reshape(n, k)
+        self.products += len(pivots) * len(ws)
+        rows, rem = np.divmod(sizes[pivots, None] * h[:, inv], sizes)
+        if rem.any():
+            raise InvariantViolation("a class-matrix entry is not divisible by its class size")
+        return rows
 
 
 def structure_constants(table: GroupTable, classes: ClassData) -> StructureConstants:
@@ -85,6 +129,7 @@ class CharacterTable:
     modulus_prime: int
     row_residual: float
     col_residual: float
+    work: dict = field(default_factory=dict, compare=False, repr=False)  # run metadata, not in reports
 
     @property
     def k(self) -> int:
@@ -114,108 +159,67 @@ class OrthogonalityReport:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra mod P (lists of python ints; k is tiny)
+# exact linear algebra mod P on int64 arrays (entries in [0, P), P < 2^31)
 
 
-def _mat_vec(m, v, p):
-    return [sum(mij * vj for mij, vj in zip(row, v)) % p for row in m]
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p.  b is split into 16-bit halves, so that every partial sum of
+    a @ half stays below 2^63 while the inner dimension is below 2^16."""
+    lo = (a @ (b & 0xFFFF)) % p
+    hi = (a @ (b >> 16)) % p
+    return (hi * 0x10000 + lo) % p
 
 
-def _rref(rows, p, ncols):
-    """Row-reduce in place; returns pivot column list."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if pivot is None:
+def _nullspace(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Right nullspace N of a square matrix and its free columns F, with N[F] = I."""
+    rows = m % p
+    d = len(rows)
+    pivots: list[int] = []
+    for c in range(d):
+        r = len(pivots)
+        nz = np.flatnonzero(rows[r:, c])
+        if not len(nz):
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        rows[[r, r + nz[0]]] = rows[[r + nz[0], r]]
+        pivot = rows[r] * pow(int(rows[r, c]), p - 2, p) % p
+        rows = (rows - rows[:, c, None] * pivot) % p
+        rows[r] = pivot
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def _nullspace(m, p):
-    """Basis of the right nullspace of a d x d matrix, echelon order."""
-    d = len(m)
-    rows = [list(r) for r in m]
-    pivots = _rref(rows, p, d)
     free = [c for c in range(d) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * d
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rows[r][fc]) % p
-        basis.append(v)
-    return basis
+    basis = np.zeros((d, len(free)), dtype=np.int64)
+    basis[free, np.arange(len(free))] = 1
+    basis[pivots] = -rows[: len(pivots)][:, free] % p
+    return basis, free
 
 
-def _solve_in_span(basis_cols, targets, p):
-    """Solve B X = Y for X, where B's columns span an invariant subspace.
-
-    basis_cols: list of d column vectors of length n; targets: list of column
-    vectors known to lie in the span.  Returns the d x len(targets) coefficient
-    matrix, or raises EigensplitFailure if a target leaves the span.
-    """
-    n = len(basis_cols[0])
-    d = len(basis_cols)
-    t = len(targets)
-    rows = [[basis_cols[j][i] for j in range(d)] + [targets[m][i] for m in range(t)] for i in range(n)]
-    pivots = _rref(rows, p, d)
-    if len(pivots) != d:
-        raise EigensplitFailure("restriction basis is rank deficient")
-    for i in range(d, n):
-        if any(x % p for x in rows[i]):
-            raise EigensplitFailure("subspace is not invariant under the class matrix")
-    return [[rows[r][d + m] for m in range(t)] for r in range(d)]  # d x t
-
-
-def _char_poly_mod(m, p):
-    """Characteristic polynomial of a d x d matrix mod p by Faddeev-LeVerrier.
-
-    Returns coefficients [c_0, ..., c_d] of det(xI - M), little-endian.
-    Valid because p is prime and p > d.
-    """
+def _char_poly(m: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients of det(xI - M) mod p, little-endian, by Faddeev-LeVerrier (exact while p > d)."""
     d = len(m)
-    coeffs = [0] * (d + 1)
+    coeffs = np.zeros(d + 1, dtype=np.int64)
     coeffs[d] = 1
-    acc = [[0] * d for _ in range(d)]
+    acc = np.zeros_like(m)
     for j in range(1, d + 1):
-        # acc <- M (acc + c_{d-j+1} I)
-        work = [row[:] for row in acc]
-        for i in range(d):
-            work[i][i] = (work[i][i] + coeffs[d - j + 1]) % p
-        acc = [[sum(m[i][t] * work[t][l] for t in range(d)) % p for l in range(d)] for i in range(d)]
-        trace = sum(acc[i][i] for i in range(d)) % p
-        coeffs[d - j] = (-trace * pow(j, p - 2, p)) % p
+        acc = _matmul_mod(m, acc + coeffs[d - j + 1] * np.eye(d, dtype=np.int64), p)
+        coeffs[d - j] = -int(acc.trace()) * pow(j, p - 2, p) % p
     return coeffs
 
 
-def _poly_roots_mod(coeffs, p):
-    """All roots in GF(p) of a little-endian polynomial, ascending."""
-    if p < 2**24:
-        xs = np.arange(p, dtype=np.int64)
-        acc = np.zeros(p, dtype=np.int64)
-        for c in reversed(coeffs):
-            acc = (acc * xs + c) % p
-        return [int(x) for x in np.nonzero(acc == 0)[0]]
-    return [x for x in range(p) if _horner(coeffs, x, p) == 0]
+def _roots_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
+    """All roots in GF(p) of a little-endian polynomial, ascending.
 
-
-def _horner(coeffs, x, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
+    Horner over every residue, ROOT_CHUNK at a time; acc and x stay below
+    p < 2^31, so acc * x + c < 2^63.
+    """
+    found = []
+    for start in range(0, p, ROOT_CHUNK):
+        xs = np.arange(start, min(start + ROOT_CHUNK, p), dtype=np.int64)
+        acc = np.full_like(xs, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            acc *= xs
+            acc += c
+            acc %= p
+        found.append(xs[acc == 0])
+    return np.concatenate(found)
 
 
 def _least_dixon_prime(exponent: int, order: int) -> int:
@@ -234,17 +238,7 @@ def _least_dixon_prime(exponent: int, order: int) -> int:
 
 def _primitive_root_of_order(e: int, p: int) -> int:
     """Element of multiplicative order exactly e in GF(p); requires e | p - 1."""
-    prime_divs = []
-    m = e
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            prime_divs.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        prime_divs.append(m)
+    prime_divs = prime_factors(e)
     for a in range(2, p):
         theta = pow(a, (p - 1) // e, p)
         if theta != 1 and all(pow(theta, e // r, p) != 1 for r in prime_divs):
@@ -252,126 +246,133 @@ def _primitive_root_of_order(e: int, p: int) -> int:
     raise EigensplitFailure(f"no element of order {e} in GF({p})")  # unreachable for prime p
 
 
-def _simultaneous_eigenvectors(tensor: np.ndarray, p: int) -> list[list[int]]:
-    """One-dimensional common eigenspaces of the class-sum matrices over GF(p).
+def _split(source: StructureConstants | ClassRows, k: int, p: int, work: dict) -> np.ndarray:
+    """Common one-dimensional eigenspaces of the class matrices over GF(p), one per row.
 
-    Blocks are split by each class matrix in turn; every block is invariant
-    under all later matrices because the family commutes.
+    A block is a basis B (k x d) of a common eigenspace of the matrices used so
+    far, column-reduced: B[P] = I on its pivot rows P.  The class matrices
+    commute, so M_j B = B R, and the rows P give R = M_j[P, :] B.  The classes
+    split the blocks in index order, each into the eigenspaces of R by ascending
+    eigenvalue: the nullspace N of R - lambda, with N[F] = I on its free rows F,
+    gives the block B N with pivot rows P[F].
     """
-    k = tensor.shape[0]
-    blocks: list[list[list[int]]] = [[[1 if i == j else 0 for i in range(k)] for j in range(k)]]
-    # each block is a list of column vectors (length k)
-    for idx in range(1, k):
-        if all(len(b) == 1 for b in blocks):
+    blocks = [(np.eye(k, dtype=np.int64), np.arange(k))]
+    for j in range(1, k):
+        live = [blk for blk in blocks if len(blk[1]) > 1]
+        if not live:
             break
-        m = [[int(tensor[idx, j, l]) % p for l in range(k)] for j in range(k)]
+        need = np.unique(np.concatenate([piv for _, piv in live]))
+        rows = np.zeros((k, k), dtype=np.int64)
+        rows[need] = source.rows(j, need) % p
+        work["class_matrices"] += 1
+        work["rows"] += len(need)
         new_blocks = []
-        for basis in blocks:
-            if len(basis) == 1:
-                new_blocks.append(basis)
+        for basis, piv in blocks:
+            if len(piv) == 1:
+                new_blocks.append((basis, piv))
                 continue
-            images = [_mat_vec(m, v, p) for v in basis]
-            r = _solve_in_span(basis, images, p)  # d x d; column j = coordinates of image of basis[j]
-            d = len(basis)
-            roots = _poly_roots_mod(_char_poly_mod(r, p), p)
+            d = len(piv)
+            r = _matmul_mod(rows[piv], basis, p)
             split_dim = 0
-            for lam in roots:
-                shifted = [[(r[i][j] - (lam if i == j else 0)) % p for j in range(d)] for i in range(d)]
-                eigvecs = _nullspace(shifted, p)
-                if not eigvecs:
-                    continue
-                # vectors sharing an eigenvalue stay in one block for later matrices
-                sub = [
-                    [sum(basis[t][i] * nv[t] for t in range(d)) % p for i in range(k)] for nv in eigvecs
-                ]
-                new_blocks.append(sub)
-                split_dim += len(sub)
+            for lam in _roots_mod(_char_poly(r, p), p).tolist():
+                vectors, free = _nullspace(r - lam * np.eye(d, dtype=np.int64), p)
+                if free:
+                    new_blocks.append((_matmul_mod(basis, vectors, p), piv[free]))
+                    split_dim += len(free)
+                    work["max_block"] = max(work["max_block"], len(free))
             if split_dim != d:
                 raise EigensplitFailure(f"block of dimension {d} split into {split_dim} dimensions")
         blocks = new_blocks
-    if any(len(b) != 1 for b in blocks):
+    if any(len(piv) != 1 for _, piv in blocks):
         raise EigensplitFailure("splitting exhausted all class matrices with a block unresolved")
-    return [b[0] for b in blocks]
+    return np.array([basis[:, 0] for basis, _ in blocks], dtype=np.int64)
 
 
-def dixon_character_table(classes: ClassData, constants: StructureConstants) -> CharacterTable:
+def _inv_mod(values: np.ndarray, p: int) -> np.ndarray:
+    return np.array([pow(int(v), p - 2, p) for v in values], dtype=np.int64)
+
+
+def dixon_character_table(classes: ClassData, source: StructureConstants | ClassRows) -> CharacterTable:
     """Full complex character table via Burnside-Dixon-Schneider.
 
     Stages: (1) least prime P = 1 (mod exponent), P > 2 sqrt(|G|);
-    (2) class matrices mod P; (3) common eigenvectors by iterative eigenspace
-    splitting; (4) exact degree recovery; (5) complex lift by Fourier
-    inversion over the power maps; (6) deterministic row order.
+    (2) common eigenvectors by iterative eigenspace splitting, reading from
+    `source` only the class-matrix rows the split needs; (3) exact degree
+    recovery; (4) complex lift by Fourier inversion over the power maps;
+    (5) deterministic row order.  The table's `work` records P, the class
+    matrices used, the rows read, the products `source` spent on them and the
+    largest block a split left.
     """
     k = classes.k
     order = classes.order
     e = classes.exponent
     p = _least_dixon_prime(e, order)
-    tensor = constants.tensor
+    products = source.products
+    work = {"prime": p, "class_matrices": 0, "rows": 0, "max_block": 1}
+    vectors = _split(source, k, p, work)
+    work["products"] = source.products - products
 
-    vectors = _simultaneous_eigenvectors(tensor, p)
+    if not vectors[:, 0].all():
+        raise EigensplitFailure("eigenvector vanishes at the identity class")
+    omega = vectors * _inv_mod(vectors[:, 0], p)[:, None] % p
+    size_inv = _inv_mod(np.asarray(classes.sizes), p)
+    inv_class = np.asarray(classes.inverse_class, dtype=np.intp)
+    denom = (omega * omega[:, inv_class] % p * size_inv % p).sum(axis=1) % p
+    if not denom.all():
+        raise EigensplitFailure("degree denominator vanished mod P")
+    target = order * _inv_mod(denom, p) % p
+    candidates = np.arange(1, math.isqrt(order) + 1, dtype=np.int64)
+    hits = (candidates * candidates % p)[None, :] == target[:, None]
+    if not hits.any(axis=1).all():
+        raise EigensplitFailure("no integer degree matches the recovered square")
+    degrees = candidates[hits.argmax(axis=1)]
+    # character values mod P per class
+    s = degrees[:, None] * omega % p * size_inv % p
 
-    sizes = classes.sizes
-    inv_class = classes.inverse_class
-    size_inv = [pow(s % p, p - 2, p) for s in sizes]
     theta = _primitive_root_of_order(e, p) if e > 1 else 1
+    values = np.empty((k, k), dtype=np.complex128)
+    root_powers: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # per element order
+    for j in range(k):
+        nj = classes.orders[j]
+        if nj == 1:
+            values[:, j] = degrees
+            continue
+        if nj not in root_powers:  # W[l, m] = theta_j^(-l m) mod P, and exp(2 pi i m / nj)
+            theta_inv = pow(theta, e - e // nj, p)
+            exponents = np.outer(np.arange(nj), np.arange(nj)) % nj
+            root_powers[nj] = (
+                np.array([pow(theta_inv, t, p) for t in range(nj)], dtype=np.int64)[exponents],
+                np.array([cmath.exp(2j * cmath.pi * mm / nj) for mm in range(nj)]),
+            )
+        powers, roots = root_powers[nj]
+        # mu[chi, mm]: multiplicity of the root exp(2 pi i mm / nj) in chi at the class
+        mu = _matmul_mod(s[:, classes.power_map[:nj, j]], powers, p) * pow(nj, p - 2, p) % p
+        if (mu.sum(axis=1) != degrees).any():
+            raise EigensplitFailure(f"root-of-unity multiplicities at class {j} do not sum to the degrees")
+        # summed left to right from 0j, as a loop over mm would; zero terms leave the sums unchanged
+        terms = np.concatenate([np.zeros((k, 1), dtype=np.complex128), mu * roots], axis=1)
+        values[:, j] = np.cumsum(terms, axis=1)[:, -1]
 
-    rows = []
-    for vec in vectors:
-        if vec[0] % p == 0:
-            raise EigensplitFailure("eigenvector vanishes at the identity class")
-        norm = pow(vec[0], p - 2, p)
-        omega = [v * norm % p for v in vec]
-        denom = sum(omega[i] * omega[inv_class[i]] * size_inv[i] for i in range(k)) % p
-        if denom == 0:
-            raise EigensplitFailure("degree denominator vanished mod P")
-        target = order * pow(denom, p - 2, p) % p
-        degree = next((d for d in range(1, math.isqrt(order) + 1) if d * d % p == target), None)
-        if degree is None:
-            raise EigensplitFailure("no integer degree matches the recovered square")
-        # character values mod P per class
-        s = [degree * omega[j] * size_inv[j] % p for j in range(k)]
-        inv_nj_cache: dict[int, int] = {}
-        values = []
-        for j in range(k):
-            nj = classes.orders[j]
-            if nj == 1:
-                values.append(complex(degree, 0.0))
-                continue
-            theta_j = pow(theta, e // nj, p)
-            theta_j_inv = pow(theta_j, p - 2, p)
-            inv_nj = inv_nj_cache.setdefault(nj, pow(nj, p - 2, p))
-            powers = [pow(theta_j_inv, t, p) for t in range(nj)]
-            s_pow = [s[classes.power_map[l, j]] for l in range(nj)]
-            val = 0j
-            total_mult = 0
-            for mm in range(nj):
-                mu = sum(s_pow[l] * powers[l * mm % nj] for l in range(nj)) * inv_nj % p
-                if mu:
-                    total_mult += mu
-                    val += mu * cmath.exp(2j * cmath.pi * mm / nj)
-            if total_mult != degree:
-                raise EigensplitFailure(
-                    f"root-of-unity multiplicities sum to {total_mult}, expected degree {degree}"
-                )
-            values.append(val)
-        rows.append((degree, values))
-
-    rows.sort(key=lambda r: (r[0], tuple((-round(v.real, 10), -round(v.imag, 10)) for v in r[1])))
+    rows = sorted(
+        zip(degrees.tolist(), values.tolist()),
+        key=lambda r: (r[0], tuple((-round(v.real, 10), -round(v.imag, 10)) for v in r[1])),
+    )
     values = np.array([r[1] for r in rows], dtype=np.complex128)
     degrees = tuple(r[0] for r in rows)
 
     if sum(d * d for d in degrees) != order:
         raise EigensplitFailure(f"degree squares sum to {sum(d * d for d in degrees)}, expected {order}")
 
-    row_res, col_res = _residuals(values, sizes, order)
+    row_res, col_res = _residuals(values, classes.sizes, order)
     return CharacterTable(
         values=values,
         degrees=degrees,
-        class_sizes=tuple(sizes),
+        class_sizes=tuple(classes.sizes),
         order=order,
         modulus_prime=p,
         row_residual=row_res,
         col_residual=col_res,
+        work=work,
     )
 
 

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .characters import dixon_character_table, structure_constants, verify_orthogonality, witten_zeta
+from .characters import ClassRows, dixon_character_table, structure_constants, verify_orthogonality, witten_zeta
 from .errors import ClassmixError, GoldenMismatch, SpecSyntax, UnsupportedParameters, parse_int
 from .groups import GroupSpec, conj_classes, group_build
 from .interleave import (
@@ -173,8 +173,7 @@ def _build_all(args):
 
 def _cmd_chartable(args) -> int:
     table, classes = _build_all(args)
-    constants = structure_constants(table, classes)
-    chartable = dixon_character_table(classes, constants)
+    chartable = dixon_character_table(classes, ClassRows(table, classes))
     report = verify_orthogonality(chartable, classes)
     payload = chartable.to_json_dict(table.spec.label)
     payload["orthogonality"] = {
@@ -185,12 +184,12 @@ def _cmd_chartable(args) -> int:
     }
     payload["class_orders"] = list(classes.orders)
     payload["modulus_prime"] = chartable.modulus_prime
-    return _emit(args, payload)
+    return _emit(args, payload, meta={"dixon": chartable.work})
 
 
 def _cmd_zeta(args) -> int:
     table, classes = _build_all(args)
-    chartable = dixon_character_table(classes, structure_constants(table, classes))
+    chartable = dixon_character_table(classes, ClassRows(table, classes))
     values = {repr(s): witten_zeta(chartable, s) for s in args.s}
     payload = {
         "order": table.order,
@@ -198,7 +197,7 @@ def _cmd_zeta(args) -> int:
         "degrees": list(chartable.degrees),
         "zeta": values,
     }
-    return _emit(args, payload)
+    return _emit(args, payload, meta={"dixon": chartable.work})
 
 
 def _cmd_mixpair(args) -> int:
@@ -228,7 +227,7 @@ def _cmd_mixpair(args) -> int:
         "linf": dr.linf,
         "coverage": {"support": support, "fraction": support / table.order, "exact": True},
     }
-    return _emit(args, payload)
+    return _emit(args, payload, meta={"dixon": chartable.work})
 
 
 def _cmd_survey(args) -> int:
@@ -247,7 +246,7 @@ def _cmd_survey(args) -> int:
         samples=args.samples,
         constants=constants,
     )
-    return _emit(args, rep.to_json_dict(), csv_text=rep.to_csv())
+    return _emit(args, rep.to_json_dict(), csv_text=rep.to_csv(), meta={"dixon": chartable.work})
 
 
 def _cmd_thompson(args) -> int:

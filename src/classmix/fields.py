@@ -129,7 +129,7 @@ def is_irreducible(coeffs: tuple[int, ...] | list[int], p: int) -> bool:
     diff = _poly_trim([(a - b) % p for a, b in _zip_pad(xq, x)])
     if diff:
         return False
-    for r in _prime_factors(k):
+    for r in prime_factors(k):
         xe = _poly_powmod(x, p ** (k // r), f, p)
         diff = _poly_trim([(a - b) % p for a, b in _zip_pad(xe, x)])
         g = _poly_gcd(f, diff, p)
@@ -150,7 +150,7 @@ def _zip_pad(a: list[int], b: list[int]):
     return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
 
 
-def _prime_factors(n: int) -> list[int]:
+def prime_factors(n: int) -> list[int]:
     out = []
     d = 2
     while d * d <= n:
@@ -240,7 +240,7 @@ class Field:
         in the zero-filled tail of exp, so mul is one gather with no masking.
         """
         n = self.q - 1
-        factors = _prime_factors(n)
+        factors = prime_factors(n)
         g = next(c for c in range(1, self.q) if all(self._scalar_pow(c, n // r) != 1 for r in factors))
         powers = np.ones(1, dtype=np.int64)
         while len(powers) < n:  # doubling: g^(m + i) = g^i * g^m

@@ -423,13 +423,11 @@ class RectangleProtocol:
         return 0 if n <= 1 else math.ceil(math.log2(n))
 
     def evaluate_codes(self, a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation, one membership test per distinct code; raises on the first bad pair."""
-        a_keys, a_inv = np.unique(a_codes, return_inverse=True)
-        b_keys, b_inv = np.unique(b_codes, return_inverse=True)
+        """Vectorized evaluation, one membership test per code; raises on the first bad pair."""
         bits = np.full(len(a_codes), -1, dtype=np.int64)
         covered = np.zeros(len(a_codes), dtype=np.int64)
         for rect in self.rectangles:
-            mask = rect.a_set.contains_codes(a_keys)[a_inv] & rect.b_set.contains_codes(b_keys)[b_inv]
+            mask = rect.a_set.contains_codes(a_codes) & rect.b_set.contains_codes(b_codes)
             covered += mask
             bits[mask] = rect.bit
         if (covered > 1).any():

@@ -5,15 +5,21 @@ Python data structures so they can serve as oracles for the package paths.
 Only usable for small groups.  The references at the end are plain numpy
 kernels (an interleave per-tuple fold, a decode-and-fold Monte Carlo loop and
 one whole-group sweep per class for the structure constants) that the
-production kernels must match count for count.
+production kernels must match count for count, and a Dixon character table
+split with list-of-lists algebra mod P from the whole tensor, whose values
+the production table must match bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from classmix.characters import _least_dixon_prime, _primitive_root_of_order
 
 
 def sym_elements(n: int) -> list[tuple[int, ...]]:
@@ -261,3 +267,154 @@ def full_sweep_structure_constants(table, classes):
         j_arr = classes.class_of[table.right_mul_indices(rep)[table.inverses]]
         tensor[:, :, l] = np.bincount(classes.class_of * k + j_arr, minlength=k * k).reshape(k, k)
     return tensor
+
+
+# -- Dixon character table from whole class matrices, lists of Python ints mod P
+
+
+def _mat_vec(m, v, p):
+    return [sum(mij * vj for mij, vj in zip(row, v)) % p for row in m]
+
+
+def _rref(rows, p, ncols):
+    """Row-reduce in place; returns pivot column list."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def _nullspace(m, p):
+    """Basis of the right nullspace of a d x d matrix, echelon order."""
+    d = len(m)
+    rows = [list(r) for r in m]
+    pivots = _rref(rows, p, d)
+    free = [c for c in range(d) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [0] * d
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = (-rows[r][fc]) % p
+        basis.append(v)
+    return basis
+
+
+def _solve_in_span(basis_cols, targets, p):
+    """Coordinates X with B X = Y; raises if a target leaves the span of B's columns."""
+    n = len(basis_cols[0])
+    d = len(basis_cols)
+    t = len(targets)
+    rows = [[basis_cols[j][i] for j in range(d)] + [targets[m][i] for m in range(t)] for i in range(n)]
+    pivots = _rref(rows, p, d)
+    if len(pivots) != d:
+        raise AssertionError("restriction basis is rank deficient")
+    for i in range(d, n):
+        if any(x % p for x in rows[i]):
+            raise AssertionError("subspace is not invariant under the class matrix")
+    return [[rows[r][d + m] for m in range(t)] for r in range(d)]
+
+
+def _char_poly_mod(m, p):
+    """det(xI - M) mod p by Faddeev-LeVerrier, little-endian (exact while p > d)."""
+    d = len(m)
+    coeffs = [0] * (d + 1)
+    coeffs[d] = 1
+    acc = [[0] * d for _ in range(d)]
+    for j in range(1, d + 1):
+        work = [row[:] for row in acc]
+        for i in range(d):
+            work[i][i] = (work[i][i] + coeffs[d - j + 1]) % p
+        acc = [[sum(m[i][t] * work[t][l] for t in range(d)) % p for l in range(d)] for i in range(d)]
+        trace = sum(acc[i][i] for i in range(d)) % p
+        coeffs[d - j] = (-trace * pow(j, p - 2, p)) % p
+    return coeffs
+
+
+def _poly_roots_mod(coeffs, p):
+    xs = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = (acc * xs + c) % p
+    return [int(x) for x in np.nonzero(acc == 0)[0]]
+
+
+def list_split_eigenvectors(tensor, p):
+    """Common one-dimensional eigenspaces of the whole class matrices, split in class-index order."""
+    k = tensor.shape[0]
+    blocks = [[[1 if i == j else 0 for i in range(k)] for j in range(k)]]
+    for idx in range(1, k):
+        if all(len(b) == 1 for b in blocks):
+            break
+        m = [[int(tensor[idx, j, l]) % p for l in range(k)] for j in range(k)]
+        new_blocks = []
+        for basis in blocks:
+            if len(basis) == 1:
+                new_blocks.append(basis)
+                continue
+            r = _solve_in_span(basis, [_mat_vec(m, v, p) for v in basis], p)
+            d = len(basis)
+            split_dim = 0
+            for lam in _poly_roots_mod(_char_poly_mod(r, p), p):
+                shifted = [[(r[i][j] - (lam if i == j else 0)) % p for j in range(d)] for i in range(d)]
+                eigvecs = _nullspace(shifted, p)
+                if eigvecs:
+                    new_blocks.append([[sum(basis[t][i] * nv[t] for t in range(d)) % p for i in range(k)] for nv in eigvecs])
+                    split_dim += len(eigvecs)
+            assert split_dim == d, f"block of dimension {d} split into {split_dim} dimensions"
+        blocks = new_blocks
+    assert all(len(b) == 1 for b in blocks), "a block is unresolved"
+    return [b[0] for b in blocks]
+
+
+def list_dixon_table(classes, tensor):
+    """(degrees, values, P) of the Dixon table: list-based split, then a per-class lift loop.
+
+    The lift accumulates the complex values in the order the production lift must keep,
+    so the two tables agree bit for bit.
+    """
+    k, order, e = classes.k, classes.order, classes.exponent
+    p = _least_dixon_prime(e, order)
+    size_inv = [pow(s % p, p - 2, p) for s in classes.sizes]
+    theta = _primitive_root_of_order(e, p) if e > 1 else 1
+    rows = []
+    for vec in list_split_eigenvectors(tensor, p):
+        norm = pow(vec[0], p - 2, p)
+        omega = [v * norm % p for v in vec]
+        denom = sum(omega[i] * omega[classes.inverse_class[i]] * size_inv[i] for i in range(k)) % p
+        target = order * pow(denom, p - 2, p) % p
+        degree = next(d for d in range(1, math.isqrt(order) + 1) if d * d % p == target)
+        s = [degree * omega[j] * size_inv[j] % p for j in range(k)]
+        values = []
+        for j in range(k):
+            nj = classes.orders[j]
+            if nj == 1:
+                values.append(complex(degree, 0.0))
+                continue
+            theta_j_inv = pow(pow(theta, e // nj, p), p - 2, p)
+            inv_nj = pow(nj, p - 2, p)
+            powers = [pow(theta_j_inv, t, p) for t in range(nj)]
+            s_pow = [s[classes.power_map[l, j]] for l in range(nj)]
+            val = 0j
+            for mm in range(nj):
+                mu = sum(s_pow[l] * powers[l * mm % nj] for l in range(nj)) * inv_nj % p
+                if mu:
+                    val += mu * cmath.exp(2j * cmath.pi * mm / nj)
+            values.append(val)
+        rows.append((degree, values))
+    rows.sort(key=lambda r: (r[0], tuple((-round(v.real, 10), -round(v.imag, 10)) for v in r[1])))
+    return tuple(r[0] for r in rows), np.array([r[1] for r in rows], dtype=np.complex128), p

@@ -1,11 +1,16 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
 from classmix.characters import (
     CharacterTable,
+    ClassRows,
     ZetaTrendRow,
+    _matmul_mod,
+    _nullspace,
+    _roots_mod,
     dixon_character_table,
     structure_constants,
     verify_orthogonality,
@@ -19,6 +24,7 @@ from _oracles import (
     alt_elements,
     brute_structure_constants,
     full_sweep_structure_constants,
+    list_dixon_table,
     mat_inv,
     mat_mul,
     perm_closure,
@@ -83,20 +89,22 @@ PERMGEN_FILE = "n=7\n(1 2)(3 4)\n(1 3)\n(5 6 7)\n"
 ORACLE_LABELS = ["S:3", "S:4", "S:5", "A:5", "A:6", "PSL2:7", "PSL2:8", "SL2:5", "permgen", "trivial"]
 
 
+def _oracle_spec(label, tmp_path):
+    if label == "permgen":
+        (tmp_path / "g.txt").write_text(PERMGEN_FILE)
+        return GroupSpec.parse(f"permgen:{tmp_path / 'g.txt'}")
+    if label == "trivial":
+        return GroupSpec.from_perm_generators([tuple(range(3))])
+    return GroupSpec.parse(label)
+
+
 @pytest.mark.parametrize("label", ORACLE_LABELS)
 def test_structure_constants_match_oracles(label, tmp_path):
     """The symmetric sweep equals brute pair counting and the one-sweep-per-class tensor exactly.
 
     PSL2:7 has the inverse-pair classes 7A/7B and SL2:5 a central involution.
     """
-    if label == "permgen":
-        (tmp_path / "g.txt").write_text(PERMGEN_FILE)
-        spec = GroupSpec.parse(f"permgen:{tmp_path / 'g.txt'}")
-    elif label == "trivial":
-        spec = GroupSpec.from_perm_generators([tuple(range(3))])
-    else:
-        spec = GroupSpec.parse(label)
-    table = group_build(spec)
+    table = group_build(_oracle_spec(label, tmp_path))
     classes = conj_classes(table)
     tensor = structure_constants(table, classes).tensor
     assert np.array_equal(tensor, full_sweep_structure_constants(table, classes))
@@ -110,6 +118,73 @@ def test_structure_constants_match_oracles(label, tmp_path):
     assert np.array_equal(tensor[np.ix_(perm, perm, perm)], np.array(oracle_tensor, dtype=np.int64))
     if label == "PSL2:7":
         assert any(classes.inverse_class[c] != c for c in range(classes.k))
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS + ["A:8"])
+def test_dixon_row_sources_match_list_oracle(label, tmp_path):
+    """Pivot rows from the tensor or from the group give the list-based split's table bit for bit.
+
+    ClassRows also reproduces every whole class matrix; A:8 uses 11 of its 13
+    non-identity class matrices, the deepest split of these groups.
+    """
+    table = group_build(_oracle_spec(label, tmp_path))
+    classes = conj_classes(table)
+    constants = structure_constants(table, classes)
+    rows = ClassRows(table, classes)
+    for j in range(classes.k):
+        assert np.array_equal(rows.rows(j, np.arange(classes.k)), constants.tensor[j])
+    degrees, values, prime = list_dixon_table(classes, constants.tensor)
+    for source in (constants, ClassRows(table, classes)):
+        chartable = dixon_character_table(classes, source)
+        assert chartable.degrees == degrees
+        assert chartable.modulus_prime == prime
+        assert np.array_equal(chartable.values, values)
+        assert chartable.values.tobytes() == values.tobytes()  # signed zeros too
+    if label == "A:8":
+        assert chartable.work["class_matrices"] == 11
+
+
+def test_class_rows_reject_wrong_inverse_classes(group_cache):
+    """With the inverse classes of 3A (20) and 2A (15) in A:5 swapped, some row does not divide."""
+    table, classes, _, _ = group_cache("A:5")
+    inv = list(classes.inverse_class)
+    three_a, two_a = classes.sizes.index(20), classes.sizes.index(15)
+    inv[three_a], inv[two_a] = inv[two_a], inv[three_a]
+    rows = ClassRows(table, dataclasses.replace(classes, inverse_class=tuple(inv)))
+    with pytest.raises(InvariantViolation):
+        for j in range(classes.k):
+            rows.rows(j, np.arange(classes.k))
+
+
+def test_matmul_mod_exact_below_2_31():
+    """Products of residues mod 2^31 - 1 over a 70-term inner dimension match Python integers."""
+    p = 2**31 - 1
+    rng = np.random.default_rng(0)
+    a, b = rng.integers(p - 1000, p, size=(5, 70)), rng.integers(p - 1000, p, size=(70, 6))
+    expected = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+    assert _matmul_mod(a, b, p).tolist() == expected
+
+
+def test_nullspace_basis_is_reduced_on_free_columns():
+    p = 13
+    m = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=np.int64)
+    basis, free = _nullspace(m, p)
+    assert free == [2]
+    assert np.array_equal(basis[free], np.eye(1, dtype=np.int64))
+    assert not (_matmul_mod(m, basis, p)).any()
+
+
+def test_root_search_above_2_24():
+    """Planted roots of a cubic mod 16777259, the least prime above 2^24, in under a second."""
+    p = 16777259
+    roots = [5, 123456, p - 2]
+    coeffs = [1]  # little-endian product of (x - r)
+    for r in roots:
+        coeffs = [(lo - r * hi) % p for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    start = time.perf_counter()
+    found = _roots_mod(np.array(coeffs, dtype=np.int64), p)
+    assert time.perf_counter() - start < 1.0
+    assert found.tolist() == roots
 
 
 def test_structure_constants_reject_wrong_inverse_classes(group_cache):

@@ -183,6 +183,21 @@ def test_interleave_meta_records_work(tmp_path):
     assert meta["total_per_s"] == pytest.approx(20000 / meta["kernel_s"])
 
 
+def test_dixon_meta_records_work(tmp_path):
+    """chartable reads pivot rows from the group; mixpair and survey read the sweep's tensor."""
+    assert run_cli("chartable", "S:9", "--quiet", "--out", str(tmp_path)) == 0
+    meta = json.loads((tmp_path / "chartable__S9__seed0.meta.json").read_text())
+    # 30 rows of the transposition matrix (36 products each), then 4 rows of the 3-cycle matrix (168 each)
+    assert meta["dixon"] == {"prime": 2521, "class_matrices": 2, "rows": 34, "products": 1752, "max_block": 2}
+    report = json.loads((tmp_path / "chartable__S9__seed0.json").read_text())
+    assert "dixon" not in report and "work" not in report
+    for argv in (["zeta", "A:5", "--s", "1"], ["mixpair", "A:5", "--x", "1", "--y", "2"], ["survey", "A:5"]):
+        assert run_cli(*argv, "--quiet", "--out", str(tmp_path)) == 0
+        meta = json.loads((tmp_path / f"{argv[0]}__A5__seed0.meta.json").read_text())
+        assert meta["dixon"]["prime"] == 31 and meta["dixon"]["class_matrices"] == 3
+        assert (meta["dixon"]["products"] > 0) == (argv[0] == "zeta")
+
+
 def test_advantage_cli(tmp_path):
     from classmix.groups import group_build
     from classmix.interleave import full_tuple_set, save_tuple_set

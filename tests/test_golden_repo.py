@@ -19,6 +19,8 @@ CASES = [
     ("thompson__SL28__seed0", ["thompson", "SL2:8"]),
     # keys all 360 elements by canonical hex, so it pins element order and multiplication
     ("interleave__PSL29__seed0", ["interleave", "PSL2:9", "--t", "2", "--mc", "100000"]),
+    # A:8 splits by 11 of its 13 non-identity class matrices, the deepest split of these goldens
+    ("chartable__A8__seed0", ["chartable", "A:8"]),
 ]
 
 
