@@ -160,7 +160,7 @@ def _first_drift(old, new, path="$"):
 
 def _build_all(args):
     spec = GroupSpec.parse(args.group)
-    if args.max_order:
+    if args.max_order is not None:
         spec = dataclasses.replace(spec, max_order=args.max_order)
     table = group_build(spec)
     classes = conj_classes(table)
@@ -382,6 +382,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:  # SeedSequence takes only non-negative seeds
+            raise SpecSyntax(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except ClassmixError as exc:
         print(f"error[{exc.exit_code}] {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -15,19 +15,23 @@ DEFAULT_MAX_ORDER = 2_000_000
 DEFAULT_LOOP_BUDGET = 10**9
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    value = parse_int(raw, name)
+def _positive(value: int, name: str) -> int:
     if value <= 0:
         raise SpecSyntax(f"{name} must be positive, got {value}")
     return value
 
 
+def _env_int(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    return _positive(parse_int(raw, name), name)
+
+
 def max_order(override: int | None = None) -> int:
+    """The enumeration cap: the override (--max-order) if given, else MIXER_MAX_ORDER; both must be positive."""
     if override is not None:
-        return int(override)
+        return _positive(int(override), "max order")
     return _env_int("MIXER_MAX_ORDER", DEFAULT_MAX_ORDER)
 
 

@@ -274,14 +274,6 @@ class Field:
         exp, log = self._tables
         return exp[self.q - 1 - log[a]]
 
-    @property
-    def one(self) -> int:
-        return 1
-
-    @property
-    def zero(self) -> int:
-        return 0
-
     def generator_candidates(self) -> list[int]:
         """Elements whose powers of x span the field additively: x itself.
 

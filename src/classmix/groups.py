@@ -23,6 +23,7 @@ from .fields import Field, field_for_size
 
 MAX_PERM_DEGREE = 12
 MAX_MATRIX_Q = 55_108  # largest q with q^4 < 2^63, so a matrix's rank code fits int64
+MUL_TABLE_LIMIT = 4096  # largest order given a dense multiplication table
 
 
 # ---------------------------------------------------------------------------
@@ -291,43 +292,7 @@ def _matgen_spec(rest: str) -> GroupSpec:
 
 
 # ---------------------------------------------------------------------------
-# elements and tables
-
-
-class Element:
-    """Immutable handle (table, index); the canonical bytes live in the table."""
-
-    __slots__ = ("table", "index")
-
-    def __init__(self, table: "GroupTable", index: int):
-        if not (0 <= index < table.order):
-            raise IndexError(f"element index {index} out of range for order {table.order}")
-        self.table = table
-        self.index = index
-
-    @property
-    def key(self) -> bytes:
-        return self.table.elements[self.index]
-
-    def __mul__(self, other: "Element") -> "Element":
-        if other.table is not self.table:
-            raise MixedGroups("elements belong to different group tables")
-        return Element(self.table, self.table.mul_index(self.index, other.index))
-
-    def inverse(self) -> "Element":
-        return Element(self.table, self.table.inv_index(self.index))
-
-    def __pow__(self, m: int) -> "Element":
-        return Element(self.table, self.table.pow_index(self.index, m))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Element) and other.table is self.table and other.index == self.index
-
-    def __hash__(self) -> int:
-        return hash((id(self.table), self.index))
-
-    def __repr__(self) -> str:
-        return f"Element({self.table.spec.label}, {self.index}, {self.key.hex()})"
+# group tables
 
 
 class GroupTable:
@@ -345,7 +310,6 @@ class GroupTable:
         self.rows = _decode(codes, engine)
         self.order = len(codes)
         self.generator_indices = tuple(dict.fromkeys(self.lookup(generators).tolist()))
-        self.identity_index = 0
         self.degenerate = self.order == 1
         self._mul_table: np.ndarray | None = None
 
@@ -365,12 +329,6 @@ class GroupTable:
         return np.where(codes == self.codes[0], 0, np.searchsorted(self.codes[1:], codes) + 1)
 
     # -- element-level ops ---------------------------------------------------
-
-    def element(self, i: int) -> Element:
-        return Element(self, i)
-
-    def identity(self) -> Element:
-        return Element(self, 0)
 
     def index_of(self, key: bytes) -> int:
         width = self.rows.shape[1] * self.engine.dtype.itemsize
@@ -404,10 +362,6 @@ class GroupTable:
             m >>= 1
         return acc
 
-    def conjugate_index(self, h: int, g: int) -> int:
-        """Index of h g h^-1."""
-        return self.mul_index(self.mul_index(h, g), self.inv_index(h))
-
     # -- bulk helpers ----------------------------------------------------------
 
     def right_mul_indices(self, g: int) -> np.ndarray:
@@ -419,10 +373,10 @@ class GroupTable:
         left = self.engine.mul(self.rows[[h]], self.rows)
         return self.lookup(self.engine.mul(left, self.engine.inv(self.rows[[h]])))
 
-    def full_mul_table(self, limit: int = 4096) -> np.ndarray:
-        """Dense index multiplication table; only sensible for small groups."""
-        if self.order > limit:
-            raise CapExceeded(f"multiplication table of order {self.order} exceeds limit {limit}")
+    def full_mul_table(self) -> np.ndarray:
+        """Dense index multiplication table, for groups of order at most MUL_TABLE_LIMIT."""
+        if self.order > MUL_TABLE_LIMIT:
+            raise CapExceeded(f"multiplication table of order {self.order} exceeds limit {MUL_TABLE_LIMIT}")
         if self._mul_table is None:
             table = np.empty((self.order, self.order), dtype=np.int32)
             for g in range(self.order):
@@ -653,8 +607,3 @@ def conj_classes(table: GroupTable) -> ClassData:
         exponent=exponent,
         power_map=power_map,
     )
-
-
-def random_element(table: GroupTable, stream: np.random.Generator) -> Element:
-    """Uniform draw from the element list; reproducible given the stream state."""
-    return Element(table, int(stream.integers(0, table.order)))

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedParameters,
     parse_int,
 )
-from .groups import Element, GroupTable
+from .groups import GroupTable
 
 MAX_MATERIALIZED = 64_000_000  # tuple-set codes kept in memory
 CHUNK = 1 << 20  # products per chunk of the exact fold
@@ -143,31 +143,6 @@ def full_tuple_set(table: GroupTable, arity: int) -> TupleSet:
 
 # ---------------------------------------------------------------------------
 # products
-
-
-def interleave_product(table: GroupTable, a, b) -> int:
-    """Index of a1 b1 a2 b2 ... at bt; accepts index sequences or Elements."""
-    a_idx = _tuple_indices(table, a)
-    b_idx = _tuple_indices(table, b)
-    if len(a_idx) != len(b_idx):
-        raise ArityMismatch(f"arity {len(a_idx)} vs {len(b_idx)}")
-    acc = 0
-    for ai, bi in zip(a_idx, b_idx):
-        acc = table.mul_index(acc, ai)
-        acc = table.mul_index(acc, bi)
-    return acc
-
-
-def _tuple_indices(table: GroupTable, tup) -> list[int]:
-    out = []
-    for x in tup:
-        if isinstance(x, Element):
-            if x.table is not table:
-                raise ArityMismatch("tuple element from a different group")
-            out.append(x.index)
-        else:
-            out.append(int(x))
-    return out
 
 
 def _chain(mul: np.ndarray, factors) -> np.ndarray:
@@ -359,7 +334,7 @@ def deviation_report(
 
 
 def fiber_sample(
-    table: GroupTable, g: int | Element, arity: int, stream: np.random.Generator, draws: int = 1
+    table: GroupTable, g: int, arity: int, stream: np.random.Generator, draws: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (a, b) pairs exactly uniform on the fiber {(a, b) : a . b = g}.
 
@@ -368,18 +343,16 @@ def fiber_sample(
     """
     if arity < 1:
         raise ArityMismatch(f"arity must be >= 1, got {arity}")
-    g_idx = g.index if isinstance(g, Element) else int(g)
     a_rows = stream.integers(0, table.order, size=(draws, arity))
     b_rows = np.empty((draws, arity), dtype=np.int64)
     if arity > 1:
         b_rows[:, : arity - 1] = stream.integers(0, table.order, size=(draws, arity - 1))
-    _complete_fiber(table, a_rows, b_rows, g_idx)
+    _complete_fiber(table, a_rows, b_rows, g)
     return a_rows, b_rows
 
 
-def enumerate_fiber(table: GroupTable, g: int | Element, arity: int, budget: int | None = None):
-    """Yield every (a, b) with a . b = g by sweeping the free coordinates."""
-    g_idx = g.index if isinstance(g, Element) else int(g)
+def enumerate_fiber(table: GroupTable, g: int, arity: int, budget: int | None = None):
+    """Return (a_rows, b_rows): every (a, b) with a . b = g, by sweeping the free coordinates."""
     order = table.order
     free = 2 * arity - 1
     total = order**free
@@ -389,15 +362,15 @@ def enumerate_fiber(table: GroupTable, g: int | Element, arity: int, budget: int
     a_rows = free_rows[:, :arity]
     b_rows = np.empty((total, arity), dtype=free_rows.dtype)
     b_rows[:, : arity - 1] = free_rows[:, arity:]
-    _complete_fiber(table, a_rows, b_rows, g_idx)
+    _complete_fiber(table, a_rows, b_rows, g)
     return a_rows, b_rows
 
 
-def _complete_fiber(table: GroupTable, a_rows: np.ndarray, b_rows: np.ndarray, g_idx: int):
+def _complete_fiber(table: GroupTable, a_rows: np.ndarray, b_rows: np.ndarray, g: int):
     """Fill b_t with the unique completion: prefix = a1 b1 ... b_{t-1} a_t, b_t = prefix^-1 g."""
     mul = table.full_mul_table()
     prefix = _chain(mul, _interleave(a_rows.T, b_rows.T)[:-1])
-    b_rows[:, -1] = _chain(mul, [table.inverses[prefix], g_idx])
+    b_rows[:, -1] = _chain(mul, [table.inverses[prefix], g])
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +446,8 @@ class AdvantageReport:
 def advantage(
     protocol: RectangleProtocol,
     table: GroupTable,
-    g: int | Element,
-    h: int | Element,
+    g: int,
+    h: int,
     samples: int,
     stream: np.random.Generator,
 ) -> AdvantageReport:
@@ -501,7 +474,7 @@ def advantage(
 
 
 def exact_conditional_acceptance(
-    protocol: RectangleProtocol, table: GroupTable, g: int | Element, budget: int | None = None
+    protocol: RectangleProtocol, table: GroupTable, g: int, budget: int | None = None
 ) -> Fraction:
     """Exact Pr[P(a,b) = 1 | a . b = g] by full fiber enumeration."""
     arity = protocol.rectangles[0].a_set.arity
@@ -513,7 +486,7 @@ def exact_conditional_acceptance(
 
 
 def rectangle_bound_check(
-    protocol: RectangleProtocol, table: GroupTable, g: int | Element, h: int | Element
+    protocol: RectangleProtocol, table: GroupTable, g: int, h: int
 ) -> tuple[float, float]:
     """Assemble the rectangle-decomposition inequality from exact data.
 

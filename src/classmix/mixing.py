@@ -39,11 +39,10 @@ class PairDistribution:
     order: int
     source: str  # "char" | "brute"
     counts: tuple[int, ...] | None = None
-    clamped: int = 0
 
 
-def _char_probs(xs, ys, table: CharacterTable, classes: ClassData) -> tuple[np.ndarray, np.ndarray]:
-    """Character-sum probabilities, one row per class pair (xs[m], ys[m]), and clamps per row.
+def _char_probs(xs, ys, table: CharacterTable, classes: ClassData) -> np.ndarray:
+    """Character-sum probabilities, one row per class pair (xs[m], ys[m]).
 
     Tiny negative lift noise is clamped to zero; an imaginary part above 1e-8
     or a value below CLAMP_FLOOR raises InvariantViolation.
@@ -56,19 +55,16 @@ def _char_probs(xs, ys, table: CharacterTable, classes: ClassData) -> tuple[np.n
     probs = raw.real.copy()
     if np.abs(raw.imag).max() > 1e-8:
         raise InvariantViolation(f"character sum has imaginary part {np.abs(raw.imag).max():.2e}")
-    below = probs < 0
     if probs.min() < CLAMP_FLOOR:
         raise InvariantViolation(f"character sum produced negative probability {probs.min():.2e}")
-    probs[below] = 0.0
-    return probs, below.sum(axis=-1)
+    probs[probs < 0] = 0.0
+    return probs
 
 
 def p_char(xc: int, yc: int, table: CharacterTable, classes: ClassData) -> PairDistribution:
     """Distribution via the character sum; tiny negative lift noise is clamped."""
-    probs, clamped = _char_probs([xc], [yc], table, classes)
-    return PairDistribution(
-        x_class=xc, y_class=yc, probs=probs[0], order=table.order, source="char", clamped=int(clamped[0])
-    )
+    probs = _char_probs([xc], [yc], table, classes)[0]
+    return PairDistribution(x_class=xc, y_class=yc, probs=probs, order=table.order, source="char")
 
 
 def p_brute(
@@ -356,7 +352,7 @@ def survey(
 
     xs, ys = np.nonzero(weights)  # row-major: pairs in (x_class, y_class) order
     w_arr = weights[xs, ys]
-    probs, _ = _char_probs(xs, ys, chartable, classes)
+    probs = _char_probs(xs, ys, chartable, classes)
     l1 = np.abs(probs - 1.0 / order) @ np.asarray(sizes, dtype=np.float64)
     n_arr = order * l2_sq_char(xs, ys, chartable)
     cover = support_table(classes, constants)[xs, ys] / order

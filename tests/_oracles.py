@@ -2,9 +2,10 @@
 
 These deliberately re-derive everything from first principles with plain
 Python data structures so they can serve as oracles for the package paths.
-Only usable for small groups.  The references at the end are plain numpy
-kernels (an interleave per-tuple fold, a decode-and-fold Monte Carlo loop and
-one whole-group sweep per class for the structure constants) that the
+Only usable for small groups.  The references at the end are a scalar
+interleaved product (one mul_index per factor), plain numpy kernels (an
+interleave per-tuple fold, a decode-and-fold Monte Carlo loop and one
+whole-group sweep per class for the structure constants) that the
 production kernels must match count for count, and a Dixon character table
 split with list-of-lists algebra mod P from the whole tensor, whose values
 the production table must match bit for bit.
@@ -221,6 +222,14 @@ def _decode(codes, arity, order):
         out[:, i] = rem % order
         rem //= order
     return out
+
+
+def interleave_product(table, a, b) -> int:
+    """Index of a1 b1 a2 b2 ... at bt for index tuples of equal arity, one mul_index per factor."""
+    acc = 0
+    for ai, bi in zip(a, b, strict=True):
+        acc = table.mul_index(table.mul_index(acc, int(ai)), int(bi))
+    return acc
 
 
 def fold_exact_counts(mul, a_codes, b_codes, arity):

@@ -28,7 +28,6 @@ from classmix.interleave import (
     explicit_tuple_set,
     fiber_sample,
     full_tuple_set,
-    interleave_product,
     mc_distribution,
     rectangle_bound_check,
     seeded_tuple_set,
@@ -47,6 +46,8 @@ from classmix.mixing import (
     thompson_search,
 )
 from classmix.rng import make_stream
+
+from _oracles import interleave_product
 
 TEST_GROUPS = ["A:5", "A:6", "A:7", "S:4", "PSL2:7", "PSL2:11", "PSL2:13"]
 ORACLE_GROUPS = ["A:5", "S:4", "S:3", "PSL2:7"]

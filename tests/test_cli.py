@@ -1,10 +1,13 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from classmix.cli import main
 from classmix.errors import SpecSyntax, UnsupportedParameters
-from classmix.groups import GroupSpec
+from classmix.groups import GroupSpec, GroupTable
 
 
 def run_cli(*argv):
@@ -273,6 +276,11 @@ BAD_INPUTS = [
     ("loop-budget-not-positive", {}, EXACT_ARGS, 2, {"MIXER_LOOP_BUDGET": "0"}),
     ("max-order-not-int", {}, ["thompson", "S:3"], 2, {"MIXER_MAX_ORDER": "1e6"}),
     ("max-order-not-positive", {}, ["thompson", "S:3"], 2, {"MIXER_MAX_ORDER": "-5"}),
+    ("max-order-flag-zero", {}, ["thompson", "S:3", "--max-order", "0"], 2),
+    ("max-order-flag-negative", {}, ["thompson", "S:3", "--max-order", "-5"], 2),
+    ("seed-negative-interleave", {}, ["interleave", "S:3", "--seed", "-1"], 2),
+    ("seed-negative-survey", {}, ["survey", "S:3", "--seed", "-3"], 2),
+    ("seed-negative-advantage", FULL_S3_PROTOCOL, [*PROTOCOL_ARGS, "--seed", "-1"], 2),
 ]
 
 
@@ -284,3 +292,15 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, case):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert run_cli(*[a.format(d=tmp_path) for a in argv], "--quiet") == code
+
+
+def test_benchmark_tracer_names_resolve():
+    """perfbench/tracer.py wraps these names from outside; each must still exist for `run.py --trace`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, name, _ in tracer.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"classmix.{module}"), name, None)), f"{module}.{name}"
+    for method in tracer.METHODS:
+        assert callable(getattr(GroupTable, method, None)), f"GroupTable.{method}"

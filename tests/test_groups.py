@@ -8,7 +8,6 @@ from classmix.groups import (
     group_build,
     image_to_cycles,
     parse_cycles,
-    random_element,
 )
 from classmix.rng import make_stream
 
@@ -75,27 +74,30 @@ def test_degenerate_generators_flagged():
 def test_element_ops_and_identity_law():
     table = group_build(GroupSpec.alt(5))
     stream = make_stream(7)
-    e = table.identity()
-    for _ in range(50):
-        g = random_element(table, stream)
-        assert e * g == g
-        assert g * e == g
-        assert (g * g.inverse()) == e
+    for g in stream.integers(0, table.order, size=50).tolist():
+        assert table.mul_index(0, g) == g
+        assert table.mul_index(g, 0) == g
+        assert table.mul_index(g, table.inv_index(g)) == 0
+        assert table.mul_index(table.inv_index(g), g) == 0
 
 
 def test_cycle_inverse_example():
     # inverse of (1 2 3 4 5) is (1 5 4 3 2)
     img = parse_cycles("(1 2 3 4 5)")
     table = group_build(GroupSpec.from_perm_generators([img], label="c5"))
-    g = table.element(table.index_of(bytes(img)))
-    assert g.inverse().key == bytes(parse_cycles("(1 5 4 3 2)"))
+    g = table.index_of(bytes(img))
+    assert table.elements[table.inv_index(g)] == bytes(parse_cycles("(1 5 4 3 2)"))
 
 
 def test_mixed_groups_rejected():
     t1 = group_build(GroupSpec.alt(4))
     t2 = group_build(GroupSpec.sym(4))
+    odd = bytes(parse_cycles("(1 2)", 4))  # a transposition: in S:4, not in A:4
+    assert t2.elements[t2.index_of(odd)] == odd
     with pytest.raises(MixedGroups):
-        _ = t1.element(1) * t2.element(1)
+        t1.index_of(odd)
+    with pytest.raises(MixedGroups):
+        t1.index_of(bytes(parse_cycles("(1 2 3)", 5)))  # a key of another width
 
 
 def test_psl2_canonical_identifies_negation():
@@ -217,7 +219,7 @@ def test_conjugation_invariance(group_cache):
     stream = make_stream(11)
     pairs = stream.integers(0, table.order, size=(1000, 2))
     for g, h in pairs:
-        conj = table.conjugate_index(int(h), int(g))
+        conj = table.mul_index(table.mul_index(int(h), int(g)), table.inv_index(int(h)))
         assert classes.class_of[conj] == classes.class_of[int(g)]
 
 
@@ -261,13 +263,13 @@ def test_alt_class_count_matches_partitions(n, group_cache):
 
 def test_random_element_determinism():
     table = group_build(GroupSpec.alt(5))
-    a = [random_element(table, make_stream(42)).index for _ in range(1)]
+    first = int(make_stream(42).integers(0, table.order))
     s1 = make_stream(42)
     s2 = make_stream(42)
-    seq1 = [random_element(table, s1).index for _ in range(100)]
-    seq2 = [random_element(table, s2).index for _ in range(100)]
+    seq1 = [int(s1.integers(0, table.order)) for _ in range(100)]
+    seq2 = [int(s2.integers(0, table.order)) for _ in range(100)]
     assert seq1 == seq2
-    assert a[0] == seq1[0]
+    assert first == seq1[0]
 
 
 def test_random_element_uniformity_chi2():
@@ -285,7 +287,8 @@ def test_random_element_uniformity_chi2():
 def test_trivial_group_random_element():
     table = group_build(GroupSpec.from_perm_generators([tuple(range(3))]))
     stream = make_stream(0)
-    assert random_element(table, stream).index == 0
+    assert table.order == 1
+    assert int(stream.integers(0, table.order)) == 0
 
 
 # -- parsing ------------------------------------------------------------------

@@ -25,7 +25,6 @@ from classmix.interleave import (
     encode_tuples,
     fiber_sample,
     full_tuple_set,
-    interleave_product,
     load_protocol,
     load_tuple_set,
     mc_distribution,
@@ -35,7 +34,7 @@ from classmix.interleave import (
 )
 from classmix.rng import make_stream
 
-from _oracles import decode_fold_mc_counts, fold_exact_counts
+from _oracles import decode_fold_mc_counts, fold_exact_counts, interleave_product
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +70,12 @@ def test_interleave_inverse_tuple_gives_identity(s3):
 
 
 def test_arity_mismatch(s3):
+    a = explicit_tuple_set(s3, [(0, 1)])
+    b = explicit_tuple_set(s3, [(0, 1, 2)])
     with pytest.raises(ArityMismatch):
-        interleave_product(s3, (0, 1), (0, 1, 2))
+        exact_distribution(a, b, s3)
+    with pytest.raises(ArityMismatch):
+        mc_distribution(a, b, 10**4, make_stream(0), s3)
 
 
 def test_full_density_exactly_uniform(s3):
