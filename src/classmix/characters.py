@@ -31,11 +31,6 @@ class StructureConstants:
     """tensor[i, j, k] = number of pairs (u, v) in C_i x C_j with u*v = rep(C_k)."""
 
     tensor: np.ndarray
-    products = 0  # reading a row costs no group products: the sweep paid for the whole tensor
-
-    def rows(self, j: int, pivots: np.ndarray) -> np.ndarray:
-        """tensor[j, i, :] for every i in pivots: those rows of the class matrix of C_j."""
-        return self.tensor[j, pivots]
 
 
 class ClassRows:
@@ -52,13 +47,13 @@ class ClassRows:
     def __init__(self, table: GroupTable, classes: ClassData):
         self.table = table
         self.classes = classes
+        self.sizes = np.asarray(classes.sizes, dtype=np.int64)
         self.products = 0
 
     def rows(self, j: int, pivots: np.ndarray) -> np.ndarray:
         """tensor[j, i, :] for every i in pivots."""
-        table, classes = self.table, self.classes
+        table, classes, sizes = self.table, self.classes, self.sizes
         k = classes.k
-        sizes = np.asarray(classes.sizes, dtype=np.int64)
         inv = np.asarray(classes.inverse_class, dtype=np.intp)
         ws = table.rows[classes.members(inv[j])]
         zs = table.rows[np.asarray(classes.reps)[inv[pivots]]]
@@ -73,6 +68,10 @@ class ClassRows:
         if rem.any():
             raise InvariantViolation("a class-matrix entry is not divisible by its class size")
         return rows
+
+    def support(self, i: int, j: int) -> int:
+        """|C_i C_j|: class l lies in C_i C_j exactly when a_ijl > 0.  Costs |C_i| products."""
+        return int(self.sizes[self.rows(i, np.array([j]))[0] > 0].sum())
 
 
 def structure_constants(table: GroupTable, classes: ClassData) -> StructureConstants:
@@ -246,7 +245,7 @@ def _primitive_root_of_order(e: int, p: int) -> int:
     raise EigensplitFailure(f"no element of order {e} in GF({p})")  # unreachable for prime p
 
 
-def _split(source: StructureConstants | ClassRows, k: int, p: int, work: dict) -> np.ndarray:
+def _split(class_rows: ClassRows, k: int, p: int, work: dict) -> np.ndarray:
     """Common one-dimensional eigenspaces of the class matrices over GF(p), one per row.
 
     A block is a basis B (k x d) of a common eigenspace of the matrices used so
@@ -263,7 +262,7 @@ def _split(source: StructureConstants | ClassRows, k: int, p: int, work: dict) -
             break
         need = np.unique(np.concatenate([piv for _, piv in live]))
         rows = np.zeros((k, k), dtype=np.int64)
-        rows[need] = source.rows(j, need) % p
+        rows[need] = class_rows.rows(j, need) % p
         work["class_matrices"] += 1
         work["rows"] += len(need)
         new_blocks = []
@@ -292,25 +291,25 @@ def _inv_mod(values: np.ndarray, p: int) -> np.ndarray:
     return np.array([pow(int(v), p - 2, p) for v in values], dtype=np.int64)
 
 
-def dixon_character_table(classes: ClassData, source: StructureConstants | ClassRows) -> CharacterTable:
+def dixon_character_table(table: GroupTable, classes: ClassData) -> CharacterTable:
     """Full complex character table via Burnside-Dixon-Schneider.
 
     Stages: (1) least prime P = 1 (mod exponent), P > 2 sqrt(|G|);
-    (2) common eigenvectors by iterative eigenspace splitting, reading from
-    `source` only the class-matrix rows the split needs; (3) exact degree
-    recovery; (4) complex lift by Fourier inversion over the power maps;
+    (2) common eigenvectors by iterative eigenspace splitting, computing from
+    the group (ClassRows) only the class-matrix rows the split needs; (3) exact
+    degree recovery; (4) complex lift by Fourier inversion over the power maps;
     (5) deterministic row order.  The table's `work` records P, the class
-    matrices used, the rows read, the products `source` spent on them and the
+    matrices used, the rows read, the element products spent on them and the
     largest block a split left.
     """
     k = classes.k
     order = classes.order
     e = classes.exponent
     p = _least_dixon_prime(e, order)
-    products = source.products
+    class_rows = ClassRows(table, classes)
     work = {"prime": p, "class_matrices": 0, "rows": 0, "max_block": 1}
-    vectors = _split(source, k, p, work)
-    work["products"] = source.products - products
+    vectors = _split(class_rows, k, p, work)
+    work["products"] = class_rows.products
 
     if not vectors[:, 0].all():
         raise EigensplitFailure("eigenvector vanishes at the identity class")

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .characters import ClassRows, dixon_character_table, structure_constants, verify_orthogonality, witten_zeta
+from .characters import ClassRows, dixon_character_table, verify_orthogonality, witten_zeta
 from .errors import ClassmixError, GoldenMismatch, SpecSyntax, UnsupportedParameters, parse_int
 from .groups import GroupSpec, conj_classes, group_build
 from .interleave import (
@@ -38,7 +38,6 @@ from .mixing import (
     l2_sq_char,
     p_brute,
     p_char,
-    support_table,
     survey,
     thompson_search,
 )
@@ -107,7 +106,7 @@ def _emit(args, payload: dict, csv_text: str | None = None, meta: dict | None = 
         (outdir / f"{name}.json").write_text(body, encoding="utf-8")
         meta = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S"), "version": __version__, **(meta or {})}
         (outdir / f"{name}.meta.json").write_text(_canonical_json(meta), encoding="utf-8")
-        if csv_text is not None and "csv" in args.formats:
+        if csv_text is not None:
             (outdir / f"{name}.csv").write_text(csv_text, encoding="utf-8")
     if not args.quiet:
         sys.stdout.write(body)
@@ -173,7 +172,7 @@ def _build_all(args):
 
 def _cmd_chartable(args) -> int:
     table, classes = _build_all(args)
-    chartable = dixon_character_table(classes, ClassRows(table, classes))
+    chartable = dixon_character_table(table, classes)
     report = verify_orthogonality(chartable, classes)
     payload = chartable.to_json_dict(table.spec.label)
     payload["orthogonality"] = {
@@ -189,7 +188,7 @@ def _cmd_chartable(args) -> int:
 
 def _cmd_zeta(args) -> int:
     table, classes = _build_all(args)
-    chartable = dixon_character_table(classes, ClassRows(table, classes))
+    chartable = dixon_character_table(table, classes)
     values = {repr(s): witten_zeta(chartable, s) for s in args.s}
     payload = {
         "order": table.order,
@@ -202,17 +201,16 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_mixpair(args) -> int:
     table, classes = _build_all(args)
-    constants = structure_constants(table, classes)
-    chartable = dixon_character_table(classes, constants)
     if not (0 <= args.x < classes.k and 0 <= args.y < classes.k):
         raise UnsupportedParameters(f"class indices must lie in [0, {classes.k})")
+    chartable = dixon_character_table(table, classes)
     dist = (
         p_brute(args.x, args.y, table, classes)
         if args.method == "brute"
         else p_char(args.x, args.y, chartable, classes)
     )
     dr = dist_to_uniform(dist, classes)
-    support = int(support_table(classes, constants)[args.x, args.y])
+    support = ClassRows(table, classes).support(args.x, args.y)
     payload = {
         "x_class": args.x,
         "y_class": args.y,
@@ -232,8 +230,7 @@ def _cmd_mixpair(args) -> int:
 
 def _cmd_survey(args) -> int:
     table, classes = _build_all(args)
-    constants = structure_constants(table, classes)
-    chartable = dixon_character_table(classes, constants)
+    chartable = dixon_character_table(table, classes)
     coupling = _parse_coupling(table, args.coupling)
     stream = make_stream(args.seed, 0)
     rep = survey(
@@ -244,15 +241,13 @@ def _cmd_survey(args) -> int:
         thresholds=tuple(args.thresholds),
         stream=stream,
         samples=args.samples,
-        constants=constants,
     )
     return _emit(args, rep.to_json_dict(), csv_text=rep.to_csv(), meta={"dixon": chartable.work})
 
 
 def _cmd_thompson(args) -> int:
     table, classes = _build_all(args)
-    constants = structure_constants(table, classes)
-    res = thompson_search(table, classes, constants)
+    res = thompson_search(table, classes)
     payload = {
         "best_class": res.best_class,
         "support": res.support,
@@ -320,8 +315,7 @@ def _cmd_advantage(args) -> int:
 def _add_common(sub):
     sub.add_argument("group", help="group spec, e.g. A:5, PSL2:11, permgen:<file>, matgen:<file>,q=<q>")
     sub.add_argument("--seed", type=int, default=0, help="64-bit seed (fixed default, never wall clock)")
-    sub.add_argument("--out", default=None, help="directory for JSON/CSV reports")
-    sub.add_argument("--formats", default="json,csv", help="comma list of output formats")
+    sub.add_argument("--out", default=None, help="directory for JSON reports (and survey CSV)")
     sub.add_argument("--max-order", type=int, default=None, help="enumeration cap override")
     sub.add_argument("--golden", choices=["write", "compare"], default=None)
     sub.add_argument("--golden-dir", default="goldens/v1")
@@ -353,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--coupling", default="independent", help="independent|diagonal|transinv:<elt>|bijfile:<path>")
     p.add_argument("--thresholds", type=float, nargs="+", default=[0.0, 0.01, 0.1, 0.5, 1.0, 2.0])
-    p.add_argument("--samples", type=int, default=10**5, help="draws when the exact sweep is infeasible")
+    p.add_argument("--samples", type=int, default=10**5, help="draws (at least 10^5) when the exact sweep is infeasible")
     p.set_defaults(func=_cmd_survey)
 
     p = subs.add_parser("thompson", help="exact class-square coverage search")

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .groups import GroupTable
 
-MAX_MATERIALIZED = 64_000_000  # tuple-set codes kept in memory
+MAX_MATERIALIZED = 64_000_000  # tuple codes or sampled tuple entries kept in memory
 CHUNK = 1 << 20  # products per chunk of the exact fold
 
 
@@ -455,6 +455,10 @@ def advantage(
     if samples < 1:
         raise SpecSyntax(f"advantage needs at least one sample, got {samples}")
     arity = protocol.rectangles[0].a_set.arity
+    if samples * arity > MAX_MATERIALIZED:
+        raise LoopBudgetExceeded(
+            f"{samples} samples of arity {arity} exceed the {MAX_MATERIALIZED} materialized tuple entries"
+        )
     estimates = []
     for target in (g, h):
         a_rows, b_rows = fiber_sample(table, target, arity, stream, draws=samples)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import config
-from .characters import CharacterTable, StructureConstants, structure_constants, witten_zeta
+from .characters import CharacterTable, ClassRows, structure_constants, witten_zeta
 from .errors import InvariantViolation, LoopBudgetExceeded, SpecSyntax
 from .groups import ClassData, GroupTable
 
@@ -132,11 +132,6 @@ def dist_to_uniform(dist: PairDistribution, classes: ClassData) -> DistanceRepor
     )
 
 
-def support_table(classes: ClassData, constants: StructureConstants) -> np.ndarray:
-    """(k, k) integer matrix of |C_i C_j|: class k lies in C_i C_j exactly when a_ijk > 0."""
-    return (constants.tensor > 0) @ np.asarray(classes.sizes, dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class CoverageReport:
     support: int  # |x^G y^G| in elements
@@ -146,7 +141,7 @@ class CoverageReport:
 def coverage(dist: PairDistribution, classes: ClassData) -> CoverageReport:
     """Support of the product set from a brute distribution's exact pair counts."""
     if dist.counts is None:
-        raise SpecSyntax("coverage needs exact pair counts; use support_table for character routes")
+        raise SpecSyntax("coverage needs exact pair counts; use ClassRows.support for character routes")
     sizes = np.asarray(classes.sizes, dtype=np.int64)
     support = int(sizes[np.asarray(dist.counts) > 0].sum())
     return CoverageReport(support=support, fraction=support / dist.order)
@@ -165,15 +160,14 @@ class ThompsonResult:
     per_class: tuple[tuple[int, int], ...]  # (class index, support size)
 
 
-def thompson_search(
-    table: GroupTable, classes: ClassData, constants: StructureConstants
-) -> ThompsonResult:
+def thompson_search(table: GroupTable, classes: ClassData) -> ThompsonResult:
     """Exact search for a class whose square covers the group.
 
-    Reads the diagonal |C_i^2| of the exact support table; the best class is
-    the first one of largest support.
+    Reads |C_i^2| from the k diagonal class-matrix rows, |G| products in all;
+    the best class is the first one of largest support.
     """
-    supports = np.diagonal(support_table(classes, constants)).tolist()
+    class_rows = ClassRows(table, classes)
+    supports = [class_rows.support(i, i) for i in range(classes.k)]
     best_class = int(np.argmax(supports))
     best_support = supports[best_class]
     return ThompsonResult(
@@ -305,21 +299,22 @@ def survey(
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
     stream: np.random.Generator | None = None,
     samples: int = MIN_SAMPLES,
-    constants: StructureConstants | None = None,
 ) -> SurveyReport:
     """Coupling-weighted sweep of the normalized collision statistic N.
 
     Independent and Diagonal couplings are exact class sweeps.  Element-indexed
     couplings sweep every x in G exactly when |G| <= 10^5 and otherwise fall
-    back to seeded sampling, flagged in the report.  Coverage and threshold
-    membership are exact, from the structure constants (built here when not
-    given): N <= 1 + delta exactly when
+    back to seeded sampling of max(samples, 10^5) draws, flagged in the
+    report.  Coverage and threshold membership are exact, from the structure
+    constants: class k lies in C_i C_j exactly when a_ijk > 0, and
+    N <= 1 + delta exactly when
     |G| sum_k |C_k| a_ijk^2 <= (1 + delta) (|C_i| |C_j|)^2.
     """
     if np.isnan(thresholds).any():
         raise SpecSyntax(f"survey thresholds must be numbers, got {list(thresholds)}")
-    if constants is None:
-        constants = structure_constants(table, classes)
+    if samples < 1:
+        raise SpecSyntax(f"survey needs at least one sample, got {samples}")
+    tensor = structure_constants(table, classes).tensor
     k = classes.k
     sizes = classes.sizes
     order = table.order
@@ -355,11 +350,11 @@ def survey(
     probs = _char_probs(xs, ys, chartable, classes)
     l1 = np.abs(probs - 1.0 / order) @ np.asarray(sizes, dtype=np.float64)
     n_arr = order * l2_sq_char(xs, ys, chartable)
-    cover = support_table(classes, constants)[xs, ys] / order
+    cover = ((tensor[xs, ys] > 0) @ np.asarray(sizes, dtype=np.int64)) / order
     pair_rows = tuple(map(SurveyPair, *(c.tolist() for c in (xs, ys, w_arr, n_arr, l1, cover))))
 
     # exact N - 1 per pair from Python ints, which unlike int64 cannot overflow here
-    a = constants.tensor[xs, ys].astype(object)
+    a = tensor[xs, ys].astype(object)
     size_obj = np.array(sizes, dtype=object)
     collisions = order * ((a * a) @ size_obj)  # |G| sum_k |C_k| a_ijk^2
     excess = np.frompyfunc(Fraction, 2, 1)(collisions, (size_obj[xs] * size_obj[ys]) ** 2) - 1

@@ -21,6 +21,21 @@ from fractions import Fraction
 import numpy as np
 
 from classmix.characters import _least_dixon_prime, _primitive_root_of_order
+from classmix.groups import GroupSpec
+
+# D4 x C3 on seven points: its order-3 and order-6 classes come in inverse pairs
+PERMGEN_FILE = "n=7\n(1 2)(3 4)\n(1 3)\n(5 6 7)\n"
+ORACLE_LABELS = ["S:3", "S:4", "S:5", "A:5", "A:6", "PSL2:7", "PSL2:8", "SL2:5", "permgen", "trivial"]
+
+
+def oracle_spec(label, tmp_path):
+    """Spec of an ORACLE_LABELS group; "permgen" writes PERMGEN_FILE into tmp_path."""
+    if label == "permgen":
+        (tmp_path / "g.txt").write_text(PERMGEN_FILE)
+        return GroupSpec.parse(f"permgen:{tmp_path / 'g.txt'}")
+    if label == "trivial":
+        return GroupSpec.from_perm_generators([tuple(range(3))])
+    return GroupSpec.parse(label)
 
 
 def sym_elements(n: int) -> list[tuple[int, ...]]:

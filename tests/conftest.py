@@ -17,7 +17,7 @@ def built(label: str):
         table = group_build(GroupSpec.parse(label))
         classes = conj_classes(table)
         constants = structure_constants(table, classes)
-        chartable = dixon_character_table(classes, constants)
+        chartable = dixon_character_table(table, classes)
         _cache[label] = (table, classes, constants, chartable)
     return _cache[label]
 

@@ -12,7 +12,6 @@ import pytest
 
 from classmix.characters import (
     dixon_character_table,
-    structure_constants,
     verify_orthogonality,
     witten_zeta,
 )
@@ -68,7 +67,7 @@ def test_criterion_01_character_table_validity(group_cache):
         # determinism: full rebuild gives byte-identical values
         table2 = group_build(table.spec)
         classes2 = conj_classes(table2)
-        chartable2 = dixon_character_table(classes2, structure_constants(table2, classes2))
+        chartable2 = dixon_character_table(table2, classes2)
         assert chartable2.degrees == chartable.degrees, label
         assert np.array_equal(chartable2.values, chartable.values), label
         assert chartable2.to_json(label) == chartable.to_json(label), label
@@ -133,8 +132,8 @@ def test_criterion_06_thompson_witnesses(group_cache):
     """A full-coverage class exists in A_5..A_9 and PSL2(q), q in {5,7,8,9,11,13}."""
     labels = [f"A:{n}" for n in range(5, 10)] + [f"PSL2:{q}" for q in (5, 7, 8, 9, 11, 13)]
     for label in labels:
-        table, classes, constants, _ = group_cache(label)
-        res = thompson_search(table, classes, constants)
+        table, classes, _, _ = group_cache(label)
+        res = thompson_search(table, classes)
         assert res.witness, label
         assert res.fraction == 1.0, label
     _ok("6 Thompson desk verification")

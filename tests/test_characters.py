@@ -21,12 +21,14 @@ from classmix.errors import InvariantViolation
 from classmix.groups import GroupSpec, conj_classes, group_build
 
 from _oracles import (
+    ORACLE_LABELS,
     alt_elements,
     brute_structure_constants,
     full_sweep_structure_constants,
     list_dixon_table,
     mat_inv,
     mat_mul,
+    oracle_spec,
     perm_closure,
     psl2_lift,
     sl2_char2_elements,
@@ -84,27 +86,13 @@ def _oracle_group(label, table):
     return perm_closure(table.spec.perm_generators), {}
 
 
-# D4 x C3 on seven points: its order-3 and order-6 classes come in inverse pairs
-PERMGEN_FILE = "n=7\n(1 2)(3 4)\n(1 3)\n(5 6 7)\n"
-ORACLE_LABELS = ["S:3", "S:4", "S:5", "A:5", "A:6", "PSL2:7", "PSL2:8", "SL2:5", "permgen", "trivial"]
-
-
-def _oracle_spec(label, tmp_path):
-    if label == "permgen":
-        (tmp_path / "g.txt").write_text(PERMGEN_FILE)
-        return GroupSpec.parse(f"permgen:{tmp_path / 'g.txt'}")
-    if label == "trivial":
-        return GroupSpec.from_perm_generators([tuple(range(3))])
-    return GroupSpec.parse(label)
-
-
 @pytest.mark.parametrize("label", ORACLE_LABELS)
 def test_structure_constants_match_oracles(label, tmp_path):
     """The symmetric sweep equals brute pair counting and the one-sweep-per-class tensor exactly.
 
     PSL2:7 has the inverse-pair classes 7A/7B and SL2:5 a central involution.
     """
-    table = group_build(_oracle_spec(label, tmp_path))
+    table = group_build(oracle_spec(label, tmp_path))
     classes = conj_classes(table)
     tensor = structure_constants(table, classes).tensor
     assert np.array_equal(tensor, full_sweep_structure_constants(table, classes))
@@ -122,24 +110,23 @@ def test_structure_constants_match_oracles(label, tmp_path):
 
 @pytest.mark.parametrize("label", ORACLE_LABELS + ["A:8"])
 def test_dixon_row_sources_match_list_oracle(label, tmp_path):
-    """Pivot rows from the tensor or from the group give the list-based split's table bit for bit.
+    """Pivot rows from the group give the list-based split's table, from the whole tensor, bit for bit.
 
     ClassRows also reproduces every whole class matrix; A:8 uses 11 of its 13
     non-identity class matrices, the deepest split of these groups.
     """
-    table = group_build(_oracle_spec(label, tmp_path))
+    table = group_build(oracle_spec(label, tmp_path))
     classes = conj_classes(table)
-    constants = structure_constants(table, classes)
+    tensor = structure_constants(table, classes).tensor
     rows = ClassRows(table, classes)
     for j in range(classes.k):
-        assert np.array_equal(rows.rows(j, np.arange(classes.k)), constants.tensor[j])
-    degrees, values, prime = list_dixon_table(classes, constants.tensor)
-    for source in (constants, ClassRows(table, classes)):
-        chartable = dixon_character_table(classes, source)
-        assert chartable.degrees == degrees
-        assert chartable.modulus_prime == prime
-        assert np.array_equal(chartable.values, values)
-        assert chartable.values.tobytes() == values.tobytes()  # signed zeros too
+        assert np.array_equal(rows.rows(j, np.arange(classes.k)), tensor[j])
+    degrees, values, prime = list_dixon_table(classes, tensor)
+    chartable = dixon_character_table(table, classes)
+    assert chartable.degrees == degrees
+    assert chartable.modulus_prime == prime
+    assert np.array_equal(chartable.values, values)
+    assert chartable.values.tobytes() == values.tobytes()  # signed zeros too
     if label == "A:8":
         assert chartable.work["class_matrices"] == 11
 
@@ -259,7 +246,7 @@ def test_perturbed_table_fails_orthogonality(group_cache):
 def test_trivial_group_residual_zero():
     table = group_build(GroupSpec.from_perm_generators([tuple(range(3))]))
     classes = conj_classes(table)
-    chartable = dixon_character_table(classes, structure_constants(table, classes))
+    chartable = dixon_character_table(table, classes)
     assert chartable.degrees == (1,)
     assert chartable.row_residual == 0.0
     assert chartable.col_residual == 0.0
@@ -279,7 +266,7 @@ def test_dixon_bit_identical_across_runs():
     for _ in range(2):
         table = group_build(spec)
         classes = conj_classes(table)
-        tables.append(dixon_character_table(classes, structure_constants(table, classes)))
+        tables.append(dixon_character_table(table, classes))
     a, b = tables
     assert a.degrees == b.degrees
     assert np.array_equal(a.values, b.values)  # exact float equality

@@ -1,6 +1,9 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -187,7 +190,7 @@ def test_interleave_meta_records_work(tmp_path):
 
 
 def test_dixon_meta_records_work(tmp_path):
-    """chartable reads pivot rows from the group; mixpair and survey read the sweep's tensor."""
+    """Every subcommand's Dixon split reads its pivot rows from the group."""
     assert run_cli("chartable", "S:9", "--quiet", "--out", str(tmp_path)) == 0
     meta = json.loads((tmp_path / "chartable__S9__seed0.meta.json").read_text())
     # 30 rows of the transposition matrix (36 products each), then 4 rows of the 3-cycle matrix (168 each)
@@ -198,7 +201,7 @@ def test_dixon_meta_records_work(tmp_path):
         assert run_cli(*argv, "--quiet", "--out", str(tmp_path)) == 0
         meta = json.loads((tmp_path / f"{argv[0]}__A5__seed0.meta.json").read_text())
         assert meta["dixon"]["prime"] == 31 and meta["dixon"]["class_matrices"] == 3
-        assert (meta["dixon"]["products"] > 0) == (argv[0] == "zeta")
+        assert meta["dixon"]["products"] > 0
 
 
 def test_advantage_cli(tmp_path):
@@ -260,6 +263,9 @@ BAD_INPUTS = [
     ),
     ("advantage-samples-zero", FULL_S3_PROTOCOL, [*PROTOCOL_ARGS[:-1], "0"], 2),
     ("advantage-samples-negative", FULL_S3_PROTOCOL, [*PROTOCOL_ARGS[:-1], "-5"], 2),
+    # 2^60 draws of arity 1 exceed MAX_MATERIALIZED; numpy could not even size such an array
+    ("advantage-samples-above-cap", FULL_S3_PROTOCOL, [*PROTOCOL_ARGS[:-1], str(2**60)], 5),
+    ("survey-samples-zero", {}, ["survey", "S:3", "--samples", "0"], 2),
     ("permgen-degree-zero", {"g.txt": "n=0\n()\n"}, ["thompson", "permgen:{d}/g.txt"], 3),
     (
         "protocol-arity-mismatch",
@@ -304,3 +310,36 @@ def test_benchmark_tracer_names_resolve():
         assert callable(getattr(importlib.import_module(f"classmix.{module}"), name, None)), f"{module}.{name}"
     for method in tracer.METHODS:
         assert callable(getattr(GroupTable, method, None)), f"GroupTable.{method}"
+
+
+def test_benchmark_tracer_counters_run(tmp_path):
+    """perfbench/tracer.py, unchanged, runs survey, thompson and mixpair and counts its spans.
+
+    Its counters read return values (`.tensor.nbytes`, `.modulus_prime`), so it runs in a
+    subprocess: `install` patches module attributes and GroupTable methods process-wide.
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    jobs = {
+        "survey": ["survey", "A:5"],
+        "thompson": ["thompson", "A:5"],
+        "mixpair": ["mixpair", "A:5", "--x", "1", "--y", "2"],
+    }
+    counts = {}
+    for job, argv in jobs.items():
+        spans_path = tmp_path / f"{job}.json"
+        done = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans_path), job, *argv, "--quiet"],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        for span in json.loads(spans_path.read_text()):
+            if span["name"].startswith("characters."):
+                counts.setdefault(job, {})[span["name"]] = span["counts"]
+    # A:5 has k = 5 classes and Dixon prime 31; only survey builds the 5 x 5 x 5 int64 tensor
+    assert counts["survey"] == {
+        "characters.dixon_character_table": {"prime": 31},
+        "characters.structure_constants": {"bytes": 5**3 * 8},
+    }
+    assert counts["mixpair"] == {"characters.dixon_character_table": {"prime": 31}}
+    assert "thompson" not in counts

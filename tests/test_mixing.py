@@ -7,7 +7,7 @@ import pytest
 
 from classmix.errors import InvariantViolation, LoopBudgetExceeded, SpecSyntax
 from classmix.groups import GroupSpec, conj_classes, group_build
-from classmix.characters import dixon_character_table, structure_constants, witten_zeta
+from classmix.characters import ClassRows, dixon_character_table, witten_zeta
 from classmix.mixing import (
     BijectionCoupling,
     Diagonal,
@@ -21,16 +21,18 @@ from classmix.mixing import (
     l2_sq_char,
     p_brute,
     p_char,
-    support_table,
     survey,
     thompson_search,
 )
 from classmix.rng import make_stream
 
 from _oracles import (
+    ORACLE_LABELS,
     alt_elements,
     brute_conjugacy_classes,
     brute_pair_distribution,
+    full_sweep_structure_constants,
+    oracle_spec,
     sym_elements,
 )
 
@@ -196,14 +198,19 @@ def test_coverage_examples(group_cache):
     assert cov3.support == 60 and cov3.fraction == 1.0
 
 
-@pytest.mark.parametrize("label", ["A:5", "S:4", "PSL2:7"])
-def test_coverage_brute_counts_match_support_table(label, group_cache):
-    table, classes, constants, chartable = group_cache(label)
-    supports = support_table(classes, constants)
-    assert supports.shape == (classes.k, classes.k)
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_coverage_brute_counts_match_support_table(label, tmp_path):
+    """ClassRows.support(i, j) is |C_i C_j| by brute pair counting and by the one-sweep-per-class tensor."""
+    table = group_build(oracle_spec(label, tmp_path))
+    classes = conj_classes(table)
+    rows = ClassRows(table, classes)
+    supports = (full_sweep_structure_constants(table, classes) > 0) @ np.asarray(classes.sizes, dtype=np.int64)
     for xc in range(classes.k):
         for yc in range(classes.k):
-            assert coverage(p_brute(xc, yc, table, classes), classes).support == supports[xc, yc]
+            support = rows.support(xc, yc)
+            assert support == coverage(p_brute(xc, yc, table, classes), classes).support
+            assert support == supports[xc, yc]
+    chartable = dixon_character_table(table, classes)
     with pytest.raises(SpecSyntax):
         coverage(p_char(0, 0, chartable, classes), classes)  # no exact counts on the character route
 
@@ -236,29 +243,29 @@ def test_p_brute_loop_path_without_mul_table(group_cache):
 
 def test_thompson_a5_witness_is_three_cycle(group_cache):
     # oracle-confirmed witness: the 3-cycle class (the 5-cycle classes cover 45/60)
-    table, classes, constants, _ = group_cache("A:5")
-    res = thompson_search(table, classes, constants)
+    table, classes, _, _ = group_cache("A:5")
+    res = thompson_search(table, classes)
     assert res.witness
     assert classes.orders[res.best_class] == 3
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
 def test_thompson_psl2_witness(q, group_cache):
-    table, classes, constants, _ = group_cache(f"PSL2:{q}")
-    res = thompson_search(table, classes, constants)
+    table, classes, _, _ = group_cache(f"PSL2:{q}")
+    res = thompson_search(table, classes)
     assert res.witness
 
 
 def test_thompson_trivial_group():
     table = group_build(GroupSpec.from_perm_generators([tuple(range(3))]))
     classes = conj_classes(table)
-    res = thompson_search(table, classes, structure_constants(table, classes))
+    res = thompson_search(table, classes)
     assert res.witness and res.fraction == 1.0
 
 
 def test_thompson_matches_brute_squares(group_cache):
-    table, classes, constants, _ = group_cache("S:4")
-    res = thompson_search(table, classes, constants)
+    table, classes, _, _ = group_cache("S:4")
+    res = thompson_search(table, classes)
     for c, support in res.per_class:
         cov = coverage(p_brute(c, c, table, classes), classes)
         assert cov.support == support
@@ -268,20 +275,18 @@ def test_thompson_matches_brute_squares(group_cache):
 
 
 def test_survey_independent_total_probability(group_cache):
-    table, classes, constants, chartable = group_cache("A:5")
-    rep = survey(table, classes, chartable, Independent(), thresholds=(0.5, 1.0), constants=constants)
+    table, classes, _, chartable = group_cache("A:5")
+    rep = survey(table, classes, chartable, Independent(), thresholds=(0.5, 1.0))
     weights = sum(p.weight for p in rep.pairs)
     assert weights == pytest.approx(1.0, abs=1e-10)
     # delta = infinity: every pair counts
-    big = survey(
-        table, classes, chartable, Independent(), thresholds=(float("inf"),), constants=constants
-    )
+    big = survey(table, classes, chartable, Independent(), thresholds=(float("inf"),))
     assert big.thresholds[0][1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_survey_weighted_mean_consistency(group_cache):
-    table, classes, constants, chartable = group_cache("A:5")
-    rep = survey(table, classes, chartable, Independent(), constants=constants)
+    table, classes, _, chartable = group_cache("A:5")
+    rep = survey(table, classes, chartable, Independent())
     mean_from_report = sum(p.weight * p.n_stat for p in rep.pairs)
     direct = 0.0
     for i in range(classes.k):
@@ -292,18 +297,18 @@ def test_survey_weighted_mean_consistency(group_cache):
 
 
 def test_survey_diagonal_weights(group_cache):
-    table, classes, constants, chartable = group_cache("S:4")
-    rep = survey(table, classes, chartable, Diagonal(), constants=constants)
+    table, classes, _, chartable = group_cache("S:4")
+    rep = survey(table, classes, chartable, Diagonal())
     for p in rep.pairs:
         assert p.x_class == p.y_class
         assert p.weight == pytest.approx(classes.sizes[p.x_class] / table.order)
 
 
 def test_survey_translated_inverse_matches_full_sweep(group_cache):
-    table, classes, constants, chartable = group_cache("PSL2:11")
+    table, classes, _, chartable = group_cache("PSL2:11")
     stream = make_stream(5)
     a = int(stream.integers(0, table.order))
-    rep = survey(table, classes, chartable, TranslatedInverse(a), constants=constants)
+    rep = survey(table, classes, chartable, TranslatedInverse(a))
     assert not rep.sampled
     # independent recomputation of the pair weights
     counts = {}
@@ -313,29 +318,29 @@ def test_survey_translated_inverse_matches_full_sweep(group_cache):
         counts[key] = counts.get(key, 0) + 1
     for p in rep.pairs:
         assert p.weight == counts[(p.x_class, p.y_class)] / table.order
-    rep2 = survey(table, classes, chartable, TranslatedInverse(a), constants=constants)
+    rep2 = survey(table, classes, chartable, TranslatedInverse(a))
     assert rep.to_json() == rep2.to_json()
 
 
 def test_survey_sampling_fallback_above_sweep_limit(group_cache):
     # A_9 (181440 elements) is above the exact-sweep limit of 1e5
-    table, classes, constants, chartable = group_cache("A:9")
+    table, classes, _, chartable = group_cache("A:9")
     rep = survey(
         table, classes, chartable, TranslatedInverse(12345),
-        thresholds=(1.0,), stream=make_stream(61), samples=10**5, constants=constants,
+        thresholds=(1.0,), stream=make_stream(61), samples=10**5,
     )
     assert rep.sampled
     assert rep.sample_count == 10**5
     assert sum(p.weight for p in rep.pairs) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(SpecSyntax):
-        survey(table, classes, chartable, TranslatedInverse(12345), constants=constants)  # no stream
+        survey(table, classes, chartable, TranslatedInverse(12345))  # no stream
 
 
 def test_survey_bijection_coupling(group_cache):
-    table, classes, constants, chartable = group_cache("S:4")
+    table, classes, _, chartable = group_cache("S:4")
     stream = make_stream(17)
     mapping = tuple(int(i) for i in stream.permutation(table.order))
-    rep = survey(table, classes, chartable, BijectionCoupling(mapping), constants=constants)
+    rep = survey(table, classes, chartable, BijectionCoupling(mapping))
     assert sum(p.weight for p in rep.pairs) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -345,8 +350,8 @@ def test_bijection_validation():
 
 
 def test_survey_quantiles_monotone(group_cache):
-    table, classes, constants, chartable = group_cache("A:6")
-    rep = survey(table, classes, chartable, Independent(), constants=constants)
+    table, classes, _, chartable = group_cache("A:6")
+    rep = survey(table, classes, chartable, Independent())
     values = [v for _, v in rep.quantiles]
     assert values == sorted(values)
 
@@ -361,9 +366,9 @@ def _all_couplings(table):
 @pytest.mark.parametrize("label", ["A:5", "S:4", "PSL2:7"])
 def test_survey_pairs_match_per_pair_routes(label, group_cache):
     """Batched survey rows equal the per-pair character, distance and brute coverage routes."""
-    table, classes, constants, chartable = group_cache(label)
+    table, classes, _, chartable = group_cache(label)
     for coupling in _all_couplings(table):
-        rep = survey(table, classes, chartable, coupling, constants=constants)
+        rep = survey(table, classes, chartable, coupling)
         assert [(p.x_class, p.y_class) for p in rep.pairs] == sorted((p.x_class, p.y_class) for p in rep.pairs)
         for p in rep.pairs:
             dist = p_char(p.x_class, p.y_class, chartable, classes)
@@ -376,10 +381,10 @@ def test_survey_pairs_match_per_pair_routes(label, group_cache):
 @pytest.mark.parametrize("label", ["A:5", "S:4", "PSL2:7"])
 def test_survey_thresholds_are_exact(label, group_cache):
     """P[N <= 1 + delta] counts a pair exactly when its rational N, from brute pair counts, does."""
-    table, classes, constants, chartable = group_cache(label)
+    table, classes, _, chartable = group_cache(label)
     deltas = (0.0, 0.5, 1.0, 2.0, 3.0)
     for coupling in _all_couplings(table):
-        rep = survey(table, classes, chartable, coupling, thresholds=deltas, constants=constants)
+        rep = survey(table, classes, chartable, coupling, thresholds=deltas)
         for delta, prob in rep.thresholds:
             expected = 0.0
             for p in rep.pairs:
@@ -394,25 +399,25 @@ def test_survey_thresholds_are_exact(label, group_cache):
 def test_survey_threshold_ties_count(group_cache):
     """Pairs with N exactly 1 + delta count: A_5 (identity, 3-cycles) has N = 3, float 3.0000000000000004."""
     for label, exact in (("A:5", Fraction(3521, 3600)), ("PSL2:7", Fraction(28001, 28224))):
-        table, classes, constants, chartable = group_cache(label)
-        rep = survey(table, classes, chartable, Independent(), thresholds=(2.0,), constants=constants)
+        table, classes, _, chartable = group_cache(label)
+        rep = survey(table, classes, chartable, Independent(), thresholds=(2.0,))
         assert rep.threshold_prob(2.0) == pytest.approx(float(exact), abs=1e-12), label
 
 
 def test_survey_rejects_nan_threshold(group_cache):
-    table, classes, constants, chartable = group_cache("S:4")
+    table, classes, _, chartable = group_cache("S:4")
     with pytest.raises(SpecSyntax):
-        survey(table, classes, chartable, Independent(), thresholds=(1.0, float("nan")), constants=constants)
-    rep = survey(table, classes, chartable, Independent(), thresholds=(-math.inf, math.inf), constants=constants)
+        survey(table, classes, chartable, Independent(), thresholds=(1.0, float("nan")))
+    rep = survey(table, classes, chartable, Independent(), thresholds=(-math.inf, math.inf))
     assert rep.thresholds[0][1] == 0.0
     assert rep.thresholds[1][1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_survey_rejects_imaginary_character_noise(group_cache):
-    table, classes, constants, chartable = group_cache("A:5")
+    table, classes, _, chartable = group_cache("A:5")
     noisy = dataclasses.replace(chartable, values=chartable.values + 1e-6j * np.arange(classes.k))
     with pytest.raises(InvariantViolation):
-        survey(table, classes, noisy, Independent(), constants=constants)
+        survey(table, classes, noisy, Independent())
     with pytest.raises(InvariantViolation):
         p_char(1, 2, noisy, classes)
 
