@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -33,6 +34,7 @@ from .mixing import (
     Diagonal,
     Independent,
     TranslatedInverse,
+    check_survey_inputs,
     dist_to_uniform,
     l2_sq,
     l2_sq_char,
@@ -229,9 +231,10 @@ def _cmd_mixpair(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    check_survey_inputs(args.thresholds, args.samples)
     table, classes = _build_all(args)
-    chartable = dixon_character_table(table, classes)
     coupling = _parse_coupling(table, args.coupling)
+    chartable = dixon_character_table(table, classes)
     stream = make_stream(args.seed, 0)
     rep = survey(
         table,
@@ -275,6 +278,8 @@ def _cmd_interleave(args) -> int:
         est = exact_distribution(a_set, b_set, table)
     seconds = time.perf_counter() - start
     meta = {"mode": est.mode, "kernel_s": seconds, "total_per_s": est.total / seconds, **est.work}
+    meta["tuple_set_bytes"] = a_set.mask.nbytes + b_set.mask.nbytes
+    meta["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # Linux reports KiB
     family, base = _family_base(table)
     rep = deviation_report(
         est, float(a_set.density), float(b_set.density), family=family, base=base, arity=args.t

@@ -1,8 +1,9 @@
 """Interleaved products over G^t and the rectangle distinguishing experiment.
 
 A t-tuple pair (a, b) multiplies out as a1 b1 a2 b2 ... at bt.  Tuple sets are
-materialized explicitly (as sorted integer codes over base |G|) so densities
-are exact rationals and exact enumeration is possible within the loop budget.
+materialized explicitly (as membership masks over the base-|G| codes of G^t) so
+densities are exact rationals and exact enumeration is possible within the loop
+budget.
 The conditional sampler for a fixed product g uses the free-coordinate
 bijection: a and b1..b_{t-1} determine b_t, so drawing the free coordinates
 uniformly is exactly uniform on the fiber.
@@ -31,22 +32,27 @@ from .errors import (
 )
 from .groups import GroupTable
 
-MAX_MATERIALIZED = 64_000_000  # tuple codes or sampled tuple entries kept in memory
-CHUNK = 1 << 20  # products per chunk of the exact fold
+MAX_MATERIALIZED = 64_000_000  # tuples of G^t or sampled tuple entries kept in memory
+CHUNK = 1 << 20  # products per chunk of the exact fold; tuple codes per chunk of a decode
 
 
 @dataclass(frozen=True)
 class TupleSet:
-    """Subset of G^t held as sorted integer codes (base |G| digits = coordinates)."""
+    """Subset of G^t held as a membership mask over tuple codes (base |G| digits = coordinates)."""
 
     arity: int
     group_order: int
-    codes: np.ndarray  # int64, sorted, unique
+    mask: np.ndarray  # bool, length |G|^t; entry c is True when the tuple with code c is a member
     descriptor: str
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return len(self.codes)
+        return int(np.count_nonzero(self.mask))
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Member codes, int64 and sorted."""
+        return np.flatnonzero(self.mask)
 
     @property
     def density(self) -> Fraction:
@@ -55,20 +61,24 @@ class TupleSet:
     @cached_property
     def columns(self) -> np.ndarray:
         """Coordinates, shape (size, arity): column i is coordinate i, each tuple one contiguous row."""
-        return decode_tuples(self.codes, self.arity, self.group_order)
+        out = np.empty((self.size, self.arity), dtype=np.min_scalar_type(self.group_order - 1))
+        done = 0
+        for lo in range(0, len(self.mask), CHUNK):  # no int64 array of every member code at once
+            codes = np.flatnonzero(self.mask[lo : lo + CHUNK]) + lo
+            out[done : done + len(codes)] = decode_tuples(codes, self.arity, self.group_order)
+            done += len(codes)
+        return out
 
     def rows(self) -> np.ndarray:
         return self.columns.astype(np.int64)
 
     def contains_codes(self, codes: np.ndarray) -> np.ndarray:
-        return np.isin(codes, self.codes)
+        return self.mask.take(codes)
 
 
 def encode_tuples(rows: np.ndarray, order: int) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64)
-    t = rows.shape[1]
-    weights = order ** np.arange(t, dtype=np.int64)
-    return rows @ weights
+    return rows @ order ** np.arange(rows.shape[1], dtype=np.int64)
 
 
 def decode_tuples(codes: np.ndarray, arity: int, order: int) -> np.ndarray:
@@ -81,22 +91,31 @@ def decode_tuples(codes: np.ndarray, arity: int, order: int) -> np.ndarray:
     return out
 
 
+def _tuple_count(order: int, arity: int) -> int:
+    if arity < 1:
+        raise ArityMismatch(f"arity must be >= 1, got {arity}")
+    total = order**arity
+    if total > MAX_MATERIALIZED:
+        raise LoopBudgetExceeded(f"G^t has {total} tuples; materialization is capped at {MAX_MATERIALIZED}")
+    return total
+
+
 def explicit_tuple_set(table: GroupTable, rows: list[tuple[int, ...]], descriptor: str = "explicit") -> TupleSet:
     if not rows:
         raise SpecSyntax("tuple set cannot be empty")
     t = len(rows[0])
     if table.order**t > 2**63 - 1:  # codes are int64
         raise UnsupportedParameters(f"|G|^t = {table.order}^{t} tuple codes overflow int64")
+    mask = np.zeros(_tuple_count(table.order, t), dtype=bool)
     for r in rows:
         if len(r) != t:
             raise ArityMismatch(f"tuple {r} has arity {len(r)}, expected {t}")
         if any(not (0 <= x < table.order) for x in r):
             raise SpecSyntax(f"element index out of range in tuple {r}")
-    codes = encode_tuples(np.array(rows, dtype=np.int64), table.order)
-    uniq = np.unique(codes)
-    if len(uniq) != len(codes):
+    mask[encode_tuples(np.array(rows, dtype=np.int64), table.order)] = True
+    if np.count_nonzero(mask) != len(rows):
         raise SpecSyntax("duplicate tuples in explicit tuple set")
-    return TupleSet(arity=t, group_order=table.order, codes=uniq, descriptor=descriptor)
+    return TupleSet(arity=t, group_order=table.order, mask=mask, descriptor=descriptor)
 
 
 def seeded_tuple_set(
@@ -107,38 +126,20 @@ def seeded_tuple_set(
     The realized density is exactly round(density * |G|^t) / |G|^t; the draw is
     reproducible from the stream.
     """
-    if arity < 1:
-        raise ArityMismatch(f"arity must be >= 1, got {arity}")
+    total = _tuple_count(table.order, arity)
     if not (0.0 < density <= 1.0):
         raise SpecSyntax(f"density must lie in (0, 1], got {density}")
-    total = table.order**arity
     m = max(1, round(density * total))
-    if total > MAX_MATERIALIZED:
-        raise LoopBudgetExceeded(
-            f"G^t has {total} tuples; materialization is capped at {MAX_MATERIALIZED}"
-        )
-    codes = stream.choice(total, size=m, replace=False).astype(np.int64)
-    codes.sort()
-    return TupleSet(
-        arity=arity,
-        group_order=table.order,
-        codes=codes,
-        descriptor=descriptor or f"seeded(alpha={density})",
-    )
+    members = stream.choice(total, size=m, replace=False)
+    mask = np.zeros(total, dtype=bool)  # allocated after the draw, whose permutation is the peak
+    mask[members] = True
+    descriptor = descriptor or f"seeded(alpha={density})"
+    return TupleSet(arity=arity, group_order=table.order, mask=mask, descriptor=descriptor)
 
 
 def full_tuple_set(table: GroupTable, arity: int) -> TupleSet:
-    if arity < 1:
-        raise ArityMismatch(f"arity must be >= 1, got {arity}")
-    total = table.order**arity
-    if total > MAX_MATERIALIZED:
-        raise LoopBudgetExceeded(f"G^t has {total} tuples; too large to materialize")
-    return TupleSet(
-        arity=arity,
-        group_order=table.order,
-        codes=np.arange(total, dtype=np.int64),
-        descriptor="full",
-    )
+    mask = np.ones(_tuple_count(table.order, arity), dtype=bool)
+    return TupleSet(arity=arity, group_order=table.order, mask=mask, descriptor="full")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,8 @@ def exact_distribution(
     """Exact counts of a . b over all of A x B, within the loop budget (at most 2^53 - 1 pairs).
 
     a . b = a1 h where h = b1 a2 b2 ... at bt depends on a only through s = (a2..at):
-    B is folded once per suffix s into tails[s, h], and pair_counts = firsts^T tails.
+    B is folded once per suffix s into tails[s, h], and pair_counts = firsts^T tails,
+    where row s of A's mask viewed as (|G|^(t-1), |G|) is the first-coordinate histogram of s.
     """
     _check_compat(a_set, b_set, table)
     pairs = a_set.size * b_set.size
@@ -210,19 +212,17 @@ def exact_distribution(
         raise LoopBudgetExceeded(f"{pairs} pairs exceed the loop budget")
     order = table.order
     mul = table.full_mul_table()
-    # codes are sorted, so the tuples sharing a suffix (code // |G|) are contiguous
-    new = np.diff(a_set.codes // order, prepend=-1) != 0
-    rank = np.cumsum(new) - 1  # suffix index of every tuple of A
-    suffixes = a_set.columns[new, 1:]  # one row per distinct suffix
+    by_suffix = a_set.mask.reshape(-1, order)  # row: suffix code (a2..at), column: a1
+    suffixes = np.flatnonzero(by_suffix.any(axis=1))
     step = max(1, CHUNK // max(b_set.size, order))
-    pair_counts = np.zeros((order, order))
+    pair_counts = np.zeros((order, order))  # float64 BLAS; every sum is at most |A||B| < 2^53, so exact
     for lo in range(0, len(suffixes), step):
-        n = len(suffixes[lo : lo + step])
-        r0, r1 = np.searchsorted(rank, [lo, lo + n])
-        firsts = np.zeros((n, order))  # float64 BLAS; every sum is at most |A||B| < 2^53, so exact
-        firsts[rank[r0:r1] - lo, a_set.columns[r0:r1, 0]] = 1
+        chunk = suffixes[lo : lo + step]
+        n = len(chunk)
+        firsts = by_suffix[chunk].astype(np.float64)
         heads = np.broadcast_to(b_set.columns[:, 0], (n, b_set.size))
-        h = _chain(mul, [heads] + _interleave(suffixes[lo : lo + n].T[:, :, None], b_set.columns.T[1:]))
+        s_cols = decode_tuples(chunk, a_set.arity - 1, order).T[:, :, None]
+        h = _chain(mul, [heads] + _interleave(s_cols, b_set.columns.T[1:]))
         h += np.arange(n)[:, None] * order
         pair_counts += firsts.T @ np.bincount(h.ravel(), minlength=n * order).reshape(n, order)
     counts = np.rint(np.bincount(mul.ravel(), weights=pair_counts.ravel(), minlength=order)).astype(np.int64)

@@ -291,6 +291,14 @@ EXACT_SWEEP_LIMIT = 10**5
 MIN_SAMPLES = 10**5
 
 
+def check_survey_inputs(thresholds, samples: int):
+    """Reject NaN thresholds and fewer than one sample; needs no group, so callers can check first."""
+    if np.isnan(thresholds).any():
+        raise SpecSyntax(f"survey thresholds must be numbers, got {list(thresholds)}")
+    if samples < 1:
+        raise SpecSyntax(f"survey needs at least one sample, got {samples}")
+
+
 def survey(
     table: GroupTable,
     classes: ClassData,
@@ -310,10 +318,7 @@ def survey(
     N <= 1 + delta exactly when
     |G| sum_k |C_k| a_ijk^2 <= (1 + delta) (|C_i| |C_j|)^2.
     """
-    if np.isnan(thresholds).any():
-        raise SpecSyntax(f"survey thresholds must be numbers, got {list(thresholds)}")
-    if samples < 1:
-        raise SpecSyntax(f"survey needs at least one sample, got {samples}")
+    check_survey_inputs(thresholds, samples)
     tensor = structure_constants(table, classes).tensor
     k = classes.k
     sizes = classes.sizes

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from classmix import cli
 from classmix.cli import main
 from classmix.errors import SpecSyntax, UnsupportedParameters
 from classmix.groups import GroupSpec, GroupTable
@@ -180,13 +181,16 @@ def test_interleave_meta_records_work(tmp_path):
     assert meta["suffixes"] == 60  # the 1800 tuples of A hit all 60 second coordinates
     assert meta["fold_lookups"] == 60 * 1800 * 3
     assert meta["kernel_s"] > 0 and meta["total_per_s"] > 0
+    assert meta["tuple_set_bytes"] == 2 * 60**2  # two masks, one byte per tuple of G^2
+    assert meta["peak_rss_mb"] > 0
     report = json.loads((tmp_path / "exact" / "interleave__A5__seed0.json").read_text())
-    assert not {"pairs", "suffixes", "kernel_s"} & set(report)
+    assert not {"pairs", "suffixes", "kernel_s", "tuple_set_bytes", "peak_rss_mb"} & set(report)
     assert run_cli(*argv, "--t", "3", "--mc", "20000", "--out", str(tmp_path / "mc")) == 0
     meta = json.loads((tmp_path / "mc" / "interleave__A5__seed0.meta.json").read_text())
     assert meta["mode"] == "montecarlo"
     assert meta["samples"] == 20000
     assert meta["total_per_s"] == pytest.approx(20000 / meta["kernel_s"])
+    assert meta["tuple_set_bytes"] == 2 * 60**3
 
 
 def test_dixon_meta_records_work(tmp_path):
@@ -261,6 +265,13 @@ BAD_INPUTS = [
         S8_PROTOCOL_ARGS,
         3,
     ),
+    # 40320^3 fits in int64 but is above interleave.MAX_MATERIALIZED, so the mask is never allocated
+    (
+        "explicit-tuple-set-above-cap",
+        {"a.txt": "t=3 group=S:8\n0,0,4\n", "p.txt": "1,a.txt,a.txt\n"},
+        S8_PROTOCOL_ARGS,
+        5,
+    ),
     ("advantage-samples-zero", FULL_S3_PROTOCOL, [*PROTOCOL_ARGS[:-1], "0"], 2),
     ("advantage-samples-negative", FULL_S3_PROTOCOL, [*PROTOCOL_ARGS[:-1], "-5"], 2),
     # 2^60 draws of arity 1 exceed MAX_MATERIALIZED; numpy could not even size such an array
@@ -298,6 +309,23 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, case):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert run_cli(*[a.format(d=tmp_path) for a in argv], "--quiet") == code
+
+
+@pytest.mark.parametrize(
+    "flags,needs_group",
+    [(["--samples", "0"], False), (["--thresholds", "nan"], False), (["--coupling", "transinv:bogus"], True)],
+    ids=["samples-zero", "threshold-nan", "coupling-unknown-element"],
+)
+def test_survey_rejects_bad_input_before_character_table(monkeypatch, flags, needs_group):
+    """Bad survey flags exit 2 before Dixon runs; samples and thresholds before the group is even built."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("bad input reached a later stage")
+
+    monkeypatch.setattr(cli, "dixon_character_table", unreachable)
+    if not needs_group:
+        monkeypatch.setattr(cli, "group_build", unreachable)
+    assert run_cli("survey", "S:3", *flags, "--quiet") == 2
 
 
 def test_benchmark_tracer_names_resolve():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -228,6 +229,65 @@ def test_seeded_tuple_set_reproducible(s3):
     t2 = seeded_tuple_set(s3, 2, 0.5, make_stream(7))
     assert np.array_equal(t1.codes, t2.codes)
     assert t1.density == Fraction(18, 36)
+
+
+@pytest.mark.parametrize(
+    "label,t,density",
+    [("S:3", 2, 0.5), ("A:5", 3, 0.01), ("A:5", 4, 0.5), ("PSL2:7", 2, 0.5)],
+    ids=["S3-t2", "A5-t3-floyd", "A5-t4-tail-shuffle", "PSL27-t2"],
+)
+def test_seeded_tuple_set_is_the_sorted_choice(label, t, density):
+    """The mask holds exactly numpy's choice draw and leaves the caller's stream where the draw left it."""
+    table = group_build(GroupSpec.parse(label))
+    total = table.order**t
+    stream, reference = make_stream(90), make_stream(90)
+    tset = seeded_tuple_set(table, t, density, stream)
+    expected = np.sort(reference.choice(total, size=max(1, round(density * total)), replace=False))
+    assert tset.codes.dtype == np.int64 and np.array_equal(tset.codes, expected)
+    assert stream.bit_generator.state == reference.bit_generator.state
+    assert tset.mask.shape == (total,) and tset.size == len(expected)
+
+
+def test_seeded_tuple_sets_from_a_shared_stream(s3):
+    stream, reference = make_stream(9), make_stream(9)
+    a = seeded_tuple_set(s3, 2, 0.5, stream)
+    b = seeded_tuple_set(s3, 2, 0.5, stream)
+    for tset in (a, b):
+        assert np.array_equal(tset.codes, np.sort(reference.choice(36, size=18, replace=False)))
+    assert stream.bit_generator.state == reference.bit_generator.state
+
+
+def test_columns_decode_in_chunks(monkeypatch, a5):
+    monkeypatch.setattr(interleave, "CHUNK", 7)
+    tset = seeded_tuple_set(a5, 3, 0.01, make_stream(91))
+    assert np.array_equal(tset.columns, interleave.decode_tuples(tset.codes, 3, a5.order))
+    assert tset.columns.dtype == np.uint8
+
+
+def test_seeded_tuple_set_memory(a5):
+    """A held set costs one byte per tuple of G^t; drawing a second peaks at numpy's choice (12 bytes) on top.
+
+    tracemalloc counts numpy's data buffers exactly, so these bounds do not depend on the allocator.
+    """
+    total = a5.order**4
+    tracemalloc.start()
+    try:
+        held = seeded_tuple_set(a5, 4, 0.5, make_stream(92))
+        current, _ = tracemalloc.get_traced_memory()
+        second = seeded_tuple_set(a5, 4, 0.5, make_stream(93))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current <= total + (64 << 10)
+    assert peak <= 13 * total + (1 << 20)
+    assert held.size == second.size == total // 2
+
+
+def test_explicit_tuple_set_capped(monkeypatch, s3):
+    monkeypatch.setattr(interleave, "MAX_MATERIALIZED", 35)
+    with pytest.raises(LoopBudgetExceeded):
+        explicit_tuple_set(s3, [(0, 1)])
+    assert explicit_tuple_set(s3, [(0,)]).size == 1
 
 
 def test_explicit_rejects_duplicates(s3):
