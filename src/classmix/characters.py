@@ -36,12 +36,11 @@ class StructureConstants:
 class ClassRows:
     """Rows of the class matrices computed from the group, without the tensor.
 
-    tensor[j, i, l] = eta[l*, j, i] / |C_l| by the full symmetry of eta (see
-    structure_constants).  In a triple (y, v, w) of C_l* x C_j x C_i with
-    y v w = 1, y = w^-1 v^-1, and conjugating w^-1 to the representative z_i*
-    of C_i* keeps the count, so eta[l*, j, i] = |C_i| h[l*] with
-    h[c] = #{x in C_j* : z_i* x in C_c}.  Each row costs |C_j| products and
-    lookups; `products` counts them.
+    |C_l| tensor[j, i, l] counts the pairs (v, w) in C_j x C_i with v w in C_l,
+    that is w^-1 v^-1 in C_l*.  Conjugating a pair so that w^-1 becomes the
+    representative z_i* of C_i* is |C_i|-to-one, and x = v^-1 runs over C_j*, so
+    |C_l| tensor[j, i, l] = |C_i| h[l*] with h[c] = #{x in C_j* : z_i* x in C_c}.
+    Row (j, i) costs |C_j| products and lookups; `products` counts them.
     """
 
     def __init__(self, table: GroupTable, classes: ClassData):
@@ -74,54 +73,18 @@ class ClassRows:
         return int(self.sizes[self.rows(i, np.array([j]))[0] > 0].sum())
 
 
-def structure_constants(table: GroupTable, classes: ClassData) -> StructureConstants:
-    """Exact class-algebra constants from a symmetric sweep.
-
-    eta[a, b, c] = #{(x, y, w) in C_a x C_b x C_c : x y w = 1} is symmetric in
-    (a, b, c), and tensor[i, j, l] = eta[i, j, l*] / |C_l| with l* the inverse
-    class.  Classes are ranked by size, largest first.  For each representative
-    z_l, x runs over the elements whose inverse u = x^-1 lies in a class ranked
-    at least as low as l*; each gives u * (x z_l) = z_l, so the sweep fills
-    eta[i, j, l*] for rank(i) >= rank(l*), and eta[a, b, c] with rank(a) <
-    rank(c) is then eta[c, b, a].  That costs sum_a |C_a| (rank(a) + 1)
-    products and lookups instead of k |G|.  x is visited in index order, which
-    keeps the lookup's searchsorted queries nearly sorted.
-    """
-    k = classes.k
-    sizes = np.asarray(classes.sizes, dtype=np.int64)
-    inv = np.asarray(classes.inverse_class, dtype=np.intp)
-    rank = np.empty(k, dtype=np.intp)
-    rank[np.argsort(-sizes, kind="stable")] = np.arange(k)
-    class_of = classes.class_of
-    u_class = inv[class_of]  # class of x^-1, for every element x
-    u_rank = rank[u_class]
-    eta = np.zeros((k, k, k), dtype=np.int64)
-    for l, rep in enumerate(classes.reps):
-        xs = np.flatnonzero(u_rank >= rank[inv[l]])
-        v_class = class_of[table.lookup(table.engine.mul(table.rows[xs], table.rows[[rep]]))]
-        pairs = np.bincount(u_class[xs] * k + v_class, minlength=k * k).reshape(k, k)
-        eta[:, :, inv[l]] = pairs * sizes[l]
-    unswept = rank[:, None] < rank[None, :]  # (a, c) with rank(a) < rank(c)
-    eta = np.where(unswept[:, None, :], eta.transpose(2, 1, 0), eta)
-    tensor, rem = np.divmod(eta[:, :, inv], sizes)
-    if rem.any():
-        raise InvariantViolation("a class-triple count is not divisible by its class size")
-    marginal = sizes[:, None]  # sum_j a_ijl = |C_i| and sum_i a_ijl = |C_j|, for every l
-    if (tensor.sum(axis=1) != marginal).any() or (tensor.sum(axis=0) != marginal).any():
-        raise InvariantViolation("structure constants do not sum to the class sizes")
-    return StructureConstants(tensor=tensor)
-
-
 @dataclass(frozen=True)
 class CharacterTable:
     """k x k complex character values; row i is the i-th irreducible character.
 
     Rows are sorted by (degree, descending lexicographic value order), which
     pins the trivial character to row 0.  Columns follow the class order of
-    the ClassData the table was built from.
+    the ClassData the table was built from.  `residues` holds the same values
+    mod the Dixon prime P, rows in the same order.
     """
 
     values: np.ndarray  # complex128 (k, k)
+    residues: np.ndarray  # int64 (k, k), in [0, P)
     degrees: tuple[int, ...]
     class_sizes: tuple[int, ...]
     order: int
@@ -352,12 +315,10 @@ def dixon_character_table(table: GroupTable, classes: ClassData) -> CharacterTab
         terms = np.concatenate([np.zeros((k, 1), dtype=np.complex128), mu * roots], axis=1)
         values[:, j] = np.cumsum(terms, axis=1)[:, -1]
 
-    rows = sorted(
-        zip(degrees.tolist(), values.tolist()),
-        key=lambda r: (r[0], tuple((-round(v.real, 10), -round(v.imag, 10)) for v in r[1])),
-    )
-    values = np.array([r[1] for r in rows], dtype=np.complex128)
-    degrees = tuple(r[0] for r in rows)
+    rounded = [tuple((-round(v.real, 10), -round(v.imag, 10)) for v in row) for row in values.tolist()]
+    perm = sorted(range(k), key=lambda r: (degrees[r], rounded[r]))
+    values = values[perm]
+    degrees = tuple(degrees[perm].tolist())
 
     if sum(d * d for d in degrees) != order:
         raise EigensplitFailure(f"degree squares sum to {sum(d * d for d in degrees)}, expected {order}")
@@ -365,6 +326,7 @@ def dixon_character_table(table: GroupTable, classes: ClassData) -> CharacterTab
     row_res, col_res = _residuals(values, classes.sizes, order)
     return CharacterTable(
         values=values,
+        residues=s[perm],
         degrees=degrees,
         class_sizes=tuple(classes.sizes),
         order=order,
@@ -384,6 +346,39 @@ def _residuals(values: np.ndarray, sizes, order) -> tuple[float, float]:
     expected = np.diag([order / s for s in sizes])
     col_res = float(np.abs(gram_cols - expected).max())
     return row_res, col_res
+
+
+def structure_constants(chartable: CharacterTable, classes: ClassData) -> StructureConstants:
+    """Exact class-algebra constants read off the character table.
+
+    tensor[i, j, l] = |C_i| |C_j| / |G| sum_chi chi(i) chi(j) chi(l*) / chi(1)
+    (Frobenius), with l* the inverse class.  The sum is taken in float64 and
+    rounded.  Each rounded entry must equal the same sum taken exactly mod the
+    Dixon prime P over the table's residues (P = 1 mod exponent does not divide
+    |G|; a wrong rounding would be off by a multiple of P > 2 sqrt(|G|)).  So must
+    the marginals sum_j a_ijl = |C_i|, sum_i a_ijl = |C_j| and the identity column
+    a_ij1 = |C_i| [i = j*], which is what a wrong inverse-class map breaks.
+    """
+    k = classes.k
+    p = chartable.modulus_prime
+    sizes = np.asarray(classes.sizes, dtype=np.int64)
+    inv = np.asarray(classes.inverse_class, dtype=np.intp)
+    chi = chartable.values
+    pairs = (chi[:, :, None] * chi[:, None, :] / np.asarray(chartable.degrees)[:, None, None]).reshape(k, k * k)
+    scale = np.outer(sizes, sizes)[:, :, None] / chartable.order
+    tensor = np.rint((pairs.T @ chi[:, inv]).real.reshape(k, k, k) * scale).astype(np.int64)
+    res = chartable.residues
+    pairs = res[:, :, None] * res[:, None, :] % p * _inv_mod(chartable.degrees, p)[:, None, None] % p
+    scale = np.outer(sizes, sizes) % p * pow(chartable.order, p - 2, p) % p
+    residues = _matmul_mod(pairs.reshape(k, -1).T, res[:, inv], p).reshape(k, k, k) * scale[:, :, None] % p
+    if (tensor % p != residues).any():
+        raise InvariantViolation("a structure constant read off the character table disagrees with its residue mod P")
+    marginal = sizes[:, None]  # sum_j a_ijl = |C_i| and sum_i a_ijl = |C_j|, for every l
+    if (tensor.sum(axis=1) != marginal).any() or (tensor.sum(axis=0) != marginal).any():
+        raise InvariantViolation("structure constants do not sum to the class sizes")
+    if (tensor[:, :, 0] != np.diag(sizes)[:, inv]).any():  # class 0 is the identity
+        raise InvariantViolation("structure constants at the identity disagree with the inverse classes")
+    return StructureConstants(tensor=tensor)
 
 
 def verify_orthogonality(table: CharacterTable, classes: ClassData | None = None) -> OrthogonalityReport:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import resource
 import sys
 import time
@@ -189,6 +190,8 @@ def _cmd_chartable(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    if any(math.isnan(s) for s in args.s):
+        raise SpecSyntax(f"zeta needs numbers s, got {args.s}")
     table, classes = _build_all(args)
     chartable = dixon_character_table(table, classes)
     values = {repr(s): witten_zeta(chartable, s) for s in args.s}
@@ -265,6 +268,7 @@ def _cmd_thompson(args) -> int:
 
 def _cmd_interleave(args) -> int:
     table, _ = _build_all(args)
+    table.full_mul_table()  # exits 4 above MUL_TABLE_LIMIT before any tuple set is drawn
     if args.alpha == 1.0:
         a_set = full_tuple_set(table, args.t)
         b_set = full_tuple_set(table, args.t)

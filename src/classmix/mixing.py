@@ -319,7 +319,7 @@ def survey(
     |G| sum_k |C_k| a_ijk^2 <= (1 + delta) (|C_i| |C_j|)^2.
     """
     check_survey_inputs(thresholds, samples)
-    tensor = structure_constants(table, classes).tensor
+    tensor = structure_constants(chartable, classes).tensor
     k = classes.k
     sizes = classes.sizes
     order = table.order

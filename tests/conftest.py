@@ -16,8 +16,8 @@ def built(label: str):
     if label not in _cache:
         table = group_build(GroupSpec.parse(label))
         classes = conj_classes(table)
-        constants = structure_constants(table, classes)
         chartable = dixon_character_table(table, classes)
+        constants = structure_constants(chartable, classes)
         _cache[label] = (table, classes, constants, chartable)
     return _cache[label]
 

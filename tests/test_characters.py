@@ -88,13 +88,13 @@ def _oracle_group(label, table):
 
 @pytest.mark.parametrize("label", ORACLE_LABELS)
 def test_structure_constants_match_oracles(label, tmp_path):
-    """The symmetric sweep equals brute pair counting and the one-sweep-per-class tensor exactly.
+    """The tensor read off the character table equals brute pair counting and the one-sweep-per-class tensor exactly.
 
     PSL2:7 has the inverse-pair classes 7A/7B and SL2:5 a central involution.
     """
     table = group_build(oracle_spec(label, tmp_path))
     classes = conj_classes(table)
-    tensor = structure_constants(table, classes).tensor
+    tensor = structure_constants(dixon_character_table(table, classes), classes).tensor
     assert np.array_equal(tensor, full_sweep_structure_constants(table, classes))
 
     elements, ops = _oracle_group(label, table)
@@ -108,6 +108,13 @@ def test_structure_constants_match_oracles(label, tmp_path):
         assert any(classes.inverse_class[c] != c for c in range(classes.k))
 
 
+@pytest.mark.parametrize("label", ["S:8", "PSL2:27", "PSL2:31", "SL2:16", "A:9"])
+def test_structure_constants_match_sweep_on_bench_groups(label, group_cache):
+    """The benchmark's survey and thompson groups: P from 547 to 29761, k up to 22, |G| up to 181,440."""
+    table, classes, constants, _ = group_cache(label)
+    assert np.array_equal(constants.tensor, full_sweep_structure_constants(table, classes))
+
+
 @pytest.mark.parametrize("label", ORACLE_LABELS + ["A:8"])
 def test_dixon_row_sources_match_list_oracle(label, tmp_path):
     """Pivot rows from the group give the list-based split's table, from the whole tensor, bit for bit.
@@ -117,7 +124,7 @@ def test_dixon_row_sources_match_list_oracle(label, tmp_path):
     """
     table = group_build(oracle_spec(label, tmp_path))
     classes = conj_classes(table)
-    tensor = structure_constants(table, classes).tensor
+    tensor = full_sweep_structure_constants(table, classes)
     rows = ClassRows(table, classes)
     for j in range(classes.k):
         assert np.array_equal(rows.rows(j, np.arange(classes.k)), tensor[j])
@@ -175,13 +182,31 @@ def test_root_search_above_2_24():
 
 
 def test_structure_constants_reject_wrong_inverse_classes(group_cache):
-    """Swapping the inverse classes of 3A (20) and 2A (15) in A:5 breaks the row sums."""
-    table, classes, _, _ = group_cache("A:5")
+    """Swapping the inverse classes of 3A (20) and 2A (15) in A:5 breaks the identity column."""
+    table, classes, _, chartable = group_cache("A:5")
     inv = list(classes.inverse_class)
     three_a, two_a = classes.sizes.index(20), classes.sizes.index(15)
     inv[three_a], inv[two_a] = inv[two_a], inv[three_a]
     with pytest.raises(InvariantViolation):
-        structure_constants(table, dataclasses.replace(classes, inverse_class=tuple(inv)))
+        structure_constants(chartable, dataclasses.replace(classes, inverse_class=tuple(inv)))
+
+
+def test_structure_constants_reject_wrong_residue(group_cache):
+    """One character value mod P moved by 1 leaves the float tensor as it was, so a residue disagrees."""
+    _, classes, _, chartable = group_cache("A:5")
+    residues = chartable.residues.copy()
+    residues[1, 1] = (residues[1, 1] + 1) % chartable.modulus_prime
+    with pytest.raises(InvariantViolation, match="mod P"):
+        structure_constants(dataclasses.replace(chartable, residues=residues), classes)
+
+
+def test_structure_constants_reject_perturbed_values(group_cache):
+    """A character value moved by 1 shifts some rounded constants by less than P, away from their residues."""
+    _, classes, _, chartable = group_cache("PSL2:7")
+    values = chartable.values.copy()
+    values[1, 1] += 1.0
+    with pytest.raises(InvariantViolation, match="mod P"):
+        structure_constants(dataclasses.replace(chartable, values=values), classes)
 
 
 def test_dixon_degree_multisets(group_cache):
@@ -233,6 +258,7 @@ def test_perturbed_table_fails_orthogonality(group_cache):
     values[1, 1] += 1e-3
     broken = CharacterTable(
         values=values,
+        residues=chartable.residues,
         degrees=chartable.degrees,
         class_sizes=chartable.class_sizes,
         order=chartable.order,

@@ -312,12 +312,17 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, case):
 
 
 @pytest.mark.parametrize(
-    "flags,needs_group",
-    [(["--samples", "0"], False), (["--thresholds", "nan"], False), (["--coupling", "transinv:bogus"], True)],
-    ids=["samples-zero", "threshold-nan", "coupling-unknown-element"],
+    "argv,needs_group",
+    [
+        (["survey", "S:3", "--samples", "0"], False),
+        (["survey", "S:3", "--thresholds", "nan"], False),
+        (["survey", "S:3", "--coupling", "transinv:bogus"], True),
+        (["zeta", "A:10", "--s", "2", "nan"], False),
+    ],
+    ids=["samples-zero", "threshold-nan", "coupling-unknown-element", "zeta-s-nan"],
 )
-def test_survey_rejects_bad_input_before_character_table(monkeypatch, flags, needs_group):
-    """Bad survey flags exit 2 before Dixon runs; samples and thresholds before the group is even built."""
+def test_survey_rejects_bad_input_before_character_table(monkeypatch, argv, needs_group):
+    """Bad survey and zeta flags exit 2 before Dixon runs; all but the coupling before the group is even built."""
 
     def unreachable(*args, **kwargs):
         raise AssertionError("bad input reached a later stage")
@@ -325,7 +330,17 @@ def test_survey_rejects_bad_input_before_character_table(monkeypatch, flags, nee
     monkeypatch.setattr(cli, "dixon_character_table", unreachable)
     if not needs_group:
         monkeypatch.setattr(cli, "group_build", unreachable)
-    assert run_cli("survey", "S:3", *flags, "--quiet") == 2
+    assert run_cli(*argv, "--quiet") == 2
+
+
+def test_interleave_rejects_large_group_before_tuple_sets(monkeypatch):
+    """S:7 (5040 > MUL_TABLE_LIMIT) exits 4 before two 25M-tuple sets are drawn."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("tuple sets drawn before the table cap was checked")
+
+    monkeypatch.setattr(cli, "seeded_tuple_set", unreachable)
+    assert run_cli("interleave", "S:7", "--t", "2", "--mc", "100000", "--quiet") == 4
 
 
 def test_benchmark_tracer_names_resolve():

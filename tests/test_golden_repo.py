@@ -14,6 +14,8 @@ CASES = [
     ("zeta__A5__seed0", ["zeta", "A:5", "--s", "0", "1", "2"]),
     ("thompson__PSL27__seed0", ["thompson", "PSL2:7"]),
     ("survey__A5__seed0", ["survey", "A:5", "--coupling", "independent"]),
+    # 7A/7B are inverse to each other, so this pins the l* column of the structure constants
+    ("survey__PSL27__seed0", ["survey", "PSL2:7", "--coupling", "independent"]),
     ("interleave__A5__seed2024", ["interleave", "A:5", "--t", "2", "--alpha", "0.5", "--seed", "2024"]),
     ("chartable__PSL29__seed0", ["chartable", "PSL2:9"]),
     ("thompson__SL28__seed0", ["thompson", "SL2:8"]),
