@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .characters import ClassRows, dixon_character_table, verify_orthogonality, witten_zeta
-from .errors import ClassmixError, GoldenMismatch, SpecSyntax, UnsupportedParameters, parse_int
+from .errors import ClassmixError, GoldenMismatch, SpecSyntax, UnsupportedParameters, parse_int, read_input_text
 from .groups import GroupSpec, conj_classes, group_build
 from .interleave import (
     advantage,
@@ -71,10 +71,8 @@ def _parse_coupling(table, text: str):
     if text.startswith("transinv:"):
         return TranslatedInverse(_parse_element(table, text.split(":", 1)[1]))
     if text.startswith("bijfile:"):
-        path = Path(text.split(":", 1)[1])
-        if not path.exists():
-            raise SpecSyntax(f"bijection file not found: {path}")
-        mapping = tuple(parse_int(ln, "bijection entry") for ln in path.read_text().split())
+        entries = read_input_text(text.split(":", 1)[1], "bijection file").split()
+        mapping = tuple(parse_int(e, "bijection entry") for e in entries)
         if len(mapping) != table.order:
             raise SpecSyntax(f"bijection file has {len(mapping)} entries, group order is {table.order}")
         return BijectionCoupling(mapping)
@@ -134,7 +132,9 @@ def _emit(args, payload: dict, csv_text: str | None = None, meta: dict | None = 
 
 
 def _first_drift(old, new, path="$"):
-    if isinstance(old, dict) and isinstance(new, dict):
+    if type(old) is not type(new):  # json.loads types: False -> 0 or 1 -> 1.0 is drift
+        return f"{path}: {old!r} -> {new!r} changes type"
+    if isinstance(old, dict):
         for key in sorted(set(old) | set(new)):
             if key not in old or key not in new:
                 return f"{path}.{key} present on one side only"
@@ -142,7 +142,7 @@ def _first_drift(old, new, path="$"):
             if hit:
                 return hit
         return None
-    if isinstance(old, list) and isinstance(new, list):
+    if isinstance(old, list):
         if len(old) != len(new):
             return f"{path} length {len(old)} != {len(new)}"
         for i, (a, b) in enumerate(zip(old, new)):
@@ -150,7 +150,7 @@ def _first_drift(old, new, path="$"):
             if hit:
                 return hit
         return None
-    if isinstance(old, float) and isinstance(new, float):
+    if isinstance(old, float):
         scale = max(abs(old), abs(new), 1.0)
         if abs(old - new) > FLOAT_TOL * scale:
             return f"{path}: {old!r} -> {new!r}"
@@ -234,20 +234,11 @@ def _cmd_mixpair(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    check_survey_inputs(args.thresholds, args.samples)
+    check_survey_inputs(args.thresholds)
     table, classes = _build_all(args)
     coupling = _parse_coupling(table, args.coupling)
     chartable = dixon_character_table(table, classes)
-    stream = make_stream(args.seed, 0)
-    rep = survey(
-        table,
-        classes,
-        chartable,
-        coupling,
-        thresholds=tuple(args.thresholds),
-        stream=stream,
-        samples=args.samples,
-    )
+    rep = survey(table, classes, chartable, coupling, thresholds=tuple(args.thresholds))
     return _emit(args, rep.to_json_dict(), csv_text=rep.to_csv(), meta={"dixon": chartable.work})
 
 
@@ -276,7 +267,7 @@ def _cmd_interleave(args) -> int:
         a_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 1), "A")
         b_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 2), "B")
     start = time.perf_counter()
-    if args.mc:
+    if args.mc is not None:
         est = mc_distribution(a_set, b_set, args.mc, make_stream(args.seed, 3), table)
     else:
         est = exact_distribution(a_set, b_set, table)
@@ -356,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--coupling", default="independent", help="independent|diagonal|transinv:<elt>|bijfile:<path>")
     p.add_argument("--thresholds", type=float, nargs="+", default=[0.0, 0.01, 0.1, 0.5, 1.0, 2.0])
-    p.add_argument("--samples", type=int, default=10**5, help="draws (at least 10^5) when the exact sweep is infeasible")
     p.set_defaults(func=_cmd_survey)
 
     p = subs.add_parser("thompson", help="exact class-square coverage search")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class ClassmixError(Exception):
     """Base class for all package errors."""
@@ -99,3 +101,14 @@ def parse_int(text: str, what: str) -> int:
         return int(text)
     except ValueError:
         raise SpecSyntax(f"{what} must be an integer, got {text!r}") from None
+
+
+def read_input_text(path, what: str) -> str:
+    """Text of a file named by outside input; a missing path, a non-file or non-UTF-8 bytes are a SpecSyntax."""
+    path = Path(path)
+    if not path.is_file():
+        raise SpecSyntax(f"{what} not found or not a file: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecSyntax(f"{what} {path} is not UTF-8 text (byte {exc.start})") from None

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config
-from .errors import CapExceeded, MixedGroups, SpecSyntax, UnsupportedParameters, parse_int
+from .errors import CapExceeded, MixedGroups, SpecSyntax, UnsupportedParameters, parse_int, read_input_text
 from .fields import Field, field_for_size
 
 MAX_PERM_DEGREE = 12
@@ -251,9 +251,7 @@ def _check_field_size(q) -> Field:
 
 
 def _read_lines(path: Path) -> list[str]:
-    if not path.exists():
-        raise SpecSyntax(f"generator file not found: {path}")
-    lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()]
+    lines = [ln.strip() for ln in read_input_text(path, "generator file").splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise SpecSyntax(f"no generators in {path}")

@@ -29,6 +29,7 @@ from .errors import (
     UncoveredProbe,
     UnsupportedParameters,
     parse_int,
+    read_input_text,
 )
 from .groups import GroupTable
 
@@ -525,23 +526,20 @@ def save_tuple_set(path, tset: TupleSet, group_label: str):
 
 
 def load_tuple_set(path, table: GroupTable) -> TupleSet:
-    if not os.path.isfile(path):
-        raise SpecSyntax(f"tuple-set file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        m = _parse_header(header)
-        if m["group"] != table.spec.label:
-            raise SpecSyntax(f"tuple set was built for {m['group']}, not {table.spec.label}")
-        arity = parse_int(m["t"], "tuple-set arity t=")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != arity:
-                raise SpecSyntax(f"tuple {line!r} does not have arity {arity}")
-            rows.append(tuple(parse_int(p, "tuple entry") for p in parts))
+    header, _, body = read_input_text(path, "tuple-set file").partition("\n")
+    m = _parse_header(header.strip())
+    if m["group"] != table.spec.label:
+        raise SpecSyntax(f"tuple set was built for {m['group']}, not {table.spec.label}")
+    arity = parse_int(m["t"], "tuple-set arity t=")
+    rows = []
+    for line in body.split("\n"):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != arity:
+            raise SpecSyntax(f"tuple {line!r} does not have arity {arity}")
+        rows.append(tuple(parse_int(p, "tuple entry") for p in parts))
     return explicit_tuple_set(table, rows, descriptor=f"file:{path}")
 
 
@@ -559,24 +557,22 @@ def _parse_header(header: str) -> dict:
 
 def load_protocol(path, table: GroupTable) -> RectangleProtocol:
     """Protocol file: one rectangle per line, `bit,<afile>,<bfile>` (paths relative to the file)."""
-    if not os.path.isfile(path):
-        raise SpecSyntax(f"protocol file not found: {path}")
+    text = read_input_text(path, "protocol file")
     base = os.path.dirname(os.path.abspath(path))
     rects = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise SpecSyntax(f"protocol line must be bit,<afile>,<bfile>: {line!r}")
-            bit = parse_int(parts[0], "protocol output bit")
-            if bit not in (0, 1):
-                raise SpecSyntax(f"protocol output bit must be 0 or 1, got {parts[0]}")
-            a_set = load_tuple_set(os.path.join(base, parts[1]), table)
-            b_set = load_tuple_set(os.path.join(base, parts[2]), table)
-            rects.append(Rectangle(a_set=a_set, b_set=b_set, bit=bit))
+    for line in text.split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise SpecSyntax(f"protocol line must be bit,<afile>,<bfile>: {line!r}")
+        bit = parse_int(parts[0], "protocol output bit")
+        if bit not in (0, 1):
+            raise SpecSyntax(f"protocol output bit must be 0 or 1, got {parts[0]}")
+        a_set = load_tuple_set(os.path.join(base, parts[1]), table)
+        b_set = load_tuple_set(os.path.join(base, parts[2]), table)
+        rects.append(Rectangle(a_set=a_set, b_set=b_set, bit=bit))
     if not rects:
         raise SpecSyntax("protocol file has no rectangles")
     arities = sorted({s.arity for r in rects for s in (r.a_set, r.b_set)})

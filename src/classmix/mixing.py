@@ -239,8 +239,6 @@ class SurveyReport:
     pairs: tuple[SurveyPair, ...]
     thresholds: tuple[tuple[float, float], ...]  # (delta, weighted P[N <= 1 + delta])
     quantiles: tuple[tuple[float, float], ...]
-    sampled: bool
-    sample_count: int
     normalization_note: str = "N = |G| * ||p_xy||_2^2; thresholds 1 + delta bound N"
 
     def to_json_dict(self) -> dict:
@@ -249,8 +247,9 @@ class SurveyReport:
             "group": self.group,
             "coupling": self.coupling,
             "normalization_note": self.normalization_note,
-            "sampled": self.sampled,
-            "sample_count": self.sample_count,
+            # constants, since every survey is exact; goldens/v1 and perfbench/reference/survey_*.json keep the keys
+            "sampled": False,
+            "sample_count": 0,
             "pairs": [
                 {
                     "x_class": p.x_class,
@@ -287,16 +286,11 @@ class SurveyReport:
 DEFAULT_THRESHOLDS = (0.0, 0.01, 0.1, 0.5, 1.0, 2.0)
 _QUANTILE_POINTS = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
 
-EXACT_SWEEP_LIMIT = 10**5
-MIN_SAMPLES = 10**5
 
-
-def check_survey_inputs(thresholds, samples: int):
-    """Reject NaN thresholds and fewer than one sample; needs no group, so callers can check first."""
+def check_survey_inputs(thresholds):
+    """Reject NaN thresholds; needs no group, so callers can check first."""
     if np.isnan(thresholds).any():
         raise SpecSyntax(f"survey thresholds must be numbers, got {list(thresholds)}")
-    if samples < 1:
-        raise SpecSyntax(f"survey needs at least one sample, got {samples}")
 
 
 def survey(
@@ -305,48 +299,33 @@ def survey(
     chartable: CharacterTable,
     coupling: Coupling,
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
-    stream: np.random.Generator | None = None,
-    samples: int = MIN_SAMPLES,
 ) -> SurveyReport:
     """Coupling-weighted sweep of the normalized collision statistic N.
 
-    Independent and Diagonal couplings are exact class sweeps.  Element-indexed
-    couplings sweep every x in G exactly when |G| <= 10^5 and otherwise fall
-    back to seeded sampling of max(samples, 10^5) draws, flagged in the
-    report.  Coverage and threshold membership are exact, from the structure
-    constants: class k lies in C_i C_j exactly when a_ijk > 0, and
-    N <= 1 + delta exactly when
+    Every coupling is exact.  Independent and Diagonal couplings are class
+    sweeps.  For TranslatedInverse(a) the number of x in C_i with x^-1 a in
+    C_j is a_ij,cl(a), so the weights are one slice of the structure
+    constants; a BijectionCoupling sweeps every x in G.  Coverage and
+    threshold membership are exact, from the structure constants: class k
+    lies in C_i C_j exactly when a_ijk > 0, and N <= 1 + delta exactly when
     |G| sum_k |C_k| a_ijk^2 <= (1 + delta) (|C_i| |C_j|)^2.
     """
-    check_survey_inputs(thresholds, samples)
+    check_survey_inputs(thresholds)
     tensor = structure_constants(chartable, classes).tensor
     k = classes.k
     sizes = classes.sizes
     order = table.order
-    sampled = False
-    sample_count = 0
 
     if isinstance(coupling, Independent):
         w = np.asarray(sizes, dtype=np.float64) / order
         weights = np.outer(w, w)
     elif isinstance(coupling, Diagonal):
         weights = np.diag(np.asarray(sizes, dtype=np.float64) / order)
-    elif isinstance(coupling, (TranslatedInverse, BijectionCoupling)):
-        if isinstance(coupling, TranslatedInverse):
-            partner = table.right_mul_indices(coupling.a_index)[table.inverses]  # x -> x^-1 a
-        else:
-            partner = np.asarray(coupling.mapping, dtype=np.int64)
-        if order <= EXACT_SWEEP_LIMIT:
-            xs = np.arange(order)
-        else:
-            if stream is None:
-                raise SpecSyntax("sampling fallback requires a random stream")
-            sampled = True
-            sample_count = max(int(samples), MIN_SAMPLES)
-            xs = stream.integers(0, order, size=sample_count)
-        pair_class = classes.class_of[xs] * k + classes.class_of[partner[xs]]
-        counts = np.bincount(pair_class, minlength=k * k).reshape(k, k)
-        weights = counts / float(len(xs))
+    elif isinstance(coupling, TranslatedInverse):
+        weights = tensor[:, :, classes.class_of[coupling.a_index]] / order
+    elif isinstance(coupling, BijectionCoupling):
+        pair_class = classes.class_of * k + classes.class_of[np.asarray(coupling.mapping, dtype=np.int64)]
+        weights = np.bincount(pair_class, minlength=k * k).reshape(k, k) / order
     else:
         raise SpecSyntax(f"unknown coupling {coupling!r}")
 
@@ -371,8 +350,6 @@ def survey(
         pairs=pair_rows,
         thresholds=thr,
         quantiles=quant,
-        sampled=sampled,
-        sample_count=sample_count,
     )
 
 

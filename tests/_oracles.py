@@ -4,8 +4,9 @@ These deliberately re-derive everything from first principles with plain
 Python data structures so they can serve as oracles for the package paths.
 Only usable for small groups.  The references at the end are a scalar
 interleaved product (one mul_index per factor), plain numpy kernels (an
-interleave per-tuple fold, a decode-and-fold Monte Carlo loop and one
-whole-group sweep per class for the structure constants) that the
+interleave per-tuple fold, a decode-and-fold Monte Carlo loop, one
+whole-group sweep per class for the structure constants and one for the
+translated-inverse coupling) that the
 production kernels must match count for count, and a Dixon character table
 split with list-of-lists algebra mod P from the whole tensor, whose values
 the production table must match bit for bit.
@@ -291,6 +292,13 @@ def full_sweep_structure_constants(table, classes):
         j_arr = classes.class_of[table.right_mul_indices(rep)[table.inverses]]
         tensor[:, :, l] = np.bincount(classes.class_of * k + j_arr, minlength=k * k).reshape(k, k)
     return tensor
+
+
+def translated_inverse_counts(table, classes, a):
+    """(k, k) counts of x with x in C_i and x^-1 a in C_j, from one product per element."""
+    k = classes.k
+    partner = table.mul_indices(table.inverses, [a])
+    return np.bincount(classes.class_of * k + classes.class_of[partner], minlength=k * k).reshape(k, k)
 
 
 # -- Dixon character table from whole class matrices, lists of Python ints mod P

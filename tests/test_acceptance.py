@@ -189,7 +189,7 @@ def test_criterion_09_translated_inverse_bit_identical(group_cache):
         for seed in (101, 202, 303):
             a = int(make_stream(seed).integers(0, table.order))
             rep = survey(table, classes, chartable, TranslatedInverse(a))
-            assert not rep.sampled
+            assert rep.to_json_dict()["sampled"] is False
             # independent full sweep over x, exact integer weights
             counts = {}
             for x in range(table.order):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from classmix import cli
 from classmix.cli import main
 from classmix.errors import SpecSyntax, UnsupportedParameters
 from classmix.groups import GroupSpec, GroupTable
+from classmix.mixing import survey
+from classmix.rng import make_stream
 
 
 def run_cli(*argv):
@@ -130,6 +133,12 @@ def test_golden_write_compare_cycle(tmp_path):
         "zeta", "PSL2:7", "--s", "1", "2",
         "--golden", "compare", "--golden-dir", str(golden), "--quiet",
     ) == 7
+    # a change of JSON type alone is drift: false -> 0 compares equal in Python
+    survey_argv = ["survey", "S:3", "--golden-dir", str(golden), "--quiet"]
+    assert run_cli(*survey_argv, "--golden", "write") == 0
+    path = golden / "survey__S3__seed0.json"
+    path.write_text(path.read_text().replace('"sampled": false', '"sampled": 0'))
+    assert run_cli(*survey_argv, "--golden", "compare") == 7
 
 
 def test_golden_compare_applies_float_tolerance(tmp_path):
@@ -238,12 +247,33 @@ def test_seed_changes_sampled_reports(tmp_path):
     assert a["probs"] != b["probs"]
 
 
+def test_survey_transinv_above_old_sweep_limit_is_exact(tmp_path):
+    """A transinv survey of A:9, with more than 10^5 elements, is exact and says so."""
+    assert run_cli("survey", "A:9", "--coupling", "transinv:12345", "--out", str(tmp_path), "--quiet") == 0
+    report = json.loads((tmp_path / "survey__A9__seed0.json").read_text())
+    assert report["sampled"] is False
+    assert report["sample_count"] == 0
+
+
+def test_bijfile_coupling_is_exact_on_a9(tmp_path, group_cache):
+    """A seeded permutation of A:9, read back as bijfile:, weighs each class pair by its exact count."""
+    table, classes, _, chartable = group_cache("A:9")
+    perm = make_stream(31).permutation(table.order)
+    path = tmp_path / "bij.txt"
+    path.write_text("\n".join(map(str, perm.tolist())) + "\n")
+    rep = survey(table, classes, chartable, cli._parse_coupling(table, f"bijfile:{path}"))
+    counts = Counter(zip(classes.class_of.tolist(), classes.class_of[perm].tolist()))
+    assert {(p.x_class, p.y_class): p.weight for p in rep.pairs} == {
+        pair: count / table.order for pair, count in counts.items()
+    }
+
+
 PROTOCOL_ARGS = ["advantage", "S:3", "--protocol", "{d}/p.txt", "--g", "0", "--h", "1", "--samples", "10"]
 S8_PROTOCOL_ARGS = ["advantage", "S:8", *PROTOCOL_ARGS[2:]]
 EXACT_ARGS = ["interleave", "S:3", "--t", "1", "--alpha", "1.0"]
 FULL_S3_PROTOCOL = {"a.txt": "t=1 group=S:3\n" + "".join(f"{i}\n" for i in range(6)), "p.txt": "1,a.txt,a.txt\n"}
 
-# (id, files written to the temporary directory {d}, argv, documented exit code[, environment])
+# (id, files (text or bytes) written to the temporary directory {d}, argv, documented exit code[, environment])
 BAD_INPUTS = [
     ("singular-matgen", {"m.txt": "1,1,0,0\n"}, ["thompson", "matgen:{d}/m.txt,q=5"], 3),
     ("matgen-q-not-int", {"m.txt": "1,1,0,1\n"}, ["thompson", "matgen:{d}/m.txt,q=abc"], 2),
@@ -253,6 +283,15 @@ BAD_INPUTS = [
     ("permgen-n-not-int", {"g.txt": "n=x\n(1 2 3)\n"}, ["thompson", "permgen:{d}/g.txt"], 2),
     ("bijfile-entry-not-int", {"b.txt": "0\n1\n2\n3\n4\nx\n"}, ["survey", "S:3", "--coupling", "bijfile:{d}/b.txt"], 2),
     ("transinv-bad-hex", {}, ["survey", "S:3", "--coupling", "transinv:hex:zz"], 2),
+    # input paths that name a directory, or files that are not UTF-8 text
+    ("bijfile-directory", {}, ["survey", "S:3", "--coupling", "bijfile:{d}"], 2),
+    ("permgen-directory", {}, ["thompson", "permgen:{d}"], 2),
+    ("matgen-directory", {}, ["thompson", "matgen:{d},q=5"], 2),
+    ("bijfile-not-utf8", {"b.txt": b"0\n1\n2\n3\n4\n\xff\n"}, ["survey", "S:3", "--coupling", "bijfile:{d}/b.txt"], 2),
+    ("permgen-not-utf8", {"g.txt": b"(1 2 3)\xff\n"}, ["thompson", "permgen:{d}/g.txt"], 2),
+    ("matgen-not-utf8", {"m.txt": b"1,1,0,1\xff\n"}, ["thompson", "matgen:{d}/m.txt,q=5"], 2),
+    ("protocol-not-utf8", {"a.txt": "t=1 group=S:3\n0\n", "p.txt": b"1,a.txt,a.txt\xff\n"}, PROTOCOL_ARGS, 2),
+    ("tuple-file-not-utf8", {"a.txt": b"t=1 group=S:3\n\xff\n", "p.txt": "1,a.txt,a.txt\n"}, PROTOCOL_ARGS, 2),
     ("tuple-arity-not-int", {"a.txt": "t=x group=S:3\n0,1\n", "p.txt": "1,a.txt,a.txt\n"}, PROTOCOL_ARGS, 2),
     ("tuple-entry-not-int", {"a.txt": "t=2 group=S:3\n0,x\n", "p.txt": "1,a.txt,a.txt\n"}, PROTOCOL_ARGS, 2),
     ("protocol-bit-not-int", {"a.txt": "t=1 group=S:3\n0\n", "p.txt": "x,a.txt,a.txt\n"}, PROTOCOL_ARGS, 2),
@@ -276,7 +315,6 @@ BAD_INPUTS = [
     ("advantage-samples-negative", FULL_S3_PROTOCOL, [*PROTOCOL_ARGS[:-1], "-5"], 2),
     # 2^60 draws of arity 1 exceed MAX_MATERIALIZED; numpy could not even size such an array
     ("advantage-samples-above-cap", FULL_S3_PROTOCOL, [*PROTOCOL_ARGS[:-1], str(2**60)], 5),
-    ("survey-samples-zero", {}, ["survey", "S:3", "--samples", "0"], 2),
     ("permgen-degree-zero", {"g.txt": "n=0\n()\n"}, ["thompson", "permgen:{d}/g.txt"], 3),
     (
         "protocol-arity-mismatch",
@@ -289,6 +327,7 @@ BAD_INPUTS = [
     ("zeta-s-nan", {}, ["zeta", "S:3", "--s", "2", "nan"], 2),
     ("interleave-arity-zero", {}, [*EXACT_ARGS[:3], "0", *EXACT_ARGS[4:]], 11),
     ("interleave-alpha-above-one", {}, [*EXACT_ARGS[:5], "5"], 2),
+    ("interleave-mc-zero", {}, ["interleave", "S:3", "--mc", "0"], 2),
     ("loop-budget-not-int", {}, EXACT_ARGS, 2, {"MIXER_LOOP_BUDGET": "abc"}),
     ("loop-budget-not-positive", {}, EXACT_ARGS, 2, {"MIXER_LOOP_BUDGET": "0"}),
     ("max-order-not-int", {}, ["thompson", "S:3"], 2, {"MIXER_MAX_ORDER": "1e6"}),
@@ -306,20 +345,22 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, case):
     _, files, argv, code, *env = case
     for name, value in (env[0] if env else {}).items():
         monkeypatch.setenv(name, value)
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
     assert run_cli(*[a.format(d=tmp_path) for a in argv], "--quiet") == code
 
 
 @pytest.mark.parametrize(
     "argv,needs_group",
     [
-        (["survey", "S:3", "--samples", "0"], False),
         (["survey", "S:3", "--thresholds", "nan"], False),
         (["survey", "S:3", "--coupling", "transinv:bogus"], True),
         (["zeta", "A:10", "--s", "2", "nan"], False),
     ],
-    ids=["samples-zero", "threshold-nan", "coupling-unknown-element", "zeta-s-nan"],
+    ids=["threshold-nan", "coupling-unknown-element", "zeta-s-nan"],
 )
 def test_survey_rejects_bad_input_before_character_table(monkeypatch, argv, needs_group):
     """Bad survey and zeta flags exit 2 before Dixon runs; all but the coupling before the group is even built."""

@@ -34,6 +34,7 @@ from _oracles import (
     full_sweep_structure_constants,
     oracle_spec,
     sym_elements,
+    translated_inverse_counts,
 )
 
 ORACLE_GROUPS = ["A:5", "S:4", "S:3", "PSL2:7"]
@@ -309,7 +310,7 @@ def test_survey_translated_inverse_matches_full_sweep(group_cache):
     stream = make_stream(5)
     a = int(stream.integers(0, table.order))
     rep = survey(table, classes, chartable, TranslatedInverse(a))
-    assert not rep.sampled
+    assert rep.to_json_dict()["sampled"] is False
     # independent recomputation of the pair weights
     counts = {}
     for x in range(table.order):
@@ -322,18 +323,24 @@ def test_survey_translated_inverse_matches_full_sweep(group_cache):
     assert rep.to_json() == rep2.to_json()
 
 
-def test_survey_sampling_fallback_above_sweep_limit(group_cache):
-    # A_9 (181440 elements) is above the exact-sweep limit of 1e5
-    table, classes, _, chartable = group_cache("A:9")
-    rep = survey(
-        table, classes, chartable, TranslatedInverse(12345),
-        thresholds=(1.0,), stream=make_stream(61), samples=10**5,
-    )
-    assert rep.sampled
-    assert rep.sample_count == 10**5
-    assert sum(p.weight for p in rep.pairs) == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(SpecSyntax):
-        survey(table, classes, chartable, TranslatedInverse(12345))  # no stream
+@pytest.mark.parametrize("label", ORACLE_LABELS + ["A:9", "S:9"])
+def test_translated_inverse_weights_match_element_sweep(label, tmp_path, group_cache):
+    """transinv:a weights, the tensor slice a_ij,cl(a) / |G|, equal a count over every x in G.
+
+    A:9 and S:9 add groups of more than 10^5 elements.
+    """
+    if label in ORACLE_LABELS:
+        table = group_build(oracle_spec(label, tmp_path))
+        classes = conj_classes(table)
+        chartable = dixon_character_table(table, classes)
+    else:
+        table, classes, _, chartable = group_cache(label)
+    for a in make_stream(29).integers(0, table.order, size=3).tolist():
+        rep = survey(table, classes, chartable, TranslatedInverse(a))
+        counts = translated_inverse_counts(table, classes, a)
+        xs, ys = np.nonzero(counts)
+        assert [(p.x_class, p.y_class) for p in rep.pairs] == list(zip(xs.tolist(), ys.tolist()))
+        assert [p.weight for p in rep.pairs] == (counts[xs, ys] / table.order).tolist()
 
 
 def test_survey_bijection_coupling(group_cache):
