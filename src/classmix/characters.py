@@ -22,6 +22,7 @@ from .groups import ClassData, GroupTable
 
 PRIME_SEARCH_BOUND = 2**31
 ORTHOGONALITY_TOL = 1e-8
+IMAG_TOL = 1e-8  # largest imaginary part of a class-product probability
 ROW_CHUNK = 1 << 18  # class-matrix row products held in memory at once
 ROOT_CHUNK = 1 << 16  # residues evaluated at once by the root search (cache-sized)
 
@@ -348,35 +349,43 @@ def _residuals(values: np.ndarray, sizes, order) -> tuple[float, float]:
     return row_res, col_res
 
 
-def structure_constants(chartable: CharacterTable, classes: ClassData) -> StructureConstants:
-    """Exact class-algebra constants read off the character table.
+def class_products(chartable: CharacterTable, classes: ClassData, xs, ys) -> np.ndarray:
+    """Class-algebra constants a_xyl for the class pairs (xs[m], ys[m]), one row per pair.
 
-    tensor[i, j, l] = |C_i| |C_j| / |G| sum_chi chi(i) chi(j) chi(l*) / chi(1)
-    (Frobenius), with l* the inverse class.  The sum is taken in float64 and
-    rounded.  Each rounded entry must equal the same sum taken exactly mod the
-    Dixon prime P over the table's residues (P = 1 mod exponent does not divide
-    |G|; a wrong rounding would be off by a multiple of P > 2 sqrt(|G|)).  So must
-    the marginals sum_j a_ijl = |C_i|, sum_i a_ijl = |C_j| and the identity column
-    a_ij1 = |C_i| [i = j*], which is what a wrong inverse-class map breaks.
+    a_xyl = |C_x| |C_y| / |G| sum_chi chi(x) chi(y) chi(l*) / chi(1) (Frobenius), with l*
+    the inverse class, is taken in float64 and rounded.  Each rounded entry must equal
+    the same sum taken exactly mod the Dixon prime P over the table's residues (P = 1 mod
+    exponent does not divide |G|; a wrong rounding would be off by a multiple of
+    P > 2 sqrt(|G|)), and each probability a_xyl / (|C_x| |C_y|) must be real within IMAG_TOL.
     """
-    k = classes.k
     p = chartable.modulus_prime
     sizes = np.asarray(classes.sizes, dtype=np.int64)
     inv = np.asarray(classes.inverse_class, dtype=np.intp)
-    chi = chartable.values
-    pairs = (chi[:, :, None] * chi[:, None, :] / np.asarray(chartable.degrees)[:, None, None]).reshape(k, k * k)
-    scale = np.outer(sizes, sizes)[:, :, None] / chartable.order
-    tensor = np.rint((pairs.T @ chi[:, inv]).real.reshape(k, k, k) * scale).astype(np.int64)
-    res = chartable.residues
-    pairs = res[:, :, None] * res[:, None, :] % p * _inv_mod(chartable.degrees, p)[:, None, None] % p
-    scale = np.outer(sizes, sizes) % p * pow(chartable.order, p - 2, p) % p
-    residues = _matmul_mod(pairs.reshape(k, -1).T, res[:, inv], p).reshape(k, k, k) * scale[:, :, None] % p
-    if (tensor % p != residues).any():
+    pairs = sizes[xs] * sizes[ys]
+    chi, res = chartable.values, chartable.residues
+    probs = (chi[:, xs] * chi[:, ys] / np.asarray(chartable.degrees)[:, None]).T @ chi[:, inv] / chartable.order
+    consts = np.rint(probs.real * pairs[:, None]).astype(np.int64)
+    weights = res[:, xs] * res[:, ys] % p * _inv_mod(chartable.degrees, p)[:, None] % p
+    scale = pairs % p * pow(chartable.order, p - 2, p) % p
+    if (consts % p != _matmul_mod(weights.T, res[:, inv], p) * scale[:, None] % p).any():
         raise InvariantViolation("a structure constant read off the character table disagrees with its residue mod P")
+    if np.abs(probs.imag).max() > IMAG_TOL:
+        raise InvariantViolation(f"character sum has imaginary part {np.abs(probs.imag).max():.2e}")
+    return consts
+
+
+def structure_constants(chartable: CharacterTable, classes: ClassData) -> StructureConstants:
+    """All k^3 constants a_ijl by class_products, which must also satisfy the marginals
+    sum_j a_ijl = |C_i|, sum_i a_ijl = |C_j| and the identity column a_ij1 = |C_i| [i = j*];
+    that column is what a wrong inverse-class map breaks.
+    """
+    k = classes.k
+    sizes = np.asarray(classes.sizes, dtype=np.int64)
+    tensor = class_products(chartable, classes, *np.divmod(np.arange(k * k), k)).reshape(k, k, k)
     marginal = sizes[:, None]  # sum_j a_ijl = |C_i| and sum_i a_ijl = |C_j|, for every l
     if (tensor.sum(axis=1) != marginal).any() or (tensor.sum(axis=0) != marginal).any():
         raise InvariantViolation("structure constants do not sum to the class sizes")
-    if (tensor[:, :, 0] != np.diag(sizes)[:, inv]).any():  # class 0 is the identity
+    if (tensor[:, :, 0] != np.diag(sizes)[:, classes.inverse_class]).any():  # class 0 is the identity
         raise InvariantViolation("structure constants at the identity disagree with the inverse classes")
     return StructureConstants(tensor=tensor)
 

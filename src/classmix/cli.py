@@ -18,10 +18,11 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .characters import ClassRows, dixon_character_table, verify_orthogonality, witten_zeta
+from .characters import dixon_character_table, verify_orthogonality, witten_zeta
 from .errors import ClassmixError, GoldenMismatch, SpecSyntax, UnsupportedParameters, parse_int, read_input_text
 from .groups import GroupSpec, conj_classes, group_build
 from .interleave import (
+    MIN_MC_SAMPLES,
     advantage,
     deviation_report,
     exact_distribution,
@@ -31,11 +32,13 @@ from .interleave import (
     seeded_tuple_set,
 )
 from .mixing import (
+    DEFAULT_THRESHOLDS,
     BijectionCoupling,
     Diagonal,
     Independent,
     TranslatedInverse,
     check_survey_inputs,
+    coverage,
     dist_to_uniform,
     l2_sq,
     l2_sq_char,
@@ -215,7 +218,7 @@ def _cmd_mixpair(args) -> int:
         else p_char(args.x, args.y, chartable, classes)
     )
     dr = dist_to_uniform(dist, classes)
-    support = ClassRows(table, classes).support(args.x, args.y)
+    cov = coverage(dist, classes)
     payload = {
         "x_class": args.x,
         "y_class": args.y,
@@ -228,7 +231,7 @@ def _cmd_mixpair(args) -> int:
         "l1": dr.l1,
         "l2_sq_dist": dr.l2_sq,
         "linf": dr.linf,
-        "coverage": {"support": support, "fraction": support / table.order, "exact": True},
+        "coverage": {"support": cov.support, "fraction": cov.fraction, "exact": True},
     }
     return _emit(args, payload, meta={"dixon": chartable.work})
 
@@ -258,6 +261,8 @@ def _cmd_thompson(args) -> int:
 
 
 def _cmd_interleave(args) -> int:
+    if args.mc is not None and args.mc < MIN_MC_SAMPLES:  # before the group is built or any tuple set drawn
+        raise SpecSyntax(f"--mc must be at least {MIN_MC_SAMPLES}, got {args.mc}")
     table, _ = _build_all(args)
     table.full_mul_table()  # exits 4 above MUL_TABLE_LIMIT before any tuple set is drawn
     if args.alpha == 1.0:
@@ -346,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("survey", help="coupling-weighted N statistic survey")
     _add_common(p)
     p.add_argument("--coupling", default="independent", help="independent|diagonal|transinv:<elt>|bijfile:<path>")
-    p.add_argument("--thresholds", type=float, nargs="+", default=[0.0, 0.01, 0.1, 0.5, 1.0, 2.0])
+    p.add_argument("--thresholds", type=float, nargs="+", default=list(DEFAULT_THRESHOLDS))
     p.set_defaults(func=_cmd_survey)
 
     p = subs.add_parser("thompson", help="exact class-square coverage search")

@@ -2,7 +2,7 @@
 
 Environment variables:
   MIXER_MAX_ORDER    cap on full group enumeration (default 2,000,000)
-  MIXER_LOOP_BUDGET  cap on exact pair-enumeration loops (default 10**9)
+  MIXER_LOOP_BUDGET  cap on exact loops: p_brute's |C_x| products, interleave pairs (default 10**9)
 """
 
 from __future__ import annotations

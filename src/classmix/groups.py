@@ -45,7 +45,7 @@ class PermEngine:
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # (a*b)(x) = a(b(x)): apply b first
-        return np.take_along_axis(a, b.astype(np.intp), axis=-1)
+        return np.take_along_axis(a, b, axis=-1)  # indexing with the uint8 rows, not an intp copy
 
     def inv(self, a: np.ndarray) -> np.ndarray:
         return np.argsort(a, axis=-1).astype(self.dtype)

@@ -35,6 +35,7 @@ from .groups import GroupTable
 
 MAX_MATERIALIZED = 64_000_000  # tuples of G^t or sampled tuple entries kept in memory
 CHUNK = 1 << 20  # products per chunk of the exact fold; tuple codes per chunk of a decode
+MIN_MC_SAMPLES = 10**4  # fewest Monte Carlo samples, checked by mc_distribution and `interleave --mc`
 
 
 @dataclass(frozen=True)
@@ -244,8 +245,8 @@ def mc_distribution(
 ) -> InterleaveEstimate:
     """Monte Carlo estimate with uniform draws from A and B, in stream-split blocks."""
     _check_compat(a_set, b_set, table)
-    if samples < 10**4:
-        raise SpecSyntax(f"at least 10^4 samples required, got {samples}")
+    if samples < MIN_MC_SAMPLES:
+        raise SpecSyntax(f"at least {MIN_MC_SAMPLES} samples required, got {samples}")
     mul = table.full_mul_table()
     counts = np.zeros(table.order, dtype=np.int64)
     done = 0

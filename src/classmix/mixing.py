@@ -2,8 +2,9 @@
 
 The central object is the distribution of x'y' where x' and y' are uniform
 random conjugates of x and y.  It is a class function of the product, so it is
-stored per conjugacy class.  Two independent routes compute it: the character
-formula (p_char) and definitional pair counting (p_brute); their agreement is
+stored per conjugacy class as the exact pair counts |C_k| a_xyk.  Two independent
+routes compute the row a_xy: the character formula, checked mod the Dixon prime
+(p_char), and one class-matrix row from the group (p_brute); their agreement is
 a standing acceptance criterion.
 """
 
@@ -16,21 +17,18 @@ from fractions import Fraction
 import numpy as np
 
 from . import config
-from .characters import CharacterTable, ClassRows, structure_constants, witten_zeta
+from .characters import CharacterTable, ClassRows, class_products, structure_constants, witten_zeta
 from .errors import InvariantViolation, LoopBudgetExceeded, SpecSyntax
 from .groups import ClassData, GroupTable
-
-CLAMP_FLOOR = -1e-12
-PAIR_CHUNK = 1 << 18  # pair products held in memory at once by p_brute
 
 
 @dataclass(frozen=True)
 class PairDistribution:
     """Per-class values of the product distribution for one class pair.
 
-    probs[k] is the probability of each single element of class k.  counts
-    carries the exact pair counts when the brute-force route produced the
-    distribution, else None.
+    probs[k] is the probability of each single element of class k, and
+    counts[k] the exact number of pairs in C_x x C_y with product in class k;
+    both routes set them.
     """
 
     x_class: int
@@ -38,64 +36,28 @@ class PairDistribution:
     probs: np.ndarray
     order: int
     source: str  # "char" | "brute"
-    counts: tuple[int, ...] | None = None
+    counts: tuple[int, ...] = ()
 
 
-def _char_probs(xs, ys, table: CharacterTable, classes: ClassData) -> np.ndarray:
-    """Character-sum probabilities, one row per class pair (xs[m], ys[m]).
-
-    Tiny negative lift noise is clamped to zero; an imaginary part above 1e-8
-    or a value below CLAMP_FLOOR raises InvariantViolation.
-    """
-    vals = table.values
-    degrees = np.asarray(table.degrees, dtype=np.float64)
-    weights = vals[:, xs] * vals[:, ys] / degrees[:, None]
-    inv_cols = np.asarray(classes.inverse_class, dtype=np.intp)
-    raw = (weights.T @ vals[:, inv_cols]) / table.order
-    probs = raw.real.copy()
-    if np.abs(raw.imag).max() > 1e-8:
-        raise InvariantViolation(f"character sum has imaginary part {np.abs(raw.imag).max():.2e}")
-    if probs.min() < CLAMP_FLOOR:
-        raise InvariantViolation(f"character sum produced negative probability {probs.min():.2e}")
-    probs[probs < 0] = 0.0
-    return probs
+def _from_constants(xc: int, yc: int, row: np.ndarray, classes: ClassData, source: str) -> PairDistribution:
+    """The distribution of one class pair from its row a_xy of class-algebra constants."""
+    sizes = np.asarray(classes.sizes, dtype=np.int64)
+    counts = row * sizes
+    probs = counts / (float(sizes[xc] * sizes[yc]) * sizes.astype(np.float64))
+    return PairDistribution(xc, yc, probs, classes.order, source, counts=tuple(counts.tolist()))
 
 
 def p_char(xc: int, yc: int, table: CharacterTable, classes: ClassData) -> PairDistribution:
-    """Distribution via the character sum; tiny negative lift noise is clamped."""
-    probs = _char_probs([xc], [yc], table, classes)[0]
-    return PairDistribution(x_class=xc, y_class=yc, probs=probs, order=table.order, source="char")
+    """Distribution via the character sum: one row of constants, checked mod P."""
+    return _from_constants(xc, yc, class_products(table, classes, [xc], [yc])[0], classes, "char")
 
 
-def p_brute(
-    xc: int,
-    yc: int,
-    table: GroupTable,
-    classes: ClassData,
-    budget: int | None = None,
-) -> PairDistribution:
-    """Definitional oracle: exact integer pair counts over C_x times C_y."""
-    mx = classes.members(xc)
-    my = classes.members(yc)
-    pairs = len(mx) * len(my)
-    if pairs > config.loop_budget(budget):
-        raise LoopBudgetExceeded(f"{pairs} pairs exceed the loop budget")
-    k = classes.k
-    counts = np.zeros(k, dtype=np.int64)
-    step = max(1, PAIR_CHUNK // len(my))
-    for start in range(0, len(mx), step):
-        prods = table.mul_indices(mx[start : start + step, None], my[None, :])
-        counts += np.bincount(classes.class_of[prods.ravel()], minlength=k)
-    sizes = np.asarray(classes.sizes, dtype=np.float64)
-    probs = counts / (float(pairs) * sizes)
-    return PairDistribution(
-        x_class=xc,
-        y_class=yc,
-        probs=probs,
-        order=table.order,
-        source="brute",
-        counts=tuple(int(c) for c in counts),
-    )
+def p_brute(xc: int, yc: int, table: GroupTable, classes: ClassData, budget: int | None = None) -> PairDistribution:
+    """Definitional oracle: one class-matrix row from the group, |C_x| element products."""
+    products = classes.sizes[xc]
+    if products > config.loop_budget(budget):
+        raise LoopBudgetExceeded(f"{products} products exceed the loop budget")
+    return _from_constants(xc, yc, ClassRows(table, classes).rows(xc, np.array([yc]))[0], classes, "brute")
 
 
 def l2_sq(dist: PairDistribution, classes: ClassData) -> float:
@@ -139,9 +101,7 @@ class CoverageReport:
 
 
 def coverage(dist: PairDistribution, classes: ClassData) -> CoverageReport:
-    """Support of the product set from a brute distribution's exact pair counts."""
-    if dist.counts is None:
-        raise SpecSyntax("coverage needs exact pair counts; use ClassRows.support for character routes")
+    """Support of the product set from the distribution's exact pair counts."""
     sizes = np.asarray(classes.sizes, dtype=np.int64)
     support = int(sizes[np.asarray(dist.counts) > 0].sum())
     return CoverageReport(support=support, fraction=support / dist.order)
@@ -305,8 +265,9 @@ def survey(
     Every coupling is exact.  Independent and Diagonal couplings are class
     sweeps.  For TranslatedInverse(a) the number of x in C_i with x^-1 a in
     C_j is a_ij,cl(a), so the weights are one slice of the structure
-    constants; a BijectionCoupling sweeps every x in G.  Coverage and
-    threshold membership are exact, from the structure constants: class k
+    constants; a BijectionCoupling sweeps every x in G.  Probabilities,
+    coverage and threshold membership are exact, from the structure
+    constants: p_ij(k) = a_ijk / (|C_i| |C_j|), class k
     lies in C_i C_j exactly when a_ijk > 0, and N <= 1 + delta exactly when
     |G| sum_k |C_k| a_ijk^2 <= (1 + delta) (|C_i| |C_j|)^2.
     """
@@ -331,14 +292,16 @@ def survey(
 
     xs, ys = np.nonzero(weights)  # row-major: pairs in (x_class, y_class) order
     w_arr = weights[xs, ys]
-    probs = _char_probs(xs, ys, chartable, classes)
+    rows = tensor[xs, ys]  # a_ij of every surveyed pair
+    size_int = np.asarray(sizes, dtype=np.int64)
+    probs = rows / (size_int[xs] * size_int[ys])[:, None]
     l1 = np.abs(probs - 1.0 / order) @ np.asarray(sizes, dtype=np.float64)
     n_arr = order * l2_sq_char(xs, ys, chartable)
-    cover = ((tensor[xs, ys] > 0) @ np.asarray(sizes, dtype=np.int64)) / order
+    cover = ((rows > 0) @ size_int) / order
     pair_rows = tuple(map(SurveyPair, *(c.tolist() for c in (xs, ys, w_arr, n_arr, l1, cover))))
 
     # exact N - 1 per pair from Python ints, which unlike int64 cannot overflow here
-    a = tensor[xs, ys].astype(object)
+    a = rows.astype(object)
     size_obj = np.array(sizes, dtype=object)
     collisions = order * ((a * a) @ size_obj)  # |G| sum_k |C_k| a_ijk^2
     excess = np.frompyfunc(Fraction, 2, 1)(collisions, (size_obj[xs] * size_obj[ys]) ** 2) - 1
@@ -407,10 +370,8 @@ def char_bound_fraction(
 def coverage_norm_link_holds(dist: PairDistribution, classes: ClassData) -> bool:
     """Exact check of: coverage fraction 1 - delta implies N >= 1/(1 - delta).
 
-    Only meaningful for brute distributions, where both sides are rationals.
+    Both sides are rationals, from the exact pair counts.
     """
-    if dist.counts is None:
-        raise SpecSyntax("exact link check needs a brute-force distribution")
     sizes = classes.sizes
     total_pairs = sum(dist.counts)
     support = sum(s for s, c in zip(sizes, dist.counts) if c > 0)

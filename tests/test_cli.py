@@ -13,7 +13,8 @@ from classmix import cli
 from classmix.cli import main
 from classmix.errors import SpecSyntax, UnsupportedParameters
 from classmix.groups import GroupSpec, GroupTable
-from classmix.mixing import survey
+from classmix.interleave import MIN_MC_SAMPLES
+from classmix.mixing import DEFAULT_THRESHOLDS, survey
 from classmix.rng import make_stream
 
 
@@ -382,6 +383,22 @@ def test_interleave_rejects_large_group_before_tuple_sets(monkeypatch):
 
     monkeypatch.setattr(cli, "seeded_tuple_set", unreachable)
     assert run_cli("interleave", "S:7", "--t", "2", "--mc", "100000", "--quiet") == 4
+
+
+def test_interleave_rejects_few_samples_before_tuple_sets(monkeypatch):
+    """--mc below interleave.MIN_MC_SAMPLES exits 2 before two 6.5M-tuple sets of A:5 at t = 4 are drawn."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("tuple sets drawn before --mc was checked")
+
+    monkeypatch.setattr(cli, "seeded_tuple_set", unreachable)
+    assert run_cli("interleave", "A:5", "--t", "4", "--mc", "0", "--quiet") == 2
+    assert run_cli("interleave", "A:5", "--t", "4", "--mc", str(MIN_MC_SAMPLES - 1), "--quiet") == 2
+
+
+def test_survey_thresholds_default_is_the_library_default():
+    args = cli.build_parser().parse_args(["survey", "A:5"])
+    assert tuple(args.thresholds) == DEFAULT_THRESHOLDS
 
 
 def test_benchmark_tracer_names_resolve():

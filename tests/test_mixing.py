@@ -201,19 +201,42 @@ def test_coverage_examples(group_cache):
 
 @pytest.mark.parametrize("label", ORACLE_LABELS)
 def test_coverage_brute_counts_match_support_table(label, tmp_path):
-    """ClassRows.support(i, j) is |C_i C_j| by brute pair counting and by the one-sweep-per-class tensor."""
+    """ClassRows.support(i, j) is |C_i C_j| by both routes' exact counts and by the one-sweep-per-class tensor."""
     table = group_build(oracle_spec(label, tmp_path))
     classes = conj_classes(table)
+    chartable = dixon_character_table(table, classes)
     rows = ClassRows(table, classes)
     supports = (full_sweep_structure_constants(table, classes) > 0) @ np.asarray(classes.sizes, dtype=np.int64)
     for xc in range(classes.k):
         for yc in range(classes.k):
             support = rows.support(xc, yc)
             assert support == coverage(p_brute(xc, yc, table, classes), classes).support
+            assert support == coverage(p_char(xc, yc, chartable, classes), classes).support
             assert support == supports[xc, yc]
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_char_and_brute_counts_are_the_structure_constants(label, tmp_path):
+    """Both routes give exact pair counts, a_xyl |C_l| of the whole-group sweep, as integers."""
+    table = group_build(oracle_spec(label, tmp_path))
+    classes = conj_classes(table)
     chartable = dixon_character_table(table, classes)
-    with pytest.raises(SpecSyntax):
-        coverage(p_char(0, 0, chartable, classes), classes)  # no exact counts on the character route
+    counts = full_sweep_structure_constants(table, classes) * np.asarray(classes.sizes, dtype=np.int64)
+    for xc in range(classes.k):
+        for yc in range(classes.k):
+            char = p_char(xc, yc, chartable, classes)
+            brute = p_brute(xc, yc, table, classes)
+            assert char.counts == brute.counts == tuple(counts[xc, yc].tolist())
+            assert all(type(c) is int for c in char.counts + brute.counts)
+
+
+def test_p_char_rejects_moved_residue(group_cache):
+    """One character value mod P moved by 1 leaves the float row as it was, so a residue disagrees."""
+    _, classes, _, chartable = group_cache("A:5")
+    residues = chartable.residues.copy()
+    residues[1, 1] = (residues[1, 1] + 1) % chartable.modulus_prime
+    with pytest.raises(InvariantViolation, match="mod P"):
+        p_char(1, 0, dataclasses.replace(chartable, residues=residues), classes)
 
 
 def test_coverage_norm_link(group_cache):
@@ -228,6 +251,15 @@ def test_loop_budget_guard(group_cache):
     table, classes, _, _ = group_cache("A:5")
     with pytest.raises(LoopBudgetExceeded):
         p_brute(1, 1, table, classes, budget=10)
+
+
+def test_loop_budget_counts_products(group_cache):
+    """p_brute spends |C_x| element products: S:8 classes 14 x 15 fit a budget of |C_14| = 5760, not 5759."""
+    table, classes, _, _ = group_cache("S:8")
+    assert classes.sizes[14] == 5760
+    assert sum(p_brute(14, 15, table, classes, budget=5760).counts) == 5760 * classes.sizes[15]
+    with pytest.raises(LoopBudgetExceeded):
+        p_brute(14, 15, table, classes, budget=5759)
 
 
 def test_p_brute_loop_path_without_mul_table(group_cache):
