@@ -10,7 +10,6 @@ maps.  Everything up to the final lift is exact integer arithmetic.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -108,9 +107,6 @@ class CharacterTable:
             "values": [[[v.real, v.imag] for v in row] for row in self.values],
             "residuals": {"row": self.row_residual, "col": self.col_residual},
         }
-
-    def to_json(self, group_label: str = "") -> str:
-        return json.dumps(self.to_json_dict(group_label), sort_keys=True, indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -262,9 +258,10 @@ def dixon_character_table(table: GroupTable, classes: ClassData) -> CharacterTab
     (2) common eigenvectors by iterative eigenspace splitting, computing from
     the group (ClassRows) only the class-matrix rows the split needs; (3) exact
     degree recovery; (4) complex lift by Fourier inversion over the power maps;
-    (5) deterministic row order.  The table's `work` records P, the class
-    matrices used, the rows read, the element products spent on them and the
-    largest block a split left.
+    (5) deterministic row order.  A row or column orthogonality residual of at
+    least ORTHOGONALITY_TOL * |G| raises InvariantViolation.  The table's `work`
+    records P, the class matrices used, the rows read, the element products
+    spent on them and the largest block a split left.
     """
     k = classes.k
     order = classes.order
@@ -325,6 +322,9 @@ def dixon_character_table(table: GroupTable, classes: ClassData) -> CharacterTab
         raise EigensplitFailure(f"degree squares sum to {sum(d * d for d in degrees)}, expected {order}")
 
     row_res, col_res = _residuals(values, classes.sizes, order)
+    residual = max(row_res, col_res)
+    if residual >= ORTHOGONALITY_TOL * order:
+        raise InvariantViolation(f"orthogonality residual {residual:.2e} reaches {ORTHOGONALITY_TOL:g} * |G|")
     return CharacterTable(
         values=values,
         residues=s[perm],
@@ -390,10 +390,9 @@ def structure_constants(chartable: CharacterTable, classes: ClassData) -> Struct
     return StructureConstants(tensor=tensor)
 
 
-def verify_orthogonality(table: CharacterTable, classes: ClassData | None = None) -> OrthogonalityReport:
-    """Row and column orthogonality residuals against tolerance 1e-8 * |G|."""
-    sizes = classes.sizes if classes is not None else table.class_sizes
-    row_res, col_res = _residuals(table.values, sizes, table.order)
+def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
+    """Row and column orthogonality residuals against tolerance ORTHOGONALITY_TOL * |G|."""
+    row_res, col_res = _residuals(table.values, table.class_sizes, table.order)
     tol = ORTHOGONALITY_TOL * table.order
     return OrthogonalityReport(
         max_row_residual=row_res,

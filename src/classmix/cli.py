@@ -179,7 +179,7 @@ def _build_all(args):
 def _cmd_chartable(args) -> int:
     table, classes = _build_all(args)
     chartable = dixon_character_table(table, classes)
-    report = verify_orthogonality(chartable, classes)
+    report = verify_orthogonality(chartable)
     payload = chartable.to_json_dict(table.spec.label)
     payload["orthogonality"] = {
         "row_residual": report.max_row_residual,
@@ -269,8 +269,8 @@ def _cmd_interleave(args) -> int:
         a_set = full_tuple_set(table, args.t)
         b_set = full_tuple_set(table, args.t)
     else:
-        a_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 1), "A")
-        b_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 2), "B")
+        a_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 1))
+        b_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 2))
     start = time.perf_counter()
     if args.mc is not None:
         est = mc_distribution(a_set, b_set, args.mc, make_stream(args.seed, 3), table)

@@ -35,7 +35,6 @@ def max_order(override: int | None = None) -> int:
     return _env_int("MIXER_MAX_ORDER", DEFAULT_MAX_ORDER)
 
 
-def loop_budget(override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
+def loop_budget() -> int:
+    """The exact-loop cap: MIXER_LOOP_BUDGET, which must be positive."""
     return _env_int("MIXER_LOOP_BUDGET", DEFAULT_LOOP_BUDGET)

@@ -24,7 +24,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -274,14 +274,6 @@ class Field:
         exp, log = self._tables
         return exp[self.q - 1 - log[a]]
 
-    def generator_candidates(self) -> list[int]:
-        """Elements whose powers of x span the field additively: x itself.
-
-        Returned as the encodings of x^0 .. x^(k-1); used by the matrix group
-        builders to seed transvections for every basis direction.
-        """
-        return [self.p**i for i in range(self.k)]
-
 
 @lru_cache(maxsize=None)
 def field(p: int, k: int) -> Field:
@@ -292,16 +284,10 @@ def field_for_size(q: int) -> Field:
     """Field of size q; raises UnsupportedParameters when q is not a prime power."""
     if q < 2:
         raise UnsupportedParameters(f"field size must be >= 2, got {q}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                break
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                break
-            return field(p, k)
-    raise UnsupportedParameters(f"{q} is not a prime power")
+    p, *others = prime_factors(q)
+    if others:
+        raise UnsupportedParameters(f"{q} is not a prime power")
+    k = 1
+    while p**k < q:
+        k += 1
+    return field(p, k)

@@ -308,7 +308,6 @@ class GroupTable:
         self.rows = _decode(codes, engine)
         self.order = len(codes)
         self.generator_indices = tuple(dict.fromkeys(self.lookup(generators).tolist()))
-        self.degenerate = self.order == 1
         self._mul_table: np.ndarray | None = None
 
     @cached_property
@@ -435,7 +434,7 @@ def _make_engine(spec: GroupSpec):
             gens = list(spec.mat_generators)
         else:
             # upper transvections for an additive basis of GF(q), plus the Weyl element
-            gens = [(1, b, 0, 1) for b in gf.generator_candidates()] + [(0, 1, int(gf.neg(1)), 0)]
+            gens = [(1, gf.p**i, 0, 1) for i in range(gf.k)] + [(0, 1, int(gf.neg(1)), 0)]
         return engine, engine.canonical(gens)
     raise UnsupportedParameters(f"unknown group kind {spec.kind!r}")
 
@@ -506,27 +505,6 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
     return tuple(_cycle_to_image(cycles, n))
 
 
-def image_to_cycles(img: tuple[int, ...] | bytes) -> str:
-    """Inverse of parse_cycles, for reports."""
-    img = tuple(img)
-    n = len(img)
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start] or img[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = img[start]
-        while x != start:
-            cyc.append(x)
-            seen[x] = True
-            x = img[x]
-        out.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
-    return "".join(out) if out else "()"
-
-
 # ---------------------------------------------------------------------------
 # conjugacy classes
 
@@ -551,10 +529,6 @@ class ClassData:
     @property
     def order(self) -> int:
         return int(sum(self.sizes))
-
-    def centralizer_orders(self) -> tuple[int, ...]:
-        n = self.order
-        return tuple(n // s for s in self.sizes)
 
     def members(self, c: int) -> np.ndarray:
         if c not in self._members:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -45,16 +45,10 @@ class TupleSet:
     arity: int
     group_order: int
     mask: np.ndarray  # bool, length |G|^t; entry c is True when the tuple with code c is a member
-    descriptor: str
 
     @cached_property
     def size(self) -> int:
         return int(np.count_nonzero(self.mask))
-
-    @property
-    def codes(self) -> np.ndarray:
-        """Member codes, int64 and sorted."""
-        return np.flatnonzero(self.mask)
 
     @property
     def density(self) -> Fraction:
@@ -73,9 +67,6 @@ class TupleSet:
 
     def rows(self) -> np.ndarray:
         return self.columns.astype(np.int64)
-
-    def contains_codes(self, codes: np.ndarray) -> np.ndarray:
-        return self.mask.take(codes)
 
 
 def encode_tuples(rows: np.ndarray, order: int) -> np.ndarray:
@@ -102,7 +93,7 @@ def _tuple_count(order: int, arity: int) -> int:
     return total
 
 
-def explicit_tuple_set(table: GroupTable, rows: list[tuple[int, ...]], descriptor: str = "explicit") -> TupleSet:
+def explicit_tuple_set(table: GroupTable, rows: list[tuple[int, ...]]) -> TupleSet:
     if not rows:
         raise SpecSyntax("tuple set cannot be empty")
     t = len(rows[0])
@@ -117,12 +108,10 @@ def explicit_tuple_set(table: GroupTable, rows: list[tuple[int, ...]], descripto
     mask[encode_tuples(np.array(rows, dtype=np.int64), table.order)] = True
     if np.count_nonzero(mask) != len(rows):
         raise SpecSyntax("duplicate tuples in explicit tuple set")
-    return TupleSet(arity=t, group_order=table.order, mask=mask, descriptor=descriptor)
+    return TupleSet(arity=t, group_order=table.order, mask=mask)
 
 
-def seeded_tuple_set(
-    table: GroupTable, arity: int, density: float, stream: np.random.Generator, descriptor: str = ""
-) -> TupleSet:
+def seeded_tuple_set(table: GroupTable, arity: int, density: float, stream: np.random.Generator) -> TupleSet:
     """Uniform random subset of G^t of the given density, materialized explicitly.
 
     The realized density is exactly round(density * |G|^t) / |G|^t; the draw is
@@ -135,13 +124,12 @@ def seeded_tuple_set(
     members = stream.choice(total, size=m, replace=False)
     mask = np.zeros(total, dtype=bool)  # allocated after the draw, whose permutation is the peak
     mask[members] = True
-    descriptor = descriptor or f"seeded(alpha={density})"
-    return TupleSet(arity=arity, group_order=table.order, mask=mask, descriptor=descriptor)
+    return TupleSet(arity=arity, group_order=table.order, mask=mask)
 
 
 def full_tuple_set(table: GroupTable, arity: int) -> TupleSet:
     mask = np.ones(_tuple_count(table.order, arity), dtype=bool)
-    return TupleSet(arity=arity, group_order=table.order, mask=mask, descriptor="full")
+    return TupleSet(arity=arity, group_order=table.order, mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +186,7 @@ def _estimate_from_counts(counts: np.ndarray, total: int, order: int, mode: str)
     )
 
 
-def exact_distribution(
-    a_set: TupleSet, b_set: TupleSet, table: GroupTable, budget: int | None = None
-) -> InterleaveEstimate:
+def exact_distribution(a_set: TupleSet, b_set: TupleSet, table: GroupTable) -> InterleaveEstimate:
     """Exact counts of a . b over all of A x B, within the loop budget (at most 2^53 - 1 pairs).
 
     a . b = a1 h where h = b1 a2 b2 ... at bt depends on a only through s = (a2..at):
@@ -209,7 +195,7 @@ def exact_distribution(
     """
     _check_compat(a_set, b_set, table)
     pairs = a_set.size * b_set.size
-    limit = min(config.loop_budget(budget), 2**53 - 1)
+    limit = min(config.loop_budget(), 2**53 - 1)
     if pairs > limit:
         raise LoopBudgetExceeded(f"{pairs} pairs exceed the loop budget")
     order = table.order
@@ -290,18 +276,8 @@ class DeviationReport:
     implied_exponent: float  # inf when the deviation is exactly 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "linf_dev": self.linf_dev,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "order": self.order,
-            "arity": self.arity,
-            "family": self.family,
-            "base": self.base,
-            "normalized": self.normalized,
-            "implied_exponent": self.implied_exponent if math.isfinite(self.implied_exponent) else "inf",
-        }
+        exponent = self.implied_exponent if math.isfinite(self.implied_exponent) else "inf"
+        return {"schema": 1, **asdict(self), "implied_exponent": exponent}
 
 
 def deviation_report(
@@ -353,12 +329,12 @@ def fiber_sample(
     return a_rows, b_rows
 
 
-def enumerate_fiber(table: GroupTable, g: int, arity: int, budget: int | None = None):
+def enumerate_fiber(table: GroupTable, g: int, arity: int):
     """Return (a_rows, b_rows): every (a, b) with a . b = g, by sweeping the free coordinates."""
     order = table.order
     free = 2 * arity - 1
     total = order**free
-    if total > config.loop_budget(budget):
+    if total > config.loop_budget():
         raise LoopBudgetExceeded(f"fiber enumeration needs {total} tuples")
     free_rows = decode_tuples(np.arange(total, dtype=np.int64), free, order)
     a_rows = free_rows[:, :arity]
@@ -402,7 +378,7 @@ class RectangleProtocol:
         bits = np.full(len(a_codes), -1, dtype=np.int64)
         covered = np.zeros(len(a_codes), dtype=np.int64)
         for rect in self.rectangles:
-            mask = rect.a_set.contains_codes(a_codes) & rect.b_set.contains_codes(b_codes)
+            mask = rect.a_set.mask.take(a_codes) & rect.b_set.mask.take(b_codes)
             covered += mask
             bits[mask] = rect.bit
         if (covered > 1).any():
@@ -413,11 +389,11 @@ class RectangleProtocol:
             raise UncoveredProbe(f"pair (a={int(a_codes[i])}, b={int(b_codes[i])}) not covered")
         return bits
 
-    def validate_exact(self, table: GroupTable, budget: int | None = None):
+    def validate_exact(self, table: GroupTable):
         """Full disjointness/coverage check over G^t x G^t; tiny cases only."""
         t = self.rectangles[0].a_set.arity
         total = table.order**t
-        if total * total > config.loop_budget(budget):
+        if total * total > config.loop_budget():
             raise LoopBudgetExceeded("exact protocol validation exceeds the loop budget")
         a_codes = np.repeat(np.arange(total, dtype=np.int64), total)
         b_codes = np.tile(np.arange(total, dtype=np.int64), total)
@@ -434,15 +410,7 @@ class AdvantageReport:
     samples: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "p_g": self.p_g,
-            "p_h": self.p_h,
-            "advantage": self.advantage,
-            "stderr": self.stderr,
-            "bit_budget": self.bit_budget,
-            "samples": self.samples,
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 def advantage(
@@ -479,12 +447,10 @@ def advantage(
     )
 
 
-def exact_conditional_acceptance(
-    protocol: RectangleProtocol, table: GroupTable, g: int, budget: int | None = None
-) -> Fraction:
+def exact_conditional_acceptance(protocol: RectangleProtocol, table: GroupTable, g: int) -> Fraction:
     """Exact Pr[P(a,b) = 1 | a . b = g] by full fiber enumeration."""
     arity = protocol.rectangles[0].a_set.arity
-    a_rows, b_rows = enumerate_fiber(table, g, arity, budget=budget)
+    a_rows, b_rows = enumerate_fiber(table, g, arity)
     a_codes = encode_tuples(a_rows, table.order)
     b_codes = encode_tuples(b_rows, table.order)
     bits = protocol.evaluate_codes(a_codes, b_codes)
@@ -541,7 +507,7 @@ def load_tuple_set(path, table: GroupTable) -> TupleSet:
         if len(parts) != arity:
             raise SpecSyntax(f"tuple {line!r} does not have arity {arity}")
         rows.append(tuple(parse_int(p, "tuple entry") for p in parts))
-    return explicit_tuple_set(table, rows, descriptor=f"file:{path}")
+    return explicit_tuple_set(table, rows)
 
 
 def _parse_header(header: str) -> dict:

@@ -10,7 +10,6 @@ a standing acceptance criterion.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,10 +51,10 @@ def p_char(xc: int, yc: int, table: CharacterTable, classes: ClassData) -> PairD
     return _from_constants(xc, yc, class_products(table, classes, [xc], [yc])[0], classes, "char")
 
 
-def p_brute(xc: int, yc: int, table: GroupTable, classes: ClassData, budget: int | None = None) -> PairDistribution:
+def p_brute(xc: int, yc: int, table: GroupTable, classes: ClassData) -> PairDistribution:
     """Definitional oracle: one class-matrix row from the group, |C_x| element products."""
     products = classes.sizes[xc]
-    if products > config.loop_budget(budget):
+    if products > config.loop_budget():
         raise LoopBudgetExceeded(f"{products} products exceed the loop budget")
     return _from_constants(xc, yc, ClassRows(table, classes).rows(xc, np.array([yc]))[0], classes, "brute")
 
@@ -225,9 +224,6 @@ class SurveyReport:
             "quantiles": [{"q": q, "N": v} for q, v in self.quantiles],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
     def to_csv(self) -> str:
         lines = ["xclass,yclass,weight,N,l1,coverage"]
         for p in self.pairs:
@@ -235,12 +231,6 @@ class SurveyReport:
                 f"{p.x_class},{p.y_class},{p.weight!r},{p.n_stat!r},{p.l1!r},{p.coverage_fraction!r}"
             )
         return "\n".join(lines) + "\n"
-
-    def threshold_prob(self, delta: float) -> float:
-        for d, pr in self.thresholds:
-            if d == delta:
-                return pr
-        raise KeyError(delta)
 
 
 DEFAULT_THRESHOLDS = (0.0, 0.01, 0.1, 0.5, 1.0, 2.0)

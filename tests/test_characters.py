@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from classmix import characters
 from classmix.characters import (
     CharacterTable,
     ClassRows,
@@ -246,14 +247,14 @@ def test_degrees_divide_order(group_cache):
 def test_orthogonality_residuals(group_cache):
     for label in ["S:3", "S:4", "A:5", "A:6", "A:7", "PSL2:7", "PSL2:11", "PSL2:13"]:
         table, classes, _, chartable = group_cache(label)
-        report = verify_orthogonality(chartable, classes)
+        report = verify_orthogonality(chartable)
         assert report.passed
         assert report.max_row_residual < 1e-8 * table.order
         assert report.max_col_residual < 1e-8 * table.order
 
 
 def test_perturbed_table_fails_orthogonality(group_cache):
-    _, classes, _, chartable = group_cache("A:5")
+    _, _, _, chartable = group_cache("A:5")
     values = chartable.values.copy()
     values[1, 1] += 1e-3
     broken = CharacterTable(
@@ -266,7 +267,16 @@ def test_perturbed_table_fails_orthogonality(group_cache):
         row_residual=0.0,
         col_residual=0.0,
     )
-    assert not verify_orthogonality(broken, classes).passed
+    assert not verify_orthogonality(broken).passed
+
+
+def test_dixon_refuses_residual_at_tolerance(monkeypatch):
+    """A:5's residuals (about 2.4e-14) reach ORTHOGONALITY_TOL * |G| once the tolerance is 1e-30."""
+    table = group_build(GroupSpec.alt(5))
+    classes = conj_classes(table)
+    monkeypatch.setattr(characters, "ORTHOGONALITY_TOL", 1e-30)
+    with pytest.raises(InvariantViolation, match="orthogonality residual"):
+        dixon_character_table(table, classes)
 
 
 def test_trivial_group_residual_zero():
@@ -296,7 +306,7 @@ def test_dixon_bit_identical_across_runs():
     a, b = tables
     assert a.degrees == b.degrees
     assert np.array_equal(a.values, b.values)  # exact float equality
-    assert a.to_json("A:5") == b.to_json("A:5")
+    assert a.to_json_dict("A:5") == b.to_json_dict("A:5")
 
 
 # -- zeta ---------------------------------------------------------------------
@@ -354,7 +364,7 @@ def test_character_table_json_roundtrip(group_cache):
     import json
 
     _, _, _, chartable = group_cache("A:5")
-    payload = json.loads(chartable.to_json("A:5"))
+    payload = json.loads(json.dumps(chartable.to_json_dict("A:5")))
     assert payload["order"] == 60
     assert payload["degrees"] == [1, 3, 3, 4, 5]
     assert payload["schema"] == 1

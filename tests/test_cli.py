@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from classmix import cli
+from classmix import characters, cli
 from classmix.cli import main
 from classmix.errors import SpecSyntax, UnsupportedParameters
 from classmix.groups import GroupSpec, GroupTable
@@ -76,6 +76,12 @@ def test_chartable_a5(tmp_path, capsys):
     payload = json.loads((tmp_path / "chartable__A5__seed0.json").read_text())
     assert payload["degrees"] == [1, 3, 3, 4, 5]
     assert payload["orthogonality"]["passed"] is True
+
+
+def test_chartable_exits_13_on_orthogonality_residual(monkeypatch):
+    """The documented tolerance is applied: A:5's residuals (about 2.4e-14) reach 1e-30 * |G|."""
+    monkeypatch.setattr(characters, "ORTHOGONALITY_TOL", 1e-30)
+    assert run_cli("chartable", "A:5", "--quiet") == 13
 
 
 def test_zeta_at_zero_is_class_count(tmp_path):
@@ -414,17 +420,20 @@ def test_benchmark_tracer_names_resolve():
 
 
 def test_benchmark_tracer_counters_run(tmp_path):
-    """perfbench/tracer.py, unchanged, runs survey, thompson and mixpair and counts its spans.
+    """perfbench/tracer.py, unchanged, runs survey, thompson and both mixpair methods and counts its spans.
 
-    Its counters read return values (`.tensor.nbytes`, `.modulus_prime`), so it runs in a
-    subprocess: `install` patches module attributes and GroupTable methods process-wide.
+    Its counters read return values (`.tensor.nbytes`, `.modulus_prime`, `.counts`) and call
+    `config.loop_budget()`, so it runs in a subprocess: `install` patches module attributes
+    and GroupTable methods process-wide.
     """
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env.pop("MIXER_LOOP_BUDGET", None)
     jobs = {
         "survey": ["survey", "A:5"],
         "thompson": ["thompson", "A:5"],
         "mixpair": ["mixpair", "A:5", "--x", "1", "--y", "2"],
+        "mixpair_brute": ["mixpair", "A:5", "--x", "1", "--y", "2", "--method", "brute"],
     }
     counts = {}
     for job, argv in jobs.items():
@@ -435,7 +444,7 @@ def test_benchmark_tracer_counters_run(tmp_path):
         )
         assert done.returncode == 0, done.stderr
         for span in json.loads(spans_path.read_text()):
-            if span["name"].startswith("characters."):
+            if span["name"].startswith("characters.") or span["name"] == "mixing.p_brute":
                 counts.setdefault(job, {})[span["name"]] = span["counts"]
     # A:5 has k = 5 classes and Dixon prime 31; only survey builds the 5 x 5 x 5 int64 tensor
     assert counts["survey"] == {
@@ -443,4 +452,9 @@ def test_benchmark_tracer_counters_run(tmp_path):
         "characters.structure_constants": {"bytes": 5**3 * 8},
     }
     assert counts["mixpair"] == {"characters.dixon_character_table": {"prime": 31}}
+    # classes 1 and 2 of A:5 have 20 and 15 elements; the default budget is 10^9
+    assert counts["mixpair_brute"] == {
+        "characters.dixon_character_table": {"prime": 31},
+        "mixing.p_brute": {"pairs": 20 * 15, "budget_share": 20 * 15 / 10**9},
+    }
     assert "thompson" not in counts

@@ -97,6 +97,28 @@ def test_field_for_size_rejects_non_prime_powers():
         field_for_size(12)
 
 
+def _prime_power(q: int):
+    """(p, k) with p^k = q by trial division, or None when q is not a prime power."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
+
+
+def test_field_for_size_matches_trial_division():
+    """Every q <= 4096: GF(p^k) when q = p^k, UnsupportedParameters otherwise (q < 2 included)."""
+    for q in range(-1, 4097):
+        expected = _prime_power(q) if q >= 2 else None
+        if expected is None:
+            with pytest.raises(UnsupportedParameters):
+                field_for_size(q)
+        else:
+            f = field_for_size(q)
+            assert (f.p, f.k, f.q) == (*expected, q), q
+
+
 def test_large_field_without_tables():
     f = Field(ff_make(2, 10))  # q = 1024, above table limit
     for a in [1, 17, 513, 1023]:

@@ -247,19 +247,22 @@ def test_coverage_norm_link(group_cache):
                 assert coverage_norm_link_holds(p_brute(xc, yc, table, classes), classes)
 
 
-def test_loop_budget_guard(group_cache):
+def test_loop_budget_guard(group_cache, monkeypatch):
     table, classes, _, _ = group_cache("A:5")
+    monkeypatch.setenv("MIXER_LOOP_BUDGET", "10")
     with pytest.raises(LoopBudgetExceeded):
-        p_brute(1, 1, table, classes, budget=10)
+        p_brute(1, 1, table, classes)
 
 
-def test_loop_budget_counts_products(group_cache):
+def test_loop_budget_counts_products(group_cache, monkeypatch):
     """p_brute spends |C_x| element products: S:8 classes 14 x 15 fit a budget of |C_14| = 5760, not 5759."""
     table, classes, _, _ = group_cache("S:8")
     assert classes.sizes[14] == 5760
-    assert sum(p_brute(14, 15, table, classes, budget=5760).counts) == 5760 * classes.sizes[15]
+    monkeypatch.setenv("MIXER_LOOP_BUDGET", "5760")
+    assert sum(p_brute(14, 15, table, classes).counts) == 5760 * classes.sizes[15]
+    monkeypatch.setenv("MIXER_LOOP_BUDGET", "5759")
     with pytest.raises(LoopBudgetExceeded):
-        p_brute(14, 15, table, classes, budget=5759)
+        p_brute(14, 15, table, classes)
 
 
 def test_p_brute_loop_path_without_mul_table(group_cache):
@@ -352,7 +355,7 @@ def test_survey_translated_inverse_matches_full_sweep(group_cache):
     for p in rep.pairs:
         assert p.weight == counts[(p.x_class, p.y_class)] / table.order
     rep2 = survey(table, classes, chartable, TranslatedInverse(a))
-    assert rep.to_json() == rep2.to_json()
+    assert rep.to_json_dict() == rep2.to_json_dict()
 
 
 @pytest.mark.parametrize("label", ORACLE_LABELS + ["A:9", "S:9"])
@@ -440,7 +443,7 @@ def test_survey_threshold_ties_count(group_cache):
     for label, exact in (("A:5", Fraction(3521, 3600)), ("PSL2:7", Fraction(28001, 28224))):
         table, classes, _, chartable = group_cache(label)
         rep = survey(table, classes, chartable, Independent(), thresholds=(2.0,))
-        assert rep.threshold_prob(2.0) == pytest.approx(float(exact), abs=1e-12), label
+        assert dict(rep.thresholds)[2.0] == pytest.approx(float(exact), abs=1e-12), label
 
 
 def test_survey_rejects_nan_threshold(group_cache):
