@@ -17,12 +17,11 @@ import numpy as np
 
 from .errors import EigensplitFailure, InvariantViolation, NoSuitablePrime, SpecSyntax, UnsupportedParameters
 from .fields import is_prime, prime_factors
-from .groups import ClassData, GroupTable
+from .groups import ROW_CHUNK, ClassData, GroupTable
 
 PRIME_SEARCH_BOUND = 2**31
 ORTHOGONALITY_TOL = 1e-8
 IMAG_TOL = 1e-8  # largest imaginary part of a class-product probability
-ROW_CHUNK = 1 << 18  # class-matrix row products held in memory at once
 ROOT_CHUNK = 1 << 16  # residues evaluated at once by the root search (cache-sized)
 
 

@@ -163,13 +163,16 @@ def _first_drift(old, new, path="$"):
     return None
 
 
-def _build_all(args):
+def _build_table(args):
     spec = GroupSpec.parse(args.group)
     if args.max_order is not None:
         spec = dataclasses.replace(spec, max_order=args.max_order)
-    table = group_build(spec)
-    classes = conj_classes(table)
-    return table, classes
+    return group_build(spec)
+
+
+def _build_all(args):
+    table = _build_table(args)
+    return table, conj_classes(table)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +266,7 @@ def _cmd_thompson(args) -> int:
 def _cmd_interleave(args) -> int:
     if args.mc is not None and args.mc < MIN_MC_SAMPLES:  # before the group is built or any tuple set drawn
         raise SpecSyntax(f"--mc must be at least {MIN_MC_SAMPLES}, got {args.mc}")
-    table, _ = _build_all(args)
+    table = _build_table(args)
     table.full_mul_table()  # exits 4 above MUL_TABLE_LIMIT before any tuple set is drawn
     if args.alpha == 1.0:
         a_set = full_tuple_set(table, args.t)
@@ -300,7 +303,7 @@ def _family_base(table) -> tuple[str, float]:
 
 
 def _cmd_advantage(args) -> int:
-    table, _ = _build_all(args)
+    table = _build_table(args)
     protocol = load_protocol(args.protocol, table)
     g = _parse_element(table, args.g)
     h = _parse_element(table, args.h)

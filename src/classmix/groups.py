@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -24,6 +24,7 @@ from .fields import Field, field_for_size
 MAX_PERM_DEGREE = 12
 MAX_MATRIX_Q = 55_108  # largest q with q^4 < 2^63, so a matrix's rank code fits int64
 MUL_TABLE_LIMIT = 4096  # largest order given a dense multiplication table
+ROW_CHUNK = 1 << 16  # element products held in memory at once by a whole-group sweep
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +105,17 @@ def _codes(rows: np.ndarray, base: int) -> np.ndarray:
     """
     codes = np.zeros(rows.shape[:-1], dtype=np.int64)
     for i in range(rows.shape[-1]):
-        codes = codes * base + rows[..., i]
+        codes *= base
+        codes += rows[..., i]
     return codes
 
 
 def _decode(codes: np.ndarray, engine) -> np.ndarray:
     rows = np.empty((len(codes), len(engine.identity)), dtype=engine.dtype)
-    for i in reversed(range(rows.shape[1])):
-        codes, rows[:, i] = np.divmod(codes, engine.base)
+    for lo in range(0, len(codes), ROW_CHUNK):
+        rest = codes[lo : lo + ROW_CHUNK].copy()
+        for i in reversed(range(rows.shape[1])):
+            np.divmod(rest, engine.base, out=(rest, rows[lo : lo + ROW_CHUNK, i]), casting="unsafe")
     return rows
 
 
@@ -318,12 +322,22 @@ class GroupTable:
     @cached_property
     def inverses(self) -> np.ndarray:
         """Array with inverses[g] = index(g^-1)."""
-        return self.lookup(self.engine.inv(self.rows))
+        return self._sweep(self.engine.inv)
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
-        """Indices of rows of group elements (any leading shape)."""
+        """Indices of rows of group elements (any leading shape; one row gives a 0-d index)."""
         codes = _codes(rows, self.engine.base)
-        return np.where(codes == self.codes[0], 0, np.searchsorted(self.codes[1:], codes) + 1)
+        idx = np.searchsorted(self.codes[1:], codes)
+        idx += 1
+        idx *= codes != self.codes[0]  # the identity, pinned to index 0
+        return idx
+
+    def _sweep(self, image) -> np.ndarray:
+        """int32 r with r[g] = index(image(rows)[g]), image applied to ROW_CHUNK rows at a time."""
+        out = np.empty(self.order, dtype=np.int32)
+        for lo in range(0, self.order, ROW_CHUNK):
+            out[lo : lo + ROW_CHUNK] = self.lookup(image(self.rows[lo : lo + ROW_CHUNK]))
+        return out
 
     # -- element-level ops ---------------------------------------------------
 
@@ -363,12 +377,12 @@ class GroupTable:
 
     def right_mul_indices(self, g: int) -> np.ndarray:
         """Array r with r[h] = index(h * g) for every element h."""
-        return self.lookup(self.engine.mul(self.rows, self.rows[[g]]))
+        return self._sweep(lambda rows: self.engine.mul(rows, self.rows[[g]]))
 
     def conjugation_permutation(self, h: int) -> np.ndarray:
         """Array c with c[g] = index(h g h^-1)."""
-        left = self.engine.mul(self.rows[[h]], self.rows)
-        return self.lookup(self.engine.mul(left, self.engine.inv(self.rows[[h]])))
+        mul, h_row, h_inv = self.engine.mul, self.rows[[h]], self.engine.inv(self.rows[[h]])
+        return self._sweep(lambda rows: mul(mul(h_row, rows), h_inv))
 
     def full_mul_table(self) -> np.ndarray:
         """Dense index multiplication table, for groups of order at most MUL_TABLE_LIMIT."""
@@ -391,7 +405,7 @@ def group_build(spec: GroupSpec) -> GroupTable:
     Raises CapExceeded when the (predicted or discovered) order exceeds the
     cap.  A generator set producing the trivial group is allowed and flagged.
     """
-    cap = config.max_order(spec.max_order)
+    cap = min(config.max_order(spec.max_order), np.iinfo(np.int32).max)  # element indices are int32
     predicted = spec.predicted_order()
     if predicted is not None and predicted > cap:
         raise CapExceeded(f"{spec.label} has order {predicted}, above the cap {cap}")
@@ -400,21 +414,26 @@ def group_build(spec: GroupSpec) -> GroupTable:
     identity = _codes(engine.identity, engine.base)
     seen = identity[None]  # sorted codes of every element found so far
     frontier = engine.identity[None]
+    per = max(1, ROW_CHUNK // len(generators))
     while len(frontier):
-        products = engine.mul(frontier[:, None], generators[None]).reshape(-1, frontier.shape[1])
-        codes, first = np.unique(_codes(products, engine.base), return_index=True)
-        known = seen[np.minimum(np.searchsorted(seen, codes), len(seen) - 1)] == codes
-        seen = np.sort(np.concatenate([seen, codes[~known]]), kind="stable")  # merges two sorted runs
+        products = (engine.mul(frontier[lo : lo + per, None], generators[None]) for lo in range(0, len(frontier), per))
+        codes = np.concatenate([_codes(block, engine.base).ravel() for block in products])
+        codes.sort()
+        fresh = np.r_[True, codes[1:] != codes[:-1]]  # the first of each run of equal codes
+        new = codes[fresh & (seen[np.minimum(np.searchsorted(seen, codes), len(seen) - 1)] != codes)]
+        seen = np.concatenate([seen, new])
+        seen.sort(kind="stable")  # merges two sorted runs
         if len(seen) > cap:
             raise CapExceeded(f"{spec.label} enumeration passed the cap {cap}")
-        frontier = products[first[~known]]
+        frontier = _decode(new, engine)
 
-    codes = np.concatenate([identity[None], seen[seen != identity]])
-    if predicted is not None and len(codes) != predicted:
+    if predicted is not None and len(seen) != predicted:
         raise UnsupportedParameters(
-            f"{spec.label}: enumerated order {len(codes)} != predicted {predicted}"
+            f"{spec.label}: enumerated order {len(seen)} != predicted {predicted}"
         )
-    return GroupTable(spec, engine, codes, generators)
+    at = int(np.searchsorted(seen, identity)) + 1
+    seen[:at] = np.roll(seen[:at], 1)  # pins the identity to index 0
+    return GroupTable(spec, engine, seen, generators)
 
 
 def _make_engine(spec: GroupSpec):
@@ -520,7 +539,6 @@ class ClassData:
     orders: tuple[int, ...]  # order of each class representative
     exponent: int
     power_map: np.ndarray  # (exponent + 1, k); row m = class of rep^m
-    _members: dict = dc_field(default_factory=dict, repr=False)
 
     @property
     def k(self) -> int:
@@ -531,9 +549,7 @@ class ClassData:
         return int(sum(self.sizes))
 
     def members(self, c: int) -> np.ndarray:
-        if c not in self._members:
-            self._members[c] = np.nonzero(self.class_of == c)[0]
-        return self._members[c]
+        return np.flatnonzero(self.class_of == c)
 
 
 def conj_classes(table: GroupTable) -> ClassData:
@@ -546,15 +562,17 @@ def conj_classes(table: GroupTable) -> ClassData:
     representative, and classes are numbered by it (identity class first).
     """
     conj_perms = [table.conjugation_permutation(h) for h in table.generator_indices]
-    labels = np.arange(table.order)
+    labels = np.arange(table.order, dtype=np.int32)
     while True:
-        prev = labels
+        prev = labels.copy()
         for perm in conj_perms:
-            labels = np.minimum(labels, labels[perm])
+            np.minimum(labels, labels[perm], out=labels)
         labels = labels[labels]
         if np.array_equal(labels, prev):
             break
-    reps, class_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    del conj_perms, prev  # freed before the class numbering allocates its intp arrays
+    is_rep = labels == np.arange(table.order, dtype=np.int32)  # exactly the orbit minima
+    reps, class_of = np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[labels]
     k = len(reps)
     # powers[m, j] = index of reps[j]^m, up to the largest representative order
     rep_rows = table.rows[reps]
@@ -572,7 +590,7 @@ def conj_classes(table: GroupTable) -> ClassData:
     inverse_class = tuple(class_of[table.lookup(table.engine.inv(rep_rows))].tolist())
     return ClassData(
         reps=tuple(reps.tolist()),
-        sizes=tuple(sizes.tolist()),
+        sizes=tuple(np.bincount(class_of).tolist()),
         class_of=class_of,
         inverse_class=inverse_class,
         orders=tuple(orders.tolist()),

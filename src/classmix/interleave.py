@@ -31,7 +31,7 @@ from .errors import (
     parse_int,
     read_input_text,
 )
-from .groups import GroupTable
+from .groups import ROW_CHUNK, GroupTable
 
 MAX_MATERIALIZED = 64_000_000  # tuples of G^t or sampled tuple entries kept in memory
 CHUNK = 1 << 20  # products per chunk of the exact fold; tuple codes per chunk of a decode
@@ -79,8 +79,7 @@ def decode_tuples(codes: np.ndarray, arity: int, order: int) -> np.ndarray:
     rem = np.asarray(codes).astype(np.min_scalar_type(order**arity))  # holds every code and the base
     out = np.empty((len(rem), arity), dtype=np.min_scalar_type(order - 1))
     for i in range(arity):
-        out[:, i] = rem % order
-        rem //= order
+        np.divmod(rem, order, out=(rem, out[:, i]), casting="unsafe")
     return out
 
 
@@ -347,8 +346,10 @@ def enumerate_fiber(table: GroupTable, g: int, arity: int):
 def _complete_fiber(table: GroupTable, a_rows: np.ndarray, b_rows: np.ndarray, g: int):
     """Fill b_t with the unique completion: prefix = a1 b1 ... b_{t-1} a_t, b_t = prefix^-1 g."""
     mul = table.full_mul_table()
-    prefix = _chain(mul, _interleave(a_rows.T, b_rows.T)[:-1])
-    b_rows[:, -1] = _chain(mul, [table.inverses[prefix], g])
+    for lo in range(0, len(a_rows), ROW_CHUNK):  # O(ROW_CHUNK) intp temporaries
+        a, b = a_rows[lo : lo + ROW_CHUNK], b_rows[lo : lo + ROW_CHUNK]
+        prefix = _chain(mul, _interleave(a.T, b.T)[:-1])
+        b[:, -1] = _chain(mul, [table.inverses[prefix], g])
 
 
 # ---------------------------------------------------------------------------
@@ -375,29 +376,19 @@ class RectangleProtocol:
 
     def evaluate_codes(self, a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
         """Vectorized evaluation, one membership test per code; raises on the first bad pair."""
-        bits = np.full(len(a_codes), -1, dtype=np.int64)
-        covered = np.zeros(len(a_codes), dtype=np.int64)
+        bits = np.full(len(a_codes), -1, dtype=np.int8)  # -1 until a rectangle covers the pair
+        twice = np.zeros(len(a_codes), dtype=bool)
         for rect in self.rectangles:
             mask = rect.a_set.mask.take(a_codes) & rect.b_set.mask.take(b_codes)
-            covered += mask
+            twice |= mask & (bits >= 0)
             bits[mask] = rect.bit
-        if (covered > 1).any():
-            i = int(np.argmax(covered > 1))
+        if twice.any():
+            i = int(np.argmax(twice))
             raise OverlappingRectangles(f"pair (a={int(a_codes[i])}, b={int(b_codes[i])}) multiply covered")
-        if (covered == 0).any():
-            i = int(np.argmax(covered == 0))
+        if (bits < 0).any():
+            i = int(np.argmax(bits < 0))
             raise UncoveredProbe(f"pair (a={int(a_codes[i])}, b={int(b_codes[i])}) not covered")
         return bits
-
-    def validate_exact(self, table: GroupTable):
-        """Full disjointness/coverage check over G^t x G^t; tiny cases only."""
-        t = self.rectangles[0].a_set.arity
-        total = table.order**t
-        if total * total > config.loop_budget():
-            raise LoopBudgetExceeded("exact protocol validation exceeds the loop budget")
-        a_codes = np.repeat(np.arange(total, dtype=np.int64), total)
-        b_codes = np.tile(np.arange(total, dtype=np.int64), total)
-        self.evaluate_codes(a_codes, b_codes)
 
 
 @dataclass(frozen=True)
@@ -429,13 +420,7 @@ def advantage(
         raise LoopBudgetExceeded(
             f"{samples} samples of arity {arity} exceed the {MAX_MATERIALIZED} materialized tuple entries"
         )
-    estimates = []
-    for target in (g, h):
-        a_rows, b_rows = fiber_sample(table, target, arity, stream, draws=samples)
-        codes = encode_tuples(a_rows, table.order), encode_tuples(b_rows, table.order)
-        del a_rows, b_rows  # only the codes stay alive while the protocol is evaluated
-        estimates.append(float(protocol.evaluate_codes(*codes).mean()))
-    p_g, p_h = estimates
+    p_g, p_h = (_acceptance(protocol, table, target, arity, stream, samples) for target in (g, h))
     se = math.sqrt((p_g * (1 - p_g) + p_h * (1 - p_h)) / samples)
     return AdvantageReport(
         p_g=p_g,
@@ -445,6 +430,14 @@ def advantage(
         bit_budget=protocol.bit_budget,
         samples=samples,
     )
+
+
+def _acceptance(protocol: RectangleProtocol, table: GroupTable, g: int, arity: int, stream, samples: int) -> float:
+    """Share of `samples` fiber draws for g that the protocol accepts; the int64 a rows go once encoded."""
+    a_rows, b_rows = fiber_sample(table, g, arity, stream, draws=samples)
+    a_codes = encode_tuples(a_rows, table.order)
+    del a_rows
+    return float(protocol.evaluate_codes(a_codes, encode_tuples(b_rows, table.order)).mean())
 
 
 def exact_conditional_acceptance(protocol: RectangleProtocol, table: GroupTable, g: int) -> Fraction:

@@ -352,23 +352,3 @@ def char_bound_fraction(
         )
     return CharBoundReport(fraction=float(fraction), lower_bound=bound, s=s, binding=binding)
 
-
-# ---------------------------------------------------------------------------
-# exact coverage/norm link, used by tests and reports
-
-
-def coverage_norm_link_holds(dist: PairDistribution, classes: ClassData) -> bool:
-    """Exact check of: coverage fraction 1 - delta implies N >= 1/(1 - delta).
-
-    Both sides are rationals, from the exact pair counts.
-    """
-    sizes = classes.sizes
-    total_pairs = sum(dist.counts)
-    support = sum(s for s, c in zip(sizes, dist.counts) if c > 0)
-    # N = |G| * sum_k |C_k| p_k^2 with p_k = counts_k / (pairs * |C_k|)
-    n_exact = (
-        Fraction(dist.order)
-        * sum(Fraction(c * c, s) for c, s in zip(dist.counts, sizes))
-        / (Fraction(total_pairs) ** 2)
-    )
-    return n_exact >= Fraction(dist.order, support)

@@ -9,7 +9,10 @@ whole-group sweep per class for the structure constants and one for the
 translated-inverse coupling) that the
 production kernels must match count for count, and a Dixon character table
 split with list-of-lists algebra mod P from the whole tensor, whose values
-the production table must match bit for bit.
+the production table must match bit for bit.  The class numbering by
+np.unique must match conj_classes byte for byte.  Two exact checks that
+only tests call live here as well: the coverage/norm link of a pair
+distribution and the validation of a protocol on every pair of G^t x G^t.
 """
 
 from __future__ import annotations
@@ -299,6 +302,65 @@ def translated_inverse_counts(table, classes, a):
     k = classes.k
     partner = table.mul_indices(table.inverses, [a])
     return np.bincount(classes.class_of * k + classes.class_of[partner], minlength=k * k).reshape(k, k)
+
+
+def coverage_norm_link_holds(dist, classes) -> bool:
+    """Exact check of: coverage fraction 1 - delta implies N >= 1/(1 - delta).
+
+    Both sides are rationals, from the exact pair counts.
+    """
+    sizes = classes.sizes
+    total_pairs = sum(dist.counts)
+    support = sum(s for s, c in zip(sizes, dist.counts) if c > 0)
+    # N = |G| * sum_k |C_k| p_k^2 with p_k = counts_k / (pairs * |C_k|)
+    n_exact = (
+        Fraction(dist.order)
+        * sum(Fraction(c * c, s) for c, s in zip(dist.counts, sizes))
+        / (Fraction(total_pairs) ** 2)
+    )
+    return n_exact >= Fraction(dist.order, support)
+
+
+def validate_protocol_exact(protocol, table):
+    """Evaluate the protocol on every pair of G^t x G^t; it raises unless its rectangles partition them."""
+    total = table.order ** protocol.rectangles[0].a_set.arity
+    codes = np.arange(total, dtype=np.int64)
+    protocol.evaluate_codes(np.repeat(codes, total), np.tile(codes, total))
+
+
+def unique_labelling_classes(table):
+    """(reps, sizes, class_of, inverse_class, power_map) of conj_classes, labelled by np.unique.
+
+    The same min-label fixpoint as conj_classes, over whole-group conjugation
+    permutations (int64, no blocks), numbered by np.unique's sort; the power maps
+    and inverse classes follow from the representatives' rows.
+    """
+    everything = np.arange(table.order)
+    gens = table.generator_indices
+    perms = [table.mul_indices(table.mul_indices([h], everything), [table.inv_index(h)]) for h in gens]
+    labels = everything
+    while True:
+        prev = labels
+        for perm in perms:
+            labels = np.minimum(labels, labels[perm])
+        labels = labels[labels]
+        if np.array_equal(labels, prev):
+            break
+    reps, class_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    k = len(reps)
+    rep_rows = table.rows[reps]
+    powers = [np.zeros(k, dtype=np.int64)]
+    orders = np.zeros(k, dtype=np.int64)
+    cur = rep_rows
+    while not orders.all():
+        idx = table.lookup(cur)
+        orders[(idx == 0) & (orders == 0)] = len(powers)
+        powers.append(idx)
+        cur = table.engine.mul(cur, rep_rows)
+    m = np.arange(math.lcm(*orders.tolist()) + 1)[:, None]
+    power_map = class_of[np.array(powers)[m % orders, np.arange(k)]]
+    inverse_class = tuple(class_of[table.lookup(table.engine.inv(rep_rows))].tolist())
+    return tuple(reps.tolist()), tuple(sizes.tolist()), class_of, inverse_class, power_map
 
 
 # -- Dixon character table from whole class matrices, lists of Python ints mod P

@@ -46,7 +46,7 @@ from classmix.mixing import (
 )
 from classmix.rng import make_stream
 
-from _oracles import interleave_product
+from _oracles import interleave_product, validate_protocol_exact
 
 TEST_GROUPS = ["A:5", "A:6", "A:7", "S:4", "PSL2:7", "PSL2:11", "PSL2:13"]
 ORACLE_GROUPS = ["A:5", "S:4", "S:3", "PSL2:7"]
@@ -294,7 +294,7 @@ def test_criterion_12_advantage_experiment(group_cache):
         protocols.append(proto)
 
     proto = _half_split_protocol(table)
-    proto.validate_exact(table)
+    validate_protocol_exact(proto, table)
     protocols.append(proto)
     g, h = 1, 2
     exact_g = float(exact_conditional_acceptance(proto, table, g))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from classmix.errors import CapExceeded, MixedGroups, SpecSyntax, UnsupportedParameters
+from classmix.characters import dixon_character_table
 from classmix.groups import (
+    ROW_CHUNK,
     GroupSpec,
     conj_classes,
     group_build,
@@ -13,14 +15,17 @@ from classmix.groups import (
 from classmix.rng import make_stream
 
 from _oracles import (
+    ORACLE_LABELS,
     alt_elements,
     brute_conjugacy_classes,
     mat_inv,
     mat_mul,
+    oracle_spec,
     partition_class_count_alt,
     perm_mul,
     psl2_lift,
     sl2_elements,
+    unique_labelling_classes,
 )
 
 
@@ -221,21 +226,66 @@ def test_conjugation_invariance(group_cache):
         assert classes.class_of[conj] == classes.class_of[int(g)]
 
 
-def test_conjugation_permutation_memory(group_cache):
-    """S:9 conjugation indexes the uint8 rows directly: 20 MB peak, where an intp copy of the rows took 29 MB.
-
-    The result is |G| int64 indices (2.9 MB); tracemalloc counts numpy's data buffers exactly.
-    """
-    table, _, _, _ = group_cache("S:9")
-    expected = np.array([table.mul_index(table.mul_index(1, g), table.inv_index(1)) for g in range(0, table.order, 997)])
+def _traced_peak(fn):
+    """(fn(), peak bytes traced while it ran); tracemalloc counts numpy's data buffers exactly."""
     tracemalloc.start()
     try:
-        perm = table.conjugation_permutation(1)
+        out = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def test_conjugation_permutation_memory(group_cache):
+    """S:9 conjugation holds its int32 result (1.5 MB) and one block of rows.
+
+    The traced peak is 3.1 MB, against 14.9 MB when the whole group went through at once.
+    """
+    table, _, _, _ = group_cache("S:9")
+    expected = np.array([table.mul_index(table.mul_index(1, g), table.inv_index(1)) for g in range(0, table.order, 997)])
+    perm, peak = _traced_peak(lambda: table.conjugation_permutation(1))
     assert np.array_equal(perm[::997], expected)
-    assert peak < 20 << 20
+    assert peak < 4 * table.order + 40 * ROW_CHUNK
+
+
+def test_stage_memory_s9():
+    """Each S:9 stage holds what it keeps plus O(ROW_CHUNK) of transients (peaks 6.9, 8.7 and 1.4 MB).
+
+    group_build keeps 17 bytes per element (codes and uint8 rows); conj_classes
+    keeps an intp class map while int32 labels, two int32 conjugation
+    permutations and the class numbering pass through; Dixon keeps nothing of
+    size |G|.  Unblocked sweeps and np.unique peaked at 17.0 and 25.3 MB.
+    """
+    table, build_peak = _traced_peak(lambda: group_build(GroupSpec.sym(9)))
+    classes, classes_peak = _traced_peak(lambda: conj_classes(table))
+    _, dixon_peak = _traced_peak(lambda: dixon_character_table(table, classes))
+    n = table.order
+    assert build_peak < 18 * n + 32 * ROW_CHUNK
+    assert classes_peak < 26 * n + 32 * ROW_CHUNK
+    assert dixon_peak < 4 * n + 48 * ROW_CHUNK
+
+
+@pytest.mark.parametrize("label", ["A:5", "PSL2:7"])
+def test_lookup_of_one_row(label):
+    """One 1-D row looks up to a 0-d index, which index_of turns into an int."""
+    table = group_build(GroupSpec.parse(label))
+    for i in (0, 1, table.order - 1):
+        assert np.ndim(table.lookup(table.rows[i])) == 0
+        assert int(table.lookup(table.rows[i])) == i
+        assert table.index_of(table.elements[i]) == i
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS + ["A:9", "S:9", "PSL2:27", "PSL2:31", "SL2:16"])
+def test_class_labelling_matches_unique(label, tmp_path):
+    """The sort-free class numbering gives the np.unique labelling's bytes, dtype included."""
+    table = group_build(oracle_spec(label, tmp_path))
+    classes = conj_classes(table)
+    got = (classes.reps, classes.sizes, classes.class_of, classes.inverse_class, classes.power_map)
+    names = ("reps", "sizes", "class_of", "inverse_class", "power_map")
+    for name, a, b in zip(names, got, unique_labelling_classes(table)):
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 def test_power_map_coherence(group_cache):

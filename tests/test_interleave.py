@@ -35,7 +35,7 @@ from classmix.interleave import (
 )
 from classmix.rng import make_stream
 
-from _oracles import decode_fold_mc_counts, fold_exact_counts, interleave_product
+from _oracles import decode_fold_mc_counts, fold_exact_counts, interleave_product, validate_protocol_exact
 
 
 @pytest.fixture(scope="module")
@@ -406,7 +406,7 @@ def test_constant_protocol_zero_advantage(s3):
 
 def test_two_rectangle_protocol_matches_exact(s3):
     proto = _half_split_protocol(s3)
-    proto.validate_exact(s3)
+    validate_protocol_exact(proto, s3)
     g, h = 1, 2
     exact_g = float(exact_conditional_acceptance(proto, s3, g))
     exact_h = float(exact_conditional_acceptance(proto, s3, h))

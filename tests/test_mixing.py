@@ -15,7 +15,6 @@ from classmix.mixing import (
     TranslatedInverse,
     char_bound_fraction,
     coverage,
-    coverage_norm_link_holds,
     dist_to_uniform,
     l2_sq,
     l2_sq_char,
@@ -31,6 +30,7 @@ from _oracles import (
     alt_elements,
     brute_conjugacy_classes,
     brute_pair_distribution,
+    coverage_norm_link_holds,
     full_sweep_structure_constants,
     oracle_spec,
     sym_elements,
