@@ -1,99 +1,3 @@
 """Explicit finite groups, character tables, and class-product mixing experiments."""
 
-from .characters import (
-    CharacterTable,
-    ClassRows,
-    StructureConstants,
-    dixon_character_table,
-    structure_constants,
-    verify_orthogonality,
-    witten_zeta,
-    zeta_trend,
-)
-from .fields import Field, FieldSpec, ff_make, field, field_for_size
-from .groups import (
-    ClassData,
-    GroupSpec,
-    GroupTable,
-    conj_classes,
-    group_build,
-)
-from .interleave import (
-    InterleaveEstimate,
-    Rectangle,
-    RectangleProtocol,
-    TupleSet,
-    advantage,
-    deviation_report,
-    exact_distribution,
-    fiber_sample,
-    mc_distribution,
-    seeded_tuple_set,
-)
-from .mixing import (
-    BijectionCoupling,
-    Diagonal,
-    Independent,
-    PairDistribution,
-    SurveyReport,
-    TranslatedInverse,
-    char_bound_fraction,
-    coverage,
-    dist_to_uniform,
-    l2_sq,
-    l2_sq_char,
-    p_brute,
-    p_char,
-    survey,
-    thompson_search,
-)
-from .rng import make_stream
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CharacterTable",
-    "ClassRows",
-    "StructureConstants",
-    "dixon_character_table",
-    "structure_constants",
-    "verify_orthogonality",
-    "witten_zeta",
-    "zeta_trend",
-    "Field",
-    "FieldSpec",
-    "ff_make",
-    "field",
-    "field_for_size",
-    "ClassData",
-    "GroupSpec",
-    "GroupTable",
-    "conj_classes",
-    "group_build",
-    "InterleaveEstimate",
-    "Rectangle",
-    "RectangleProtocol",
-    "TupleSet",
-    "advantage",
-    "deviation_report",
-    "exact_distribution",
-    "fiber_sample",
-    "mc_distribution",
-    "seeded_tuple_set",
-    "BijectionCoupling",
-    "Diagonal",
-    "Independent",
-    "PairDistribution",
-    "SurveyReport",
-    "TranslatedInverse",
-    "char_bound_fraction",
-    "coverage",
-    "dist_to_uniform",
-    "l2_sq",
-    "l2_sq_char",
-    "p_brute",
-    "p_char",
-    "survey",
-    "thompson_search",
-    "make_stream",
-]

@@ -9,7 +9,6 @@ identical configs produce identical bytes.  Timestamps go to a separate
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import resource
@@ -164,10 +163,7 @@ def _first_drift(old, new, path="$"):
 
 
 def _build_table(args):
-    spec = GroupSpec.parse(args.group)
-    if args.max_order is not None:
-        spec = dataclasses.replace(spec, max_order=args.max_order)
-    return group_build(spec)
+    return group_build(GroupSpec.parse(args.group), args.max_order)
 
 
 def _build_all(args):
@@ -283,9 +279,9 @@ def _cmd_interleave(args) -> int:
     meta = {"mode": est.mode, "kernel_s": seconds, "total_per_s": est.total / seconds, **est.work}
     meta["tuple_set_bytes"] = a_set.mask.nbytes + b_set.mask.nbytes
     meta["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # Linux reports KiB
-    family, base = _family_base(table)
+    spec = table.spec
     rep = deviation_report(
-        est, float(a_set.density), float(b_set.density), family=family, base=base, arity=args.t
+        est, float(a_set.density), float(b_set.density), family=spec.kind, base=float(spec.base), arity=args.t
     )
     payload = est.to_json_dict(table)
     payload["deviation"] = rep.to_json_dict()
@@ -293,13 +289,6 @@ def _cmd_interleave(args) -> int:
     payload["beta"] = float(b_set.density)
     payload["t"] = args.t
     return _emit(args, payload, meta=meta)
-
-
-def _family_base(table) -> tuple[str, float]:
-    spec = table.spec
-    if spec.kind in ("alt", "sym", "permgen"):
-        return spec.kind, float(spec.n)
-    return spec.kind, float(spec.q)
 
 
 def _cmd_advantage(args) -> int:

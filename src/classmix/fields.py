@@ -8,7 +8,6 @@ length k + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -43,19 +42,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """Description of GF(p^k): characteristic, degree, and modulus polynomial."""
-
-    p: int
-    k: int
-    modulus: tuple[int, ...]  # little-endian, length k+1, monic
-
-    @property
-    def q(self) -> int:
-        return self.p**self.k
 
 
 # -- polynomial helpers over GF(p), little-endian coefficient tuples ---------
@@ -164,26 +150,6 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def ff_make(p: int, k: int) -> FieldSpec:
-    """Build the field spec for GF(p^k) with a deterministic modulus.
-
-    The modulus is the first irreducible monic polynomial x^k + c_{k-1}x^{k-1}
-    + ... + c_0 in ascending order of the integer encoding of (c_0, ..., c_{k-1})
-    base p.  Reproducible by construction.
-    """
-    if k < 1:
-        raise UnsupportedParameters(f"extension degree must be >= 1, got {k}")
-    if not is_prime(p):
-        raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
-    if p**k > MAX_FIELD_SIZE:
-        raise UnsupportedParameters(f"field size {p}^{k} exceeds {MAX_FIELD_SIZE}")
-    for m in range(p**k):
-        coeffs = _digits(m, p, k) + [1]
-        if is_irreducible(coeffs, p):
-            return FieldSpec(p=p, k=k, modulus=tuple(coeffs))
-    raise NoIrreducibleFound(f"no irreducible monic polynomial of degree {k} over GF({p})")
-
-
 def _digits(m: int, p: int, k: int) -> list[int]:
     out = []
     for _ in range(k):
@@ -193,7 +159,7 @@ def _digits(m: int, p: int, k: int) -> list[int]:
 
 
 class Field:
-    """Vectorized arithmetic for a FieldSpec; elements are ints in [0, q).
+    """Vectorized arithmetic in GF(p^k) modulo `modulus`; elements are ints in [0, q).
 
     Every operation takes ints or integer numpy arrays and broadcasts.  Addition
     and negation work digit by digit in base p.  Multiplication and inversion
@@ -201,11 +167,11 @@ class Field:
     and are built on first use, so constructing a large field stays cheap.
     """
 
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.p = spec.p
-        self.k = spec.k
-        self.q = spec.q
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        self.p = p
+        self.k = k
+        self.q = p**k
+        self.modulus = modulus  # little-endian, length k+1, monic
         self._place = [self.p**i for i in range(self.k)]
 
     def _digit_array(self, a: np.ndarray) -> np.ndarray:
@@ -218,7 +184,7 @@ class Field:
         for _ in range(1, self.k):
             v = rows[-1]
             top = v[-1]
-            rows.append([(s - top * m) % self.p for s, m in zip([0] + v[:-1], self.spec.modulus)])
+            rows.append([(s - top * m) % self.p for s, m in zip([0] + v[:-1], self.modulus)])
         # entries stay below k * p^2 < 2^53, so float64 matrix products are exact
         prod = self._digit_array(a).astype(np.float64) @ np.asarray(rows, dtype=np.float64)
         return (prod.astype(np.int64) % self.p) @ np.asarray(self._place, dtype=np.int64)
@@ -277,7 +243,23 @@ class Field:
 
 @lru_cache(maxsize=None)
 def field(p: int, k: int) -> Field:
-    return Field(ff_make(p, k))
+    """GF(p^k) with a deterministic modulus.
+
+    The modulus is the first irreducible monic polynomial x^k + c_{k-1}x^{k-1}
+    + ... + c_0 in ascending order of the integer encoding of (c_0, ..., c_{k-1})
+    base p.  Reproducible by construction.
+    """
+    if k < 1:
+        raise UnsupportedParameters(f"extension degree must be >= 1, got {k}")
+    if not is_prime(p):
+        raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
+    if p**k > MAX_FIELD_SIZE:
+        raise UnsupportedParameters(f"field size {p}^{k} exceeds {MAX_FIELD_SIZE}")
+    for m in range(p**k):
+        coeffs = _digits(m, p, k) + [1]
+        if is_irreducible(coeffs, p):
+            return Field(p, k, tuple(coeffs))
+    raise NoIrreducibleFound(f"no irreducible monic polynomial of degree {k} over GF({p})")
 
 
 def field_for_size(q: int) -> Field:

@@ -125,30 +125,18 @@ def _decode(codes: np.ndarray, engine) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Which group to build and under what enumeration cap."""
+    """A group to build: its family, base, generators, label and known order.
+
+    `base` is the engine's base: the degree n for alt/sym/permgen, the field
+    size q for sl2/psl2/matgen.  `generators` are point images (n entries) or
+    row-major matrix entries (four).  `order` is None for generator files.
+    """
 
     kind: str  # alt | sym | sl2 | psl2 | permgen | matgen
-    n: int | None = None
-    q: int | None = None
-    perm_generators: tuple[tuple[int, ...], ...] | None = None
-    mat_generators: tuple[tuple[int, int, int, int], ...] | None = None
-    max_order: int | None = None
-    label: str = ""
-
-    def __post_init__(self):
-        if not self.label:
-            object.__setattr__(self, "label", self._default_label())
-
-    def _default_label(self) -> str:
-        if self.kind == "alt":
-            return f"A:{self.n}"
-        if self.kind == "sym":
-            return f"S:{self.n}"
-        if self.kind == "sl2":
-            return f"SL2:{self.q}"
-        if self.kind == "psl2":
-            return f"PSL2:{self.q}"
-        return self.kind
+    base: int
+    generators: tuple[tuple[int, ...], ...]
+    label: str
+    order: int | None = None
 
     @staticmethod
     def parse(text: str) -> "GroupSpec":
@@ -167,29 +155,34 @@ class GroupSpec:
         raise SpecSyntax(f"unknown group kind {head!r} in {text!r}")
 
     @staticmethod
-    def alt(n: int, max_order: int | None = None) -> "GroupSpec":
+    def alt(n: int) -> "GroupSpec":
+        """A 3-cycle and the long cycle: of all n points for odd n, of 1..n-1 for even n."""
         _check_degree(n)
-        return GroupSpec(kind="alt", n=n, max_order=max_order)
+        gens = (_cycle_to_image([(0, 1, 2)], n), _cycle_to_image([tuple(range(1 - n % 2, n))], n))
+        return GroupSpec("alt", n, gens, f"A:{n}", math.factorial(n) // 2)
 
     @staticmethod
-    def sym(n: int, max_order: int | None = None) -> "GroupSpec":
+    def sym(n: int) -> "GroupSpec":
+        """A transposition and the n-cycle."""
         _check_degree(n)
-        return GroupSpec(kind="sym", n=n, max_order=max_order)
+        gens = (_cycle_to_image([(0, 1)], n), _cycle_to_image([tuple(range(n))], n))
+        return GroupSpec("sym", n, gens, f"S:{n}", math.factorial(n))
 
     @staticmethod
-    def sl2(q: int, max_order: int | None = None) -> "GroupSpec":
-        _check_field_size(q)
-        return GroupSpec(kind="sl2", q=q, max_order=max_order)
+    def sl2(q: int) -> "GroupSpec":
+        """Upper transvections for an additive basis of GF(q), then the Weyl element."""
+        gf = _check_field_size(q)
+        gens = tuple((1, gf.p**i, 0, 1) for i in range(gf.k)) + ((0, 1, int(gf.neg(1)), 0),)
+        return GroupSpec("sl2", q, gens, f"SL2:{q}", q * (q**2 - 1))
 
     @staticmethod
-    def psl2(q: int, max_order: int | None = None) -> "GroupSpec":
-        _check_field_size(q)
-        return GroupSpec(kind="psl2", q=q, max_order=max_order)
+    def psl2(q: int) -> "GroupSpec":
+        """The images of the SL2 generators, modulo the centre {1, -1}."""
+        sl2 = GroupSpec.sl2(q)
+        return GroupSpec("psl2", q, sl2.generators, f"PSL2:{q}", sl2.order // math.gcd(2, q - 1))
 
     @staticmethod
-    def from_perm_generators(
-        gens: list[tuple[int, ...]], max_order: int | None = None, label: str = "permgen"
-    ) -> "GroupSpec":
+    def from_perm_generators(gens: list[tuple[int, ...]], label: str = "permgen") -> "GroupSpec":
         if not gens:
             raise UnsupportedParameters("at least one permutation generator required")
         degree = len(gens[0])
@@ -198,21 +191,10 @@ class GroupSpec:
         for g in gens:
             if len(g) != degree or sorted(g) != list(range(degree)):
                 raise SpecSyntax(f"not a permutation of 0..{degree - 1}: {g}")
-        return GroupSpec(
-            kind="permgen",
-            n=degree,
-            perm_generators=tuple(tuple(g) for g in gens),
-            max_order=max_order,
-            label=label,
-        )
+        return GroupSpec("permgen", degree, tuple(tuple(g) for g in gens), label)
 
     @staticmethod
-    def from_matrix_generators(
-        gens: list[tuple[int, int, int, int]],
-        q: int,
-        max_order: int | None = None,
-        label: str = "matgen",
-    ) -> "GroupSpec":
+    def from_matrix_generators(gens: list[tuple[int, int, int, int]], q: int, label: str = "matgen") -> "GroupSpec":
         gf = _check_field_size(q)
         if not gens:
             raise UnsupportedParameters("at least one matrix generator required")
@@ -221,24 +203,7 @@ class GroupSpec:
                 raise SpecSyntax(f"matrix entries must lie in [0, {q}): {g}")
             if gf.sub(gf.mul(g[0], g[3]), gf.mul(g[1], g[2])) == 0:
                 raise UnsupportedParameters(f"matrix generator {g} is singular over GF({q})")
-        return GroupSpec(
-            kind="matgen",
-            q=q,
-            mat_generators=tuple(tuple(g) for g in gens),
-            max_order=max_order,
-            label=label,
-        )
-
-    def predicted_order(self) -> int | None:
-        if self.kind == "alt":
-            return math.factorial(self.n) // 2
-        if self.kind == "sym":
-            return math.factorial(self.n)
-        if self.kind == "sl2":
-            return self.q * (self.q**2 - 1)
-        if self.kind == "psl2":
-            return self.q * (self.q**2 - 1) // math.gcd(2, self.q - 1)
-        return None
+        return GroupSpec("matgen", q, tuple(tuple(g) for g in gens), label)
 
 
 def _check_degree(n):
@@ -275,7 +240,7 @@ def _permgen_spec(path_text: str) -> GroupSpec:
     if degree is None:
         degree = max(len(g) for g in gens)
         gens = [g + tuple(range(len(g), degree)) for g in gens]
-    return GroupSpec.from_perm_generators([tuple(g) for g in gens], label=f"permgen:{path.name}")
+    return GroupSpec.from_perm_generators(gens, label=f"permgen:{path.name}")
 
 
 def _matgen_spec(rest: str) -> GroupSpec:
@@ -399,16 +364,16 @@ class GroupTable:
         return f"GroupTable({self.spec.label}, order={self.order})"
 
 
-def group_build(spec: GroupSpec) -> GroupTable:
+def group_build(spec: GroupSpec, max_order: int | None = None) -> GroupTable:
     """Breadth-first closure over the spec's generators, one level per step.
 
-    Raises CapExceeded when the (predicted or discovered) order exceeds the
-    cap.  A generator set producing the trivial group is allowed and flagged.
+    Raises CapExceeded when the (known or discovered) order exceeds the cap:
+    max_order if given, else MIXER_MAX_ORDER.  A generator set producing the
+    trivial group is allowed.
     """
-    cap = min(config.max_order(spec.max_order), np.iinfo(np.int32).max)  # element indices are int32
-    predicted = spec.predicted_order()
-    if predicted is not None and predicted > cap:
-        raise CapExceeded(f"{spec.label} has order {predicted}, above the cap {cap}")
+    cap = min(config.max_order(max_order), np.iinfo(np.int32).max)  # element indices are int32
+    if spec.order is not None and spec.order > cap:
+        raise CapExceeded(f"{spec.label} has order {spec.order}, above the cap {cap}")
 
     engine, generators = _make_engine(spec)
     identity = _codes(engine.identity, engine.base)
@@ -427,58 +392,28 @@ def group_build(spec: GroupSpec) -> GroupTable:
             raise CapExceeded(f"{spec.label} enumeration passed the cap {cap}")
         frontier = _decode(new, engine)
 
-    if predicted is not None and len(seen) != predicted:
-        raise UnsupportedParameters(
-            f"{spec.label}: enumerated order {len(seen)} != predicted {predicted}"
-        )
+    if spec.order is not None and len(seen) != spec.order:
+        raise UnsupportedParameters(f"{spec.label}: enumerated order {len(seen)} != known order {spec.order}")
     at = int(np.searchsorted(seen, identity)) + 1
     seen[:at] = np.roll(seen[:at], 1)  # pins the identity to index 0
     return GroupTable(spec, engine, seen, generators)
 
 
 def _make_engine(spec: GroupSpec):
+    """The engine of the spec's kind, and the spec's generators as its rows."""
     if spec.kind in ("alt", "sym", "permgen"):
-        engine = PermEngine(spec.n)
-        if spec.kind == "alt":
-            gens = _alt_generators(spec.n)
-        elif spec.kind == "sym":
-            gens = _sym_generators(spec.n)
-        else:
-            gens = list(spec.perm_generators)
-        return engine, np.array(gens, dtype=engine.dtype)
-    if spec.kind in ("sl2", "psl2", "matgen"):
-        gf = field_for_size(spec.q)
-        engine = Mat2Engine(gf, projective=spec.kind == "psl2")
-        if spec.kind == "matgen":
-            gens = list(spec.mat_generators)
-        else:
-            # upper transvections for an additive basis of GF(q), plus the Weyl element
-            gens = [(1, gf.p**i, 0, 1) for i in range(gf.k)] + [(0, 1, int(gf.neg(1)), 0)]
-        return engine, engine.canonical(gens)
-    raise UnsupportedParameters(f"unknown group kind {spec.kind!r}")
+        engine = PermEngine(spec.base)
+        return engine, np.array(spec.generators, dtype=engine.dtype)
+    engine = Mat2Engine(field_for_size(spec.base), projective=spec.kind == "psl2")
+    return engine, engine.canonical(spec.generators)
 
 
-def _alt_generators(n: int) -> list[list[int]]:
-    three = _cycle_to_image([(0, 1, 2)], n)
-    if n % 2 == 1:
-        big = _cycle_to_image([tuple(range(n))], n)
-    else:
-        big = _cycle_to_image([tuple(range(1, n))], n)
-    return [three, big]
-
-
-def _sym_generators(n: int) -> list[list[int]]:
-    swap = _cycle_to_image([(0, 1)], n)
-    big = _cycle_to_image([tuple(range(n))], n)
-    return [swap, big]
-
-
-def _cycle_to_image(cycles: list[tuple[int, ...]], n: int) -> list[int]:
+def _cycle_to_image(cycles: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
     img = list(range(n))
     for cyc in cycles:
         for i, a in enumerate(cyc):
             img[a] = cyc[(i + 1) % len(cyc)]
-    return img
+    return tuple(img)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +456,7 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
     n = degree if degree is not None else maxpt
     if maxpt > n:
         raise SpecSyntax(f"point {maxpt} exceeds declared degree {n}")
-    return tuple(_cycle_to_image(cycles, n))
+    return _cycle_to_image(cycles, n)
 
 
 # ---------------------------------------------------------------------------

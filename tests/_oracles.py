@@ -29,14 +29,19 @@ from classmix.groups import GroupSpec
 
 # D4 x C3 on seven points: its order-3 and order-6 classes come in inverse pairs
 PERMGEN_FILE = "n=7\n(1 2)(3 4)\n(1 3)\n(5 6 7)\n"
+# two matrices over GF(9) generating a group of order 24
+MATGEN_FILE = "1,1,0,1\n0,1,2,0\n"
 ORACLE_LABELS = ["S:3", "S:4", "S:5", "A:5", "A:6", "PSL2:7", "PSL2:8", "SL2:5", "permgen", "trivial"]
 
 
 def oracle_spec(label, tmp_path):
-    """Spec of an ORACLE_LABELS group; "permgen" writes PERMGEN_FILE into tmp_path."""
+    """Spec of an ORACLE_LABELS group; "permgen" and "matgen" write their generator file into tmp_path."""
     if label == "permgen":
         (tmp_path / "g.txt").write_text(PERMGEN_FILE)
         return GroupSpec.parse(f"permgen:{tmp_path / 'g.txt'}")
+    if label == "matgen":
+        (tmp_path / "m.txt").write_text(MATGEN_FILE)
+        return GroupSpec.parse(f"matgen:{tmp_path / 'm.txt'},q=9")
     if label == "trivial":
         return GroupSpec.from_perm_generators([tuple(range(3))])
     return GroupSpec.parse(label)

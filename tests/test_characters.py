@@ -76,7 +76,7 @@ def _oracle_group(label, table):
     if kind in ("S", "A"):
         return (sym_elements if kind == "S" else alt_elements)(int(param)), {}
     if kind == "PSL2" and table.engine.field.p == 2:
-        modulus = sum(c << i for i, c in enumerate(table.engine.field.spec.modulus))
+        modulus = sum(c << i for i, c in enumerate(table.engine.field.modulus))
         elements, mul, inv = sl2_char2_elements(modulus)
         return elements, {"mul": mul, "inv": inv}
     if kind in ("SL2", "PSL2"):
@@ -84,7 +84,7 @@ def _oracle_group(label, table):
         lift = (lambda m: psl2_lift(m, p)) if kind == "PSL2" else (lambda m: m)
         ops = {"mul": lambda a, b: lift(mat_mul(a, b, p)), "inv": lambda a: lift(mat_inv(a, p))}
         return sl2_elements(p, projective=kind == "PSL2"), ops
-    return perm_closure(table.spec.perm_generators), {}
+    return perm_closure(table.spec.generators), {}
 
 
 @pytest.mark.parametrize("label", ORACLE_LABELS)

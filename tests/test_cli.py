@@ -17,6 +17,8 @@ from classmix.interleave import MIN_MC_SAMPLES
 from classmix.mixing import DEFAULT_THRESHOLDS, survey
 from classmix.rng import make_stream
 
+from _oracles import MATGEN_FILE, PERMGEN_FILE
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -24,9 +26,9 @@ def run_cli(*argv):
 
 def test_parse_spec_examples():
     assert GroupSpec.parse("A:5").kind == "alt"
-    assert GroupSpec.parse("A:5").n == 5
+    assert GroupSpec.parse("A:5").base == 5
     assert GroupSpec.parse("PSL2:11").kind == "psl2"
-    assert GroupSpec.parse("PSL2:11").q == 11
+    assert GroupSpec.parse("PSL2:11").base == 11
     assert GroupSpec.parse("S:4").kind == "sym"
     assert GroupSpec.parse("SL2:7").kind == "sl2"
 
@@ -55,7 +57,7 @@ def test_permgen_file(tmp_path):
     gen.write_text("n=5\n(1 2 3)\n(1 2 3 4 5)\n")
     spec = GroupSpec.parse(f"permgen:{gen}")
     assert spec.kind == "permgen"
-    assert spec.n == 5
+    assert spec.base == 5
     from classmix.groups import group_build
 
     assert group_build(spec).order == 60  # generates A_5
@@ -185,6 +187,30 @@ def test_interleave_exact_full_density(tmp_path):
     payload = json.loads((tmp_path / "interleave__S3__seed0.json").read_text())
     assert payload["linf_dev"] == 0.0
     assert payload["deviation"]["implied_exponent"] == "inf"
+
+
+@pytest.mark.parametrize(
+    "group,family,base",
+    [("S:3", "sym", 3.0), ("SL2:4", "sl2", 4.0), ("permgen", "permgen", 7.0), ("matgen", "matgen", 9.0)],
+)
+def test_interleave_deviation_family_and_base(group, family, base, tmp_path, capsys):
+    """The deviation report's family is the spec's kind and its base the degree n or field size q."""
+    if group == "permgen":
+        (tmp_path / "g.txt").write_text(PERMGEN_FILE)
+        group = f"permgen:{tmp_path / 'g.txt'}"
+    elif group == "matgen":
+        (tmp_path / "m.txt").write_text(MATGEN_FILE)
+        group = f"matgen:{tmp_path / 'm.txt'},q=9"
+    assert run_cli("interleave", group) == 0
+    deviation = json.loads(capsys.readouterr().out)["deviation"]
+    assert (deviation["family"], deviation["base"]) == (family, base)
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == "classmix 0.1.0\n"
 
 
 def test_interleave_meta_records_work(tmp_path):

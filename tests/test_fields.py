@@ -3,38 +3,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classmix.errors import NonPrimeCharacteristic, UnsupportedParameters
-from classmix.fields import Field, ff_make, field, field_for_size, is_irreducible, is_prime
+from classmix.fields import field, field_for_size, is_irreducible, is_prime
 
 
 def test_prime_field_spec():
-    spec = ff_make(7, 1)
-    assert spec.q == 7
+    f = field(7, 1)
+    assert f.q == 7
     # degree-1 modulus is the "x - 0" convention and is never used
-    assert spec.modulus == (0, 1)
+    assert f.modulus == (0, 1)
 
 
 def test_gf4_modulus_is_unique_irreducible_quadratic():
-    spec = ff_make(2, 2)
-    assert spec.q == 4
-    assert spec.modulus == (1, 1, 1)  # x^2 + x + 1
+    f = field(2, 2)
+    assert f.q == 4
+    assert f.modulus == (1, 1, 1)  # x^2 + x + 1
 
 
 def test_composite_characteristic_rejected():
     with pytest.raises(NonPrimeCharacteristic):
-        ff_make(4, 1)
+        field(4, 1)
 
 
 def test_oversized_field_rejected():
     with pytest.raises(UnsupportedParameters):
-        ff_make(2, 21)
+        field(2, 21)
 
 
 def test_modulus_is_irreducible_and_monic():
     for p, k in [(2, 3), (2, 8), (3, 4), (5, 3), (7, 2), (11, 2)]:
-        spec = ff_make(p, k)
-        assert spec.modulus[-1] == 1
-        assert len(spec.modulus) == k + 1
-        assert is_irreducible(spec.modulus, p)
+        f = field(p, k)
+        assert f.modulus[-1] == 1
+        assert len(f.modulus) == k + 1
+        assert is_irreducible(f.modulus, p)
 
 
 def test_reducible_polynomials_detected():
@@ -120,7 +120,7 @@ def test_field_for_size_matches_trial_division():
 
 
 def test_large_field_without_tables():
-    f = Field(ff_make(2, 10))  # q = 1024, above table limit
+    f = field(2, 10)  # q = 1024
     for a in [1, 17, 513, 1023]:
         assert f.mul(a, f.inv(a)) == 1
         assert f.add(a, f.neg(a)) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -67,7 +68,30 @@ def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         group_build(GroupSpec.alt(11))  # order 19,958,400 > default cap
     with pytest.raises(CapExceeded):
-        group_build(GroupSpec.alt(7, max_order=100))
+        group_build(GroupSpec.alt(7), max_order=100)
+
+
+# (order, generator_indices, sha256 of codes) of one table per kind; a change to a
+# family's generators or their order, or to the element encoding, changes them
+FAMILY_TABLES = {
+    "A:6": (360, (72, 16), "10d4b7010ba9cf7cbef0754482a6a768598cf028755ed3b489f2c6500fecd85b"),
+    "S:5": (120, (24, 33), "8e6eaf3c928cdcb9eb8142a41663c7162b97718621b33d7885821f81f17d4e6a"),
+    "SL2:8": (504, (64, 72, 88, 1), "c8cbd61327b5588872847dc22f216e5a9df94e2ab9ed8ce974b08d4c27640f02"),
+    "SL2:9": (720, (81, 99, 1), "4a36d3e8b522296e59ccef017e1fda3d7f61b571e17e3f1529b8f51bae130850"),
+    "PSL2:16": (4080, (256, 272, 304, 368, 1), "ab00538836bb83b5721ccdef6dbc655db28bf238ea88c50851efd3a8c3c6d476"),
+    "PSL2:25": (7800, (325, 425, 1), "28b8403782fc818bc063b762eb5d0fc997e5be9145453ad8e8f9af2ecbc23116"),
+    "permgen": (24, (6, 12, 1), "bb2423f5bcf16aac34037e9828a8cb166c7fbb240c23ab0d899f8f7963a37190"),
+    "matgen": (24, (9, 1), "fff84343b6a28497df248bbcd791f6a86238436604dbc753de8bb62050fe79b4"),
+}
+
+
+@pytest.mark.parametrize("label", FAMILY_TABLES)
+def test_family_table_identity(label, tmp_path):
+    spec = oracle_spec(label, tmp_path)
+    table = group_build(spec)
+    got = (table.order, table.generator_indices, hashlib.sha256(table.codes.tobytes()).hexdigest())
+    assert got == FAMILY_TABLES[label]
+    assert spec.order == (None if label in ("permgen", "matgen") else table.order)
 
 
 def test_degenerate_generators_flagged():
@@ -142,7 +166,7 @@ def test_mul_table_consistency_sampled():
 @pytest.mark.parametrize("label", ["SL2:5", "SL2:7", "PSL2:7", "PSL2:11"])
 def test_matrix_groups_match_oracle(label):
     table = group_build(GroupSpec.parse(label))
-    p = table.spec.q
+    p = table.spec.base
     lift = (lambda m: psl2_lift(m, p)) if table.spec.kind == "psl2" else (lambda m: m)
     expected = sl2_elements(p, projective=table.spec.kind == "psl2")
     assert table.elements == [bytes(m) for m in expected]
