@@ -410,9 +410,12 @@ def witten_zeta(table: CharacterTable, s: float) -> float:
     if math.isnan(s):
         raise SpecSyntax("zeta needs a number s, got nan")
     try:
-        return float(sum(float(d) ** (-s) for d in table.degrees))
+        zeta = float(sum(float(d) ** (-s) for d in table.degrees))
     except OverflowError:
-        raise UnsupportedParameters(f"zeta at s = {s} overflows a float") from None
+        zeta = math.inf
+    if not math.isfinite(zeta):
+        raise UnsupportedParameters(f"zeta at s = {s} is not a finite float")
+    return zeta
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,6 @@ class NonPrimeCharacteristic(UnsupportedParameters):
     exit_code = 3
 
 
-class NoIrreducibleFound(ClassmixError):
-    """Defensive: exhausted the monic polynomial search without an irreducible."""
-
-    exit_code = 3
-
-
 class CapExceeded(ClassmixError):
     """Group enumeration would exceed the configured maximum order."""
 

@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NoIrreducibleFound, NonPrimeCharacteristic, UnsupportedParameters
+from .errors import NonPrimeCharacteristic, UnsupportedParameters
 
 MAX_FIELD_SIZE = 2**20
 
@@ -53,87 +53,24 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_rem(prod, mod, p)
-
-
 def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
+    """Remainder of a modulo the monic polynomial mod."""
     a = list(a)
     d = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
     while len(a) > d:
-        coef = a[-1] * inv_lead % p
-        if coef:
-            shift = len(a) - 1 - d
-            for i, mi in enumerate(mod):
-                a[shift + i] = (a[shift + i] - coef * mi) % p
-        a.pop()
+        coef = a.pop()  # cancelled by coef * x^(len(a) - d) * mod
+        for i, mi in enumerate(mod[:d]):
+            a[len(a) - d + i] = (a[len(a) - d + i] - coef * mi) % p
     return _poly_trim(a)
 
 
-def _poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    acc = _poly_rem(list(base), mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, acc, mod, p)
-        acc = _poly_mulmod(acc, acc, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    return a
-
-
 def is_irreducible(coeffs: tuple[int, ...] | list[int], p: int) -> bool:
-    """Irreducibility over GF(p).
-
-    Degree <= 3 reduces to a root check; in general we use the Frobenius
-    criterion: x^(p^k) = x mod f, and gcd(x^(p^(k/r)) - x, f) = 1 for every
-    prime r dividing k.
-    """
+    """Irreducibility over GF(p), by trial division by every monic polynomial of degree 1..k/2."""
     f = _poly_trim(list(coeffs))
     k = len(f) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    if k <= 3:
-        return all(_poly_eval(f, x, p) != 0 for x in range(p))
-    x = [0, 1]
-    xq = _poly_powmod(x, p**k, f, p)
-    diff = _poly_trim([(a - b) % p for a, b in _zip_pad(xq, x)])
-    if diff:
-        return False
-    for r in prime_factors(k):
-        xe = _poly_powmod(x, p ** (k // r), f, p)
-        diff = _poly_trim([(a - b) % p for a, b in _zip_pad(xe, x)])
-        g = _poly_gcd(f, diff, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
-def _poly_eval(f: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+    return k >= 1 and all(
+        _poly_rem(f, _digits(m, p, d) + [1], p) for d in range(1, k // 2 + 1) for m in range(p**d)
+    )
 
 
 def prime_factors(n: int) -> list[int]:
@@ -161,9 +98,9 @@ def _digits(m: int, p: int, k: int) -> list[int]:
 class Field:
     """Vectorized arithmetic in GF(p^k) modulo `modulus`; elements are ints in [0, q).
 
-    Every operation takes ints or integer numpy arrays and broadcasts.  Addition
-    and negation work digit by digit in base p.  Multiplication and inversion
-    look up exp/log tables of a primitive element; the tables take O(q) memory
+    Every operation takes ints or integer numpy arrays, broadcasts, and is a
+    gather through three int64 tables of a primitive element g: exp, log and
+    the Zech logarithms log(1 + g^d).  They take about 72 bytes per element
     and are built on first use, so constructing a large field stays cheap.
     """
 
@@ -199,11 +136,14 @@ class Field:
         return int(result[0])
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exp, log) of the least primitive element, with zero folded in.
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(exp, log, zech) of the least primitive element g, with zero folded in.
 
-        log[0] is a sentinel 2(q - 1) that lands every product involving zero
-        in the zero-filled tail of exp, so mul is one gather with no masking.
+        With n = q - 1, log[0] is a sentinel 2n that lands every product
+        involving zero in the zero-filled tail of exp, so mul is one gather with
+        no masking.  zech[d + 2n] = log(1 + g^d) for |d| < n, zech[i] = i - 2n
+        for i < n and zech[i] = 0 for i >= 3n, so that add(0, b) = b and
+        add(a, 0) = a need no masking either.
         """
         n = self.q - 1
         factors = prime_factors(n)
@@ -216,28 +156,31 @@ class Field:
         log = np.empty(self.q, dtype=np.int64)
         log[powers] = np.arange(n)
         log[0] = 2 * n
-        return exp, log
+        x = exp[: 2 * n]  # g^d for d in [-n, n); adding 1 changes only the lowest base-p digit
+        one_plus_x = x - x % self.p + (x + 1) % self.p
+        zech = np.concatenate([np.arange(-2 * n, -n), log[one_plus_x], np.zeros(n + 1, dtype=np.int64)])
+        return exp, log, zech
 
     def add(self, a, b):
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        # a // w + b // w is congruent to digit_w(a) + digit_w(b) mod p
-        return sum((a // w + b // w) % self.p * w for w in self._place)
+        exp, log, zech = self._tables
+        la = log[a]  # a + b = a (1 + b / a)
+        return exp[la + zech[log[b] - la + 2 * (self.q - 1)]]
 
     def neg(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        return sum(-(a // w) % self.p * w for w in self._place)
+        exp, log, _ = self._tables
+        return exp[log[a] + log[self.p - 1]]  # log(-1) is (q - 1) / 2, or 0 in characteristic 2
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        exp, log = self._tables
+        exp, log, _ = self._tables
         return exp[log[a] + log[b]]
 
     def inv(self, a):
         if np.any(np.asarray(a) == 0):
             raise ZeroDivisionError("inverse of zero in a finite field")
-        exp, log = self._tables
+        exp, log, _ = self._tables
         return exp[self.q - 1 - log[a]]
 
 
@@ -255,11 +198,8 @@ def field(p: int, k: int) -> Field:
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
     if p**k > MAX_FIELD_SIZE:
         raise UnsupportedParameters(f"field size {p}^{k} exceeds {MAX_FIELD_SIZE}")
-    for m in range(p**k):
-        coeffs = _digits(m, p, k) + [1]
-        if is_irreducible(coeffs, p):
-            return Field(p, k, tuple(coeffs))
-    raise NoIrreducibleFound(f"no irreducible monic polynomial of degree {k} over GF({p})")
+    moduli = (tuple(_digits(m, p, k)) + (1,) for m in range(p**k))
+    return Field(p, k, next(f for f in moduli if is_irreducible(f, p)))
 
 
 def field_for_size(q: int) -> Field:

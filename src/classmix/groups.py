@@ -213,7 +213,7 @@ def _check_degree(n):
 
 def _check_field_size(q) -> Field:
     if q < 4:
-        raise UnsupportedParameters(f"SL2/PSL2 require q >= 4, got {q}")
+        raise UnsupportedParameters(f"matrix groups need q >= 4, got {q}")
     if q > MAX_MATRIX_Q:
         raise UnsupportedParameters(f"matrix groups need q <= {MAX_MATRIX_Q} (q^4 < 2^63), got {q}")
     return field_for_size(q)  # raises UnsupportedParameters unless q is a prime power

@@ -2,17 +2,18 @@
 
 These deliberately re-derive everything from first principles with plain
 Python data structures so they can serve as oracles for the package paths.
-Only usable for small groups.  The references at the end are a scalar
-interleaved product (one mul_index per factor), plain numpy kernels (an
-interleave per-tuple fold, a decode-and-fold Monte Carlo loop, one
-whole-group sweep per class for the structure constants and one for the
-translated-inverse coupling) that the
-production kernels must match count for count, and a Dixon character table
-split with list-of-lists algebra mod P from the whole tensor, whose values
-the production table must match bit for bit.  The class numbering by
-np.unique must match conj_classes byte for byte.  Two exact checks that
-only tests call live here as well: the coverage/norm link of a pair
-distribution and the validation of a protocol on every pair of G^t x G^t.
+Only usable for small groups.  GF(p^k) addition, negation and multiplication
+digit by digit are the references for the field tables.  The references at
+the end are a scalar interleaved product (one mul_index per factor), plain
+numpy kernels (an interleave per-tuple fold, a decode-and-fold Monte Carlo
+loop, one whole-group sweep per class for the structure constants and one
+for the translated-inverse coupling) that the production kernels must match
+count for count, and a Dixon character table split with list-of-lists
+algebra mod P from the whole tensor, whose values the production table must
+match bit for bit.  The class numbering by np.unique must match conj_classes
+byte for byte.  Two exact checks that only tests call live here as well: the
+coverage/norm link of a pair distribution and the validation of a protocol
+on every pair of G^t x G^t.
 """
 
 from __future__ import annotations
@@ -129,6 +130,35 @@ def gf2m_mul(a, b, modulus):
         if a & top:
             a ^= modulus
     return out
+
+
+def _field_digits(f, a):
+    """Base-p digits of GF(p^k) encodings, constant term first."""
+    a = np.asarray(a, dtype=np.int64)
+    return [a // f.p**i % f.p for i in range(f.k)]
+
+
+def field_add(f, a, b):
+    """a + b in GF(p^k), digit by digit in base p."""
+    return sum((x + y) % f.p * f.p**i for i, (x, y) in enumerate(zip(_field_digits(f, a), _field_digits(f, b))))
+
+
+def field_neg(f, a):
+    """-a in GF(p^k), digit by digit in base p."""
+    return sum(-x % f.p * f.p**i for i, x in enumerate(_field_digits(f, a)))
+
+
+def field_mul(f, a, b):
+    """a * b in GF(p^k): schoolbook product of the digit polynomials, reduced by the monic f.modulus."""
+    k, p = f.k, f.p
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(_field_digits(f, a)):
+        for j, y in enumerate(_field_digits(f, b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * k - 2, k - 1, -1):  # x^top = -x^(top - k) (modulus - x^k)
+        for i, m in enumerate(f.modulus[:k]):
+            prod[top - k + i] = (prod[top - k + i] - prod[top] * m) % p
+    return sum(c * p**i for i, c in enumerate(prod[:k]))
 
 
 def sl2_char2_elements(modulus):

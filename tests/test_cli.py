@@ -38,6 +38,12 @@ def test_parse_spec_rejects_non_prime_power():
         GroupSpec.parse("PSL2:6")
 
 
+def test_matgen_small_field_names_matrix_groups(tmp_path):
+    (tmp_path / "m.txt").write_text("1,1,0,1\n")
+    with pytest.raises(UnsupportedParameters, match="matrix groups need q >= 4"):
+        GroupSpec.parse(f"matgen:{tmp_path}/m.txt,q=3")
+
+
 def test_parse_spec_rejects_small_degree():
     with pytest.raises(UnsupportedParameters):
         GroupSpec.parse("A:2")
@@ -313,6 +319,7 @@ BAD_INPUTS = [
     ("matgen-entry-not-int", {"m.txt": "1,x,0,1\n"}, ["thompson", "matgen:{d}/m.txt,q=5"], 2),
     ("matgen-q4-overflows-int64", {"m.txt": "1,1,0,1\n"}, ["thompson", "matgen:{d}/m.txt,q=65536"], 3),
     ("sl2-q4-overflows-int64", {}, ["thompson", "SL2:65536"], 3),
+    ("matgen-q-below-4", {"m.txt": "1,1,0,1\n"}, ["thompson", "matgen:{d}/m.txt,q=3"], 3),
     ("permgen-n-not-int", {"g.txt": "n=x\n(1 2 3)\n"}, ["thompson", "permgen:{d}/g.txt"], 2),
     ("bijfile-entry-not-int", {"b.txt": "0\n1\n2\n3\n4\nx\n"}, ["survey", "S:3", "--coupling", "bijfile:{d}/b.txt"], 2),
     ("transinv-bad-hex", {}, ["survey", "S:3", "--coupling", "transinv:hex:zz"], 2),
@@ -357,6 +364,7 @@ BAD_INPUTS = [
     ),
     ("survey-threshold-nan", {}, ["survey", "S:3", "--thresholds", "1", "nan"], 2),
     ("zeta-overflows-float", {}, ["zeta", "S:3", "--s", "-1024"], 3),
+    ("zeta-s-minus-inf", {}, ["zeta", "A:5", "--s=-inf"], 3),
     ("zeta-s-nan", {}, ["zeta", "S:3", "--s", "2", "nan"], 2),
     ("interleave-arity-zero", {}, [*EXACT_ARGS[:3], "0", *EXACT_ARGS[4:]], 11),
     ("interleave-alpha-above-one", {}, [*EXACT_ARGS[:5], "5"], 2),
