@@ -39,6 +39,8 @@ class ClassRows:
     that is w^-1 v^-1 in C_l*.  Conjugating a pair so that w^-1 becomes the
     representative z_i* of C_i* is |C_i|-to-one, and x = v^-1 runs over C_j*, so
     |C_l| tensor[j, i, l] = |C_i| h[l*] with h[c] = #{x in C_j* : z_i* x in C_c}.
+    x z_i* = z_i*^-1 (z_i* x) z_i* lies in the same class, so h counts the
+    products x z_i*: one column gather per representative for permutations.
     Row (j, i) costs |C_j| products and lookups; `products` counts them.
     """
 
@@ -58,9 +60,9 @@ class ClassRows:
         per = max(1, ROW_CHUNK // len(ws))
         h = np.empty((len(pivots), k), dtype=np.int64)
         for s in range(0, len(pivots), per):
-            c = classes.class_of[table.lookup(table.engine.mul(zs[s : s + per, None], ws[None]))]
-            n = len(c)
-            h[s : s + n] = np.bincount((c + k * np.arange(n)[:, None]).ravel(), minlength=n * k).reshape(n, k)
+            c = classes.class_of[table.lookup(table.engine.right(ws, zs[s : s + per]))]
+            n = c.shape[1]
+            h[s : s + n] = np.bincount((c + k * np.arange(n)).ravel(), minlength=n * k).reshape(n, k)
         self.products += len(pivots) * len(ws)
         rows, rem = np.divmod(sizes[pivots, None] * h[:, inv], sizes)
         if rem.any():
@@ -219,7 +221,7 @@ def _split(class_rows: ClassRows, k: int, p: int, work: dict) -> np.ndarray:
         live = [blk for blk in blocks if len(blk[1]) > 1]
         if not live:
             break
-        need = np.unique(np.concatenate([piv for _, piv in live]))
+        need = np.flatnonzero(np.bincount(np.concatenate([piv for _, piv in live]), minlength=k))
         rows = np.zeros((k, k), dtype=np.int64)
         rows[need] = class_rows.rows(j, need) % p
         work["class_matrices"] += 1

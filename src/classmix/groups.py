@@ -33,7 +33,8 @@ ROW_CHUNK = 1 << 16  # element products held in memory at once by a whole-group 
 # An element is a fixed-width row of small ints in the engine's dtype; the row's
 # bytes are its canonical key.  Engines multiply and invert batches of rows:
 # arrays whose last axis is the row and whose leading axes broadcast (both
-# operands have the same number of axes).
+# operands have the same number of axes).  The sweeps multiply by a fixed
+# factor: right(rows, gs)[n, g] = rows[n] * gs[g] and left(h, rows) = h * rows.
 
 
 class PermEngine:
@@ -47,6 +48,12 @@ class PermEngine:
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # (a*b)(x) = a(b(x)): apply b first
         return np.take_along_axis(a, b, axis=-1)  # indexing with the uint8 rows, not an intp copy
+
+    def right(self, rows: np.ndarray, gs: np.ndarray) -> np.ndarray:
+        return rows[:, gs]  # a column gather: (row * g)(x) = row(g(x))
+
+    def left(self, h: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return h[rows]  # fancy indexing; h.take(rows) would make an intp copy of rows
 
     def inv(self, a: np.ndarray) -> np.ndarray:
         return np.argsort(a, axis=-1).astype(self.dtype)
@@ -90,6 +97,12 @@ class Mat2Engine:
         )
         return self.canonical(np.stack(prod, axis=-1))
 
+    def right(self, rows: np.ndarray, gs: np.ndarray) -> np.ndarray:
+        return self.mul(rows[:, None], gs[None])
+
+    def left(self, h: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return self.mul(h, rows)
+
     def inv(self, a: np.ndarray) -> np.ndarray:
         f = self.field
         a11, a12, a21, a22 = np.moveaxis(a, -1, 0)
@@ -114,8 +127,12 @@ def _decode(codes: np.ndarray, engine) -> np.ndarray:
     rows = np.empty((len(codes), len(engine.identity)), dtype=engine.dtype)
     for lo in range(0, len(codes), ROW_CHUNK):
         rest = codes[lo : lo + ROW_CHUNK].copy()
-        for i in reversed(range(rows.shape[1])):
-            np.divmod(rest, engine.base, out=(rest, rows[lo : lo + ROW_CHUNK, i]), casting="unsafe")
+        quot = np.empty_like(rest)
+        for i in reversed(range(rows.shape[1])):  # contiguous int64 arithmetic, one strided store per digit
+            np.floor_divide(rest, engine.base, out=quot)
+            rest -= quot * engine.base
+            rows[lo : lo + ROW_CHUNK, i] = rest
+            rest, quot = quot, rest
     return rows
 
 
@@ -290,12 +307,19 @@ class GroupTable:
         return self._sweep(self.engine.inv)
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
-        """Indices of rows of group elements (any leading shape; one row gives a 0-d index)."""
+        """Indices of rows of group elements (any leading shape; one row gives a 0-d index).
+
+        Codes are searched in ascending order, which keeps searchsorted's probes in cache.
+        """
         codes = _codes(rows, self.engine.base)
-        idx = np.searchsorted(self.codes[1:], codes)
+        flat = codes.ravel()
+        order = flat.argsort()
+        flat.sort()
+        idx = np.searchsorted(self.codes[1:], flat)
         idx += 1
-        idx *= codes != self.codes[0]  # the identity, pinned to index 0
-        return idx
+        idx *= flat != self.codes[0]  # the identity, pinned to index 0
+        flat[order] = idx
+        return flat.reshape(codes.shape)
 
     def _sweep(self, image) -> np.ndarray:
         """int32 r with r[g] = index(image(rows)[g]), image applied to ROW_CHUNK rows at a time."""
@@ -342,12 +366,13 @@ class GroupTable:
 
     def right_mul_indices(self, g: int) -> np.ndarray:
         """Array r with r[h] = index(h * g) for every element h."""
-        return self._sweep(lambda rows: self.engine.mul(rows, self.rows[[g]]))
+        return self._sweep(lambda rows: self.engine.right(rows, self.rows[[g]])[:, 0])
 
     def conjugation_permutation(self, h: int) -> np.ndarray:
         """Array c with c[g] = index(h g h^-1)."""
-        mul, h_row, h_inv = self.engine.mul, self.rows[[h]], self.engine.inv(self.rows[[h]])
-        return self._sweep(lambda rows: mul(mul(h_row, rows), h_inv))
+        engine, h_row = self.engine, self.rows[h]
+        h_inv = engine.inv(h_row[None])
+        return self._sweep(lambda rows: engine.left(h_row, engine.right(rows, h_inv)[:, 0]))
 
     def full_mul_table(self) -> np.ndarray:
         """Dense index multiplication table, for groups of order at most MUL_TABLE_LIMIT."""
@@ -381,7 +406,7 @@ def group_build(spec: GroupSpec, max_order: int | None = None) -> GroupTable:
     frontier = engine.identity[None]
     per = max(1, ROW_CHUNK // len(generators))
     while len(frontier):
-        products = (engine.mul(frontier[lo : lo + per, None], generators[None]) for lo in range(0, len(frontier), per))
+        products = (engine.right(frontier[lo : lo + per], generators) for lo in range(0, len(frontier), per))
         codes = np.concatenate([_codes(block, engine.base).ravel() for block in products])
         codes.sort()
         fresh = np.r_[True, codes[1:] != codes[:-1]]  # the first of each run of equal codes

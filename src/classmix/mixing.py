@@ -295,7 +295,8 @@ def survey(
     size_obj = np.array(sizes, dtype=object)
     collisions = order * ((a * a) @ size_obj)  # |G| sum_k |C_k| a_ijk^2
     excess = np.frompyfunc(Fraction, 2, 1)(collisions, (size_obj[xs] * size_obj[ys]) ** 2) - 1
-    thr = tuple((float(d), float(w_arr[(excess <= d).astype(bool)].sum())) for d in thresholds)
+    exact = (Fraction(d) if np.isfinite(d) else d for d in map(float, thresholds))  # Fraction(inf) raises
+    thr = tuple((float(d), float(w_arr[(excess <= d).astype(bool)].sum())) for d in exact)
     quant = _weighted_quantiles(n_arr, w_arr, _QUANTILE_POINTS)
     return SurveyReport(
         group=table.spec.label,

@@ -86,6 +86,15 @@ def test_chartable_a5(tmp_path, capsys):
     assert payload["orthogonality"]["passed"] is True
 
 
+def test_chartable_leaves_numpy_ma_unimported(tmp_path):
+    """A Dixon run never imports numpy.ma, which np.unique does under numpy 2.4 (about 15 ms and 1.5 MB)."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    script = "import sys; from classmix.cli import main; print(main(['chartable', 'A:5', '--quiet']), 'numpy.ma' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.stdout.split() == ["0", "False"], done.stderr
+
+
 def test_chartable_exits_13_on_orthogonality_residual(monkeypatch):
     """The documented tolerance is applied: A:5's residuals (about 2.4e-14) reach 1e-30 * |G|."""
     monkeypatch.setattr(characters, "ORTHOGONALITY_TOL", 1e-30)

@@ -9,6 +9,7 @@ from classmix.characters import dixon_character_table
 from classmix.groups import (
     ROW_CHUNK,
     GroupSpec,
+    PermEngine,
     conj_classes,
     group_build,
     parse_cycles,
@@ -261,20 +262,24 @@ def _traced_peak(fn):
     return out, peak
 
 
-def test_conjugation_permutation_memory(group_cache):
-    """S:9 conjugation holds its int32 result (1.5 MB) and one block of rows.
+@pytest.mark.parametrize("label, per_product", [("S:9", 40), ("PSL2:49", 160)], ids=["S:9", "PSL2:49"])
+def test_conjugation_permutation_memory(group_cache, label, per_product):
+    """Conjugation holds its int32 result and one block of rows and their lookup.
 
-    The traced peak is 3.1 MB, against 14.9 MB when the whole group went through at once.
+    S:9's traced peak is 3.8 MB, against 14.9 MB when the whole group went
+    through at once.  PSL2:49 goes through in one block of 58,800 products at
+    8.5 MB: the matrix product and its PSL2 sign choice hold about 137 bytes of
+    int64 field gathers per product, where a permutation product holds its row.
     """
-    table, _, _, _ = group_cache("S:9")
+    table, _, _, _ = group_cache(label)
     expected = np.array([table.mul_index(table.mul_index(1, g), table.inv_index(1)) for g in range(0, table.order, 997)])
     perm, peak = _traced_peak(lambda: table.conjugation_permutation(1))
     assert np.array_equal(perm[::997], expected)
-    assert peak < 4 * table.order + 40 * ROW_CHUNK
+    assert peak < 4 * table.order + per_product * ROW_CHUNK
 
 
 def test_stage_memory_s9():
-    """Each S:9 stage holds what it keeps plus O(ROW_CHUNK) of transients (peaks 6.9, 8.7 and 1.4 MB).
+    """Each S:9 stage holds what it keeps plus O(ROW_CHUNK) of transients (peaks 7.7, 9.1 and 0.4 MB).
 
     group_build keeps 17 bytes per element (codes and uint8 rows); conj_classes
     keeps an intp class map while int32 labels, two int32 conjugation
@@ -288,6 +293,46 @@ def test_stage_memory_s9():
     assert build_peak < 18 * n + 32 * ROW_CHUNK
     assert classes_peak < 26 * n + 32 * ROW_CHUNK
     assert dixon_peak < 4 * n + 48 * ROW_CHUNK
+
+
+@pytest.mark.parametrize("label", ["A:6", "PSL2:25"])
+def test_lookup_matches_per_row_search(label):
+    """lookup sorts a block's codes, searches them in order and scatters the indices back.
+
+    The oracle searches each row's code on its own.  Shapes (), (N,) and (N, G)
+    of a seeded sample with repeats, the identity and the last element.
+    """
+    table = group_build(GroupSpec.parse(label))
+    codes = table.codes
+
+    def search(row):
+        code = sum(int(e) * table.engine.base**i for i, e in enumerate(row[::-1].tolist()))
+        return 0 if code == codes[0] else 1 + int(np.searchsorted(codes[1:], code))
+
+    picks = make_stream(17).integers(0, table.order, size=(30, 7))
+    picks[0, :3] = 0, table.order - 1, 0
+    picks[-1, -1] = table.order - 1
+    for idx in (picks[0, 1], picks[:, 0], picks):
+        rows = table.rows[idx]
+        got = table.lookup(rows)
+        want = np.array([search(r) for r in rows.reshape(-1, rows.shape[-1])]).reshape(np.shape(idx))
+        assert np.shape(got) == np.shape(idx)
+        assert np.array_equal(got, want) and np.array_equal(got, idx)
+
+
+def test_perm_engine_fixed_factor_products_match_mul():
+    """right is the column gather rows[:, gs] and left the table gather h[rows], each equal to mul."""
+    engine = PermEngine(7)
+    stream = make_stream(19)
+    rows = np.argsort(stream.random((50, 7)), axis=-1).astype(engine.dtype)
+    gs, h = rows[:3], rows[7]
+    right = engine.right(rows, gs)
+    assert right.shape == (50, 3, 7) and right.dtype == engine.dtype
+    assert np.array_equal(right, engine.mul(rows[:, None], gs[None]))
+    left = engine.left(h, rows)
+    assert left.shape == (50, 7) and left.dtype == engine.dtype
+    assert np.array_equal(left, engine.mul(np.broadcast_to(h, rows.shape), rows))
+    assert np.array_equal(engine.left(h, right), engine.mul(np.broadcast_to(h, right.shape), right))
 
 
 @pytest.mark.parametrize("label", ["A:5", "PSL2:7"])
