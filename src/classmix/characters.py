@@ -419,39 +419,3 @@ def witten_zeta(table: CharacterTable, s: float) -> float:
         raise UnsupportedParameters(f"zeta at s = {s} is not a finite float")
     return zeta
 
-
-@dataclass(frozen=True)
-class ZetaTrendRow:
-    label: str
-    order: int
-    class_count: int
-    s: float
-    zeta: float
-    excess: float
-    normalizer: float
-    normalized_excess: float
-
-
-def zeta_trend(groups: list[tuple[str, CharacterTable, int | None]], s: float) -> list[ZetaTrendRow]:
-    """Normalized zeta excess per group: (zeta - 1) * n^s or q^s.
-
-    `groups` holds (label, character table, family parameter); the parameter
-    is n for alternating/symmetric, q for SL2/PSL2, or None (normalizer 1).
-    """
-    rows = []
-    for label, table, param in groups:
-        z = witten_zeta(table, s)
-        normalizer = float(param) ** s if param else 1.0
-        rows.append(
-            ZetaTrendRow(
-                label=label,
-                order=table.order,
-                class_count=table.k,
-                s=s,
-                zeta=z,
-                excess=z - 1.0,
-                normalizer=normalizer,
-                normalized_excess=(z - 1.0) * normalizer,
-            )
-        )
-    return rows

@@ -23,12 +23,6 @@ class UnsupportedParameters(ClassmixError):
     exit_code = 3
 
 
-class NonPrimeCharacteristic(UnsupportedParameters):
-    """Field characteristic is not prime."""
-
-    exit_code = 3
-
-
 class CapExceeded(ClassmixError):
     """Group enumeration would exceed the configured maximum order."""
 

@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NonPrimeCharacteristic, UnsupportedParameters
+from .errors import UnsupportedParameters
 
 MAX_FIELD_SIZE = 2**20
 
@@ -195,7 +195,7 @@ def field(p: int, k: int) -> Field:
     if k < 1:
         raise UnsupportedParameters(f"extension degree must be >= 1, got {k}")
     if not is_prime(p):
-        raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
+        raise UnsupportedParameters(f"characteristic {p} is not prime")
     if p**k > MAX_FIELD_SIZE:
         raise UnsupportedParameters(f"field size {p}^{k} exceeds {MAX_FIELD_SIZE}")
     moduli = (tuple(_digits(m, p, k)) + (1,) for m in range(p**k))

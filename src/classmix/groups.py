@@ -18,7 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import config
-from .errors import CapExceeded, MixedGroups, SpecSyntax, UnsupportedParameters, parse_int, read_input_text
+from .errors import (
+    CapExceeded, InvariantViolation, MixedGroups, SpecSyntax, UnsupportedParameters, parse_int, read_input_text
+)
 from .fields import Field, field_for_size
 
 MAX_PERM_DEGREE = 12
@@ -79,10 +81,8 @@ class Mat2Engine:
         """Stored rows for matrices given by their entries (the sign choice for PSL2)."""
         entries = np.asarray(entries, dtype=np.int64)
         if self.projective:
-            neg = self.field.neg(entries)
-            first = np.argmax(entries != neg, axis=-1)[..., None]
-            flip = np.take_along_axis(neg < entries, first, axis=-1)
-            entries = np.where(flip, neg, entries)
+            lead = np.take_along_axis(entries, np.argmax(entries != 0, axis=-1)[..., None], axis=-1)
+            entries = np.where(self.field.neg(lead) < lead, self.field.neg(entries), entries)
         return entries.astype(self.dtype)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -343,25 +343,6 @@ class GroupTable:
         """Elementwise index(i * j) for index arrays of equal ndim that broadcast."""
         return self.lookup(self.engine.mul(self.rows[i], self.rows[j]))
 
-    def mul_index(self, i: int, j: int) -> int:
-        if self._mul_table is not None:
-            return int(self._mul_table[i, j])
-        return int(self.mul_indices([i], [j])[0])
-
-    def inv_index(self, i: int) -> int:
-        return int(self.inverses[i])
-
-    def pow_index(self, i: int, m: int) -> int:
-        if m < 0:
-            return self.pow_index(self.inv_index(i), -m)
-        acc, cur = 0, i
-        while m:
-            if m & 1:
-                acc = self.mul_index(acc, cur)
-            cur = self.mul_index(cur, cur)
-            m >>= 1
-        return acc
-
     # -- bulk helpers ----------------------------------------------------------
 
     def right_mul_indices(self, g: int) -> np.ndarray:
@@ -418,7 +399,7 @@ def group_build(spec: GroupSpec, max_order: int | None = None) -> GroupTable:
         frontier = _decode(new, engine)
 
     if spec.order is not None and len(seen) != spec.order:
-        raise UnsupportedParameters(f"{spec.label}: enumerated order {len(seen)} != known order {spec.order}")
+        raise InvariantViolation(f"{spec.label}: enumerated order {len(seen)} != known order {spec.order}")
     at = int(np.searchsorted(seen, identity)) + 1
     seen[:at] = np.roll(seen[:at], 1)  # pins the identity to index 0
     return GroupTable(spec, engine, seen, generators)
@@ -547,12 +528,11 @@ def conj_classes(table: GroupTable) -> ClassData:
     exponent = math.lcm(*orders.tolist())
     m = np.arange(exponent + 1)[:, None]
     power_map = class_of[np.array(powers)[m % orders, np.arange(k)]]
-    inverse_class = tuple(class_of[table.lookup(table.engine.inv(rep_rows))].tolist())
     return ClassData(
         reps=tuple(reps.tolist()),
         sizes=tuple(np.bincount(class_of).tolist()),
         class_of=class_of,
-        inverse_class=inverse_class,
+        inverse_class=tuple(power_map[orders - 1, np.arange(k)].tolist()),  # rep^(n-1) = rep^-1
         orders=tuple(orders.tolist()),
         exponent=exponent,
         power_map=power_map,

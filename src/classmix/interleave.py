@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -34,7 +34,7 @@ from .errors import (
 from .groups import ROW_CHUNK, GroupTable
 
 MAX_MATERIALIZED = 64_000_000  # tuples of G^t or sampled tuple entries kept in memory
-CHUNK = 1 << 20  # products per chunk of the exact fold; tuple codes per chunk of a decode
+CHUNK = 1 << 20  # tuple codes per chunk of a decode
 MIN_MC_SAMPLES = 10**4  # fewest Monte Carlo samples, checked by mc_distribution and `interleave --mc`
 
 
@@ -172,7 +172,7 @@ class InterleaveEstimate:
         }
 
 
-def _estimate_from_counts(counts: np.ndarray, total: int, order: int, mode: str) -> InterleaveEstimate:
+def _estimate_from_counts(counts: np.ndarray, total: int, order: int, mode: str, work: dict) -> InterleaveEstimate:
     probs = counts / float(total)
     # deviation computed in exact integers: max |counts * |G| - total| / (total * |G|)
     dev_num = int(np.abs(counts * np.int64(order) - total).max())
@@ -181,7 +181,7 @@ def _estimate_from_counts(counts: np.ndarray, total: int, order: int, mode: str)
     if mode == "montecarlo":
         stderr = np.sqrt(probs * (1.0 - probs) / total)
     return InterleaveEstimate(
-        probs=probs, counts=counts, total=total, mode=mode, linf_dev=float(linf), stderr=stderr
+        probs=probs, counts=counts, total=total, mode=mode, linf_dev=float(linf), stderr=stderr, work=work
     )
 
 
@@ -201,7 +201,7 @@ def exact_distribution(a_set: TupleSet, b_set: TupleSet, table: GroupTable) -> I
     mul = table.full_mul_table()
     by_suffix = a_set.mask.reshape(-1, order)  # row: suffix code (a2..at), column: a1
     suffixes = np.flatnonzero(by_suffix.any(axis=1))
-    step = max(1, CHUNK // max(b_set.size, order))
+    step = max(1, ROW_CHUNK // max(b_set.size, order))  # suffixes per block: about ROW_CHUNK products at once
     pair_counts = np.zeros((order, order))  # float64 BLAS; every sum is at most |A||B| < 2^53, so exact
     for lo in range(0, len(suffixes), step):
         chunk = suffixes[lo : lo + step]
@@ -217,7 +217,7 @@ def exact_distribution(a_set: TupleSet, b_set: TupleSet, table: GroupTable) -> I
         raise InvariantViolation(f"exact counts sum to {int(counts.sum())}, not {pairs} pairs")
     lookups = len(suffixes) * b_set.size * (2 * a_set.arity - 1)
     work = {"pairs": pairs, "loop_budget": limit, "suffixes": len(suffixes), "fold_lookups": lookups}
-    return replace(_estimate_from_counts(counts, pairs, order, "exact"), work=work)
+    return _estimate_from_counts(counts, pairs, order, "exact", work)
 
 
 def mc_distribution(
@@ -241,7 +241,7 @@ def mc_distribution(
         b = b_set.columns.take(stream.integers(0, b_set.size, size=n), axis=0)
         counts += np.bincount(_chain(mul, _interleave(a.T, b.T)), minlength=table.order)
         done += n
-    return replace(_estimate_from_counts(counts, samples, table.order, "montecarlo"), work={"samples": samples})
+    return _estimate_from_counts(counts, samples, table.order, "montecarlo", {"samples": samples})
 
 
 def _check_compat(a_set: TupleSet, b_set: TupleSet, table: GroupTable):

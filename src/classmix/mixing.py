@@ -331,7 +331,6 @@ def char_bound_fraction(
     classes: ClassData,
     chartable: CharacterTable,
     s: float,
-    tol: float = 1e-9,
 ) -> CharBoundReport:
     """Class-size-weighted fraction of x with |chi(x)| <= chi(1)^(s/2) for all chi.
 
@@ -342,7 +341,7 @@ def char_bound_fraction(
         raise SpecSyntax(f"character-bound fraction needs s > 0, got {s}")
     vals = np.abs(chartable.values)
     bounds = np.asarray(chartable.degrees, dtype=np.float64) ** (s / 2.0)
-    good_cols = np.all(vals <= bounds[:, None] + tol, axis=0)
+    good_cols = np.all(vals <= bounds[:, None] + 1e-9, axis=0)  # 1e-9: float slack on the lifted values
     sizes = np.asarray(classes.sizes, dtype=np.int64)
     fraction = Fraction(int(sizes[good_cols].sum()), table.order)
     bound = 2.0 - witten_zeta(chartable, s)

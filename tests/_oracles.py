@@ -4,7 +4,7 @@ These deliberately re-derive everything from first principles with plain
 Python data structures so they can serve as oracles for the package paths.
 Only usable for small groups.  GF(p^k) addition, negation and multiplication
 digit by digit are the references for the field tables.  The references at
-the end are a scalar interleaved product (one mul_index per factor), plain
+the end are a scalar interleaved product (one table entry per factor), plain
 numpy kernels (an interleave per-tuple fold, a decode-and-fold Monte Carlo
 loop, one whole-group sweep per class for the structure constants and one
 for the translated-inverse coupling) that the production kernels must match
@@ -279,10 +279,11 @@ def _decode(codes, arity, order):
 
 
 def interleave_product(table, a, b) -> int:
-    """Index of a1 b1 a2 b2 ... at bt for index tuples of equal arity, one mul_index per factor."""
+    """Index of a1 b1 a2 b2 ... at bt for index tuples of equal arity, one dense-table entry per factor."""
+    mul = table.full_mul_table()
     acc = 0
     for ai, bi in zip(a, b, strict=True):
-        acc = table.mul_index(table.mul_index(acc, int(ai)), int(bi))
+        acc = int(mul[mul[acc, int(ai)], int(bi)])
     return acc
 
 
@@ -372,7 +373,7 @@ def unique_labelling_classes(table):
     """
     everything = np.arange(table.order)
     gens = table.generator_indices
-    perms = [table.mul_indices(table.mul_indices([h], everything), [table.inv_index(h)]) for h in gens]
+    perms = [table.mul_indices(table.mul_indices([h], everything), [table.inverses[h]]) for h in gens]
     labels = everything
     while True:
         prev = labels

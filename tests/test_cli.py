@@ -501,3 +501,33 @@ def test_benchmark_tracer_counters_run(tmp_path):
         "mixing.p_brute": {"pairs": 20 * 15, "budget_share": 20 * 15 / 10**9},
     }
     assert "thompson" not in counts
+
+
+def _load_perfbench(name: str, monkeypatch):
+    """perfbench/<name>.py as a module, registered for the test only (its dataclasses look it up)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_reports_pass_reference_check(tmp_path, monkeypatch, capsys):
+    """Every seed-0 perfbench job but the two 10^7-draw Monte Carlo ones passes perfbench/checks.py, unchanged.
+
+    The reports are compared with perfbench/reference (floats within 1e-12) and checked
+    against their subcommand's invariants, as the benchmark does after each run.
+    """
+    workloads, checks = _load_perfbench("workloads", monkeypatch), _load_perfbench("checks", monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MIXER_LOOP_BUDGET", raising=False)
+    monkeypatch.delenv("MIXER_MAX_ORDER", raising=False)
+    skipped = {"interleave_A5_t3_mc", "interleave_A5_t4_mc"}
+    jobs = [job for name in workloads.WORKLOADS for job in workloads.make_jobs(name, 0, tmp_path)]
+    assert skipped < {job.id for job in jobs}
+    for job in jobs:
+        if job.id in skipped:
+            continue
+        assert main([*job.argv, "--seed", "0"]) == 0, job.id
+        assert checks.check_report(job, capsys.readouterr().out, 0) == [], job.id

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from classmix.errors import CapExceeded, MixedGroups, SpecSyntax, UnsupportedParameters
+from classmix.errors import CapExceeded, InvariantViolation, MixedGroups, SpecSyntax, UnsupportedParameters
 from classmix.characters import dixon_character_table
 from classmix.groups import (
     ROW_CHUNK,
@@ -55,8 +55,8 @@ def test_identity_is_index_zero():
     for spec in [GroupSpec.alt(5), GroupSpec.sym(4), GroupSpec.psl2(7)]:
         table = group_build(spec)
         assert table.elements[0] == table.engine.identity.tobytes()
-        assert table.mul_index(0, 3) == 3
-        assert table.mul_index(3, 0) == 3
+        assert table.full_mul_table()[0, 3] == 3
+        assert table.full_mul_table()[3, 0] == 3
 
 
 def test_elements_sorted_after_identity():
@@ -70,6 +70,13 @@ def test_cap_exceeded():
         group_build(GroupSpec.alt(11))  # order 19,958,400 > default cap
     with pytest.raises(CapExceeded):
         group_build(GroupSpec.alt(7), max_order=100)
+
+
+def test_known_order_mismatch_is_an_invariant_violation():
+    """A named family whose generators close to a group of another order fails an invariant (exit 13)."""
+    gens = (parse_cycles("(1 2 3)", 5), parse_cycles("(2 3 4)", 5))  # they generate A:4 on points 1..4
+    with pytest.raises(InvariantViolation, match="enumerated order 12 != known order 60"):
+        group_build(GroupSpec("alt", 5, gens, "A:5", 60))
 
 
 # (order, generator_indices, sha256 of codes) of one table per kind; a change to a
@@ -103,12 +110,13 @@ def test_degenerate_generators_flagged():
 
 def test_element_ops_and_identity_law():
     table = group_build(GroupSpec.alt(5))
+    mul, inv = table.full_mul_table(), table.inverses
     stream = make_stream(7)
     for g in stream.integers(0, table.order, size=50).tolist():
-        assert table.mul_index(0, g) == g
-        assert table.mul_index(g, 0) == g
-        assert table.mul_index(g, table.inv_index(g)) == 0
-        assert table.mul_index(table.inv_index(g), g) == 0
+        assert mul[0, g] == g
+        assert mul[g, 0] == g
+        assert mul[g, inv[g]] == 0
+        assert mul[inv[g], g] == 0
 
 
 def test_cycle_inverse_example():
@@ -116,7 +124,7 @@ def test_cycle_inverse_example():
     img = parse_cycles("(1 2 3 4 5)")
     table = group_build(GroupSpec.from_perm_generators([img], label="c5"))
     g = table.index_of(bytes(img))
-    assert table.elements[table.inv_index(g)] == bytes(parse_cycles("(1 5 4 3 2)"))
+    assert table.elements[table.inverses[g]] == bytes(parse_cycles("(1 5 4 3 2)"))
 
 
 def test_mixed_groups_rejected():
@@ -151,7 +159,6 @@ def test_mul_table_consistency_small():
         for i in range(table.order):
             for j in range(table.order):
                 assert elems[grid[i, j]] == perm_mul(elems[i], elems[j])
-                assert table.mul_index(i, j) == grid[i, j]
 
 
 def test_mul_table_consistency_sampled():
@@ -159,9 +166,10 @@ def test_mul_table_consistency_sampled():
     stream = make_stream(3)
     idx = stream.integers(0, table.order, size=(1000, 2))
     prods = table.mul_indices(idx[:, 0], idx[:, 1])
+    mul = table.full_mul_table()
     for (i, j), k in zip(idx.tolist(), prods.tolist()):
         assert table.elements[k] == bytes(perm_mul(table.elements[i], table.elements[j]))
-        assert table.mul_index(i, j) == k
+        assert mul[i, j] == k
 
 
 @pytest.mark.parametrize("label", ["SL2:5", "SL2:7", "PSL2:7", "PSL2:11"])
@@ -244,10 +252,11 @@ def test_class_sizes_sum_and_divide(group_cache):
 
 def test_conjugation_invariance(group_cache):
     table, classes, _, _ = group_cache("A:6")
+    mul = table.full_mul_table()
     stream = make_stream(11)
     pairs = stream.integers(0, table.order, size=(1000, 2))
     for g, h in pairs:
-        conj = table.mul_index(table.mul_index(int(h), int(g)), table.inv_index(int(h)))
+        conj = mul[mul[h, g], table.inverses[h]]
         assert classes.class_of[conj] == classes.class_of[int(g)]
 
 
@@ -272,7 +281,7 @@ def test_conjugation_permutation_memory(group_cache, label, per_product):
     int64 field gathers per product, where a permutation product holds its row.
     """
     table, _, _, _ = group_cache(label)
-    expected = np.array([table.mul_index(table.mul_index(1, g), table.inv_index(1)) for g in range(0, table.order, 997)])
+    expected = table.mul_indices(table.mul_indices([1], np.arange(0, table.order, 997)), [table.inverses[1]])
     perm, peak = _traced_peak(lambda: table.conjugation_permutation(1))
     assert np.array_equal(perm[::997], expected)
     assert peak < 4 * table.order + per_product * ROW_CHUNK
@@ -359,11 +368,15 @@ def test_class_labelling_matches_unique(label, tmp_path):
 
 def test_power_map_coherence(group_cache):
     table, classes, _, _ = group_cache("PSL2:7")
+    mul = table.full_mul_table()
     stream = make_stream(13)
     for _ in range(1000):
         g = int(stream.integers(0, table.order))
         m = int(stream.integers(1, classes.exponent + 1))
-        assert classes.class_of[table.pow_index(g, m)] == classes.power_map[m, classes.class_of[g]]
+        power = 0
+        for _step in range(m):
+            power = mul[power, g]
+        assert classes.class_of[power] == classes.power_map[m, classes.class_of[g]]
 
 
 def test_power_map_row_one_is_identity_map(group_cache):

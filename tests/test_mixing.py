@@ -347,9 +347,10 @@ def test_survey_translated_inverse_matches_full_sweep(group_cache):
     rep = survey(table, classes, chartable, TranslatedInverse(a))
     assert rep.to_json_dict()["sampled"] is False
     # independent recomputation of the pair weights
+    mul = table.full_mul_table()
     counts = {}
     for x in range(table.order):
-        y = table.mul_index(table.inv_index(x), a)
+        y = mul[table.inverses[x], a]
         key = (int(classes.class_of[x]), int(classes.class_of[y]))
         counts[key] = counts.get(key, 0) + 1
     for p in rep.pairs:
