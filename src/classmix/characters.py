@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ IMAG_TOL = 1e-8  # largest imaginary part of a class-product probability
 ROOT_CHUNK = 1 << 16  # residues evaluated at once by the root search (cache-sized)
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(NamedTuple):
     """tensor[i, j, k] = number of pairs (u, v) in C_i x C_j with u*v = rep(C_k)."""
 
     tensor: np.ndarray
@@ -74,8 +73,7 @@ class ClassRows:
         return int(self.sizes[self.rows(i, np.array([j]))[0] > 0].sum())
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """k x k complex character values; row i is the i-th irreducible character.
 
     Rows are sorted by (degree, descending lexicographic value order), which
@@ -92,7 +90,7 @@ class CharacterTable:
     modulus_prime: int
     row_residual: float
     col_residual: float
-    work: dict = field(default_factory=dict, compare=False, repr=False)  # run metadata, not in reports
+    work: dict | None = None  # run metadata from Dixon, not in reports
 
     @property
     def k(self) -> int:
@@ -110,8 +108,7 @@ class CharacterTable:
         }
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(NamedTuple):
     max_row_residual: float
     max_col_residual: float
     tolerance: float

@@ -77,6 +77,8 @@ def _parse_coupling(table, text: str):
         mapping = tuple(parse_int(e, "bijection entry") for e in entries)
         if len(mapping) != table.order:
             raise SpecSyntax(f"bijection file has {len(mapping)} entries, group order is {table.order}")
+        if sorted(mapping) != list(range(table.order)):
+            raise SpecSyntax("bijection table is not a permutation of element indices")
         return BijectionCoupling(mapping)
     raise SpecSyntax(f"unknown coupling {text!r}")
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,8 +140,7 @@ def _decode(codes: np.ndarray, engine) -> np.ndarray:
 # specs
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """A group to build: its family, base, generators, label and known order.
 
     `base` is the engine's base: the degree n for alt/sym/permgen, the field
@@ -356,13 +355,31 @@ class GroupTable:
         return self._sweep(lambda rows: engine.left(h_row, engine.right(rows, h_inv)[:, 0]))
 
     def full_mul_table(self) -> np.ndarray:
-        """Dense index multiplication table, for groups of order at most MUL_TABLE_LIMIT."""
+        """Dense index multiplication table, for groups of order at most MUL_TABLE_LIMIT.
+
+        Only the generators' rows are engine sweeps.  Every other row is one gather,
+        row(s x) = row_s[row(x)], found breadth-first from the identity by left
+        multiplication with the generators s, which reaches all of a finite group.
+        """
         if self.order > MUL_TABLE_LIMIT:
             raise CapExceeded(f"multiplication table of order {self.order} exceeds limit {MUL_TABLE_LIMIT}")
         if self._mul_table is None:
+            engine = self.engine
+            lefts = [self._sweep(lambda rows: engine.left(self.rows[s], rows)) for s in self.generator_indices]
             table = np.empty((self.order, self.order), dtype=np.int32)
-            for g in range(self.order):
-                table[:, g] = self.right_mul_indices(g)
+            table[0] = np.arange(self.order)
+            reached = [0]
+            found = np.zeros(self.order, dtype=bool)
+            found[0] = True
+            for x in reached:  # grows while it is walked: a breadth-first queue
+                for left in lefts:
+                    y = left[x]
+                    if not found[y]:
+                        found[y] = True
+                        table[y] = left[table[x]]
+                        reached.append(y)
+            if len(reached) != self.order:
+                raise InvariantViolation(f"{self.spec.label}: generators reach {len(reached)} of {self.order} elements")
             self._mul_table = table
         return self._mul_table
 
@@ -469,8 +486,7 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
 # conjugacy classes
 
 
-@dataclass(frozen=True, eq=False)
-class ClassData:
+class ClassData(NamedTuple):
     """Conjugacy classes: representatives, sizes, maps, and power maps."""
 
     reps: tuple[int, ...]

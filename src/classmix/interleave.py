@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,13 +38,13 @@ CHUNK = 1 << 20  # tuple codes per chunk of a decode
 MIN_MC_SAMPLES = 10**4  # fewest Monte Carlo samples, checked by mc_distribution and `interleave --mc`
 
 
-@dataclass(frozen=True)
 class TupleSet:
     """Subset of G^t held as a membership mask over tuple codes (base |G| digits = coordinates)."""
 
-    arity: int
-    group_order: int
-    mask: np.ndarray  # bool, length |G|^t; entry c is True when the tuple with code c is a member
+    def __init__(self, arity: int, group_order: int, mask: np.ndarray):
+        self.arity = arity
+        self.group_order = group_order
+        self.mask = mask  # bool, length |G|^t; entry c is True when the tuple with code c is a member
 
     @cached_property
     def size(self) -> int:
@@ -150,8 +150,7 @@ def _interleave(a_cols, b_cols) -> list:
     return [col for pair in zip(a_cols, b_cols) for col in pair]
 
 
-@dataclass(frozen=True)
-class InterleaveEstimate:
+class InterleaveEstimate(NamedTuple):
     """Distribution of a . b per group element, exact or Monte Carlo."""
 
     probs: np.ndarray  # float64, length |G|
@@ -255,8 +254,7 @@ def _check_compat(a_set: TupleSet, b_set: TupleSet, table: GroupTable):
 # deviation shapes
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
     """l-infinity deviation and the implied decay exponent at desk scale.
 
     normalized = D * alpha * beta * |G|; the implied exponent solves
@@ -276,7 +274,7 @@ class DeviationReport:
 
     def to_json_dict(self) -> dict:
         exponent = self.implied_exponent if math.isfinite(self.implied_exponent) else "inf"
-        return {"schema": 1, **asdict(self), "implied_exponent": exponent}
+        return {"schema": 1, **self._asdict(), "implied_exponent": exponent}
 
 
 def deviation_report(
@@ -356,15 +354,13 @@ def _complete_fiber(table: GroupTable, a_rows: np.ndarray, b_rows: np.ndarray, g
 # rectangle protocols
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(NamedTuple):
     a_set: TupleSet
     b_set: TupleSet
     bit: int
 
 
-@dataclass(frozen=True)
-class RectangleProtocol:
+class RectangleProtocol(NamedTuple):
     """Deterministic transcript partition: disjoint rectangles with output bits."""
 
     rectangles: tuple[Rectangle, ...]
@@ -391,8 +387,7 @@ class RectangleProtocol:
         return bits
 
 
-@dataclass(frozen=True)
-class AdvantageReport:
+class AdvantageReport(NamedTuple):
     p_g: float
     p_h: float
     advantage: float
@@ -401,7 +396,7 @@ class AdvantageReport:
     samples: int
 
     def to_json_dict(self) -> dict:
-        return {"schema": 1, **asdict(self)}
+        return {"schema": 1, **self._asdict()}
 
 
 def advantage(

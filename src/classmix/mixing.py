@@ -10,8 +10,8 @@ a standing acceptance criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .errors import InvariantViolation, LoopBudgetExceeded, SpecSyntax
 from .groups import ClassData, GroupTable
 
 
-@dataclass(frozen=True)
-class PairDistribution:
+class PairDistribution(NamedTuple):
     """Per-class values of the product distribution for one class pair.
 
     probs[k] is the probability of each single element of class k, and
@@ -75,8 +74,7 @@ def l2_sq_char(xc, yc, table: CharacterTable):
     return (sq[xc] * sq[yc] / np.asarray(table.degrees, dtype=np.float64) ** 2).sum(axis=-1) / table.order
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     l1: float
     l2_sq: float  # squared l2 distance to uniform, computed directly
     linf: float
@@ -93,8 +91,7 @@ def dist_to_uniform(dist: PairDistribution, classes: ClassData) -> DistanceRepor
     )
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     support: int  # |x^G y^G| in elements
     fraction: float
 
@@ -110,8 +107,7 @@ def coverage(dist: PairDistribution, classes: ClassData) -> CoverageReport:
 # Thompson-type search
 
 
-@dataclass(frozen=True)
-class ThompsonResult:
+class ThompsonResult(NamedTuple):
     best_class: int
     support: int
     fraction: float
@@ -142,20 +138,17 @@ def thompson_search(table: GroupTable, classes: ClassData) -> ThompsonResult:
 # couplings and surveys
 
 
-@dataclass(frozen=True)
-class Independent:
+class Independent(NamedTuple):
     def describe(self) -> str:
         return "independent"
 
 
-@dataclass(frozen=True)
-class Diagonal:
+class Diagonal(NamedTuple):
     def describe(self) -> str:
         return "diagonal"
 
 
-@dataclass(frozen=True)
-class TranslatedInverse:
+class TranslatedInverse(NamedTuple):
     """x uniform, y = x^-1 a for a fixed element a."""
 
     a_index: int
@@ -164,15 +157,10 @@ class TranslatedInverse:
         return f"transinv:{self.a_index}"
 
 
-@dataclass(frozen=True)
-class BijectionCoupling:
-    """x uniform, y = f(x) for an arbitrary permutation f of element indices."""
+class BijectionCoupling(NamedTuple):
+    """x uniform, y = f(x) for an arbitrary permutation f of element indices (checked where f is read)."""
 
     mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.mapping) != list(range(len(self.mapping))):
-            raise SpecSyntax("bijection table is not a permutation of element indices")
 
     def describe(self) -> str:
         return "bijection"
@@ -181,8 +169,7 @@ class BijectionCoupling:
 Coupling = Independent | Diagonal | TranslatedInverse | BijectionCoupling
 
 
-@dataclass(frozen=True)
-class SurveyPair:
+class SurveyPair(NamedTuple):
     x_class: int
     y_class: int
     weight: float
@@ -191,8 +178,7 @@ class SurveyPair:
     coverage_fraction: float
 
 
-@dataclass(frozen=True)
-class SurveyReport:
+class SurveyReport(NamedTuple):
     group: str
     coupling: str
     pairs: tuple[SurveyPair, ...]
@@ -318,8 +304,7 @@ def _weighted_quantiles(values, weights, points) -> tuple[tuple[float, float], .
 # character-bound fraction
 
 
-@dataclass(frozen=True)
-class CharBoundReport:
+class CharBoundReport(NamedTuple):
     fraction: float
     lower_bound: float  # 2 - zeta_G(s)
     s: float

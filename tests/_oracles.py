@@ -4,7 +4,8 @@ These deliberately re-derive everything from first principles with plain
 Python data structures so they can serve as oracles for the package paths.
 Only usable for small groups.  GF(p^k) addition, negation and multiplication
 digit by digit are the references for the field tables.  The references at
-the end are a scalar interleaved product (one table entry per factor), plain
+the end are the dense multiplication table one right-multiplication sweep per
+column, a scalar interleaved product (one table entry per factor), plain
 numpy kernels (an interleave per-tuple fold, a decode-and-fold Monte Carlo
 loop, one whole-group sweep per class for the structure constants and one
 for the translated-inverse coupling) that the production kernels must match
@@ -276,6 +277,14 @@ def _decode(codes, arity, order):
         out[:, i] = rem % order
         rem //= order
     return out
+
+
+def column_mul_table(table) -> np.ndarray:
+    """Dense multiplication table built column by column: column g is the sweep h -> index(h g)."""
+    mul = np.empty((table.order, table.order), dtype=np.int32)
+    for g in range(table.order):
+        mul[:, g] = table.right_mul_indices(g)
+    return mul
 
 
 def interleave_product(table, a, b) -> int:

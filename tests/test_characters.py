@@ -1,4 +1,3 @@
-import dataclasses
 import time
 
 import numpy as np
@@ -143,7 +142,7 @@ def test_class_rows_reject_wrong_inverse_classes(group_cache):
     inv = list(classes.inverse_class)
     three_a, two_a = classes.sizes.index(20), classes.sizes.index(15)
     inv[three_a], inv[two_a] = inv[two_a], inv[three_a]
-    rows = ClassRows(table, dataclasses.replace(classes, inverse_class=tuple(inv)))
+    rows = ClassRows(table, classes._replace(inverse_class=tuple(inv)))
     with pytest.raises(InvariantViolation):
         for j in range(classes.k):
             rows.rows(j, np.arange(classes.k))
@@ -187,7 +186,7 @@ def test_structure_constants_reject_wrong_inverse_classes(group_cache):
     three_a, two_a = classes.sizes.index(20), classes.sizes.index(15)
     inv[three_a], inv[two_a] = inv[two_a], inv[three_a]
     with pytest.raises(InvariantViolation):
-        structure_constants(chartable, dataclasses.replace(classes, inverse_class=tuple(inv)))
+        structure_constants(chartable, classes._replace(inverse_class=tuple(inv)))
 
 
 def test_structure_constants_reject_wrong_residue(group_cache):
@@ -196,7 +195,7 @@ def test_structure_constants_reject_wrong_residue(group_cache):
     residues = chartable.residues.copy()
     residues[1, 1] = (residues[1, 1] + 1) % chartable.modulus_prime
     with pytest.raises(InvariantViolation, match="mod P"):
-        structure_constants(dataclasses.replace(chartable, residues=residues), classes)
+        structure_constants(chartable._replace(residues=residues), classes)
 
 
 def test_structure_constants_reject_perturbed_values(group_cache):
@@ -205,7 +204,7 @@ def test_structure_constants_reject_perturbed_values(group_cache):
     values = chartable.values.copy()
     values[1, 1] += 1.0
     with pytest.raises(InvariantViolation, match="mod P"):
-        structure_constants(dataclasses.replace(chartable, values=values), classes)
+        structure_constants(chartable._replace(values=values), classes)
 
 
 def test_dixon_degree_multisets(group_cache):

@@ -1,7 +1,9 @@
+import dataclasses
 import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from collections import Counter
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import classmix
 from classmix import characters, cli
 from classmix.cli import main
 from classmix.errors import SpecSyntax, UnsupportedParameters
@@ -408,12 +411,14 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, case):
     [
         (["survey", "S:3", "--thresholds", "nan"], False),
         (["survey", "S:3", "--coupling", "transinv:bogus"], True),
+        (["survey", "S:3", "--coupling", "bijfile:{d}/b.txt"], True),
         (["zeta", "A:10", "--s", "2", "nan"], False),
     ],
-    ids=["threshold-nan", "coupling-unknown-element", "zeta-s-nan"],
+    ids=["threshold-nan", "coupling-unknown-element", "coupling-not-a-bijection", "zeta-s-nan"],
 )
-def test_survey_rejects_bad_input_before_character_table(monkeypatch, argv, needs_group):
-    """Bad survey and zeta flags exit 2 before Dixon runs; all but the coupling before the group is even built."""
+def test_survey_rejects_bad_input_before_character_table(tmp_path, monkeypatch, argv, needs_group):
+    """Bad survey and zeta flags exit 2 before Dixon runs; all but the couplings before the group is even built."""
+    (tmp_path / "b.txt").write_text("0 0 2 3 4 5\n")  # S:3 has six elements; 0 appears twice
 
     def unreachable(*args, **kwargs):
         raise AssertionError("bad input reached a later stage")
@@ -421,7 +426,7 @@ def test_survey_rejects_bad_input_before_character_table(monkeypatch, argv, need
     monkeypatch.setattr(cli, "dixon_character_table", unreachable)
     if not needs_group:
         monkeypatch.setattr(cli, "group_build", unreachable)
-    assert run_cli(*argv, "--quiet") == 2
+    assert run_cli(*[a.format(d=tmp_path) for a in argv], "--quiet") == 2
 
 
 def test_interleave_rejects_large_group_before_tuple_sets(monkeypatch):
@@ -462,12 +467,21 @@ def test_benchmark_tracer_names_resolve():
         assert callable(getattr(GroupTable, method, None)), f"GroupTable.{method}"
 
 
-def test_benchmark_tracer_counters_run(tmp_path):
-    """perfbench/tracer.py, unchanged, runs survey, thompson and both mixpair methods and counts its spans.
+def test_no_module_builds_dataclasses():
+    """Records are NamedTuples or plain classes: dataclass code generation cost about 25 ms of every cold start."""
+    for info in pkgutil.iter_modules(classmix.__path__):
+        for name, value in vars(importlib.import_module(f"classmix.{info.name}")).items():
+            assert value is not dataclasses and getattr(value, "__module__", None) != "dataclasses", f"{info.name}.{name}"
+            assert not hasattr(value, "__dataclass_fields__"), f"{info.name}.{name} is a dataclass"
 
-    Its counters read return values (`.tensor.nbytes`, `.modulus_prime`, `.counts`) and call
-    `config.loop_budget()`, so it runs in a subprocess: `install` patches module attributes
-    and GroupTable methods process-wide.
+
+def test_benchmark_tracer_counters_run(tmp_path):
+    """perfbench/tracer.py, unchanged, runs every counted layer's job kind on A:5 and counts its spans.
+
+    Its counters read attributes of the returned records (`.tensor.nbytes`, `.modulus_prime`,
+    the orthogonality residuals and tolerance, `.counts`, `.total`) and call
+    `config.loop_budget()`, so a record change that drops one breaks `run.py --trace 1` here.
+    It runs in a subprocess: `install` patches module attributes and GroupTable methods process-wide.
     """
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -477,7 +491,11 @@ def test_benchmark_tracer_counters_run(tmp_path):
         "thompson": ["thompson", "A:5"],
         "mixpair": ["mixpair", "A:5", "--x", "1", "--y", "2"],
         "mixpair_brute": ["mixpair", "A:5", "--x", "1", "--y", "2", "--method", "brute"],
+        "chartable": ["chartable", "A:5"],
+        "interleave_mc": ["interleave", "A:5", "--t", "2", "--mc", "10000"],
+        "interleave_exact": ["interleave", "A:5", "--t", "2"],
     }
+    counted = ("mixing.p_brute", "interleave.mc_distribution", "interleave.exact_distribution")
     counts = {}
     for job, argv in jobs.items():
         spans_path = tmp_path / f"{job}.json"
@@ -487,7 +505,7 @@ def test_benchmark_tracer_counters_run(tmp_path):
         )
         assert done.returncode == 0, done.stderr
         for span in json.loads(spans_path.read_text()):
-            if span["name"].startswith("characters.") or span["name"] == "mixing.p_brute":
+            if span["name"].startswith("characters.") or span["name"] in counted:
                 counts.setdefault(job, {})[span["name"]] = span["counts"]
     # A:5 has k = 5 classes and Dixon prime 31; only survey builds the 5 x 5 x 5 int64 tensor
     assert counts["survey"] == {
@@ -501,6 +519,12 @@ def test_benchmark_tracer_counters_run(tmp_path):
         "mixing.p_brute": {"pairs": 20 * 15, "budget_share": 20 * 15 / 10**9},
     }
     assert "thompson" not in counts
+    # A:5's residuals are about 1e-14, far below the tolerance 1e-8 * 60
+    ratio = counts["chartable"]["characters.verify_orthogonality"]["residual_over_tol"]
+    assert 0 <= ratio < 1e-3
+    assert counts["interleave_mc"] == {"interleave.mc_distribution": {"samples": 10_000}}
+    # alpha = 0.5 keeps 1800 of the 60^2 tuples on each side
+    assert counts["interleave_exact"] == {"interleave.exact_distribution": {"pairs": 1800 * 1800}}
 
 
 def _load_perfbench(name: str, monkeypatch):

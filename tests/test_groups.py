@@ -20,6 +20,7 @@ from _oracles import (
     ORACLE_LABELS,
     alt_elements,
     brute_conjugacy_classes,
+    column_mul_table,
     mat_inv,
     mat_mul,
     oracle_spec,
@@ -159,6 +160,17 @@ def test_mul_table_consistency_small():
         for i in range(table.order):
             for j in range(table.order):
                 assert elems[grid[i, j]] == perm_mul(elems[i], elems[j])
+
+
+@pytest.mark.parametrize("label", ["A:5", "S:4", "PSL2:7", "SL2:4", "permgen"])
+def test_full_mul_table_matches_column_sweeps(label, tmp_path):
+    """Row gathers from the generators' rows equal one right-multiplication sweep per column.
+
+    The generators of A:5 and of "permgen" (whose 3-cycle (5 6 7) has no inverse among
+    them) are not closed under inverses, so every row is reached by products alone.
+    """
+    table = group_build(oracle_spec(label, tmp_path))
+    assert np.array_equal(table.full_mul_table(), column_mul_table(table))
 
 
 def test_mul_table_consistency_sampled():

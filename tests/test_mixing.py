@@ -1,10 +1,10 @@
-import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from classmix import cli
 from classmix.errors import InvariantViolation, LoopBudgetExceeded, SpecSyntax
 from classmix.groups import GroupSpec, conj_classes, group_build
 from classmix.characters import ClassRows, dixon_character_table, witten_zeta
@@ -236,7 +236,7 @@ def test_p_char_rejects_moved_residue(group_cache):
     residues = chartable.residues.copy()
     residues[1, 1] = (residues[1, 1] + 1) % chartable.modulus_prime
     with pytest.raises(InvariantViolation, match="mod P"):
-        p_char(1, 0, dataclasses.replace(chartable, residues=residues), classes)
+        p_char(1, 0, chartable._replace(residues=residues), classes)
 
 
 def test_coverage_norm_link(group_cache):
@@ -387,9 +387,11 @@ def test_survey_bijection_coupling(group_cache):
     assert sum(p.weight for p in rep.pairs) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_bijection_validation():
-    with pytest.raises(SpecSyntax):
-        BijectionCoupling((0, 0, 1))
+def test_bijection_validation(tmp_path):
+    """A bijection file that is not a permutation of the element indices is refused where it is read."""
+    (tmp_path / "b.txt").write_text("0 0 2 3 4 5\n")
+    with pytest.raises(SpecSyntax, match="not a permutation"):
+        cli._parse_coupling(group_build(GroupSpec.sym(3)), f"bijfile:{tmp_path / 'b.txt'}")
 
 
 def test_survey_quantiles_monotone(group_cache):
@@ -458,7 +460,7 @@ def test_survey_rejects_nan_threshold(group_cache):
 
 def test_survey_rejects_imaginary_character_noise(group_cache):
     table, classes, _, chartable = group_cache("A:5")
-    noisy = dataclasses.replace(chartable, values=chartable.values + 1e-6j * np.arange(classes.k))
+    noisy = chartable._replace(values=chartable.values + 1e-6j * np.arange(classes.k))
     with pytest.raises(InvariantViolation):
         survey(table, classes, noisy, Independent())
     with pytest.raises(InvariantViolation):
