@@ -181,16 +181,10 @@ def _roots_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
 
 def _least_dixon_prime(exponent: int, order: int) -> int:
     lower = 2 * math.isqrt(order)
-    m = lower // exponent + 1
-    while True:
-        p = m * exponent + 1
-        if p > PRIME_SEARCH_BOUND:
-            raise NoSuitablePrime(
-                f"no prime = 1 (mod {exponent}) above {lower} found below {PRIME_SEARCH_BOUND}"
-            )
-        if p > lower and is_prime(p):
+    for p in range((lower // exponent + 1) * exponent + 1, PRIME_SEARCH_BOUND + 1, exponent):
+        if is_prime(p):
             return p
-        m += 1
+    raise NoSuitablePrime(f"no prime = 1 (mod {exponent}) above {lower} found below {PRIME_SEARCH_BOUND}")
 
 
 def _primitive_root_of_order(e: int, p: int) -> int:

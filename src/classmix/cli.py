@@ -220,6 +220,7 @@ def _cmd_mixpair(args) -> int:
     )
     dr = dist_to_uniform(dist, classes)
     cov = coverage(dist, classes)
+    char_sq = l2_sq_char(args.x, args.y, chartable)
     payload = {
         "x_class": args.x,
         "y_class": args.y,
@@ -227,8 +228,8 @@ def _cmd_mixpair(args) -> int:
         "probs_per_class": [float(p) for p in dist.probs],
         "class_sizes": list(classes.sizes),
         "l2_sq": l2_sq(dist, classes),
-        "l2_sq_char": l2_sq_char(args.x, args.y, chartable),
-        "n_stat": table.order * l2_sq_char(args.x, args.y, chartable),
+        "l2_sq_char": char_sq,
+        "n_stat": table.order * char_sq,
         "l1": dr.l1,
         "l2_sq_dist": dr.l2_sq,
         "linf": dr.linf,

@@ -16,34 +16,6 @@ from .errors import UnsupportedParameters
 
 MAX_FIELD_SIZE = 2**20
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 # -- polynomial helpers over GF(p), little-endian coefficient tuples ---------
 
 
@@ -85,6 +57,10 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and prime_factors(n) == [n]
 
 
 def _digits(m: int, p: int, k: int) -> list[int]:

@@ -487,7 +487,13 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
 
 
 class ClassData(NamedTuple):
-    """Conjugacy classes: representatives, sizes, maps, and power maps."""
+    """Conjugacy classes: representatives, sizes, maps, and power maps.
+
+    power_map has one row per power m up to the largest representative order,
+    not up to the exponent: rep^m for larger m is row m % orders[c], and Dixon's
+    lift reads only rows below each class's order.  (PSL2:127 has exponent
+    512,064 but largest order 127.)
+    """
 
     reps: tuple[int, ...]
     sizes: tuple[int, ...]
@@ -495,7 +501,7 @@ class ClassData(NamedTuple):
     inverse_class: tuple[int, ...]
     orders: tuple[int, ...]  # order of each class representative
     exponent: int
-    power_map: np.ndarray  # (exponent + 1, k); row m = class of rep^m
+    power_map: np.ndarray  # (max(orders) + 1, k); row m = class of rep^m
 
     @property
     def k(self) -> int:
@@ -541,15 +547,13 @@ def conj_classes(table: GroupTable) -> ClassData:
         orders[(idx == 0) & (orders == 0)] = len(powers)
         powers.append(idx)
         cur = table.engine.mul(cur, rep_rows)
-    exponent = math.lcm(*orders.tolist())
-    m = np.arange(exponent + 1)[:, None]
-    power_map = class_of[np.array(powers)[m % orders, np.arange(k)]]
+    power_map = class_of[np.array(powers)]
     return ClassData(
         reps=tuple(reps.tolist()),
         sizes=tuple(np.bincount(class_of).tolist()),
         class_of=class_of,
         inverse_class=tuple(power_map[orders - 1, np.arange(k)].tolist()),  # rep^(n-1) = rep^-1
         orders=tuple(orders.tolist()),
-        exponent=exponent,
+        exponent=math.lcm(*orders.tolist()),
         power_map=power_map,
     )

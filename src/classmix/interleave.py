@@ -300,7 +300,7 @@ def deviation_report(
         family=family,
         base=float(base),
         normalized=float(normalized),
-        implied_exponent=float(implied) if math.isfinite(implied) else math.inf,
+        implied_exponent=implied,
     )
 
 

@@ -7,6 +7,7 @@ from classmix import characters
 from classmix.characters import (
     CharacterTable,
     ClassRows,
+    _least_dixon_prime,
     _matmul_mod,
     _nullspace,
     _roots_mod,
@@ -15,7 +16,7 @@ from classmix.characters import (
     verify_orthogonality,
     witten_zeta,
 )
-from classmix.errors import InvariantViolation
+from classmix.errors import InvariantViolation, NoSuitablePrime
 from classmix.groups import GroupSpec, conj_classes, group_build
 
 from _oracles import (
@@ -33,6 +34,15 @@ from _oracles import (
     sl2_elements,
     sym_elements,
 )
+
+
+def test_least_dixon_prime():
+    """A prime P = 1 (mod exponent) above 2 sqrt(|G|); NoSuitablePrime when none lies below 2^31."""
+    assert _least_dixon_prime(2520, 362880) == 2521  # S:9
+    assert _least_dixon_prime(360696, 721392) == 1082089  # PSL2:113
+    assert _least_dixon_prime(6, 60) == 19
+    with pytest.raises(NoSuitablePrime):
+        _least_dixon_prime(2**31, 4)
 
 
 def _rebuild(label, group_cache):

@@ -178,6 +178,7 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert is_prime(2521)
     assert not is_prime(1261)  # 13 * 97
+    assert is_prime(1082089)  # PSL2:113's Dixon prime
 
 
 def test_field_for_size_rejects_non_prime_powers():

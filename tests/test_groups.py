@@ -316,6 +316,17 @@ def test_stage_memory_s9():
     assert dixon_peak < 4 * n + 48 * ROW_CHUNK
 
 
+def test_class_memory_psl2_59():
+    """conj_classes on PSL2:59 keeps its power map to the largest order, 59, not the exponent, 51,330.
+
+    Traced peak 10.1 MB; expanding the power map to the exponent peaked at 28.6 MB.
+    """
+    table = group_build(GroupSpec.parse("PSL2:59"))
+    classes, peak = _traced_peak(lambda: conj_classes(table))
+    assert classes.power_map.shape == (max(classes.orders) + 1, classes.k)
+    assert peak < 26 * table.order + 160 * ROW_CHUNK
+
+
 @pytest.mark.parametrize("label", ["A:6", "PSL2:25"])
 def test_lookup_matches_per_row_search(label):
     """lookup sorts a block's codes, searches them in order and scatters the indices back.
@@ -366,14 +377,20 @@ def test_lookup_of_one_row(label):
         assert table.index_of(table.elements[i]) == i
 
 
-@pytest.mark.parametrize("label", ORACLE_LABELS + ["A:9", "S:9", "PSL2:27", "PSL2:31", "SL2:16"])
+@pytest.mark.parametrize("label", ORACLE_LABELS + ["A:9", "S:9", "PSL2:27", "PSL2:31", "SL2:16", "PSL2:59"])
 def test_class_labelling_matches_unique(label, tmp_path):
-    """The sort-free class numbering gives the np.unique labelling's bytes, dtype included."""
+    """The sort-free class numbering gives the np.unique labelling's bytes, dtype included.
+
+    The oracle's power map runs to the exponent (51,330 for PSL2:59); conj_classes
+    keeps its rows up to the largest representative order (59).
+    """
     table = group_build(oracle_spec(label, tmp_path))
     classes = conj_classes(table)
+    expected = list(unique_labelling_classes(table))
+    expected[4] = expected[4][: max(classes.orders) + 1]
     got = (classes.reps, classes.sizes, classes.class_of, classes.inverse_class, classes.power_map)
     names = ("reps", "sizes", "class_of", "inverse_class", "power_map")
-    for name, a, b in zip(names, got, unique_labelling_classes(table)):
+    for name, a, b in zip(names, got, expected):
         a, b = np.asarray(a), np.asarray(b)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
@@ -388,7 +405,8 @@ def test_power_map_coherence(group_cache):
         power = 0
         for _step in range(m):
             power = mul[power, g]
-        assert classes.class_of[power] == classes.power_map[m, classes.class_of[g]]
+        c = classes.class_of[g]
+        assert classes.class_of[power] == classes.power_map[m % classes.orders[c], c]
 
 
 def test_power_map_row_one_is_identity_map(group_cache):
