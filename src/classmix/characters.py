@@ -180,9 +180,10 @@ def _roots_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
 
 
 def _least_dixon_prime(exponent: int, order: int) -> int:
-    lower = 2 * math.isqrt(order)
-    for p in range((lower // exponent + 1) * exponent + 1, PRIME_SEARCH_BOUND + 1, exponent):
-        if is_prime(p):
+    """The least prime P = 1 (mod exponent) with P^2 > 4 |G|."""
+    lower = 2 * math.isqrt(order)  # lower^2 <= 4 |G|, so P > lower; lower + 1 may already do
+    for p in range(lower // exponent * exponent + 1, PRIME_SEARCH_BOUND + 1, exponent):
+        if p * p > 4 * order and is_prime(p):
             return p
     raise NoSuitablePrime(f"no prime = 1 (mod {exponent}) above {lower} found below {PRIME_SEARCH_BOUND}")
 
@@ -383,8 +384,8 @@ def structure_constants(chartable: CharacterTable, classes: ClassData) -> Struct
 
 
 def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
-    """Row and column orthogonality residuals against tolerance ORTHOGONALITY_TOL * |G|."""
-    row_res, col_res = _residuals(table.values, table.class_sizes, table.order)
+    """The row and column orthogonality residuals Dixon measured, against tolerance ORTHOGONALITY_TOL * |G|."""
+    row_res, col_res = table.row_residual, table.col_residual
     tol = ORTHOGONALITY_TOL * table.order
     return OrthogonalityReport(
         max_row_residual=row_res,

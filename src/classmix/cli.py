@@ -110,6 +110,7 @@ def _emit(args, payload: dict, csv_text: str | None = None, meta: dict | None = 
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / f"{name}.json").write_text(body, encoding="utf-8")
         meta = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S"), "version": __version__, **(meta or {})}
+        meta["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # Linux reports KiB
         (outdir / f"{name}.meta.json").write_text(_canonical_json(meta), encoding="utf-8")
         if csv_text is not None:
             (outdir / f"{name}.csv").write_text(csv_text, encoding="utf-8")
@@ -281,7 +282,6 @@ def _cmd_interleave(args) -> int:
     seconds = time.perf_counter() - start
     meta = {"mode": est.mode, "kernel_s": seconds, "total_per_s": est.total / seconds, **est.work}
     meta["tuple_set_bytes"] = a_set.mask.nbytes + b_set.mask.nbytes
-    meta["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # Linux reports KiB
     spec = table.spec
     rep = deviation_report(
         est, float(a_set.density), float(b_set.density), family=spec.kind, base=float(spec.base), arity=args.t

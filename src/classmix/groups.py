@@ -45,6 +45,7 @@ class PermEngine:
     def __init__(self, n: int):
         self.base = n
         self.dtype = np.dtype(np.uint8)
+        self.code_dtype = _code_dtype(n, n)
         self.identity = np.arange(n, dtype=self.dtype)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -75,6 +76,7 @@ class Mat2Engine:
         self.projective = projective
         self.base = gf.q
         self.dtype = np.dtype(np.uint8 if gf.q <= 256 else ">u2")
+        self.code_dtype = _code_dtype(gf.q, 4)
         self.identity = self.canonical(np.array([1, 0, 0, 1]))
 
     def canonical(self, entries) -> np.ndarray:
@@ -111,14 +113,19 @@ class Mat2Engine:
         return self.canonical(np.stack(entries, axis=-1))
 
 
-def _codes(rows: np.ndarray, base: int) -> np.ndarray:
-    """Rank codes: each row read as a big-endian base-`base` number.
+def _code_dtype(base: int, width: int) -> np.dtype:
+    """int32 when every rank code of a row of `width` entries below `base` fits it, else int64."""
+    return np.dtype(np.int32 if base**width <= 2**31 else np.int64)
 
-    Every entry is below `base`, so code order is the canonical byte order.
+
+def _codes(rows: np.ndarray, engine) -> np.ndarray:
+    """Rank codes in the engine's code dtype: each row read as a big-endian number in base `engine.base`.
+
+    Every entry is below the base, so code order is the canonical byte order.
     """
-    codes = np.zeros(rows.shape[:-1], dtype=np.int64)
+    codes = np.zeros(rows.shape[:-1], dtype=engine.code_dtype)
     for i in range(rows.shape[-1]):
-        codes *= base
+        codes *= engine.base
         codes += rows[..., i]
     return codes
 
@@ -128,7 +135,7 @@ def _decode(codes: np.ndarray, engine) -> np.ndarray:
     for lo in range(0, len(codes), ROW_CHUNK):
         rest = codes[lo : lo + ROW_CHUNK].copy()
         quot = np.empty_like(rest)
-        for i in reversed(range(rows.shape[1])):  # contiguous int64 arithmetic, one strided store per digit
+        for i in reversed(range(rows.shape[1])):  # contiguous code arithmetic, one strided store per digit
             np.floor_divide(rest, engine.base, out=quot)
             rest -= quot * engine.base
             rows[lo : lo + ROW_CHUNK, i] = rest
@@ -308,9 +315,10 @@ class GroupTable:
     def lookup(self, rows: np.ndarray) -> np.ndarray:
         """Indices of rows of group elements (any leading shape; one row gives a 0-d index).
 
-        Codes are searched in ascending order, which keeps searchsorted's probes in cache.
+        Codes are searched in ascending order, which keeps searchsorted's probes in cache,
+        and the indices are scattered back into the code buffer, so they have its dtype.
         """
-        codes = _codes(rows, self.engine.base)
+        codes = _codes(rows, self.engine)
         flat = codes.ravel()
         order = flat.argsort()
         flat.sort()
@@ -399,13 +407,13 @@ def group_build(spec: GroupSpec, max_order: int | None = None) -> GroupTable:
         raise CapExceeded(f"{spec.label} has order {spec.order}, above the cap {cap}")
 
     engine, generators = _make_engine(spec)
-    identity = _codes(engine.identity, engine.base)
+    identity = _codes(engine.identity, engine)
     seen = identity[None]  # sorted codes of every element found so far
     frontier = engine.identity[None]
     per = max(1, ROW_CHUNK // len(generators))
     while len(frontier):
         products = (engine.right(frontier[lo : lo + per], generators) for lo in range(0, len(frontier), per))
-        codes = np.concatenate([_codes(block, engine.base).ravel() for block in products])
+        codes = np.concatenate([_codes(block, engine).ravel() for block in products])
         codes.sort()
         fresh = np.r_[True, codes[1:] != codes[:-1]]  # the first of each run of equal codes
         new = codes[fresh & (seen[np.minimum(np.searchsorted(seen, codes), len(seen) - 1)] != codes)]
@@ -497,11 +505,11 @@ class ClassData(NamedTuple):
 
     reps: tuple[int, ...]
     sizes: tuple[int, ...]
-    class_of: np.ndarray  # element index -> class index
+    class_of: np.ndarray  # int32, element index -> class index
     inverse_class: tuple[int, ...]
     orders: tuple[int, ...]  # order of each class representative
     exponent: int
-    power_map: np.ndarray  # (max(orders) + 1, k); row m = class of rep^m
+    power_map: np.ndarray  # int32 (max(orders) + 1, k); row m = class of rep^m
 
     @property
     def k(self) -> int:
@@ -526,16 +534,22 @@ def conj_classes(table: GroupTable) -> ClassData:
     """
     conj_perms = [table.conjugation_permutation(h) for h in table.generator_indices]
     labels = np.arange(table.order, dtype=np.int32)
-    while True:
-        prev = labels.copy()
-        for perm in conj_perms:
+    fell = True
+    while fell:
+        before = labels.sum(dtype=np.int64)
+        # a label is at most its element, so labels[labels] is the minimum with the label's label
+        for perm in (*conj_perms, labels):
             np.minimum(labels, labels[perm], out=labels)
-        labels = labels[labels]
-        if np.array_equal(labels, prev):
-            break
-    del conj_perms, prev  # freed before the class numbering allocates its intp arrays
-    is_rep = labels == np.arange(table.order, dtype=np.int32)  # exactly the orbit minima
-    reps, class_of = np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[labels]
+        fell = labels.sum(dtype=np.int64) < before  # labels never rise
+    del conj_perms
+    is_rep = np.zeros(table.order, dtype=bool)
+    is_rep[labels] = True  # exactly the orbit minima
+    number = is_rep.astype(np.int32)
+    np.cumsum(number, out=number)  # in place: cumsum(is_rep, dtype=np.int32) casts a copy first
+    number -= 1  # number[r] = the class of representative r, classes numbered by representative
+    reps, class_of = np.flatnonzero(is_rep), number[labels]
+    del labels, number  # freed before bincount makes its intp copy of class_of
+    sizes = np.bincount(class_of)
     k = len(reps)
     # powers[m, j] = index of reps[j]^m, up to the largest representative order
     rep_rows = table.rows[reps]
@@ -550,7 +564,7 @@ def conj_classes(table: GroupTable) -> ClassData:
     power_map = class_of[np.array(powers)]
     return ClassData(
         reps=tuple(reps.tolist()),
-        sizes=tuple(np.bincount(class_of).tolist()),
+        sizes=tuple(sizes.tolist()),
         class_of=class_of,
         inverse_class=tuple(power_map[orders - 1, np.arange(k)].tolist()),  # rep^(n-1) = rep^-1
         orders=tuple(orders.tolist()),

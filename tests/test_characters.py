@@ -41,6 +41,8 @@ def test_least_dixon_prime():
     assert _least_dixon_prime(2520, 362880) == 2521  # S:9
     assert _least_dixon_prime(360696, 721392) == 1082089  # PSL2:113
     assert _least_dixon_prime(6, 60) == 19
+    assert _least_dixon_prime(6, 12) == 7  # A:4: 6 divides 2 isqrt(12) = 6, and 7^2 = 49 > 48
+    assert _least_dixon_prime(1, 1) == 3  # the trivial group: 3^2 > 4
     with pytest.raises(NoSuitablePrime):
         _least_dixon_prime(2**31, 4)
 
@@ -261,9 +263,11 @@ def test_orthogonality_residuals(group_cache):
 
 
 def test_perturbed_table_fails_orthogonality(group_cache):
+    """verify_orthogonality reads the residuals a table carries; these are the perturbed values' own."""
     _, _, _, chartable = group_cache("A:5")
     values = chartable.values.copy()
     values[1, 1] += 1e-3
+    row_res, col_res = characters._residuals(values, chartable.class_sizes, chartable.order)
     broken = CharacterTable(
         values=values,
         residues=chartable.residues,
@@ -271,8 +275,8 @@ def test_perturbed_table_fails_orthogonality(group_cache):
         class_sizes=chartable.class_sizes,
         order=chartable.order,
         modulus_prime=chartable.modulus_prime,
-        row_residual=0.0,
-        col_residual=0.0,
+        row_residual=row_res,
+        col_residual=col_res,
     )
     assert not verify_orthogonality(broken).passed
 

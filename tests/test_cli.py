@@ -253,6 +253,15 @@ def test_interleave_meta_records_work(tmp_path):
     assert meta["tuple_set_bytes"] == 2 * 60**3
 
 
+def test_every_meta_records_peak_rss(tmp_path):
+    """_emit writes the process's max RSS into each subcommand's .meta.json, never into the report."""
+    assert run_cli("chartable", "A:5", "--quiet", "--out", str(tmp_path)) == 0
+    meta = json.loads((tmp_path / "chartable__A5__seed0.meta.json").read_text())
+    assert meta["peak_rss_mb"] > 0
+    report = json.loads((tmp_path / "chartable__A5__seed0.json").read_text())
+    assert "peak_rss_mb" not in report
+
+
 def test_dixon_meta_records_work(tmp_path):
     """Every subcommand's Dixon split reads its pivot rows from the group."""
     assert run_cli("chartable", "S:9", "--quiet", "--out", str(tmp_path)) == 0

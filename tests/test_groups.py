@@ -6,9 +6,11 @@ import pytest
 
 from classmix.errors import CapExceeded, InvariantViolation, MixedGroups, SpecSyntax, UnsupportedParameters
 from classmix.characters import dixon_character_table
+from classmix.fields import field_for_size
 from classmix.groups import (
     ROW_CHUNK,
     GroupSpec,
+    Mat2Engine,
     PermEngine,
     conj_classes,
     group_build,
@@ -80,8 +82,8 @@ def test_known_order_mismatch_is_an_invariant_violation():
         group_build(GroupSpec("alt", 5, gens, "A:5", 60))
 
 
-# (order, generator_indices, sha256 of codes) of one table per kind; a change to a
-# family's generators or their order, or to the element encoding, changes them
+# (order, generator_indices, sha256 of the codes as int64) of one table per kind; a change
+# to a family's generators or their order, or to the element encoding, changes them
 FAMILY_TABLES = {
     "A:6": (360, (72, 16), "10d4b7010ba9cf7cbef0754482a6a768598cf028755ed3b489f2c6500fecd85b"),
     "S:5": (120, (24, 33), "8e6eaf3c928cdcb9eb8142a41663c7162b97718621b33d7885821f81f17d4e6a"),
@@ -98,8 +100,9 @@ FAMILY_TABLES = {
 def test_family_table_identity(label, tmp_path):
     spec = oracle_spec(label, tmp_path)
     table = group_build(spec)
-    got = (table.order, table.generator_indices, hashlib.sha256(table.codes.tobytes()).hexdigest())
+    got = (table.order, table.generator_indices, hashlib.sha256(table.codes.astype(np.int64).tobytes()).hexdigest())
     assert got == FAMILY_TABLES[label]
+    assert table.codes.dtype == np.int32  # every code of these tables is below 2^31
     assert spec.order == (None if label in ("permgen", "matgen") else table.order)
 
 
@@ -300,19 +303,21 @@ def test_conjugation_permutation_memory(group_cache, label, per_product):
 
 
 def test_stage_memory_s9():
-    """Each S:9 stage holds what it keeps plus O(ROW_CHUNK) of transients (peaks 7.7, 9.1 and 0.4 MB).
+    """Each S:9 stage holds what it keeps plus O(ROW_CHUNK) of transients (peaks 5.5, 6.2 and 0.5 MB).
 
-    group_build keeps 17 bytes per element (codes and uint8 rows); conj_classes
-    keeps an intp class map while int32 labels, two int32 conjugation
-    permutations and the class numbering pass through; Dixon keeps nothing of
-    size |G|.  Unblocked sweeps and np.unique peaked at 17.0 and 25.3 MB.
+    group_build keeps 13 bytes per element (int32 codes and uint8 rows);
+    conj_classes keeps an int32 class map while int32 labels, two int32
+    conjugation permutations and one gather of the labels pass through; Dixon
+    keeps nothing of size |G|.  With int64 codes, a copy of the labels per
+    round and an intp class map the first two peaked at 7.7 and 9.1 MB;
+    unblocked sweeps and np.unique at 17.0 and 25.3 MB.
     """
     table, build_peak = _traced_peak(lambda: group_build(GroupSpec.sym(9)))
     classes, classes_peak = _traced_peak(lambda: conj_classes(table))
     _, dixon_peak = _traced_peak(lambda: dixon_character_table(table, classes))
     n = table.order
-    assert build_peak < 18 * n + 32 * ROW_CHUNK
-    assert classes_peak < 26 * n + 32 * ROW_CHUNK
+    assert build_peak < 14 * n + 24 * ROW_CHUNK
+    assert classes_peak < 18 * n + 16 * ROW_CHUNK
     assert dixon_peak < 4 * n + 48 * ROW_CHUNK
 
 
@@ -327,15 +332,31 @@ def test_class_memory_psl2_59():
     assert peak < 26 * table.order + 160 * ROW_CHUNK
 
 
-@pytest.mark.parametrize("label", ["A:6", "PSL2:25"])
-def test_lookup_matches_per_row_search(label):
+def test_code_dtype_follows_base_and_width():
+    """Codes are int32 while base**width <= 2**31: up to degree 9 (9^9) and q = 211 (211^4)."""
+    assert PermEngine(9).code_dtype == np.int32
+    assert PermEngine(10).code_dtype == np.int64
+    assert Mat2Engine(field_for_size(211)).code_dtype == np.int32
+    assert Mat2Engine(field_for_size(223)).code_dtype == np.int64
+
+
+A5_SQUARED = "(1 2 3)\n(1 2 3 4 5)\n(6 7 8)\n(6 7 8 9 10)\n"  # A_5 x A_5 on ten points
+
+
+@pytest.mark.parametrize("label", ["A:6", "PSL2:25", "A5xA5"])
+def test_lookup_matches_per_row_search(label, tmp_path):
     """lookup sorts a block's codes, searches them in order and scatters the indices back.
 
     The oracle searches each row's code on its own.  Shapes (), (N,) and (N, G)
-    of a seeded sample with repeats, the identity and the last element.
+    of a seeded sample with repeats, the identity and the last element.  A:6 and
+    PSL2:25 have int32 codes; A_5 x A_5 on ten points has int64 codes (10^10 > 2^31).
     """
+    if label == "A5xA5":
+        (tmp_path / "g.txt").write_text(A5_SQUARED)
+        label = f"permgen:{tmp_path / 'g.txt'}"
     table = group_build(GroupSpec.parse(label))
     codes = table.codes
+    assert codes.dtype == (np.int64 if table.engine.base == 10 else np.int32)
 
     def search(row):
         code = sum(int(e) * table.engine.base**i for i, e in enumerate(row[::-1].tolist()))
@@ -348,7 +369,7 @@ def test_lookup_matches_per_row_search(label):
         rows = table.rows[idx]
         got = table.lookup(rows)
         want = np.array([search(r) for r in rows.reshape(-1, rows.shape[-1])]).reshape(np.shape(idx))
-        assert np.shape(got) == np.shape(idx)
+        assert np.shape(got) == np.shape(idx) and got.dtype == codes.dtype
         assert np.array_equal(got, want) and np.array_equal(got, idx)
 
 
@@ -379,10 +400,11 @@ def test_lookup_of_one_row(label):
 
 @pytest.mark.parametrize("label", ORACLE_LABELS + ["A:9", "S:9", "PSL2:27", "PSL2:31", "SL2:16", "PSL2:59"])
 def test_class_labelling_matches_unique(label, tmp_path):
-    """The sort-free class numbering gives the np.unique labelling's bytes, dtype included.
+    """The sort-free class numbering gives the np.unique labelling's values, in int32.
 
     The oracle's power map runs to the exponent (51,330 for PSL2:59); conj_classes
-    keeps its rows up to the largest representative order (59).
+    keeps its rows up to the largest representative order (59).  The oracle's
+    class map and power map are intp; conj_classes keeps both as int32.
     """
     table = group_build(oracle_spec(label, tmp_path))
     classes = conj_classes(table)
@@ -392,7 +414,8 @@ def test_class_labelling_matches_unique(label, tmp_path):
     names = ("reps", "sizes", "class_of", "inverse_class", "power_map")
     for name, a, b in zip(names, got, expected):
         a, b = np.asarray(a), np.asarray(b)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert a.shape == b.shape and np.array_equal(a, b), name
+    assert classes.class_of.dtype == classes.power_map.dtype == np.int32
 
 
 def test_power_map_coherence(group_cache):
