@@ -22,7 +22,6 @@ from .groups import ROW_CHUNK, ClassData, GroupTable
 PRIME_SEARCH_BOUND = 2**31
 ORTHOGONALITY_TOL = 1e-8
 IMAG_TOL = 1e-8  # largest imaginary part of a class-product probability
-ROOT_CHUNK = 1 << 16  # residues evaluated at once by the root search (cache-sized)
 
 
 class StructureConstants(NamedTuple):
@@ -164,12 +163,12 @@ def _char_poly(m: np.ndarray, p: int) -> np.ndarray:
 def _roots_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
     """All roots in GF(p) of a little-endian polynomial, ascending.
 
-    Horner over every residue, ROOT_CHUNK at a time; acc and x stay below
+    Horner over every residue, ROW_CHUNK at a time; acc and x stay below
     p < 2^31, so acc * x + c < 2^63.
     """
     found = []
-    for start in range(0, p, ROOT_CHUNK):
-        xs = np.arange(start, min(start + ROOT_CHUNK, p), dtype=np.int64)
+    for start in range(0, p, ROW_CHUNK):
+        xs = np.arange(start, min(start + ROW_CHUNK, p), dtype=np.int64)
         acc = np.full_like(xs, coeffs[-1])
         for c in coeffs[-2::-1]:
             acc *= xs

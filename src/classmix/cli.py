@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto the library pipelines; every run is keyed by
 an explicit seed (default 0, never wall clock) and writes canonical JSON so
 identical configs produce identical bytes.  Timestamps go to a separate
-.meta.json that golden comparisons ignore.
+.meta.json, never into the report.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .characters import dixon_character_table, verify_orthogonality, witten_zeta
-from .errors import ClassmixError, GoldenMismatch, SpecSyntax, UnsupportedParameters, parse_int, read_input_text
+from .errors import ClassmixError, SpecSyntax, UnsupportedParameters, parse_int, read_input_text
 from .groups import GroupSpec, conj_classes, group_build
 from .interleave import (
     MIN_MC_SAMPLES,
@@ -47,8 +47,6 @@ from .mixing import (
     thompson_search,
 )
 from .rng import make_stream
-
-FLOAT_TOL = 1e-12
 
 
 def _parse_element(table, text: str) -> int:
@@ -103,9 +101,8 @@ def _emit(args, payload: dict, csv_text: str | None = None, meta: dict | None = 
     payload["group"] = args.group
     payload["seed"] = args.seed
     body = _canonical_json(payload)
-    name = _report_name(args)
-
     if args.out:
+        name = _report_name(args)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / f"{name}.json").write_text(body, encoding="utf-8")
@@ -116,53 +113,7 @@ def _emit(args, payload: dict, csv_text: str | None = None, meta: dict | None = 
             (outdir / f"{name}.csv").write_text(csv_text, encoding="utf-8")
     if not args.quiet:
         sys.stdout.write(body)
-
-    if args.golden:
-        golden_dir = Path(args.golden_dir)
-        golden_path = golden_dir / f"{name}.json"
-        if args.golden == "write":
-            golden_dir.mkdir(parents=True, exist_ok=True)
-            golden_path.write_text(body, encoding="utf-8")
-        else:
-            if not golden_path.exists():
-                raise GoldenMismatch(f"golden file missing: {golden_path}")
-            try:
-                recorded = json.loads(golden_path.read_text(encoding="utf-8"))
-            except ValueError as exc:
-                raise GoldenMismatch(f"golden file {golden_path.name} is not valid JSON: {exc}") from None
-            drift = _first_drift(recorded, json.loads(body))
-            if drift:
-                raise GoldenMismatch(f"golden drift in {golden_path.name}: {drift}")
     return 0
-
-
-def _first_drift(old, new, path="$"):
-    if type(old) is not type(new):  # json.loads types: False -> 0 or 1 -> 1.0 is drift
-        return f"{path}: {old!r} -> {new!r} changes type"
-    if isinstance(old, dict):
-        for key in sorted(set(old) | set(new)):
-            if key not in old or key not in new:
-                return f"{path}.{key} present on one side only"
-            hit = _first_drift(old[key], new[key], f"{path}.{key}")
-            if hit:
-                return hit
-        return None
-    if isinstance(old, list):
-        if len(old) != len(new):
-            return f"{path} length {len(old)} != {len(new)}"
-        for i, (a, b) in enumerate(zip(old, new)):
-            hit = _first_drift(a, b, f"{path}[{i}]")
-            if hit:
-                return hit
-        return None
-    if isinstance(old, float):
-        scale = max(abs(old), abs(new), 1.0)
-        if abs(old - new) > FLOAT_TOL * scale:
-            return f"{path}: {old!r} -> {new!r}"
-        return None
-    if old != new:
-        return f"{path}: {old!r} -> {new!r}"
-    return None
 
 
 def _build_table(args):
@@ -317,8 +268,6 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0, help="64-bit seed (fixed default, never wall clock)")
     sub.add_argument("--out", default=None, help="directory for JSON reports (and survey CSV)")
     sub.add_argument("--max-order", type=int, default=None, help="enumeration cap override")
-    sub.add_argument("--golden", choices=["write", "compare"], default=None)
-    sub.add_argument("--golden-dir", default="goldens/v1")
     sub.add_argument("--quiet", action="store_true", help="suppress stdout report")
 
 

@@ -41,12 +41,6 @@ class NoSuitablePrime(ClassmixError):
     exit_code = 6
 
 
-class GoldenMismatch(ClassmixError):
-    """A golden-mode comparison found drift beyond tolerance."""
-
-    exit_code = 7
-
-
 class UncoveredProbe(ClassmixError):
     """A sampled (a, b) pair fell in no protocol rectangle."""
 

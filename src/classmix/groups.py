@@ -26,7 +26,7 @@ from .fields import Field, field_for_size
 MAX_PERM_DEGREE = 12
 MAX_MATRIX_Q = 55_108  # largest q with q^4 < 2^63, so a matrix's rank code fits int64
 MUL_TABLE_LIMIT = 4096  # largest order given a dense multiplication table
-ROW_CHUNK = 1 << 16  # element products held in memory at once by a whole-group sweep
+ROW_CHUNK = 1 << 16  # items per chunk of a sweep: element products, tuple codes or root-search residues
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .errors import (
 from .groups import ROW_CHUNK, GroupTable
 
 MAX_MATERIALIZED = 64_000_000  # tuples of G^t or sampled tuple entries kept in memory
-CHUNK = 1 << 20  # tuple codes per chunk of a decode
 MIN_MC_SAMPLES = 10**4  # fewest Monte Carlo samples, checked by mc_distribution and `interleave --mc`
 
 
@@ -59,8 +58,8 @@ class TupleSet:
         """Coordinates, shape (size, arity): column i is coordinate i, each tuple one contiguous row."""
         out = np.empty((self.size, self.arity), dtype=np.min_scalar_type(self.group_order - 1))
         done = 0
-        for lo in range(0, len(self.mask), CHUNK):  # no int64 array of every member code at once
-            codes = np.flatnonzero(self.mask[lo : lo + CHUNK]) + lo
+        for lo in range(0, len(self.mask), ROW_CHUNK):  # no int64 array of every member code at once
+            codes = np.flatnonzero(self.mask[lo : lo + ROW_CHUNK]) + lo
             out[done : done + len(codes)] = decode_tuples(codes, self.arity, self.group_order)
             done += len(codes)
         return out

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -25,3 +26,18 @@ def built(label: str):
 @pytest.fixture(scope="session")
 def group_cache():
     return built
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """Loader of perfbench/<name>.py as a module, registered for the test only (its dataclasses look it up)."""
+
+    def load(name: str):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    return load

@@ -1,6 +1,5 @@
 import dataclasses
 import importlib
-import importlib.util
 import json
 import os
 import pkgutil
@@ -139,55 +138,6 @@ def test_end_to_end_determinism(tmp_path):
     c1 = (tmp_path / "r1" / "survey__A5__seed0.csv").read_bytes()
     c2 = (tmp_path / "r2" / "survey__A5__seed0.csv").read_bytes()
     assert c1 == c2
-
-
-def test_golden_write_compare_cycle(tmp_path):
-    golden = tmp_path / "goldens"
-    assert run_cli(
-        "zeta", "PSL2:7", "--s", "1", "2",
-        "--golden", "write", "--golden-dir", str(golden), "--quiet",
-    ) == 0
-    assert run_cli(
-        "zeta", "PSL2:7", "--s", "1", "2",
-        "--golden", "compare", "--golden-dir", str(golden), "--quiet",
-    ) == 0
-    # tamper with the golden file: drift must be detected with exit code 7
-    path = golden / "zeta__PSL27__seed0.json"
-    data = json.loads(path.read_text())
-    data["zeta"]["1.0"] += 0.001
-    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
-    assert run_cli(
-        "zeta", "PSL2:7", "--s", "1", "2",
-        "--golden", "compare", "--golden-dir", str(golden), "--quiet",
-    ) == 7
-    # a change of JSON type alone is drift: false -> 0 compares equal in Python
-    survey_argv = ["survey", "S:3", "--golden-dir", str(golden), "--quiet"]
-    assert run_cli(*survey_argv, "--golden", "write") == 0
-    path = golden / "survey__S3__seed0.json"
-    path.write_text(path.read_text().replace('"sampled": false', '"sampled": 0'))
-    assert run_cli(*survey_argv, "--golden", "compare") == 7
-
-
-def test_golden_compare_applies_float_tolerance(tmp_path):
-    golden = tmp_path / "goldens"
-    argv = ["zeta", "PSL2:7", "--s", "1", "2", "--golden-dir", str(golden), "--quiet"]
-    assert run_cli(*argv, "--golden", "write") == 0
-    path = golden / "zeta__PSL27__seed0.json"
-    data = json.loads(path.read_text())
-    path.write_text(json.dumps(data, sort_keys=True, indent=4))  # reformatted, same values
-    assert run_cli(*argv, "--golden", "compare") == 0
-    original = data["zeta"]["1.0"]
-    data["zeta"]["1.0"] = original * (1 + 1e-15)
-    assert data["zeta"]["1.0"] != original
-    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
-    assert run_cli(*argv, "--golden", "compare") == 0
-
-
-def test_golden_missing_is_error(tmp_path):
-    assert run_cli(
-        "zeta", "A:5", "--s", "1",
-        "--golden", "compare", "--golden-dir", str(tmp_path), "--quiet",
-    ) == 7
 
 
 def test_error_exit_codes():
@@ -464,12 +414,9 @@ def test_survey_thresholds_default_is_the_library_default():
     assert tuple(args.thresholds) == DEFAULT_THRESHOLDS
 
 
-def test_benchmark_tracer_names_resolve():
+def test_benchmark_tracer_names_resolve(perfbench):
     """perfbench/tracer.py wraps these names from outside; each must still exist for `run.py --trace`."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = perfbench("tracer")
     for module, name, _ in tracer.FUNCTIONS:
         assert callable(getattr(importlib.import_module(f"classmix.{module}"), name, None)), f"{module}.{name}"
     for method in tracer.METHODS:
@@ -536,23 +483,13 @@ def test_benchmark_tracer_counters_run(tmp_path):
     assert counts["interleave_exact"] == {"interleave.exact_distribution": {"pairs": 1800 * 1800}}
 
 
-def _load_perfbench(name: str, monkeypatch):
-    """perfbench/<name>.py as a module, registered for the test only (its dataclasses look it up)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_benchmark_reports_pass_reference_check(tmp_path, monkeypatch, capsys):
+def test_benchmark_reports_pass_reference_check(tmp_path, monkeypatch, capsys, perfbench):
     """Every seed-0 perfbench job but the two 10^7-draw Monte Carlo ones passes perfbench/checks.py, unchanged.
 
     The reports are compared with perfbench/reference (floats within 1e-12) and checked
     against their subcommand's invariants, as the benchmark does after each run.
     """
-    workloads, checks = _load_perfbench("workloads", monkeypatch), _load_perfbench("checks", monkeypatch)
+    workloads, checks = perfbench("workloads"), perfbench("checks")
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("MIXER_LOOP_BUDGET", raising=False)
     monkeypatch.delenv("MIXER_MAX_ORDER", raising=False)

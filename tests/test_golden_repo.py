@@ -1,5 +1,13 @@
-"""Regression against the golden files committed under goldens/v1."""
+"""Regression against the golden files committed under goldens/v1.
 
+A golden is a report recorded as ``classmix <argv> > goldens/v1/<name>.json``.  A fresh report
+matches it when the benchmark's own comparator, ``first_drift`` in perfbench/checks.py, finds
+no difference: keys, lengths, JSON types, integers and strings exactly, floats within 1e-12
+relative.  Both sides must be finite JSON first, since ``first_drift`` passes a float that
+turned into NaN or Infinity.
+"""
+
+import json
 from pathlib import Path
 
 import pytest
@@ -26,8 +34,49 @@ CASES = [
 ]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report holds {name}")
+
+
+def golden_drift(checks, golden_text: str, fresh_text: str):
+    """First difference between a golden and a fresh report, or None when the fresh one matches."""
+    try:
+        golden = json.loads(golden_text, parse_constant=_refuse_constant)
+        fresh = json.loads(fresh_text, parse_constant=_refuse_constant)
+    except ValueError as exc:
+        return str(exc)
+    return checks.first_drift(golden, fresh)
+
+
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
-def test_golden_compare(name, argv):
-    assert (GOLDEN_DIR / f"{name}.json").exists(), "golden file missing from repo"
-    code = main(argv + ["--golden", "compare", "--golden-dir", str(GOLDEN_DIR), "--quiet"])
-    assert code == 0
+def test_golden_compare(name, argv, perfbench, capsys):
+    golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    assert main(argv) == 0
+    assert golden_drift(perfbench("checks"), golden, capsys.readouterr().out) is None
+
+
+def _first_l1(report, value):
+    report["pairs"][0]["l1"] = value(report["pairs"][0]["l1"])
+
+
+# Each edit turns the parsed survey__A5__seed0 golden into a fresh report written with json.dumps(indent=...).
+EDITS = {
+    "reindented": (4, lambda r: None, True),
+    "float-1e-15-relative": (2, lambda r: _first_l1(r, lambda x: x * (1 + 1e-15)), True),
+    "float-1e-3-relative": (2, lambda r: _first_l1(r, lambda x: x * (1 + 1e-3)), False),
+    "false-to-0": (2, lambda r: r.update(sampled=0), False),
+    "1-to-1.0": (2, lambda r: r.update(schema=1.0), False),
+    "missing-key": (2, lambda r: r.pop("normalization_note"), False),
+    "nan": (2, lambda r: _first_l1(r, lambda x: float("nan")), False),
+    "infinity": (2, lambda r: _first_l1(r, lambda x: float("inf")), False),
+}
+
+
+@pytest.mark.parametrize("indent,edit,matches", EDITS.values(), ids=EDITS.keys())
+def test_golden_check_tolerance(indent, edit, matches, perfbench):
+    golden = (GOLDEN_DIR / "survey__A5__seed0.json").read_text(encoding="utf-8")
+    report = json.loads(golden)
+    edit(report)
+    fresh = json.dumps(report, sort_keys=True, indent=indent) + "\n"
+    assert fresh != golden
+    assert (golden_drift(perfbench("checks"), golden, fresh) is None) == matches

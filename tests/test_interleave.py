@@ -263,7 +263,7 @@ def test_seeded_tuple_sets_from_a_shared_stream(s3):
 
 
 def test_columns_decode_in_chunks(monkeypatch, a5):
-    monkeypatch.setattr(interleave, "CHUNK", 7)
+    monkeypatch.setattr(interleave, "ROW_CHUNK", 7)
     tset = seeded_tuple_set(a5, 3, 0.01, make_stream(91))
     assert np.array_equal(tset.columns, interleave.decode_tuples(np.flatnonzero(tset.mask), 3, a5.order))
     assert tset.columns.dtype == np.uint8
