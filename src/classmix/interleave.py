@@ -36,6 +36,38 @@ from .groups import ROW_CHUNK, GroupTable
 MAX_MATERIALIZED = 64_000_000  # tuples of G^t or sampled tuple entries kept in memory
 MIN_MC_SAMPLES = 10**4  # fewest Monte Carlo samples, checked by mc_distribution and `interleave --mc`
 
+_POOL = None  # worker threads of _pmap, one per usable CPU, started by the first kernel that fans out
+
+
+def _pmap(fn, items) -> list:
+    """[fn(x) for x in items], run on the worker threads; a single item runs on the caller's thread.
+
+    The kernels hand the workers numpy calls that release the interpreter lock (gathers,
+    table lookups, bincount, divmod), and each worker writes only its own slice of any
+    shared output, so the results do not depend on the number of workers.
+    """
+    global _POOL
+    items = list(items)
+    if len(items) <= 1:
+        return [fn(x) for x in items]
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor  # not at import: `import classmix.cli` starts no pool
+
+        _POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)))
+    return list(_POOL.map(fn, items))
+
+
+def _gather_rows(cols: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """cols.take(idx, axis=0) for a C-contiguous 2-D array.
+
+    Rows of 1, 2, 4 or 8 bytes are gathered as one unsigned integer each, a 1-D take of
+    one item per row; wider rows go through numpy's row take.
+    """
+    width = cols.shape[1] * cols.itemsize
+    if width not in (1, 2, 4, 8):
+        return cols.take(idx, axis=0)
+    return cols.view(f"u{width}").ravel().take(idx).view(cols.dtype).reshape(len(idx), cols.shape[1])
+
 
 class TupleSet:
     """Subset of G^t held as a membership mask over tuple codes (base |G| digits = coordinates)."""
@@ -57,11 +89,14 @@ class TupleSet:
     def columns(self) -> np.ndarray:
         """Coordinates, shape (size, arity): column i is coordinate i, each tuple one contiguous row."""
         out = np.empty((self.size, self.arity), dtype=np.min_scalar_type(self.group_order - 1))
-        done = 0
-        for lo in range(0, len(self.mask), ROW_CHUNK):  # no int64 array of every member code at once
-            codes = np.flatnonzero(self.mask[lo : lo + ROW_CHUNK]) + lo
-            out[done : done + len(codes)] = decode_tuples(codes, self.arity, self.group_order)
-            done += len(codes)
+        starts = range(0, len(self.mask), ROW_CHUNK)  # no int64 array of every member code at once
+        ends = np.cumsum([np.count_nonzero(self.mask[lo : lo + ROW_CHUNK]) for lo in starts])
+
+        def decode(i):  # chunk i fills rows ends[i-1]:ends[i] of out
+            codes = np.flatnonzero(self.mask[starts[i] : starts[i] + ROW_CHUNK]) + starts[i]
+            out[ends[i] - len(codes) : ends[i]] = decode_tuples(codes, self.arity, self.group_order)
+
+        _pmap(decode, range(len(starts)))
         return out
 
     def rows(self) -> np.ndarray:
@@ -199,22 +234,32 @@ def exact_distribution(a_set: TupleSet, b_set: TupleSet, table: GroupTable) -> I
     mul = table.full_mul_table()
     by_suffix = a_set.mask.reshape(-1, order)  # row: suffix code (a2..at), column: a1
     suffixes = np.flatnonzero(by_suffix.any(axis=1))
-    step = max(1, ROW_CHUNK // max(b_set.size, order))  # suffixes per block: about ROW_CHUNK products at once
+    per = max(1, ROW_CHUNK // order)  # suffixes per firsts^T tails product, so none is a thin update
+    step = max(1, ROW_CHUNK // max(b_set.size, order))  # suffixes per fold block: about ROW_CHUNK products
     pair_counts = np.zeros((order, order))  # float64 BLAS; every sum is at most |A||B| < 2^53, so exact
-    for lo in range(0, len(suffixes), step):
-        chunk = suffixes[lo : lo + step]
-        n = len(chunk)
-        firsts = by_suffix[chunk].astype(np.float64)
-        heads = np.broadcast_to(b_set.columns[:, 0], (n, b_set.size))
-        s_cols = decode_tuples(chunk, a_set.arity - 1, order).T[:, :, None]
-        h = _chain(mul, [heads] + _interleave(s_cols, b_set.columns.T[1:]))
-        h += np.arange(n)[:, None] * order
-        pair_counts += firsts.T @ np.bincount(h.ravel(), minlength=n * order).reshape(n, order)
+    for lo in range(0, len(suffixes), per):
+        rows = suffixes[lo : lo + per]
+        tails = np.empty((len(rows), order))
+        for i in range(0, len(rows), step):
+            chunk = rows[i : i + step]
+            n = len(chunk)
+            heads = np.broadcast_to(b_set.columns[:, 0], (n, b_set.size))
+            s_cols = decode_tuples(chunk, a_set.arity - 1, order).T[:, :, None]
+            h = _chain(mul, [heads] + _interleave(s_cols, b_set.columns.T[1:]))
+            h += np.arange(n)[:, None] * order
+            tails[i : i + n] = np.bincount(h.ravel(), minlength=n * order).reshape(n, order)
+        pair_counts += by_suffix[rows].T.astype(np.float64) @ tails
     counts = np.rint(np.bincount(mul.ravel(), weights=pair_counts.ravel(), minlength=order)).astype(np.int64)
     if int(counts.sum()) != pairs:
         raise InvariantViolation(f"exact counts sum to {int(counts.sum())}, not {pairs} pairs")
     lookups = len(suffixes) * b_set.size * (2 * a_set.arity - 1)
-    work = {"pairs": pairs, "loop_budget": limit, "suffixes": len(suffixes), "fold_lookups": lookups}
+    work = {
+        "pairs": pairs,
+        "loop_budget": limit,
+        "suffixes": len(suffixes),
+        "fold_lookups": lookups,
+        "tail_products": -(-len(suffixes) // per),
+    }
     return _estimate_from_counts(counts, pairs, order, "exact", work)
 
 
@@ -230,14 +275,21 @@ def mc_distribution(
     _check_compat(a_set, b_set, table)
     if samples < MIN_MC_SAMPLES:
         raise SpecSyntax(f"at least {MIN_MC_SAMPLES} samples required, got {samples}")
-    mul = table.full_mul_table()
+    mul, a_cols, b_cols = table.full_mul_table(), a_set.columns, b_set.columns
+
+    def count(drawn):
+        a, b = _gather_rows(a_cols, drawn[0]), _gather_rows(b_cols, drawn[1])
+        return np.bincount(_chain(mul, _interleave(a.T, b.T)), minlength=table.order)
+
     counts = np.zeros(table.order, dtype=np.int64)
     done = 0
-    while done < samples:
+    while done < samples:  # the draws stay on this thread, in the same blocks and order
         n = min(block, samples - done)
-        a = a_set.columns.take(stream.integers(0, a_set.size, size=n), axis=0)
-        b = b_set.columns.take(stream.integers(0, b_set.size, size=n), axis=0)
-        counts += np.bincount(_chain(mul, _interleave(a.T, b.T)), minlength=table.order)
+        ia = stream.integers(0, a_set.size, size=n)
+        ib = stream.integers(0, b_set.size, size=n)
+        slices = [(ia[lo : lo + ROW_CHUNK], ib[lo : lo + ROW_CHUNK]) for lo in range(0, n, ROW_CHUNK)]
+        for part in _pmap(count, slices):
+            counts += part
         done += n
     return _estimate_from_counts(counts, samples, table.order, "montecarlo", {"samples": samples})
 
@@ -342,11 +394,14 @@ def enumerate_fiber(table: GroupTable, g: int, arity: int):
 
 def _complete_fiber(table: GroupTable, a_rows: np.ndarray, b_rows: np.ndarray, g: int):
     """Fill b_t with the unique completion: prefix = a1 b1 ... b_{t-1} a_t, b_t = prefix^-1 g."""
-    mul = table.full_mul_table()
-    for lo in range(0, len(a_rows), ROW_CHUNK):  # O(ROW_CHUNK) intp temporaries
+    mul, inverses = table.full_mul_table(), table.inverses
+
+    def complete(lo):  # O(ROW_CHUNK) intp temporaries
         a, b = a_rows[lo : lo + ROW_CHUNK], b_rows[lo : lo + ROW_CHUNK]
         prefix = _chain(mul, _interleave(a.T, b.T)[:-1])
-        b[:, -1] = _chain(mul, [table.inverses[prefix], g])
+        b[:, -1] = _chain(mul, [inverses[prefix], g])
+
+    _pmap(complete, range(0, len(a_rows), ROW_CHUNK))
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,24 @@ def test_chartable_leaves_numpy_ma_unimported(tmp_path):
     assert done.stdout.split() == ["0", "False"], done.stderr
 
 
+def test_interleave_pool_starts_with_the_first_kernel(tmp_path):
+    """Importing the CLI and a chartable run start no thread and import no executor; an MC run starts the pool."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    script = """
+import sys, threading
+from classmix.cli import main
+state = lambda: ("concurrent.futures" in sys.modules, threading.active_count())
+print(*state())
+main(["chartable", "A:5", "--quiet"])
+print(*state())
+main(["interleave", "A:5", "--t", "3", "--mc", "100000", "--quiet"])
+print(state()[0], state()[1] > 1)
+"""
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.stdout.split() == ["False", "1", "False", "1", "True", "True"], done.stderr
+
+
 def test_chartable_exits_13_on_orthogonality_residual(monkeypatch):
     """The documented tolerance is applied: A:5's residuals (about 2.4e-14) reach 1e-30 * |G|."""
     monkeypatch.setattr(characters, "ORTHOGONALITY_TOL", 1e-30)
@@ -190,6 +208,7 @@ def test_interleave_meta_records_work(tmp_path):
     assert meta["loop_budget"] == 10**9
     assert meta["suffixes"] == 60  # the 1800 tuples of A hit all 60 second coordinates
     assert meta["fold_lookups"] == 60 * 1800 * 3
+    assert meta["tail_products"] == 1  # the 60 suffix rows fit one product of ROW_CHUNK // 60 rows
     assert meta["kernel_s"] > 0 and meta["total_per_s"] > 0
     assert meta["tuple_set_bytes"] == 2 * 60**2  # two masks, one byte per tuple of G^2
     assert meta["peak_rss_mb"] > 0

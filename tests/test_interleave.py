@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from classmix.groups import GroupSpec, group_build
 from classmix.interleave import (
     Rectangle,
     RectangleProtocol,
+    TupleSet,
     advantage,
     deviation_report,
     enumerate_fiber,
@@ -170,6 +173,24 @@ def test_exact_distribution_matches_per_tuple_fold(monkeypatch, label, t, densit
         assert np.array_equal(exact_distribution(a_set, b_set, table).counts, reference)
 
 
+@pytest.mark.parametrize("label,t,chunk", [("S:3", 3, 20), ("A:5", 2, 150), ("A:5", 2, 59)])
+def test_exact_distribution_batches_tail_products(monkeypatch, group_cache, label, t, chunk):
+    """With |B| > ROW_CHUNK a fold block holds one suffix, yet the tails products still take ROW_CHUNK // |G| rows."""
+    table = group_cache(label)[0]
+    a_set = seeded_tuple_set(table, t, 0.5, make_stream(72))
+    b_set = seeded_tuple_set(table, t, 0.5, make_stream(73))
+    assert b_set.size > chunk
+    monkeypatch.setattr(interleave, "ROW_CHUNK", chunk)
+    est = exact_distribution(a_set, b_set, table)
+    if table.order <= 6:
+        reference = _pair_loop_counts(table, a_set, b_set)
+    else:
+        reference = fold_exact_counts(table.full_mul_table(), np.flatnonzero(a_set.mask), np.flatnonzero(b_set.mask), t)
+    assert np.array_equal(est.counts, reference)
+    rows = max(1, chunk // table.order)
+    assert est.work["tail_products"] == math.ceil(est.work["suffixes"] / rows)
+
+
 @pytest.mark.parametrize("t", [2, 3])
 def test_mc_distribution_matches_decode_fold_loop(a5, t):
     a_set = seeded_tuple_set(a5, t, 0.5, make_stream(80))
@@ -267,6 +288,66 @@ def test_columns_decode_in_chunks(monkeypatch, a5):
     tset = seeded_tuple_set(a5, 3, 0.01, make_stream(91))
     assert np.array_equal(tset.columns, interleave.decode_tuples(np.flatnonzero(tset.mask), 3, a5.order))
     assert tset.columns.dtype == np.uint8
+
+
+@pytest.mark.parametrize(
+    "dtype,arity", [(np.uint8, k) for k in range(1, 10)] + [(np.uint16, k) for k in range(1, 5)]
+)
+def test_gather_rows_matches_take(dtype, arity):
+    """Row widths of 1-9 bytes: uint8 digits as for A:5, uint16 digits as for groups of order above 256."""
+    cols = make_stream(94).integers(0, np.iinfo(dtype).max, size=(1000, arity), endpoint=True).astype(dtype)
+    idx = make_stream(95).integers(0, len(cols), size=5000)
+    gathered = interleave._gather_rows(cols, idx)
+    assert gathered.dtype == dtype and gathered.shape == (len(idx), arity)
+    assert np.array_equal(gathered, cols.take(idx, axis=0))
+
+
+class _CountingPool(ThreadPoolExecutor):
+    """Thread pool that counts the tasks handed to it."""
+
+    tasks = 0
+
+    def submit(self, *args, **kwargs):
+        self.tasks += 1
+        return super().submit(*args, **kwargs)
+
+
+def _kernel_results(monkeypatch, table, workers):
+    """MC counts, decoded columns, fiber rows and an advantage report, computed on a pool of `workers` threads."""
+    with _CountingPool(workers) as pool:
+        monkeypatch.setattr(interleave, "_POOL", pool)
+        a_set = seeded_tuple_set(table, 3, 0.5, make_stream(96))
+        b_set = seeded_tuple_set(table, 3, 0.5, make_stream(97))
+        mc = mc_distribution(a_set, b_set, 50_000, make_stream(98), table, block=12_345)
+        fresh = TupleSet(a_set.arity, a_set.group_order, a_set.mask)
+        fiber = fiber_sample(table, 7, 3, make_stream(99), draws=40_000)
+        report = advantage(_half_split_protocol(table), table, 0, 5, samples=30_000, stream=make_stream(100))
+        results = (mc.counts, fresh.columns, a_set.columns, b_set.columns, *fiber, report)
+        assert pool.tasks > 4  # every kernel fanned out
+    return results
+
+
+def test_kernels_do_not_depend_on_worker_count(monkeypatch, a5):
+    """More workers than cores, switching threads often: each worker's slice of the output stays its own."""
+    monkeypatch.setattr(interleave, "ROW_CHUNK", 7777)  # several slices per block, mask and fiber
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        one = _kernel_results(monkeypatch, a5, 1)
+        three = _kernel_results(monkeypatch, a5, 3)
+    finally:
+        sys.setswitchinterval(interval)
+    for x, y in zip(one[:-1], three[:-1]):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert one[-1] == three[-1]
+    a_set = seeded_tuple_set(a5, 3, 0.5, make_stream(96))
+    a_codes = np.flatnonzero(a_set.mask)
+    assert np.array_equal(one[1], interleave.decode_tuples(a_codes, 3, a5.order))
+    b_codes = np.flatnonzero(seeded_tuple_set(a5, 3, 0.5, make_stream(97)).mask)
+    reference = decode_fold_mc_counts(a5.full_mul_table(), a_codes, b_codes, 3, 50_000, make_stream(98), 12_345)
+    assert np.array_equal(one[0], reference)
+    a_rows, b_rows = one[4], one[5]
+    assert all(interleave_product(a5, ra, rb) == 7 for ra, rb in zip(a_rows[::997], b_rows[::997]))
 
 
 def test_seeded_tuple_set_memory(a5):
