@@ -53,20 +53,12 @@ def _pmap(fn, items) -> list:
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor  # not at import: `import classmix.cli` starts no pool
 
-        _POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)))
+        if hasattr(os, "sched_getaffinity"):  # Linux: the CPUs this process may run on
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
+        _POOL = ThreadPoolExecutor(workers)
     return list(_POOL.map(fn, items))
-
-
-def _gather_rows(cols: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """cols.take(idx, axis=0) for a C-contiguous 2-D array.
-
-    Rows of 1, 2, 4 or 8 bytes are gathered as one unsigned integer each, a 1-D take of
-    one item per row; wider rows go through numpy's row take.
-    """
-    width = cols.shape[1] * cols.itemsize
-    if width not in (1, 2, 4, 8):
-        return cols.take(idx, axis=0)
-    return cols.view(f"u{width}").ravel().take(idx).view(cols.dtype).reshape(len(idx), cols.shape[1])
 
 
 class TupleSet:
@@ -278,7 +270,7 @@ def mc_distribution(
     mul, a_cols, b_cols = table.full_mul_table(), a_set.columns, b_set.columns
 
     def count(drawn):
-        a, b = _gather_rows(a_cols, drawn[0]), _gather_rows(b_cols, drawn[1])
+        a, b = a_cols.take(drawn[0], axis=0), b_cols.take(drawn[1], axis=0)
         return np.bincount(_chain(mul, _interleave(a.T, b.T)), minlength=table.order)
 
     counts = np.zeros(table.order, dtype=np.int64)

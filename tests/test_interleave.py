@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -290,18 +291,6 @@ def test_columns_decode_in_chunks(monkeypatch, a5):
     assert tset.columns.dtype == np.uint8
 
 
-@pytest.mark.parametrize(
-    "dtype,arity", [(np.uint8, k) for k in range(1, 10)] + [(np.uint16, k) for k in range(1, 5)]
-)
-def test_gather_rows_matches_take(dtype, arity):
-    """Row widths of 1-9 bytes: uint8 digits as for A:5, uint16 digits as for groups of order above 256."""
-    cols = make_stream(94).integers(0, np.iinfo(dtype).max, size=(1000, arity), endpoint=True).astype(dtype)
-    idx = make_stream(95).integers(0, len(cols), size=5000)
-    gathered = interleave._gather_rows(cols, idx)
-    assert gathered.dtype == dtype and gathered.shape == (len(idx), arity)
-    assert np.array_equal(gathered, cols.take(idx, axis=0))
-
-
 class _CountingPool(ThreadPoolExecutor):
     """Thread pool that counts the tasks handed to it."""
 
@@ -312,19 +301,28 @@ class _CountingPool(ThreadPoolExecutor):
         return super().submit(*args, **kwargs)
 
 
+def _fanned_out(pool, kernel):
+    """kernel(), after checking that it handed the pool more than one task."""
+    pool.tasks = 0
+    result = kernel()
+    assert pool.tasks > 1
+    return result
+
+
 def _kernel_results(monkeypatch, table, workers):
     """MC counts, decoded columns, fiber rows and an advantage report, computed on a pool of `workers` threads."""
     with _CountingPool(workers) as pool:
         monkeypatch.setattr(interleave, "_POOL", pool)
         a_set = seeded_tuple_set(table, 3, 0.5, make_stream(96))
         b_set = seeded_tuple_set(table, 3, 0.5, make_stream(97))
-        mc = mc_distribution(a_set, b_set, 50_000, make_stream(98), table, block=12_345)
-        fresh = TupleSet(a_set.arity, a_set.group_order, a_set.mask)
-        fiber = fiber_sample(table, 7, 3, make_stream(99), draws=40_000)
-        report = advantage(_half_split_protocol(table), table, 0, 5, samples=30_000, stream=make_stream(100))
-        results = (mc.counts, fresh.columns, a_set.columns, b_set.columns, *fiber, report)
-        assert pool.tasks > 4  # every kernel fanned out
-    return results
+        a_cols = _fanned_out(pool, lambda: a_set.columns)
+        b_cols = _fanned_out(pool, lambda: b_set.columns)
+        mc = _fanned_out(pool, lambda: mc_distribution(a_set, b_set, 50_000, make_stream(98), table, block=12_345))
+        fresh = _fanned_out(pool, lambda: TupleSet(a_set.arity, a_set.group_order, a_set.mask).columns)
+        fiber = _fanned_out(pool, lambda: fiber_sample(table, 7, 3, make_stream(99), draws=40_000))
+        protocol = _half_split_protocol(table)
+        report = _fanned_out(pool, lambda: advantage(protocol, table, 0, 5, samples=30_000, stream=make_stream(100)))
+    return (mc.counts, fresh, a_cols, b_cols, *fiber, report)
 
 
 def test_kernels_do_not_depend_on_worker_count(monkeypatch, a5):
@@ -348,6 +346,25 @@ def test_kernels_do_not_depend_on_worker_count(monkeypatch, a5):
     assert np.array_equal(one[0], reference)
     a_rows, b_rows = one[4], one[5]
     assert all(interleave_product(a5, ra, rb) == 7 for ra, rb in zip(a_rows[::997], b_rows[::997]))
+
+
+def test_pool_without_sched_getaffinity(monkeypatch, a5):
+    """Where os has no sched_getaffinity (macOS, Windows) the pool takes os.cpu_count() workers, same counts."""
+    monkeypatch.setattr(interleave, "ROW_CHUNK", 7777)
+    a_set = seeded_tuple_set(a5, 3, 0.5, make_stream(96))
+    b_set = seeded_tuple_set(a5, 3, 0.5, make_stream(97))
+    a_codes, b_codes = np.flatnonzero(a_set.mask), np.flatnonzero(b_set.mask)
+    reference = decode_fold_mc_counts(a5.full_mul_table(), a_codes, b_codes, 3, 50_000, make_stream(98), 12_345)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(interleave, "_POOL", None)
+    try:
+        mc = mc_distribution(a_set, b_set, 50_000, make_stream(98), a5, block=12_345)
+        assert interleave._POOL._max_workers == 3
+    finally:
+        if interleave._POOL is not None:
+            interleave._POOL.shutdown()
+    assert np.array_equal(mc.counts, reference)
 
 
 def test_seeded_tuple_set_memory(a5):
