@@ -275,6 +275,43 @@ def test_seeded_tuple_set_is_the_sorted_choice(label, t, density):
     assert tset.mask.shape == (total,) and tset.size == len(expected)
 
 
+class _RecordingStream:
+    """Forwards to a Generator and records the names of the methods called on it."""
+
+    def __init__(self, stream):
+        self.stream, self.calls = stream, set()
+
+    def __getattr__(self, name):
+        self.calls.add(name)
+        return getattr(self.stream, name)
+
+
+@pytest.mark.parametrize(
+    "total,m,method,chunk",
+    [
+        (10001, 200, "choice", 1 << 16),
+        (10001, 201, "integers", 1 << 16),
+        (10001, 10000, "integers", 1 << 16),
+        (10001, 10001, "integers", 1 << 16),
+        (200000, 4000, "choice", 1 << 16),
+        (200000, 4001, "integers", 1 << 16),
+        (60**4, 60**4 // 2, "integers", 7777),
+    ],
+    ids=["floyd", "tail", "tail-m1", "tail-no-head", "floyd-200k", "tail-200k", "A5-t4-7777"],
+)
+def test_draw_mask_at_choice_branch_edges(monkeypatch, total, m, method, chunk):
+    """numpy's choice runs Floyd's algorithm up to m = total // 50 and the tail shuffle past it, which the replay
+    draws through `integers`.  m = total has no head, and its last step bound is 1.  Blocks of 7777 divide
+    neither the head of A:5 t=4 nor its step count, so the last head slice stops inside a block."""
+    monkeypatch.setattr(interleave, "ROW_CHUNK", chunk)
+    stream, reference = make_stream(93), make_stream(93)
+    recorder = _RecordingStream(stream)
+    mask = interleave._draw_mask(total, m, recorder)
+    assert np.array_equal(np.flatnonzero(mask), np.sort(reference.choice(total, size=m, replace=False)))
+    assert stream.bit_generator.state == reference.bit_generator.state
+    assert recorder.calls == {method}
+
+
 def test_seeded_tuple_sets_from_a_shared_stream(s3):
     stream, reference = make_stream(9), make_stream(9)
     a = seeded_tuple_set(s3, 2, 0.5, stream)
@@ -310,11 +347,11 @@ def _fanned_out(pool, kernel):
 
 
 def _kernel_results(monkeypatch, table, workers):
-    """MC counts, decoded columns, fiber rows and an advantage report, computed on a pool of `workers` threads."""
+    """Seeded masks, MC counts, decoded columns, fiber rows and an advantage report, on a pool of `workers` threads."""
     with _CountingPool(workers) as pool:
         monkeypatch.setattr(interleave, "_POOL", pool)
-        a_set = seeded_tuple_set(table, 3, 0.5, make_stream(96))
-        b_set = seeded_tuple_set(table, 3, 0.5, make_stream(97))
+        a_set = _fanned_out(pool, lambda: seeded_tuple_set(table, 3, 0.5, make_stream(96)))
+        b_set = _fanned_out(pool, lambda: seeded_tuple_set(table, 3, 0.5, make_stream(97)))
         a_cols = _fanned_out(pool, lambda: a_set.columns)
         b_cols = _fanned_out(pool, lambda: b_set.columns)
         mc = _fanned_out(pool, lambda: mc_distribution(a_set, b_set, 50_000, make_stream(98), table, block=12_345))
@@ -322,7 +359,7 @@ def _kernel_results(monkeypatch, table, workers):
         fiber = _fanned_out(pool, lambda: fiber_sample(table, 7, 3, make_stream(99), draws=40_000))
         protocol = _half_split_protocol(table)
         report = _fanned_out(pool, lambda: advantage(protocol, table, 0, 5, samples=30_000, stream=make_stream(100)))
-    return (mc.counts, fresh, a_cols, b_cols, *fiber, report)
+    return (a_set.mask, b_set.mask, mc.counts, fresh, a_cols, b_cols, *fiber, report)
 
 
 def test_kernels_do_not_depend_on_worker_count(monkeypatch, a5):
@@ -338,13 +375,13 @@ def test_kernels_do_not_depend_on_worker_count(monkeypatch, a5):
     for x, y in zip(one[:-1], three[:-1]):
         assert x.dtype == y.dtype and np.array_equal(x, y)
     assert one[-1] == three[-1]
-    a_set = seeded_tuple_set(a5, 3, 0.5, make_stream(96))
-    a_codes = np.flatnonzero(a_set.mask)
-    assert np.array_equal(one[1], interleave.decode_tuples(a_codes, 3, a5.order))
-    b_codes = np.flatnonzero(seeded_tuple_set(a5, 3, 0.5, make_stream(97)).mask)
+    total = a5.order**3
+    a_codes, b_codes = (np.sort(make_stream(s).choice(total, size=total // 2, replace=False)) for s in (96, 97))
+    assert np.array_equal(np.flatnonzero(one[0]), a_codes) and np.array_equal(np.flatnonzero(one[1]), b_codes)
+    assert np.array_equal(one[3], interleave.decode_tuples(a_codes, 3, a5.order))
     reference = decode_fold_mc_counts(a5.full_mul_table(), a_codes, b_codes, 3, 50_000, make_stream(98), 12_345)
-    assert np.array_equal(one[0], reference)
-    a_rows, b_rows = one[4], one[5]
+    assert np.array_equal(one[2], reference)
+    a_rows, b_rows = one[6], one[7]
     assert all(interleave_product(a5, ra, rb) == 7 for ra, rb in zip(a_rows[::997], b_rows[::997]))
 
 
@@ -359,30 +396,35 @@ def test_pool_without_sched_getaffinity(monkeypatch, a5):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(interleave, "_POOL", None)
     try:
-        mc = mc_distribution(a_set, b_set, 50_000, make_stream(98), a5, block=12_345)
+        again = seeded_tuple_set(a5, 3, 0.5, make_stream(96))
         assert interleave._POOL._max_workers == 3
+        mc = mc_distribution(a_set, b_set, 50_000, make_stream(98), a5, block=12_345)
     finally:
         if interleave._POOL is not None:
             interleave._POOL.shutdown()
+    assert np.array_equal(again.mask, a_set.mask)
     assert np.array_equal(mc.counts, reference)
 
 
-def test_seeded_tuple_set_memory(a5):
-    """A held set costs one byte per tuple of G^t; drawing a second peaks at numpy's choice (12 bytes) on top.
+def test_seeded_tuple_set_memory(monkeypatch, a5):
+    """A held set costs one byte per tuple of G^t; drawing a second holds 5 more: `first` (uint32) and its mask.
 
-    tracemalloc counts numpy's data buffers exactly, so these bounds do not depend on the allocator.
+    tracemalloc counts numpy's data buffers exactly, so these bounds do not depend on the allocator.  Two
+    workers fix how many chain slices hold their O(ROW_CHUNK) transients at once.
     """
     total = a5.order**4
-    tracemalloc.start()
-    try:
-        held = seeded_tuple_set(a5, 4, 0.5, make_stream(92))
-        current, _ = tracemalloc.get_traced_memory()
-        second = seeded_tuple_set(a5, 4, 0.5, make_stream(93))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(interleave, "_POOL", pool)
+        tracemalloc.start()
+        try:
+            held = seeded_tuple_set(a5, 4, 0.5, make_stream(92))
+            current, _ = tracemalloc.get_traced_memory()
+            second = seeded_tuple_set(a5, 4, 0.5, make_stream(93))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert current <= total + (64 << 10)
-    assert peak <= 13 * total + (1 << 20)
+    assert peak <= 6 * total + (4 << 20)
     assert held.size == second.size == total // 2
 
 
