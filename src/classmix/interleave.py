@@ -11,6 +11,7 @@ uniformly is exactly uniform on the fiber.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from fractions import Fraction
@@ -36,20 +37,11 @@ from .groups import ROW_CHUNK, GroupTable
 MAX_MATERIALIZED = 64_000_000  # tuples of G^t or sampled tuple entries kept in memory
 MIN_MC_SAMPLES = 10**4  # fewest Monte Carlo samples, checked by mc_distribution and `interleave --mc`
 
-_POOL = None  # worker threads of _pmap, one per usable CPU, started by the first kernel that fans out
+_POOL = None  # worker threads of _pmap and _pipeline, one per usable CPU, started by the first kernel that uses them
 
 
-def _pmap(fn, items) -> list:
-    """[fn(x) for x in items], run on the worker threads; a single item runs on the caller's thread.
-
-    The kernels hand the workers numpy calls that release the interpreter lock (gathers,
-    table lookups, bincount, divmod), and each worker writes only its own slice of any
-    shared output, so the results do not depend on the number of workers.
-    """
+def _pool():
     global _POOL
-    items = list(items)
-    if len(items) <= 1:
-        return [fn(x) for x in items]
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor  # not at import: `import classmix.cli` starts no pool
 
@@ -58,7 +50,39 @@ def _pmap(fn, items) -> list:
         else:
             workers = os.cpu_count() or 1
         _POOL = ThreadPoolExecutor(workers)
-    return list(_POOL.map(fn, items))
+    return _POOL
+
+
+def _pmap(fn, items) -> list:
+    """[fn(x) for x in items], run on the worker threads; a single item runs on the caller's thread.
+
+    The kernels hand the workers numpy calls that release the interpreter lock (gathers, table
+    lookups, bincount, floor division), and each worker writes only its own slice of any shared
+    output, so the results do not depend on the number of workers.  Stream draws stay on the
+    caller's thread, in the calls and order of a serial loop; the one pipeline rule (`_pipeline`)
+    is that the caller submits block k, draws block k + 1, and only then collects block k.
+    """
+    items = list(items)
+    if len(items) <= 1:
+        return [fn(x) for x in items]
+    return list(_pool().map(fn, items))
+
+
+def _pipeline(fn, draw, keys) -> list:
+    """[fn(x) for key in keys for x in draw(key)], where draw(key) draws a block of items from a stream.
+
+    Block k + 1 is drawn on the caller's thread while the workers run block k, so at most two
+    blocks are alive and no item of block k + 1 runs beside one of block k.  A single block has
+    nothing to overlap and goes to _pmap.
+    """
+    if len(keys) <= 1:
+        return _pmap(fn, [x for key in keys for x in draw(key)])
+    pool, done, pending = _pool(), [], []
+    for key in keys:
+        block = draw(key)  # drawn while the pending block runs
+        done += [f.result() for f in pending]
+        pending = [pool.submit(fn, x) for x in block]
+    return done + [f.result() for f in pending]
 
 
 class TupleSet:
@@ -166,7 +190,8 @@ def _draw_mask(total: int, m: int, stream: np.random.Generator) -> np.ndarray:
     j_i = y, 4 bytes per code against choice's 12.  A head position y < total - m ends holding
     value y unless a step hit it; if one did, it ends holding the value at the end of the chain
     y -> first[y] -> first[first[y]] -> ..., a tail position.  So the members are the hit head
-    positions and every tail position that ends no chain.
+    positions and every tail position that ends no chain.  A worker fills `first` from one block of
+    draws while the caller draws the next.
     """
     if total <= 10_000 or m <= total // 50:  # numpy's own test for Floyd's algorithm
         mask = np.zeros(total, dtype=bool)
@@ -174,11 +199,17 @@ def _draw_mask(total: int, m: int, stream: np.random.Generator) -> np.ndarray:
         return mask
     head, stop = total - m, max(total - m, 1)
     first = np.full(total, _UNSET, dtype=np.uint32)
-    for hi in range(total, stop, -ROW_CHUNK):  # steps hi - 1 down to the block's end, as choice draws them
+
+    def draw(hi):  # steps hi - 1 down to the block's end, as choice draws them
         steps = np.arange(hi - 1, max(hi - ROW_CHUNK, stop) - 1, -1, dtype=np.uint32)
-        swaps = stream.integers(0, steps, endpoint=True)
+        return [(steps, stream.integers(0, steps, endpoint=True))]
+
+    def fill(block):  # one item per block, so first has a single writer
+        steps, swaps = block
         moved = swaps != steps
         np.minimum.at(first, swaps[moved], steps[moved])
+
+    _pipeline(fill, draw, range(total, stop, -ROW_CHUNK))
     mask = np.ones(total, dtype=bool)
 
     def clear_chain_ends(lo):  # chains from distinct head positions end at distinct tail positions
@@ -310,7 +341,10 @@ def mc_distribution(
     table: GroupTable,
     block: int = 1_000_000,
 ) -> InterleaveEstimate:
-    """Monte Carlo estimate with uniform draws from A and B, in stream-split blocks."""
+    """Monte Carlo estimate with uniform draws from A and B, in stream-split blocks.
+
+    The caller's thread draws block k + 1 while the workers gather, chain and count block k's slices.
+    """
     _check_compat(a_set, b_set, table)
     if samples < MIN_MC_SAMPLES:
         raise SpecSyntax(f"at least {MIN_MC_SAMPLES} samples required, got {samples}")
@@ -320,16 +354,13 @@ def mc_distribution(
         a, b = a_cols.take(drawn[0], axis=0), b_cols.take(drawn[1], axis=0)
         return np.bincount(_chain(mul, _interleave(a.T, b.T)), minlength=table.order)
 
-    counts = np.zeros(table.order, dtype=np.int64)
-    done = 0
-    while done < samples:  # the draws stay on this thread, in the same blocks and order
-        n = min(block, samples - done)
-        ia = stream.integers(0, a_set.size, size=n)
-        ib = stream.integers(0, b_set.size, size=n)
-        slices = [(ia[lo : lo + ROW_CHUNK], ib[lo : lo + ROW_CHUNK]) for lo in range(0, n, ROW_CHUNK)]
-        for part in _pmap(count, slices):
-            counts += part
-        done += n
+    def draw(lo):  # int32 indices, the same values as int64 ones: |A| and |B| are below MAX_MATERIALIZED
+        n = min(block, samples - lo)
+        ia = stream.integers(0, a_set.size, size=n, dtype=np.int32)
+        ib = stream.integers(0, b_set.size, size=n, dtype=np.int32)
+        return [(ia[i : i + ROW_CHUNK], ib[i : i + ROW_CHUNK]) for i in range(0, n, ROW_CHUNK)]
+
+    counts = np.sum(_pipeline(count, draw, range(0, samples, block)), axis=0, dtype=np.int64)
     return _estimate_from_counts(counts, samples, table.order, "montecarlo", {"samples": samples})
 
 
@@ -432,15 +463,16 @@ def enumerate_fiber(table: GroupTable, g: int, arity: int):
 
 
 def _complete_fiber(table: GroupTable, a_rows: np.ndarray, b_rows: np.ndarray, g: int):
-    """Fill b_t with the unique completion: prefix = a1 b1 ... b_{t-1} a_t, b_t = prefix^-1 g."""
+    """Fill b_t of every row on the workers, ROW_CHUNK rows per task."""
     mul, inverses = table.full_mul_table(), table.inverses
+    rows = range(0, len(a_rows), ROW_CHUNK)
+    _pmap(lambda lo: _complete_rows(mul, inverses, a_rows[lo : lo + ROW_CHUNK], b_rows[lo : lo + ROW_CHUNK], g), rows)
 
-    def complete(lo):  # O(ROW_CHUNK) intp temporaries
-        a, b = a_rows[lo : lo + ROW_CHUNK], b_rows[lo : lo + ROW_CHUNK]
-        prefix = _chain(mul, _interleave(a.T, b.T)[:-1])
-        b[:, -1] = _chain(mul, [inverses[prefix], g])
 
-    _pmap(complete, range(0, len(a_rows), ROW_CHUNK))
+def _complete_rows(mul: np.ndarray, inverses: np.ndarray, a: np.ndarray, b: np.ndarray, g: int):
+    """Fill b_t with the unique completion: prefix = a1 b1 ... b_{t-1} a_t, b_t = prefix^-1 g."""
+    prefix = _chain(mul, _interleave(a.T, b.T)[:-1])
+    b[:, -1] = _chain(mul, [inverses[prefix], g])
 
 
 # ---------------------------------------------------------------------------
@@ -463,21 +495,37 @@ class RectangleProtocol(NamedTuple):
         n = len(self.rectangles)
         return 0 if n <= 1 else math.ceil(math.log2(n))
 
-    def evaluate_codes(self, a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation, one membership test per code; raises on the first bad pair."""
-        bits = np.full(len(a_codes), -1, dtype=np.int8)  # -1 until a rectangle covers the pair
+    def cover(self, a_codes: np.ndarray, b_codes: np.ndarray):
+        """Output bits (-1 where no rectangle covers the pair), then the first multiply covered and the first
+        uncovered pair, each as (a code, b code) or None."""
+        bits = np.full(len(a_codes), -1, dtype=np.int8)
         twice = np.zeros(len(a_codes), dtype=bool)
         for rect in self.rectangles:
             mask = rect.a_set.mask.take(a_codes) & rect.b_set.mask.take(b_codes)
             twice |= mask & (bits >= 0)
             bits[mask] = rect.bit
-        if twice.any():
-            i = int(np.argmax(twice))
-            raise OverlappingRectangles(f"pair (a={int(a_codes[i])}, b={int(b_codes[i])}) multiply covered")
-        if (bits < 0).any():
-            i = int(np.argmax(bits < 0))
-            raise UncoveredProbe(f"pair (a={int(a_codes[i])}, b={int(b_codes[i])}) not covered")
+        return bits, _first_pair(twice, a_codes, b_codes), _first_pair(bits < 0, a_codes, b_codes)
+
+    def evaluate_codes(self, a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
+        """Vectorized evaluation, one membership test per code; raises on the first bad pair."""
+        bits, twice, uncovered = self.cover(a_codes, b_codes)
+        _check_cover(twice, uncovered)
         return bits
+
+
+def _first_pair(flags: np.ndarray, a_codes: np.ndarray, b_codes: np.ndarray) -> tuple[int, int] | None:
+    if not flags.any():
+        return None
+    i = int(np.argmax(flags))
+    return int(a_codes[i]), int(b_codes[i])
+
+
+def _check_cover(twice: tuple[int, int] | None, uncovered: tuple[int, int] | None):
+    """Raise on a multiply covered pair before an uncovered one."""
+    if twice is not None:
+        raise OverlappingRectangles(f"pair (a={twice[0]}, b={twice[1]}) multiply covered")
+    if uncovered is not None:
+        raise UncoveredProbe(f"pair (a={uncovered[0]}, b={uncovered[1]}) not covered")
 
 
 class AdvantageReport(NamedTuple):
@@ -521,11 +569,34 @@ def advantage(
 
 
 def _acceptance(protocol: RectangleProtocol, table: GroupTable, g: int, arity: int, stream, samples: int) -> float:
-    """Share of `samples` fiber draws for g that the protocol accepts; the int64 a rows go once encoded."""
-    a_rows, b_rows = fiber_sample(table, g, arity, stream, draws=samples)
-    a_codes = encode_tuples(a_rows, table.order)
-    del a_rows
-    return float(protocol.evaluate_codes(a_codes, encode_tuples(b_rows, table.order)).mean())
+    """Share of `samples` fiber draws for g that the protocol accepts; raises on the first bad pair in draw order.
+
+    The stream is drawn as fiber_sample draws it: every a first, in ROW_CHUNK int32 calls (which draw
+    what one int64 call draws) kept in the narrowest dtype, then b's free coordinates, one chunk per
+    worker at a time, while the workers complete, encode and evaluate the chunks drawn before.
+    """
+    order, mul, inverses = table.order, table.full_mul_table(), table.inverses
+    a_rows = np.empty((samples, arity), dtype=np.min_scalar_type(order - 1))
+    for lo in range(0, samples, ROW_CHUNK):
+        rows = a_rows[lo : lo + ROW_CHUNK]
+        rows[:] = stream.integers(0, order, size=rows.shape, dtype=np.int32)
+    per = ROW_CHUNK * _pool()._max_workers
+
+    def draw(lo):
+        free = stream.integers(0, order, size=(min(per, samples - lo), arity - 1), dtype=np.int32)
+        return [(lo + i, free[i : i + ROW_CHUNK]) for i in range(0, len(free), ROW_CHUNK)]
+
+    def accept(chunk):  # O(ROW_CHUNK) temporaries
+        lo, free = chunk
+        a, b = a_rows[lo : lo + len(free)], np.empty((len(free), arity), dtype=np.intp)
+        b[:, :-1] = free
+        _complete_rows(mul, inverses, a, b, g)
+        bits, twice, uncovered = protocol.cover(encode_tuples(a, order), encode_tuples(b, order))
+        return int(np.count_nonzero(bits > 0)), twice, uncovered
+
+    accepted, twice, uncovered = zip(*_pipeline(accept, draw, range(0, samples, per)))
+    _check_cover(*(next(filter(None, pairs), None) for pairs in (twice, uncovered)))
+    return sum(accepted) / samples
 
 
 def exact_conditional_acceptance(protocol: RectangleProtocol, table: GroupTable, g: int) -> Fraction:
@@ -604,9 +675,14 @@ def _parse_header(header: str) -> dict:
 
 
 def load_protocol(path, table: GroupTable) -> RectangleProtocol:
-    """Protocol file: one rectangle per line, `bit,<afile>,<bfile>` (paths relative to the file)."""
+    """Protocol file: one rectangle per line, `bit,<afile>,<bfile>` (paths relative to the file).
+
+    A tuple-set file named the same way on several lines is parsed once, and those rectangles share
+    one TupleSet.
+    """
     text = read_input_text(path, "protocol file")
     base = os.path.dirname(os.path.abspath(path))
+    tuple_set = functools.cache(lambda name: load_tuple_set(os.path.join(base, name), table))
     rects = []
     for line in text.split("\n"):
         line = line.strip()
@@ -618,9 +694,7 @@ def load_protocol(path, table: GroupTable) -> RectangleProtocol:
         bit = parse_int(parts[0], "protocol output bit")
         if bit not in (0, 1):
             raise SpecSyntax(f"protocol output bit must be 0 or 1, got {parts[0]}")
-        a_set = load_tuple_set(os.path.join(base, parts[1]), table)
-        b_set = load_tuple_set(os.path.join(base, parts[2]), table)
-        rects.append(Rectangle(a_set=a_set, b_set=b_set, bit=bit))
+        rects.append(Rectangle(a_set=tuple_set(parts[1]), b_set=tuple_set(parts[2]), bit=bit))
     if not rects:
         raise SpecSyntax("protocol file has no rectangles")
     arities = sorted({s.arity for r in rects for s in (r.a_set, r.b_set)})

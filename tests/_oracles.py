@@ -7,9 +7,10 @@ digit by digit are the references for the field tables.  The references at
 the end are the dense multiplication table one right-multiplication sweep per
 column, a scalar interleaved product (one table entry per factor), plain
 numpy kernels (an interleave per-tuple fold, a decode-and-fold Monte Carlo
-loop, one whole-group sweep per class for the structure constants and one
-for the translated-inverse coupling) that the production kernels must match
-count for count, and a Dixon character table split with list-of-lists
+loop, the rectangle acceptance over whole arrays of fiber draws, one
+whole-group sweep per class for the structure constants and one for the
+translated-inverse coupling) that the production kernels must match count
+for count, and a Dixon character table split with list-of-lists
 algebra mod P from the whole tensor, whose values the production table must
 match bit for bit.  The class numbering by np.unique must match conj_classes
 byte for byte.  Two exact checks that only tests call live here as well: the
@@ -28,6 +29,7 @@ import numpy as np
 
 from classmix.characters import _least_dixon_prime, _primitive_root_of_order
 from classmix.groups import GroupSpec
+from classmix.interleave import encode_tuples, fiber_sample
 
 # D4 x C3 on seven points: its order-3 and order-6 classes come in inverse pairs
 PERMGEN_FILE = "n=7\n(1 2)(3 4)\n(1 3)\n(5 6 7)\n"
@@ -326,6 +328,14 @@ def decode_fold_mc_counts(mul, a_codes, b_codes, arity, samples, stream, block):
         counts += np.bincount(acc, minlength=order)
         done += n
     return counts
+
+
+def whole_array_acceptance(protocol, table, g, arity, stream, samples):
+    """Share of `samples` fiber draws for g that the protocol accepts: one fiber_sample call, every row encoded and
+    evaluated at once, so it raises on the first bad pair of all the draws."""
+    a_rows, b_rows = fiber_sample(table, g, arity, stream, draws=samples)
+    bits = protocol.evaluate_codes(encode_tuples(a_rows, table.order), encode_tuples(b_rows, table.order))
+    return float(bits.mean())
 
 
 def full_sweep_structure_constants(table, classes):

@@ -327,6 +327,13 @@ BAD_INPUTS = [
     ("protocol-bit-not-int", {"a.txt": "t=1 group=S:3\n0\n", "p.txt": "x,a.txt,a.txt\n"}, PROTOCOL_ARGS, 2),
     ("protocol-file-missing", {}, PROTOCOL_ARGS, 2),
     ("tuple-file-missing", {"p.txt": "1,a.txt,a.txt\n"}, PROTOCOL_ARGS, 2),
+    # a malformed file named by both rectangles, parsed once
+    (
+        "shared-tuple-file-malformed",
+        {"a.txt": "t=1 group=S:3\n0\n", "b.txt": "t=1 group=S:3\n0,1\n", "p.txt": "1,a.txt,b.txt\n0,b.txt,b.txt\n"},
+        PROTOCOL_ARGS,
+        2,
+    ),
     # 40320^5 > 2^63: the code of this tuple would wrap to a negative int64
     (
         "tuple-code-overflows-int64",

@@ -1,7 +1,9 @@
 import math
 import os
+import re
 import sys
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -39,7 +41,13 @@ from classmix.interleave import (
 )
 from classmix.rng import make_stream
 
-from _oracles import decode_fold_mc_counts, fold_exact_counts, interleave_product, validate_protocol_exact
+from _oracles import (
+    decode_fold_mc_counts,
+    fold_exact_counts,
+    interleave_product,
+    validate_protocol_exact,
+    whole_array_acceptance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -329,36 +337,45 @@ def test_columns_decode_in_chunks(monkeypatch, a5):
 
 
 class _CountingPool(ThreadPoolExecutor):
-    """Thread pool that counts the tasks handed to it."""
+    """Thread pool that counts the tasks handed to it, by the name of the function each task runs."""
 
-    tasks = 0
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tasks = Counter()
 
-    def submit(self, *args, **kwargs):
-        self.tasks += 1
-        return super().submit(*args, **kwargs)
+    def submit(self, fn, *args, **kwargs):
+        self.tasks[fn.__name__] += 1
+        return super().submit(fn, *args, **kwargs)
 
 
-def _fanned_out(pool, kernel):
-    """kernel(), after checking that it handed the pool more than one task."""
-    pool.tasks = 0
+def _fanned_out(pool, kernel, *names):
+    """kernel(), after checking that it handed the pool more than one task, and more than one of each named task."""
+    pool.tasks.clear()
     result = kernel()
-    assert pool.tasks > 1
+    assert pool.tasks.total() > 1 and all(pool.tasks[name] > 1 for name in names), pool.tasks
     return result
 
 
 def _kernel_results(monkeypatch, table, workers):
-    """Seeded masks, MC counts, decoded columns, fiber rows and an advantage report, on a pool of `workers` threads."""
+    """Seeded masks, MC counts, decoded columns, fiber rows and an advantage report, on a pool of `workers` threads.
+
+    The pipelined kernels (the swap fill of a seeded draw, the MC counts and the acceptance chunks) must each hand
+    the pool more than one task of their own."""
     with _CountingPool(workers) as pool:
         monkeypatch.setattr(interleave, "_POOL", pool)
-        a_set = _fanned_out(pool, lambda: seeded_tuple_set(table, 3, 0.5, make_stream(96)))
-        b_set = _fanned_out(pool, lambda: seeded_tuple_set(table, 3, 0.5, make_stream(97)))
+        a_set = _fanned_out(pool, lambda: seeded_tuple_set(table, 3, 0.5, make_stream(96)), "fill", "clear_chain_ends")
+        b_set = _fanned_out(pool, lambda: seeded_tuple_set(table, 3, 0.5, make_stream(97)), "fill", "clear_chain_ends")
         a_cols = _fanned_out(pool, lambda: a_set.columns)
         b_cols = _fanned_out(pool, lambda: b_set.columns)
-        mc = _fanned_out(pool, lambda: mc_distribution(a_set, b_set, 50_000, make_stream(98), table, block=12_345))
+        mc = _fanned_out(
+            pool, lambda: mc_distribution(a_set, b_set, 50_000, make_stream(98), table, block=12_345), "count"
+        )
         fresh = _fanned_out(pool, lambda: TupleSet(a_set.arity, a_set.group_order, a_set.mask).columns)
         fiber = _fanned_out(pool, lambda: fiber_sample(table, 7, 3, make_stream(99), draws=40_000))
         protocol = _half_split_protocol(table)
-        report = _fanned_out(pool, lambda: advantage(protocol, table, 0, 5, samples=30_000, stream=make_stream(100)))
+        report = _fanned_out(
+            pool, lambda: advantage(protocol, table, 0, 5, samples=30_000, stream=make_stream(100)), "accept"
+        )
     return (a_set.mask, b_set.mask, mc.counts, fresh, a_cols, b_cols, *fiber, report)
 
 
@@ -426,6 +443,23 @@ def test_seeded_tuple_set_memory(monkeypatch, a5):
     assert current <= total + (64 << 10)
     assert peak <= 6 * total + (4 << 20)
     assert held.size == second.size == total // 2
+
+
+def test_mc_distribution_index_memory(monkeypatch, a5):
+    """Block k + 1's int32 indices are drawn while block k's are counted: together no more than one block of int64
+    indices, 16 bytes per sample, plus each worker's O(ROW_CHUNK) slice transients."""
+    a_set, b_set = (seeded_tuple_set(a5, 4, 0.5, make_stream(s)) for s in (106, 107))
+    a_set.columns, b_set.columns, a5.full_mul_table()
+    block, workers = 500_000, 2
+    with ThreadPoolExecutor(workers) as pool:
+        monkeypatch.setattr(interleave, "_POOL", pool)
+        tracemalloc.start()
+        try:
+            mc_distribution(a_set, b_set, 2 * block + 12_345, make_stream(108), a5, block=block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 16 * block + 48 * interleave.ROW_CHUNK * workers
 
 
 def test_explicit_tuple_set_capped(monkeypatch, s3):
@@ -535,6 +569,68 @@ def _half_split_protocol(table, arity=2):
     )
 
 
+def _seeded_split_protocol(table, arity, seed):
+    """(A x G^t, bit 1) and (A' x G^t, bit 0) for a seeded half A of G^t and its complement A'."""
+    half, full = seeded_tuple_set(table, arity, 0.5, make_stream(seed)), full_tuple_set(table, arity)
+    rest = TupleSet(arity, table.order, ~half.mask)
+    return RectangleProtocol(rectangles=(Rectangle(half, full, 1), Rectangle(rest, full, 0)))
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_advantage_matches_whole_array_acceptance(monkeypatch, a5, arity):
+    """The chunked acceptance draws what one fiber_sample call draws and accepts the same pairs; 30,001 samples are
+    not a multiple of the 7,777-sample chunks."""
+    monkeypatch.setattr(interleave, "ROW_CHUNK", 7777)
+    protocol = _seeded_split_protocol(a5, arity, 101)
+    stream, reference = make_stream(102), make_stream(102)
+    rep = advantage(protocol, a5, 3, 41, samples=30_001, stream=stream)
+    p_g, p_h = (whole_array_acceptance(protocol, a5, x, arity, reference, 30_001) for x in (3, 41))
+    assert (rep.p_g, rep.p_h) == (p_g, p_h) and 0 < p_g < 1
+    assert stream.bit_generator.state == reference.bit_generator.state
+
+
+def test_advantage_names_a_later_overlap_before_an_earlier_uncovered_pair(monkeypatch, a5):
+    """Sample 0 is uncovered and a pair first drawn in a later chunk is covered twice: as over whole arrays, the
+    multiply covered pair is reported."""
+    monkeypatch.setattr(interleave, "ROW_CHUNK", 7777)
+    g, samples, total = 5, 20_000, a5.order**2
+    a_rows, b_rows = fiber_sample(a5, g, 2, make_stream(103), draws=samples)
+    a_codes, b_codes = encode_tuples(a_rows, a5.order), encode_tuples(b_rows, a5.order)
+    pairs = a_codes * total + b_codes
+    later = next(i for i in range(7777, samples) if a_codes[i] != a_codes[0] and pairs[i] not in pairs[:i])
+    rest, one_a, one_b = np.ones(total, dtype=bool), np.zeros(total, dtype=bool), np.zeros(total, dtype=bool)
+    rest[a_codes[0]] = False  # no rectangle covers a pair with a = a_codes[0]
+    one_a[a_codes[later]] = one_b[b_codes[later]] = True
+    protocol = RectangleProtocol(
+        rectangles=(
+            Rectangle(TupleSet(2, a5.order, rest), full_tuple_set(a5, 2), 1),
+            Rectangle(TupleSet(2, a5.order, one_a), TupleSet(2, a5.order, one_b), 0),
+        )
+    )
+    with pytest.raises(OverlappingRectangles) as expected:
+        whole_array_acceptance(protocol, a5, g, 2, make_stream(103), samples)
+    assert str(expected.value) == f"pair (a={a_codes[later]}, b={b_codes[later]}) multiply covered"
+    with pytest.raises(OverlappingRectangles, match=f"^{re.escape(str(expected.value))}$"):
+        advantage(protocol, a5, g, 0, samples=samples, stream=make_stream(103))
+
+
+def test_advantage_memory(monkeypatch, a5):
+    """advantage keeps each sample's a coordinates, one byte each for A:5, plus O(ROW_CHUNK) per worker: the b draws
+    of two blocks and each chunk's completion, codes and bits."""
+    protocol = _seeded_split_protocol(a5, 2, 104)
+    a5.full_mul_table(), a5.inverses
+    samples, workers = 1_000_000, 2
+    with ThreadPoolExecutor(workers) as pool:
+        monkeypatch.setattr(interleave, "_POOL", pool)
+        tracemalloc.start()
+        try:
+            advantage(protocol, a5, 0, 5, samples=samples, stream=make_stream(105))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= samples * 2 + 64 * interleave.ROW_CHUNK * workers
+
+
 def test_constant_protocol_zero_advantage(s3):
     full = full_tuple_set(s3, 2)
     proto = RectangleProtocol(rectangles=(Rectangle(a_set=full, b_set=full, bit=1),))
@@ -627,6 +723,7 @@ def test_protocol_file_roundtrip(s3, tmp_path):
     save_tuple_set(tmp_path / "b.tuples", proto.rectangles[0].b_set, "S:3")
     (tmp_path / "proto.txt").write_text("1,a1.tuples,b.tuples\n0,a2.tuples,b.tuples\n")
     loaded = load_protocol(tmp_path / "proto.txt", s3)
+    assert loaded.rectangles[0].b_set is loaded.rectangles[1].b_set  # b.tuples is parsed once
     assert loaded.bit_budget == 1
     assert loaded.rectangles[0].bit == 1
     g = 2
