@@ -118,28 +118,47 @@ def _code_dtype(base: int, width: int) -> np.dtype:
     return np.dtype(np.int32 if base**width <= 2**31 else np.int64)
 
 
+def pack_digits(rows: np.ndarray, base: int, dtype) -> np.ndarray:
+    """Codes in `dtype` of rows of digits below `base`, digit i (weight base**i) in column i of the last axis.
+
+    The caller's view sets the order: a big-endian row is packed as `rows[..., ::-1]`.
+    """
+    codes = np.zeros(rows.shape[:-1], dtype=dtype)
+    for i in reversed(range(rows.shape[-1])):  # Horner's rule, most significant digit first
+        codes *= base
+        codes += rows[..., i]
+    return codes
+
+
+def unpack_digits(codes: np.ndarray, base: int, out: np.ndarray) -> np.ndarray:
+    """Fill column i of the 2-D `out` with digit i (weight base**i) of each code, and return it.
+
+    The caller's view sets the order: big-endian rows are unpacked into `rows[lo:hi, ::-1]`.
+    """
+    rest = codes.astype(np.min_scalar_type(base ** out.shape[1]))  # holds every code and the base
+    quot = np.empty_like(rest)
+    for i in range(out.shape[1] - 1):  # a floor division by a scalar and a subtract: faster than divmod
+        np.floor_divide(rest, base, out=quot)
+        rest -= quot * base
+        out[:, i] = rest
+        rest, quot = quot, rest
+    if out.shape[1]:  # no digits: the empty suffixes of 1-tuples
+        out[:, -1] = rest  # below base once the lower digits are gone
+    return out
+
+
 def _codes(rows: np.ndarray, engine) -> np.ndarray:
     """Rank codes in the engine's code dtype: each row read as a big-endian number in base `engine.base`.
 
     Every entry is below the base, so code order is the canonical byte order.
     """
-    codes = np.zeros(rows.shape[:-1], dtype=engine.code_dtype)
-    for i in range(rows.shape[-1]):
-        codes *= engine.base
-        codes += rows[..., i]
-    return codes
+    return pack_digits(rows[..., ::-1], engine.base, engine.code_dtype)
 
 
 def _decode(codes: np.ndarray, engine) -> np.ndarray:
     rows = np.empty((len(codes), len(engine.identity)), dtype=engine.dtype)
-    for lo in range(0, len(codes), ROW_CHUNK):
-        rest = codes[lo : lo + ROW_CHUNK].copy()
-        quot = np.empty_like(rest)
-        for i in reversed(range(rows.shape[1])):  # contiguous code arithmetic, one strided store per digit
-            np.floor_divide(rest, engine.base, out=quot)
-            rest -= quot * engine.base
-            rows[lo : lo + ROW_CHUNK, i] = rest
-            rest, quot = quot, rest
+    for lo in range(0, len(codes), ROW_CHUNK):  # O(ROW_CHUNK) transients
+        unpack_digits(codes[lo : lo + ROW_CHUNK], engine.base, rows[lo : lo + ROW_CHUNK, ::-1])
     return rows
 
 

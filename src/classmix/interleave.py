@@ -32,7 +32,7 @@ from .errors import (
     parse_int,
     read_input_text,
 )
-from .groups import ROW_CHUNK, GroupTable
+from .groups import ROW_CHUNK, GroupTable, pack_digits, unpack_digits
 
 MAX_MATERIALIZED = 64_000_000  # tuples of G^t or sampled tuple entries kept in memory
 MIN_MC_SAMPLES = 10**4  # fewest Monte Carlo samples, checked by mc_distribution and `interleave --mc`
@@ -40,16 +40,19 @@ MIN_MC_SAMPLES = 10**4  # fewest Monte Carlo samples, checked by mc_distribution
 _POOL = None  # worker threads of _pmap and _pipeline, one per usable CPU, started by the first kernel that uses them
 
 
+def _workers() -> int:
+    """The number of usable CPUs: the pool's size."""
+    if hasattr(os, "sched_getaffinity"):  # Linux: the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool():
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor  # not at import: `import classmix.cli` starts no pool
 
-        if hasattr(os, "sched_getaffinity"):  # Linux: the CPUs this process may run on
-            workers = len(os.sched_getaffinity(0))
-        else:
-            workers = os.cpu_count() or 1
-        _POOL = ThreadPoolExecutor(workers)
+        _POOL = ThreadPoolExecutor(_workers())
     return _POOL
 
 
@@ -115,26 +118,16 @@ class TupleSet:
         _pmap(decode, range(len(starts)))
         return out
 
-    def rows(self) -> np.ndarray:
-        return self.columns.astype(np.int64)
-
 
 def encode_tuples(rows: np.ndarray, order: int) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.int64)
-    return rows @ order ** np.arange(rows.shape[1], dtype=np.int64)
+    """int64 codes of tuples given as rows of coordinates, coordinate i the base-order digit i."""
+    return pack_digits(rows, order, np.int64)
 
 
 def decode_tuples(codes: np.ndarray, arity: int, order: int) -> np.ndarray:
     """Coordinates of tuple codes, shape (len, arity), in the smallest unsigned dtype holding order - 1."""
-    rem = np.asarray(codes).astype(np.min_scalar_type(order**arity))  # holds every code and the base
-    out = np.empty((len(rem), arity), dtype=np.min_scalar_type(order - 1))
-    for i in range(arity - 1):  # a floor division by a scalar and a subtract: faster than divmod
-        quo = rem // order
-        np.subtract(rem, quo * order, out=out[:, i], casting="unsafe")
-        rem = quo
-    if arity:  # arity 0: the empty suffixes of 1-tuples
-        out[:, -1] = rem  # below order once arity - 1 digits are gone
-    return out
+    out = np.empty((len(codes), arity), dtype=np.min_scalar_type(order - 1))
+    return unpack_digits(np.asarray(codes), order, out)
 
 
 def _tuple_count(order: int, arity: int) -> int:
@@ -439,34 +432,24 @@ def fiber_sample(
     """
     if arity < 1:
         raise ArityMismatch(f"arity must be >= 1, got {arity}")
-    a_rows = stream.integers(0, table.order, size=(draws, arity))
+    a_rows = _draw_rows(stream, table.order, draws, arity, np.int64)
     b_rows = np.empty((draws, arity), dtype=np.int64)
     if arity > 1:
         b_rows[:, : arity - 1] = stream.integers(0, table.order, size=(draws, arity - 1))
-    _complete_fiber(table, a_rows, b_rows, g)
+    _complete_rows(table.full_mul_table(), table.inverses, a_rows, b_rows, g)
     return a_rows, b_rows
 
 
-def enumerate_fiber(table: GroupTable, g: int, arity: int):
-    """Return (a_rows, b_rows): every (a, b) with a . b = g, by sweeping the free coordinates."""
-    order = table.order
-    free = 2 * arity - 1
-    total = order**free
-    if total > config.loop_budget():
-        raise LoopBudgetExceeded(f"fiber enumeration needs {total} tuples")
-    free_rows = decode_tuples(np.arange(total, dtype=np.int64), free, order)
-    a_rows = free_rows[:, :arity]
-    b_rows = np.empty((total, arity), dtype=free_rows.dtype)
-    b_rows[:, : arity - 1] = free_rows[:, arity:]
-    _complete_fiber(table, a_rows, b_rows, g)
-    return a_rows, b_rows
+def _draw_rows(stream: np.random.Generator, order: int, draws: int, arity: int, dtype) -> np.ndarray:
+    """stream.integers(0, order, size=(draws, arity)) in `dtype`, drawn in ROW_CHUNK int32 calls.
 
-
-def _complete_fiber(table: GroupTable, a_rows: np.ndarray, b_rows: np.ndarray, g: int):
-    """Fill b_t of every row on the workers, ROW_CHUNK rows per task."""
-    mul, inverses = table.full_mul_table(), table.inverses
-    rows = range(0, len(a_rows), ROW_CHUNK)
-    _pmap(lambda lo: _complete_rows(mul, inverses, a_rows[lo : lo + ROW_CHUNK], b_rows[lo : lo + ROW_CHUNK], g), rows)
+    For order < 2**32 these draw the values of one int64 call and leave the stream where it does.
+    """
+    rows = np.empty((draws, arity), dtype=dtype)
+    for lo in range(0, draws, ROW_CHUNK):
+        chunk = rows[lo : lo + ROW_CHUNK]
+        chunk[:] = stream.integers(0, order, size=chunk.shape, dtype=np.int32)
+    return rows
 
 
 def _complete_rows(mul: np.ndarray, inverses: np.ndarray, a: np.ndarray, b: np.ndarray, g: int):
@@ -505,12 +488,6 @@ class RectangleProtocol(NamedTuple):
             twice |= mask & (bits >= 0)
             bits[mask] = rect.bit
         return bits, _first_pair(twice, a_codes, b_codes), _first_pair(bits < 0, a_codes, b_codes)
-
-    def evaluate_codes(self, a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation, one membership test per code; raises on the first bad pair."""
-        bits, twice, uncovered = self.cover(a_codes, b_codes)
-        _check_cover(twice, uncovered)
-        return bits
 
 
 def _first_pair(flags: np.ndarray, a_codes: np.ndarray, b_codes: np.ndarray) -> tuple[int, int] | None:
@@ -571,16 +548,13 @@ def advantage(
 def _acceptance(protocol: RectangleProtocol, table: GroupTable, g: int, arity: int, stream, samples: int) -> float:
     """Share of `samples` fiber draws for g that the protocol accepts; raises on the first bad pair in draw order.
 
-    The stream is drawn as fiber_sample draws it: every a first, in ROW_CHUNK int32 calls (which draw
-    what one int64 call draws) kept in the narrowest dtype, then b's free coordinates, one chunk per
-    worker at a time, while the workers complete, encode and evaluate the chunks drawn before.
+    The stream is drawn as fiber_sample draws it: every a first (kept in the narrowest dtype), then
+    b's free coordinates, one chunk per worker at a time, while the workers complete, encode and
+    evaluate the chunks drawn before.
     """
     order, mul, inverses = table.order, table.full_mul_table(), table.inverses
-    a_rows = np.empty((samples, arity), dtype=np.min_scalar_type(order - 1))
-    for lo in range(0, samples, ROW_CHUNK):
-        rows = a_rows[lo : lo + ROW_CHUNK]
-        rows[:] = stream.integers(0, order, size=rows.shape, dtype=np.int32)
-    per = ROW_CHUNK * _pool()._max_workers
+    a_rows = _draw_rows(stream, order, samples, arity, np.min_scalar_type(order - 1))
+    per = ROW_CHUNK * _workers()
 
     def draw(lo):
         free = stream.integers(0, order, size=(min(per, samples - lo), arity - 1), dtype=np.int32)
@@ -599,49 +573,8 @@ def _acceptance(protocol: RectangleProtocol, table: GroupTable, g: int, arity: i
     return sum(accepted) / samples
 
 
-def exact_conditional_acceptance(protocol: RectangleProtocol, table: GroupTable, g: int) -> Fraction:
-    """Exact Pr[P(a,b) = 1 | a . b = g] by full fiber enumeration."""
-    arity = protocol.rectangles[0].a_set.arity
-    a_rows, b_rows = enumerate_fiber(table, g, arity)
-    a_codes = encode_tuples(a_rows, table.order)
-    b_codes = encode_tuples(b_rows, table.order)
-    bits = protocol.evaluate_codes(a_codes, b_codes)
-    return Fraction(int(bits.sum()), len(bits))
-
-
-def rectangle_bound_check(
-    protocol: RectangleProtocol, table: GroupTable, g: int, h: int
-) -> tuple[float, float]:
-    """Assemble the rectangle-decomposition inequality from exact data.
-
-    Returns (|p_g - p_h| exact, 2^c * 2 * max over rectangles of D * alpha *
-    beta * |G|).  The factor 2 is the triangle bound through the uniform
-    distribution; the left side can never exceed the right.
-    """
-    lhs = abs(
-        float(
-            exact_conditional_acceptance(protocol, table, g)
-            - exact_conditional_acceptance(protocol, table, h)
-        )
-    )
-    worst = 0.0
-    for rect in protocol.rectangles:
-        est = exact_distribution(rect.a_set, rect.b_set, table)
-        normalized = est.linf_dev * float(rect.a_set.density) * float(rect.b_set.density) * table.order
-        worst = max(worst, normalized)
-    rhs = (2.0**protocol.bit_budget) * 2.0 * worst
-    return lhs, rhs
-
-
 # ---------------------------------------------------------------------------
 # file formats
-
-
-def save_tuple_set(path, tset: TupleSet, group_label: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"t={tset.arity} group={group_label}\n")
-        for row in tset.rows():
-            fh.write(",".join(str(int(x)) for x in row) + "\n")
 
 
 def load_tuple_set(path, table: GroupTable) -> TupleSet:

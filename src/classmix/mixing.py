@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config
-from .characters import CharacterTable, ClassRows, class_products, structure_constants, witten_zeta
-from .errors import InvariantViolation, LoopBudgetExceeded, SpecSyntax
+from .characters import CharacterTable, ClassRows, class_products, structure_constants
+from .errors import LoopBudgetExceeded, SpecSyntax
 from .groups import ClassData, GroupTable
 
 
@@ -298,42 +298,3 @@ def _weighted_quantiles(values, weights, points) -> tuple[tuple[float, float], .
     cw = np.cumsum(weights[order])
     idx = np.minimum(np.searchsorted(cw, np.asarray(points) * cw[-1], side="left"), len(cw) - 1)
     return tuple(zip(map(float, points), values[order][idx].tolist()))
-
-
-# ---------------------------------------------------------------------------
-# character-bound fraction
-
-
-class CharBoundReport(NamedTuple):
-    fraction: float
-    lower_bound: float  # 2 - zeta_G(s)
-    s: float
-    binding: bool  # whether the bound was below 1 and thus asserted
-
-
-def char_bound_fraction(
-    table: GroupTable,
-    classes: ClassData,
-    chartable: CharacterTable,
-    s: float,
-) -> CharBoundReport:
-    """Class-size-weighted fraction of x with |chi(x)| <= chi(1)^(s/2) for all chi.
-
-    The fraction is guaranteed to exceed 2 - zeta_G(s) whenever that bound is
-    below 1; a violation means the character table is wrong, so it raises.
-    """
-    if s <= 0:
-        raise SpecSyntax(f"character-bound fraction needs s > 0, got {s}")
-    vals = np.abs(chartable.values)
-    bounds = np.asarray(chartable.degrees, dtype=np.float64) ** (s / 2.0)
-    good_cols = np.all(vals <= bounds[:, None] + 1e-9, axis=0)  # 1e-9: float slack on the lifted values
-    sizes = np.asarray(classes.sizes, dtype=np.int64)
-    fraction = Fraction(int(sizes[good_cols].sum()), table.order)
-    bound = 2.0 - witten_zeta(chartable, s)
-    binding = bound < 1.0
-    if binding and not float(fraction) > bound:
-        raise InvariantViolation(
-            f"character-bound fraction {float(fraction)} fails lower bound {bound}"
-        )
-    return CharBoundReport(fraction=float(fraction), lower_bound=bound, s=s, binding=binding)
-

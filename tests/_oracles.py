@@ -13,9 +13,11 @@ translated-inverse coupling) that the production kernels must match count
 for count, and a Dixon character table split with list-of-lists
 algebra mod P from the whole tensor, whose values the production table must
 match bit for bit.  The class numbering by np.unique must match conj_classes
-byte for byte.  Two exact checks that only tests call live here as well: the
-coverage/norm link of a pair distribution and the validation of a protocol
-on every pair of G^t x G^t.
+byte for byte.  The exact checks that only tests call live here as well: the
+coverage/norm link of a pair distribution, the character-bound fraction, the
+validation of a protocol on every pair of G^t x G^t, its exact acceptance by
+fiber enumeration and the rectangle-decomposition inequality, and the
+tuple-set file writer.
 """
 
 from __future__ import annotations
@@ -24,12 +26,17 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from classmix.characters import _least_dixon_prime, _primitive_root_of_order
+from classmix import config
+from classmix.characters import _least_dixon_prime, _primitive_root_of_order, witten_zeta
+from classmix.errors import InvariantViolation, LoopBudgetExceeded, SpecSyntax
 from classmix.groups import GroupSpec
-from classmix.interleave import encode_tuples, fiber_sample
+from classmix.interleave import (
+    _check_cover, _complete_rows, decode_tuples, encode_tuples, exact_distribution, fiber_sample,
+)
 
 # D4 x C3 on seven points: its order-3 and order-6 classes come in inverse pairs
 PERMGEN_FILE = "n=7\n(1 2)(3 4)\n(1 3)\n(5 6 7)\n"
@@ -334,7 +341,7 @@ def whole_array_acceptance(protocol, table, g, arity, stream, samples):
     """Share of `samples` fiber draws for g that the protocol accepts: one fiber_sample call, every row encoded and
     evaluated at once, so it raises on the first bad pair of all the draws."""
     a_rows, b_rows = fiber_sample(table, g, arity, stream, draws=samples)
-    bits = protocol.evaluate_codes(encode_tuples(a_rows, table.order), encode_tuples(b_rows, table.order))
+    bits = evaluate_codes(protocol, encode_tuples(a_rows, table.order), encode_tuples(b_rows, table.order))
     return float(bits.mean())
 
 
@@ -376,11 +383,105 @@ def coverage_norm_link_holds(dist, classes) -> bool:
     return n_exact >= Fraction(dist.order, support)
 
 
+class CharBoundReport(NamedTuple):
+    fraction: float
+    lower_bound: float  # 2 - zeta_G(s)
+    s: float
+    binding: bool  # whether the bound was below 1 and thus asserted
+
+
+def char_bound_fraction(table, classes, chartable, s: float) -> CharBoundReport:
+    """Class-size-weighted fraction of x with |chi(x)| <= chi(1)^(s/2) for all chi.
+
+    The fraction is guaranteed to exceed 2 - zeta_G(s) whenever that bound is
+    below 1; a violation means the character table is wrong, so it raises.
+    """
+    if s <= 0:
+        raise SpecSyntax(f"character-bound fraction needs s > 0, got {s}")
+    vals = np.abs(chartable.values)
+    bounds = np.asarray(chartable.degrees, dtype=np.float64) ** (s / 2.0)
+    good_cols = np.all(vals <= bounds[:, None] + 1e-9, axis=0)  # 1e-9: float slack on the lifted values
+    sizes = np.asarray(classes.sizes, dtype=np.int64)
+    fraction = Fraction(int(sizes[good_cols].sum()), table.order)
+    bound = 2.0 - witten_zeta(chartable, s)
+    binding = bound < 1.0
+    if binding and not float(fraction) > bound:
+        raise InvariantViolation(
+            f"character-bound fraction {float(fraction)} fails lower bound {bound}"
+        )
+    return CharBoundReport(fraction=float(fraction), lower_bound=bound, s=s, binding=binding)
+
+
+def tuple_rows(tset) -> np.ndarray:
+    return tset.columns.astype(np.int64)
+
+
+def evaluate_codes(protocol, a_codes, b_codes) -> np.ndarray:
+    """Vectorized evaluation, one membership test per code; raises on the first bad pair."""
+    bits, twice, uncovered = protocol.cover(a_codes, b_codes)
+    _check_cover(twice, uncovered)
+    return bits
+
+
 def validate_protocol_exact(protocol, table):
     """Evaluate the protocol on every pair of G^t x G^t; it raises unless its rectangles partition them."""
     total = table.order ** protocol.rectangles[0].a_set.arity
     codes = np.arange(total, dtype=np.int64)
-    protocol.evaluate_codes(np.repeat(codes, total), np.tile(codes, total))
+    evaluate_codes(protocol, np.repeat(codes, total), np.tile(codes, total))
+
+
+def enumerate_fiber(table, g: int, arity: int):
+    """Return (a_rows, b_rows): every (a, b) with a . b = g, by sweeping the free coordinates."""
+    order = table.order
+    free = 2 * arity - 1
+    total = order**free
+    if total > config.loop_budget():
+        raise LoopBudgetExceeded(f"fiber enumeration needs {total} tuples")
+    free_rows = decode_tuples(np.arange(total, dtype=np.int64), free, order)
+    a_rows = free_rows[:, :arity]
+    b_rows = np.empty((total, arity), dtype=free_rows.dtype)
+    b_rows[:, : arity - 1] = free_rows[:, arity:]
+    _complete_rows(table.full_mul_table(), table.inverses, a_rows, b_rows, g)
+    return a_rows, b_rows
+
+
+def exact_conditional_acceptance(protocol, table, g: int) -> Fraction:
+    """Exact Pr[P(a,b) = 1 | a . b = g] by full fiber enumeration."""
+    arity = protocol.rectangles[0].a_set.arity
+    a_rows, b_rows = enumerate_fiber(table, g, arity)
+    a_codes = encode_tuples(a_rows, table.order)
+    b_codes = encode_tuples(b_rows, table.order)
+    bits = evaluate_codes(protocol, a_codes, b_codes)
+    return Fraction(int(bits.sum()), len(bits))
+
+
+def rectangle_bound_check(protocol, table, g: int, h: int) -> tuple[float, float]:
+    """Assemble the rectangle-decomposition inequality from exact data.
+
+    Returns (|p_g - p_h| exact, 2^c * 2 * max over rectangles of D * alpha *
+    beta * |G|).  The factor 2 is the triangle bound through the uniform
+    distribution; the left side can never exceed the right.
+    """
+    lhs = abs(
+        float(
+            exact_conditional_acceptance(protocol, table, g)
+            - exact_conditional_acceptance(protocol, table, h)
+        )
+    )
+    worst = 0.0
+    for rect in protocol.rectangles:
+        est = exact_distribution(rect.a_set, rect.b_set, table)
+        normalized = est.linf_dev * float(rect.a_set.density) * float(rect.b_set.density) * table.order
+        worst = max(worst, normalized)
+    rhs = (2.0**protocol.bit_budget) * 2.0 * worst
+    return lhs, rhs
+
+
+def save_tuple_set(path, tset, group_label: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"t={tset.arity} group={group_label}\n")
+        for row in tuple_rows(tset):
+            fh.write(",".join(str(int(x)) for x in row) + "\n")
 
 
 def unique_labelling_classes(table):

@@ -22,19 +22,16 @@ from classmix.interleave import (
     advantage,
     decode_tuples,
     deviation_report,
-    exact_conditional_acceptance,
     exact_distribution,
     explicit_tuple_set,
     fiber_sample,
     full_tuple_set,
     mc_distribution,
-    rectangle_bound_check,
     seeded_tuple_set,
 )
 from classmix.mixing import (
     Independent,
     TranslatedInverse,
-    char_bound_fraction,
     coverage,
     dist_to_uniform,
     l2_sq,
@@ -46,7 +43,13 @@ from classmix.mixing import (
 )
 from classmix.rng import make_stream
 
-from _oracles import interleave_product, validate_protocol_exact
+from _oracles import (
+    char_bound_fraction,
+    exact_conditional_acceptance,
+    interleave_product,
+    rectangle_bound_check,
+    validate_protocol_exact,
+)
 
 TEST_GROUPS = ["A:5", "A:6", "A:7", "S:4", "PSL2:7", "PSL2:11", "PSL2:13"]
 ORACLE_GROUPS = ["A:5", "S:4", "S:3", "PSL2:7"]

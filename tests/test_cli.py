@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import json
@@ -19,7 +20,7 @@ from classmix.interleave import MIN_MC_SAMPLES
 from classmix.mixing import DEFAULT_THRESHOLDS, survey
 from classmix.rng import make_stream
 
-from _oracles import MATGEN_FILE, PERMGEN_FILE
+from _oracles import MATGEN_FILE, PERMGEN_FILE, save_tuple_set
 
 
 def run_cli(*argv):
@@ -248,7 +249,7 @@ def test_dixon_meta_records_work(tmp_path):
 
 def test_advantage_cli(tmp_path):
     from classmix.groups import group_build
-    from classmix.interleave import full_tuple_set, save_tuple_set
+    from classmix.interleave import full_tuple_set
 
     table = group_build(GroupSpec.sym(3))
     full = full_tuple_set(table, 2)
@@ -455,6 +456,30 @@ def test_no_module_builds_dataclasses():
         for name, value in vars(importlib.import_module(f"classmix.{info.name}")).items():
             assert value is not dataclasses and getattr(value, "__module__", None) != "dataclasses", f"{info.name}.{name}"
             assert not hasattr(value, "__dataclass_fields__"), f"{info.name}.{name} is a dataclass"
+
+
+def test_every_public_definition_has_a_caller():
+    """Each public top-level function or class of classmix is named by another top-level definition of classmix or by
+    perfbench/tracer.py, which wraps layers by name; code that only tests call belongs in tests/_oracles.py."""
+    root = Path(__file__).resolve().parents[1]
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted((root / "src" / "classmix").glob("*.py"))}
+    tracer = ast.parse((root / "perfbench" / "tracer.py").read_text())
+    traced = {n.value for n in ast.walk(tracer) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    callers = {}  # name -> the (module, top-level definition) pairs whose code names it
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    callers.setdefault(name, set()).add((module, getattr(stmt, "name", None)))
+    uncalled = [
+        f"{module}.{stmt.name}"
+        for module, tree in modules.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+        and not callers.get(stmt.name, set()) - {(module, stmt.name)} and stmt.name not in traced
+    ]
+    assert not uncalled, uncalled
 
 
 def test_benchmark_tracer_counters_run(tmp_path):

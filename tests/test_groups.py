@@ -7,6 +7,7 @@ import pytest
 from classmix.errors import CapExceeded, InvariantViolation, MixedGroups, SpecSyntax, UnsupportedParameters
 from classmix.characters import dixon_character_table
 from classmix.fields import field_for_size
+from classmix import groups
 from classmix.groups import (
     ROW_CHUNK,
     GroupSpec,
@@ -16,10 +17,12 @@ from classmix.groups import (
     group_build,
     parse_cycles,
 )
+from classmix.interleave import decode_tuples, encode_tuples
 from classmix.rng import make_stream
 
 from _oracles import (
     ORACLE_LABELS,
+    _decode,
     alt_elements,
     brute_conjugacy_classes,
     column_mul_table,
@@ -338,6 +341,38 @@ def test_code_dtype_follows_base_and_width():
     assert PermEngine(10).code_dtype == np.int64
     assert Mat2Engine(field_for_size(211)).code_dtype == np.int32
     assert Mat2Engine(field_for_size(223)).code_dtype == np.int64
+
+
+def _codec_codes(top, dtype, n=5_000):
+    """n codes below top in dtype, the smallest and largest among them."""
+    return np.r_[0, make_stream(7).integers(0, top, size=n - 2), top - 1].astype(dtype)
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [PermEngine(7), PermEngine(10), Mat2Engine(field_for_size(125)), Mat2Engine(field_for_size(257))],
+    ids=["S7-uint8-int32", "S10-uint8-int64", "q125-uint8-int32", "q257-u2be-int64"],
+)
+def test_element_rows_round_trip_the_digit_codec(monkeypatch, engine):
+    """Element rows are big-endian digits of their rank codes: the oracle's little-endian digits reversed, in the
+    engine's row dtype, in chunks of ROW_CHUNK codes; packing them gives the codes back in the code dtype."""
+    monkeypatch.setattr(groups, "ROW_CHUNK", 777)
+    width = len(engine.identity)
+    codes = _codec_codes(engine.base**width, engine.code_dtype)
+    rows = groups._decode(codes, engine)
+    assert rows.dtype == engine.dtype and np.array_equal(rows, _decode(codes, width, engine.base)[:, ::-1])
+    packed = groups._codes(rows, engine)
+    assert packed.dtype == engine.code_dtype and np.array_equal(packed, codes)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_tuple_codes_round_trip_the_digit_codec(arity):
+    """Tuple coordinate i is little-endian digit i of the code, in the narrowest dtype holding |G| - 1."""
+    codes = _codec_codes(60**arity, np.int64)
+    rows = decode_tuples(codes, arity, 60)
+    assert rows.dtype == np.uint8 and np.array_equal(rows, _decode(codes, arity, 60))
+    packed = encode_tuples(rows, 60)
+    assert packed.dtype == np.int64 and np.array_equal(packed, codes)
 
 
 A5_SQUARED = "(1 2 3)\n(1 2 3 4 5)\n(6 7 8)\n(6 7 8 9 10)\n"  # A_5 x A_5 on ten points

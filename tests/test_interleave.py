@@ -25,8 +25,6 @@ from classmix.interleave import (
     TupleSet,
     advantage,
     deviation_report,
-    enumerate_fiber,
-    exact_conditional_acceptance,
     exact_distribution,
     explicit_tuple_set,
     encode_tuples,
@@ -35,16 +33,20 @@ from classmix.interleave import (
     load_protocol,
     load_tuple_set,
     mc_distribution,
-    rectangle_bound_check,
-    save_tuple_set,
     seeded_tuple_set,
 )
 from classmix.rng import make_stream
 
 from _oracles import (
     decode_fold_mc_counts,
+    enumerate_fiber,
+    evaluate_codes,
+    exact_conditional_acceptance,
     fold_exact_counts,
     interleave_product,
+    rectangle_bound_check,
+    save_tuple_set,
+    tuple_rows,
     validate_protocol_exact,
     whole_array_acceptance,
 )
@@ -114,8 +116,8 @@ def test_exact_distribution_matches_naive_loop(s3):
     b = seeded_tuple_set(s3, 2, 0.5, stream)
     est = exact_distribution(a, b, s3)
     counts = [0] * s3.order
-    for ra in a.rows():
-        for rb in b.rows():
+    for ra in tuple_rows(a):
+        for rb in tuple_rows(b):
             counts[interleave_product(s3, ra, rb)] += 1
     assert list(est.counts) == counts
     assert sum(counts) == a.size * b.size
@@ -123,8 +125,8 @@ def test_exact_distribution_matches_naive_loop(s3):
 
 def _pair_loop_counts(table, a_set, b_set):
     counts = np.zeros(table.order, dtype=np.int64)
-    for ra in a_set.rows():
-        for rb in b_set.rows():
+    for ra in tuple_rows(a_set):
+        for rb in tuple_rows(b_set):
             counts[interleave_product(table, ra, rb)] += 1
     return counts
 
@@ -223,7 +225,7 @@ def test_mixture_identity(s3):
     stream = make_stream(21)
     a = seeded_tuple_set(s3, 2, 0.5, stream)
     b = seeded_tuple_set(s3, 2, 0.5, stream)
-    rows = a.rows()
+    rows = tuple_rows(a)
     half = len(rows) // 2
     a1 = explicit_tuple_set(s3, [tuple(r) for r in rows[:half]])
     a2 = explicit_tuple_set(s3, [tuple(r) for r in rows[half:]])
@@ -360,7 +362,7 @@ def _kernel_results(monkeypatch, table, workers):
     """Seeded masks, MC counts, decoded columns, fiber rows and an advantage report, on a pool of `workers` threads.
 
     The pipelined kernels (the swap fill of a seeded draw, the MC counts and the acceptance chunks) must each hand
-    the pool more than one task of their own."""
+    the pool more than one task of their own; fiber_sample runs on the calling thread."""
     with _CountingPool(workers) as pool:
         monkeypatch.setattr(interleave, "_POOL", pool)
         a_set = _fanned_out(pool, lambda: seeded_tuple_set(table, 3, 0.5, make_stream(96)), "fill", "clear_chain_ends")
@@ -371,7 +373,7 @@ def _kernel_results(monkeypatch, table, workers):
             pool, lambda: mc_distribution(a_set, b_set, 50_000, make_stream(98), table, block=12_345), "count"
         )
         fresh = _fanned_out(pool, lambda: TupleSet(a_set.arity, a_set.group_order, a_set.mask).columns)
-        fiber = _fanned_out(pool, lambda: fiber_sample(table, 7, 3, make_stream(99), draws=40_000))
+        fiber = fiber_sample(table, 7, 3, make_stream(99), draws=40_000)
         protocol = _half_split_protocol(table)
         report = _fanned_out(
             pool, lambda: advantage(protocol, table, 0, 5, samples=30_000, stream=make_stream(100)), "accept"
@@ -381,7 +383,7 @@ def _kernel_results(monkeypatch, table, workers):
 
 def test_kernels_do_not_depend_on_worker_count(monkeypatch, a5):
     """More workers than cores, switching threads often: each worker's slice of the output stays its own."""
-    monkeypatch.setattr(interleave, "ROW_CHUNK", 7777)  # several slices per block, mask and fiber
+    monkeypatch.setattr(interleave, "ROW_CHUNK", 7777)  # several slices per block and mask, draw calls per fiber
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -414,7 +416,7 @@ def test_pool_without_sched_getaffinity(monkeypatch, a5):
     monkeypatch.setattr(interleave, "_POOL", None)
     try:
         again = seeded_tuple_set(a5, 3, 0.5, make_stream(96))
-        assert interleave._POOL._max_workers == 3
+        assert interleave._POOL._max_workers == interleave._workers() == 3
         mc = mc_distribution(a_set, b_set, 50_000, make_stream(98), a5, block=12_345)
     finally:
         if interleave._POOL is not None:
@@ -527,6 +529,18 @@ def test_fiber_sample_arity_one(s3):
         assert rb[0] == mul[s3.inverses[ra[0]], 4]
 
 
+@pytest.mark.parametrize("arity", [1, 3])
+def test_fiber_sample_draws_what_one_int64_call_draws(monkeypatch, a5, arity):
+    """a is drawn in ROW_CHUNK int32 calls, as advantage draws it: the values and stream state of one int64 call."""
+    monkeypatch.setattr(interleave, "ROW_CHUNK", 7777)
+    stream, reference = make_stream(57), make_stream(57)
+    a_rows, b_rows = fiber_sample(a5, 11, arity, stream, draws=30_001)
+    assert a_rows.dtype == b_rows.dtype == np.int64
+    assert np.array_equal(a_rows, reference.integers(0, a5.order, size=(30_001, arity)))
+    assert np.array_equal(b_rows[:, :-1], reference.integers(0, a5.order, size=(30_001, arity - 1)))
+    assert stream.bit_generator.state == reference.bit_generator.state
+
+
 def test_fiber_enumeration_size(s3):
     a_rows, b_rows = enumerate_fiber(s3, 0, 2)
     assert len(a_rows) == s3.order ** 3
@@ -620,6 +634,7 @@ def test_advantage_memory(monkeypatch, a5):
     protocol = _seeded_split_protocol(a5, 2, 104)
     a5.full_mul_table(), a5.inverses
     samples, workers = 1_000_000, 2
+    monkeypatch.setattr(interleave, "_workers", lambda: workers)  # block size, on a machine of any size
     with ThreadPoolExecutor(workers) as pool:
         monkeypatch.setattr(interleave, "_POOL", pool)
         tracemalloc.start()
@@ -688,13 +703,13 @@ def test_protocol_errors_name_first_pair_in_input_order(s3):
     b_codes = np.array([3, 1, 4, 0])
     partial = RectangleProtocol(rectangles=(Rectangle(a_set=low, b_set=full, bit=1),))
     with pytest.raises(UncoveredProbe, match=r"pair \(a=5, b=1\) not covered"):
-        partial.evaluate_codes(np.array([0, 5, 1, 3]), b_codes)
+        evaluate_codes(partial, np.array([0, 5, 1, 3]), b_codes)
     pair = explicit_tuple_set(s3, [(2,), (4,)])
     double = RectangleProtocol(
         rectangles=(Rectangle(a_set=full, b_set=full, bit=1), Rectangle(a_set=pair, b_set=full, bit=0))
     )
     with pytest.raises(OverlappingRectangles, match=r"pair \(a=4, b=1\) multiply covered"):
-        double.evaluate_codes(np.array([0, 4, 1, 2]), b_codes)
+        evaluate_codes(double, np.array([0, 4, 1, 2]), b_codes)
 
 
 # -- files -----------------------------------------------------------------------

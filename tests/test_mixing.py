@@ -13,7 +13,6 @@ from classmix.mixing import (
     Diagonal,
     Independent,
     TranslatedInverse,
-    char_bound_fraction,
     coverage,
     dist_to_uniform,
     l2_sq,
@@ -30,6 +29,7 @@ from _oracles import (
     alt_elements,
     brute_conjugacy_classes,
     brute_pair_distribution,
+    char_bound_fraction,
     coverage_norm_link_holds,
     full_sweep_structure_constants,
     oracle_spec,
