@@ -95,17 +95,6 @@ class CharacterTable(NamedTuple):
     def k(self) -> int:
         return len(self.degrees)
 
-    def to_json_dict(self, group_label: str = "") -> dict:
-        return {
-            "schema": 1,
-            "group": group_label,
-            "order": self.order,
-            "class_sizes": list(self.class_sizes),
-            "degrees": list(self.degrees),
-            "values": [[[v.real, v.imag] for v in row] for row in self.values],
-            "residuals": {"row": self.row_residual, "col": self.col_residual},
-        }
-
 
 class OrthogonalityReport(NamedTuple):
     max_row_residual: float

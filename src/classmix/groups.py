@@ -123,8 +123,8 @@ def pack_digits(rows: np.ndarray, base: int, dtype) -> np.ndarray:
 
     The caller's view sets the order: a big-endian row is packed as `rows[..., ::-1]`.
     """
-    codes = np.zeros(rows.shape[:-1], dtype=dtype)
-    for i in reversed(range(rows.shape[-1])):  # Horner's rule, most significant digit first
+    codes = rows[..., -1].astype(dtype)  # Horner's rule, seeded with the most significant digit
+    for i in reversed(range(rows.shape[-1] - 1)):
         codes *= base
         codes += rows[..., i]
     return codes
@@ -364,10 +364,6 @@ class GroupTable:
             if i < self.order and np.array_equal(self.rows[i], row):
                 return i
         raise MixedGroups(f"element {key.hex()} does not belong to group {self.spec.label}")
-
-    def mul_indices(self, i, j) -> np.ndarray:
-        """Elementwise index(i * j) for index arrays of equal ndim that broadcast."""
-        return self.lookup(self.engine.mul(self.rows[i], self.rows[j]))
 
     # -- bulk helpers ----------------------------------------------------------
 

@@ -258,15 +258,6 @@ class InterleaveEstimate(NamedTuple):
     stderr: np.ndarray | None = None  # per-cell standard error in MC mode
     work: dict | None = None  # counts of the work done, for run metadata (never in the report)
 
-    def to_json_dict(self, table: GroupTable) -> dict:
-        return {
-            "schema": 1,
-            "mode": self.mode,
-            "total": self.total,
-            "linf_dev": self.linf_dev,
-            "probs": {table.elements[i].hex(): float(p) for i, p in enumerate(self.probs)},
-        }
-
 
 def _estimate_from_counts(counts: np.ndarray, total: int, order: int, mode: str, work: dict) -> InterleaveEstimate:
     probs = counts / float(total)
@@ -385,10 +376,6 @@ class DeviationReport(NamedTuple):
     base: float
     normalized: float
     implied_exponent: float  # inf when the deviation is exactly 0
-
-    def to_json_dict(self) -> dict:
-        exponent = self.implied_exponent if math.isfinite(self.implied_exponent) else "inf"
-        return {"schema": 1, **self._asdict(), "implied_exponent": exponent}
 
 
 def deviation_report(
@@ -512,9 +499,6 @@ class AdvantageReport(NamedTuple):
     stderr: float
     bit_budget: int
     samples: int
-
-    def to_json_dict(self) -> dict:
-        return {"schema": 1, **self._asdict()}
 
 
 def advantage(

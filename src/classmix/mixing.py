@@ -139,13 +139,11 @@ def thompson_search(table: GroupTable, classes: ClassData) -> ThompsonResult:
 
 
 class Independent(NamedTuple):
-    def describe(self) -> str:
-        return "independent"
+    """x and y independent and uniform."""
 
 
 class Diagonal(NamedTuple):
-    def describe(self) -> str:
-        return "diagonal"
+    """x uniform, y = x."""
 
 
 class TranslatedInverse(NamedTuple):
@@ -153,17 +151,11 @@ class TranslatedInverse(NamedTuple):
 
     a_index: int
 
-    def describe(self) -> str:
-        return f"transinv:{self.a_index}"
-
 
 class BijectionCoupling(NamedTuple):
     """x uniform, y = f(x) for an arbitrary permutation f of element indices (checked where f is read)."""
 
     mapping: tuple[int, ...]
-
-    def describe(self) -> str:
-        return "bijection"
 
 
 Coupling = Independent | Diagonal | TranslatedInverse | BijectionCoupling
@@ -179,44 +171,9 @@ class SurveyPair(NamedTuple):
 
 
 class SurveyReport(NamedTuple):
-    group: str
-    coupling: str
     pairs: tuple[SurveyPair, ...]
     thresholds: tuple[tuple[float, float], ...]  # (delta, weighted P[N <= 1 + delta])
     quantiles: tuple[tuple[float, float], ...]
-    normalization_note: str = "N = |G| * ||p_xy||_2^2; thresholds 1 + delta bound N"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "group": self.group,
-            "coupling": self.coupling,
-            "normalization_note": self.normalization_note,
-            # constants, since every survey is exact; goldens/v1 and perfbench/reference/survey_*.json keep the keys
-            "sampled": False,
-            "sample_count": 0,
-            "pairs": [
-                {
-                    "x_class": p.x_class,
-                    "y_class": p.y_class,
-                    "weight": p.weight,
-                    "N": p.n_stat,
-                    "l1": p.l1,
-                    "coverage": p.coverage_fraction,
-                }
-                for p in self.pairs
-            ],
-            "thresholds": [{"delta": d, "prob": pr} for d, pr in self.thresholds],
-            "quantiles": [{"q": q, "N": v} for q, v in self.quantiles],
-        }
-
-    def to_csv(self) -> str:
-        lines = ["xclass,yclass,weight,N,l1,coverage"]
-        for p in self.pairs:
-            lines.append(
-                f"{p.x_class},{p.y_class},{p.weight!r},{p.n_stat!r},{p.l1!r},{p.coverage_fraction!r}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 DEFAULT_THRESHOLDS = (0.0, 0.01, 0.1, 0.5, 1.0, 2.0)
@@ -284,13 +241,7 @@ def survey(
     exact = (Fraction(d) if np.isfinite(d) else d for d in map(float, thresholds))  # Fraction(inf) raises
     thr = tuple((float(d), float(w_arr[(excess <= d).astype(bool)].sum())) for d in exact)
     quant = _weighted_quantiles(n_arr, w_arr, _QUANTILE_POINTS)
-    return SurveyReport(
-        group=table.spec.label,
-        coupling=coupling.describe(),
-        pairs=pair_rows,
-        thresholds=thr,
-        quantiles=quant,
-    )
+    return SurveyReport(pairs=pair_rows, thresholds=thr, quantiles=quant)
 
 
 def _weighted_quantiles(values, weights, points) -> tuple[tuple[float, float], ...]:

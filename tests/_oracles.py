@@ -58,6 +58,11 @@ def oracle_spec(label, tmp_path):
     return GroupSpec.parse(label)
 
 
+def mul_indices(table, i, j) -> np.ndarray:
+    """Elementwise index(i * j) for index arrays of equal ndim that broadcast."""
+    return table.lookup(table.engine.mul(table.rows[i], table.rows[j]))
+
+
 def sym_elements(n: int) -> list[tuple[int, ...]]:
     return sorted(itertools.permutations(range(n)))
 
@@ -362,7 +367,7 @@ def full_sweep_structure_constants(table, classes):
 def translated_inverse_counts(table, classes, a):
     """(k, k) counts of x with x in C_i and x^-1 a in C_j, from one product per element."""
     k = classes.k
-    partner = table.mul_indices(table.inverses, [a])
+    partner = mul_indices(table, table.inverses, [a])
     return np.bincount(classes.class_of * k + classes.class_of[partner], minlength=k * k).reshape(k, k)
 
 
@@ -493,7 +498,7 @@ def unique_labelling_classes(table):
     """
     everything = np.arange(table.order)
     gens = table.generator_indices
-    perms = [table.mul_indices(table.mul_indices([h], everything), [table.inverses[h]]) for h in gens]
+    perms = [mul_indices(table, mul_indices(table, [h], everything), [table.inverses[h]]) for h in gens]
     labels = everything
     while True:
         prev = labels

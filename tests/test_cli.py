@@ -291,7 +291,7 @@ def test_bijfile_coupling_is_exact_on_a9(tmp_path, group_cache):
     perm = make_stream(31).permutation(table.order)
     path = tmp_path / "bij.txt"
     path.write_text("\n".join(map(str, perm.tolist())) + "\n")
-    rep = survey(table, classes, chartable, cli._parse_coupling(table, f"bijfile:{path}"))
+    rep = survey(table, classes, chartable, cli._parse_coupling(table, f"bijfile:{path}")[1])
     counts = Counter(zip(classes.class_of.tolist(), classes.class_of[perm].tolist()))
     assert {(p.x_class, p.y_class): p.weight for p in rep.pairs} == {
         pair: count / table.order for pair, count in counts.items()
@@ -459,25 +459,32 @@ def test_no_module_builds_dataclasses():
 
 
 def test_every_public_definition_has_a_caller():
-    """Each public top-level function or class of classmix is named by another top-level definition of classmix or by
-    perfbench/tracer.py, which wraps layers by name; code that only tests call belongs in tests/_oracles.py."""
+    """Each public top-level function or class of classmix, and each public method or property of its classes, is
+    named by classmix code outside its own definition or by perfbench/tracer.py, which wraps layers and GroupTable
+    methods by name; code that only tests call belongs in tests/_oracles.py."""
     root = Path(__file__).resolve().parents[1]
     modules = {p.stem: ast.parse(p.read_text()) for p in sorted((root / "src" / "classmix").glob("*.py"))}
     tracer = ast.parse((root / "perfbench" / "tracer.py").read_text())
     traced = {n.value for n in ast.walk(tracer) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
-    callers = {}  # name -> the (module, top-level definition) pairs whose code names it
+    definitions = []  # (label, name, owner): the owner's own code does not count as a caller
+    callers = {}  # name -> the (module, top-level definition, method or None) triples whose code names it
     for module, tree in modules.items():
         for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            definitions.append((f"{module}.{stmt.name}", stmt.name, (module, stmt.name)))
+            methods = [m for m in stmt.body if isinstance(m, ast.FunctionDef)] if isinstance(stmt, ast.ClassDef) else []
+            definitions += [(f"{module}.{stmt.name}.{m.name}", m.name, (module, stmt.name, m.name)) for m in methods]
+            method_of = {id(n): m.name for m in methods for n in ast.walk(m)}
             for node in ast.walk(stmt):
                 if isinstance(node, (ast.Name, ast.Attribute)):
                     name = node.id if isinstance(node, ast.Name) else node.attr
-                    callers.setdefault(name, set()).add((module, getattr(stmt, "name", None)))
+                    callers.setdefault(name, set()).add((module, stmt.name, method_of.get(id(node))))
     uncalled = [
-        f"{module}.{stmt.name}"
-        for module, tree in modules.items()
-        for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
-        and not callers.get(stmt.name, set()) - {(module, stmt.name)} and stmt.name not in traced
+        label
+        for label, name, owner in definitions
+        if not name.startswith("_") and name not in traced
+        and all(caller[: len(owner)] == owner for caller in callers.get(name, ()))
     ]
     assert not uncalled, uncalled
 

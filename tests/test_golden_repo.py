@@ -31,6 +31,16 @@ CASES = [
     ("interleave__PSL29__seed0", ["interleave", "PSL2:9", "--t", "2", "--mc", "100000"]),
     # A:8 splits by 11 of its 13 non-identity class matrices, the deepest split of these goldens
     ("chartable__A8__seed0", ["chartable", "A:8"]),
+    # 7A . 7B, a class pair and its inverse pair, by both methods
+    ("mixpair__PSL27__x3y5_char__seed0", ["mixpair", "PSL2:7", "--x", "3", "--y", "5", "--method", "char"]),
+    ("mixpair__PSL27__x3y5_brute__seed0", ["mixpair", "PSL2:7", "--x", "3", "--y", "5", "--method", "brute"]),
+    ("survey__A5__diagonal__seed0", ["survey", "A:5", "--coupling", "diagonal"]),
+    ("survey__A5__transinv7__seed0", ["survey", "A:5", "--coupling", "transinv:7"]),
+    # the report echoes --protocol, so the case runs in GOLDEN_DIR and names the file relative to it
+    (
+        "advantage__S3__seed0",
+        ["advantage", "S:3", "--protocol", "advantage_S3.protocol", "--g", "0", "--h", "1", "--samples", "20000"],
+    ),
 ]
 
 
@@ -49,10 +59,17 @@ def golden_drift(checks, golden_text: str, fresh_text: str):
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
-def test_golden_compare(name, argv, perfbench, capsys):
+def test_golden_compare(name, argv, perfbench, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR)
     golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
     assert main(argv) == 0
     assert golden_drift(perfbench("checks"), golden, capsys.readouterr().out) is None
+
+
+def test_golden_survey_csv_is_byte_identical(tmp_path):
+    """The survey CSV of ``classmix survey A:5 --out <dir>`` is compared with ``cmp``, not within tolerance."""
+    assert main(["survey", "A:5", "--out", str(tmp_path), "--quiet"]) == 0
+    assert (tmp_path / "survey__A5__seed0.csv").read_bytes() == (GOLDEN_DIR / "survey__A5__seed0.csv").read_bytes()
 
 
 def _first_l1(report, value):

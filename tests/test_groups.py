@@ -28,6 +28,7 @@ from _oracles import (
     column_mul_table,
     mat_inv,
     mat_mul,
+    mul_indices,
     oracle_spec,
     partition_class_count_alt,
     perm_mul,
@@ -161,7 +162,7 @@ def test_mul_table_consistency_small():
         table = group_build(spec)
         elems = [tuple(e) for e in table.elements]
         idx = np.arange(table.order)
-        grid = table.mul_indices(idx[:, None], idx[None, :])
+        grid = mul_indices(table, idx[:, None], idx[None, :])
         assert np.array_equal(grid, table.full_mul_table())
         for i in range(table.order):
             for j in range(table.order):
@@ -183,7 +184,7 @@ def test_mul_table_consistency_sampled():
     table = group_build(GroupSpec.alt(7))
     stream = make_stream(3)
     idx = stream.integers(0, table.order, size=(1000, 2))
-    prods = table.mul_indices(idx[:, 0], idx[:, 1])
+    prods = mul_indices(table, idx[:, 0], idx[:, 1])
     mul = table.full_mul_table()
     for (i, j), k in zip(idx.tolist(), prods.tolist()):
         assert table.elements[k] == bytes(perm_mul(table.elements[i], table.elements[j]))
@@ -198,7 +199,7 @@ def test_matrix_groups_match_oracle(label):
     expected = sl2_elements(p, projective=table.spec.kind == "psl2")
     assert table.elements == [bytes(m) for m in expected]
     idx = make_stream(5).integers(0, table.order, size=(500, 2))
-    prods = table.mul_indices(idx[:, 0], idx[:, 1])
+    prods = mul_indices(table, idx[:, 0], idx[:, 1])
     for (i, j), k in zip(idx.tolist(), prods.tolist()):
         assert expected[k] == lift(mat_mul(expected[i], expected[j], p))
     for i, m in enumerate(expected):
@@ -299,7 +300,7 @@ def test_conjugation_permutation_memory(group_cache, label, per_product):
     int64 field gathers per product, where a permutation product holds its row.
     """
     table, _, _, _ = group_cache(label)
-    expected = table.mul_indices(table.mul_indices([1], np.arange(0, table.order, 997)), [table.inverses[1]])
+    expected = mul_indices(table, mul_indices(table, [1], np.arange(0, table.order, 997)), [table.inverses[1]])
     perm, peak = _traced_peak(lambda: table.conjugation_permutation(1))
     assert np.array_equal(perm[::997], expected)
     assert peak < 4 * table.order + per_product * ROW_CHUNK
