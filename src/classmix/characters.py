@@ -67,10 +67,6 @@ class ClassRows:
             raise InvariantViolation("a class-matrix entry is not divisible by its class size")
         return rows
 
-    def support(self, i: int, j: int) -> int:
-        """|C_i C_j|: class l lies in C_i C_j exactly when a_ijl > 0.  Costs |C_i| products."""
-        return int(self.sizes[self.rows(i, np.array([j]))[0] > 0].sum())
-
 
 class CharacterTable(NamedTuple):
     """k x k complex character values; row i is the i-th irreducible character.
@@ -84,7 +80,6 @@ class CharacterTable(NamedTuple):
     values: np.ndarray  # complex128 (k, k)
     residues: np.ndarray  # int64 (k, k), in [0, P)
     degrees: tuple[int, ...]
-    class_sizes: tuple[int, ...]
     order: int
     modulus_prime: int
     row_residual: float
@@ -310,7 +305,6 @@ def dixon_character_table(table: GroupTable, classes: ClassData) -> CharacterTab
         values=values,
         residues=s[perm],
         degrees=degrees,
-        class_sizes=tuple(classes.sizes),
         order=order,
         modulus_prime=p,
         row_residual=row_res,

@@ -37,12 +37,10 @@ from .mixing import (
     Independent,
     TranslatedInverse,
     check_survey_inputs,
-    coverage,
-    dist_to_uniform,
-    l2_sq,
     l2_sq_char,
     p_brute,
     p_char,
+    pair_stats,
     survey,
     thompson_search,
 )
@@ -133,7 +131,7 @@ def _cmd_chartable(args) -> int:
     report = verify_orthogonality(chartable)
     payload = {
         "order": chartable.order,
-        "class_sizes": list(chartable.class_sizes),
+        "class_sizes": list(classes.sizes),
         "class_orders": list(classes.orders),
         "degrees": list(chartable.degrees),
         "values": [[[v.real, v.imag] for v in row] for row in chartable.values],
@@ -174,22 +172,22 @@ def _cmd_mixpair(args) -> int:
         if args.method == "brute"
         else p_char(args.x, args.y, chartable, classes)
     )
-    dr = dist_to_uniform(dist, classes)
-    cov = coverage(dist, classes)
+    stats = pair_stats(dist.row[None], [args.x], [args.y], classes)
+    support = int(stats.support[0])
     char_sq = l2_sq_char(args.x, args.y, chartable)
     payload = {
         "x_class": args.x,
         "y_class": args.y,
-        "method": dist.source,
-        "probs_per_class": [float(p) for p in dist.probs],
+        "method": args.method,
+        "probs_per_class": stats.probs[0].tolist(),
         "class_sizes": list(classes.sizes),
-        "l2_sq": l2_sq(dist, classes),
+        "l2_sq": float(stats.l2_sq[0]),
         "l2_sq_char": char_sq,
         "n_stat": table.order * char_sq,
-        "l1": dr.l1,
-        "l2_sq_dist": dr.l2_sq,
-        "linf": dr.linf,
-        "coverage": {"support": cov.support, "fraction": cov.fraction, "exact": True},
+        "l1": float(stats.l1[0]),
+        "l2_sq_dist": float(stats.l2_sq_dist[0]),
+        "linf": float(stats.linf[0]),
+        "coverage": {"support": support, "fraction": support / table.order, "exact": True},
     }
     return _emit(args, payload, meta={"dixon": chartable.work})
 

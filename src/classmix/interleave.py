@@ -255,7 +255,6 @@ class InterleaveEstimate(NamedTuple):
     total: int
     mode: str  # "exact" | "montecarlo"
     linf_dev: float
-    stderr: np.ndarray | None = None  # per-cell standard error in MC mode
     work: dict | None = None  # counts of the work done, for run metadata (never in the report)
 
 
@@ -264,12 +263,7 @@ def _estimate_from_counts(counts: np.ndarray, total: int, order: int, mode: str,
     # deviation computed in exact integers: max |counts * |G| - total| / (total * |G|)
     dev_num = int(np.abs(counts * np.int64(order) - total).max())
     linf = dev_num / (total * order) if dev_num else 0.0
-    stderr = None
-    if mode == "montecarlo":
-        stderr = np.sqrt(probs * (1.0 - probs) / total)
-    return InterleaveEstimate(
-        probs=probs, counts=counts, total=total, mode=mode, linf_dev=float(linf), stderr=stderr, work=work
-    )
+    return InterleaveEstimate(probs=probs, counts=counts, total=total, mode=mode, linf_dev=float(linf), work=work)
 
 
 def exact_distribution(a_set: TupleSet, b_set: TupleSet, table: GroupTable) -> InterleaveEstimate:

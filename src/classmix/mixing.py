@@ -2,10 +2,12 @@
 
 The central object is the distribution of x'y' where x' and y' are uniform
 random conjugates of x and y.  It is a class function of the product, so it is
-stored per conjugacy class as the exact pair counts |C_k| a_xyk.  Two independent
+stored per conjugacy class as the row a_xy of class-algebra constants.  Two independent
 routes compute the row a_xy: the character formula, checked mod the Dixon prime
 (p_char), and one class-matrix row from the group (p_brute); their agreement is
-a standing acceptance criterion.
+a standing acceptance criterion.  pair_stats maps the rows of many pairs at once to
+their probabilities, distances to uniform and supports; mixpair, survey and
+thompson all read it.
 """
 
 from __future__ import annotations
@@ -22,32 +24,23 @@ from .groups import ClassData, GroupTable
 
 
 class PairDistribution(NamedTuple):
-    """Per-class values of the product distribution for one class pair.
+    """One class pair's row a_xy of class-algebra constants, from either route.
 
-    probs[k] is the probability of each single element of class k, and
-    counts[k] the exact number of pairs in C_x x C_y with product in class k;
-    both routes set them.
+    counts[k] = |C_k| a_xyk is the exact number of pairs in C_x x C_y with
+    product in class k.
     """
 
-    x_class: int
-    y_class: int
-    probs: np.ndarray
-    order: int
-    source: str  # "char" | "brute"
-    counts: tuple[int, ...] = ()
+    row: np.ndarray  # int64 (k,)
+    counts: tuple[int, ...]
 
 
-def _from_constants(xc: int, yc: int, row: np.ndarray, classes: ClassData, source: str) -> PairDistribution:
-    """The distribution of one class pair from its row a_xy of class-algebra constants."""
-    sizes = np.asarray(classes.sizes, dtype=np.int64)
-    counts = row * sizes
-    probs = counts / (float(sizes[xc] * sizes[yc]) * sizes.astype(np.float64))
-    return PairDistribution(xc, yc, probs, classes.order, source, counts=tuple(counts.tolist()))
+def _from_constants(row: np.ndarray, classes: ClassData) -> PairDistribution:
+    return PairDistribution(row, tuple((row * np.asarray(classes.sizes, dtype=np.int64)).tolist()))
 
 
 def p_char(xc: int, yc: int, table: CharacterTable, classes: ClassData) -> PairDistribution:
     """Distribution via the character sum: one row of constants, checked mod P."""
-    return _from_constants(xc, yc, class_products(table, classes, [xc], [yc])[0], classes, "char")
+    return _from_constants(class_products(table, classes, [xc], [yc])[0], classes)
 
 
 def p_brute(xc: int, yc: int, table: GroupTable, classes: ClassData) -> PairDistribution:
@@ -55,13 +48,39 @@ def p_brute(xc: int, yc: int, table: GroupTable, classes: ClassData) -> PairDist
     products = classes.sizes[xc]
     if products > config.loop_budget():
         raise LoopBudgetExceeded(f"{products} products exceed the loop budget")
-    return _from_constants(xc, yc, ClassRows(table, classes).rows(xc, np.array([yc]))[0], classes, "brute")
+    return _from_constants(ClassRows(table, classes).rows(xc, np.array([yc]))[0], classes)
 
 
-def l2_sq(dist: PairDistribution, classes: ClassData) -> float:
-    """Squared l2 norm: sum over g of p(g)^2, via class sizes."""
-    sizes = np.asarray(classes.sizes, dtype=np.float64)
-    return float(sizes @ (dist.probs * dist.probs))
+class PairStats(NamedTuple):
+    """Statistics of the product distributions of m class pairs, entry i for pair i."""
+
+    probs: np.ndarray  # (m, k): probability of each single element of class k
+    l1: np.ndarray  # ||p - U||_1
+    l2_sq: np.ndarray  # ||p||_2^2, the sum over g of p(g)^2
+    l2_sq_dist: np.ndarray  # ||p - U||_2^2, computed directly
+    linf: np.ndarray  # ||p - U||_inf
+    support: np.ndarray  # int64 |C_x C_y| in elements
+
+
+def pair_stats(rows: np.ndarray, xs, ys, classes: ClassData) -> PairStats:
+    """Statistics of the pairs (xs[i], ys[i]) from their (m, k) int64 rows a_xy.
+
+    p(g) = a_xyk / (|C_x| |C_y|) for g in class k, and class k lies in C_x C_y
+    exactly when a_xyk > 0.  Sums over G are sums over classes weighted by
+    |C_k|, one matrix-vector product per statistic.
+    """
+    sizes = np.asarray(classes.sizes, dtype=np.int64)
+    weights = sizes.astype(np.float64)
+    probs = rows / (sizes[xs] * sizes[ys])[:, None]
+    diff = probs - 1.0 / classes.order
+    return PairStats(
+        probs=probs,
+        l1=np.abs(diff) @ weights,
+        l2_sq=(probs * probs) @ weights,
+        l2_sq_dist=(diff * diff) @ weights,
+        linf=np.abs(diff).max(axis=1),
+        support=(rows > 0) @ sizes,
+    )
 
 
 def l2_sq_char(xc, yc, table: CharacterTable):
@@ -72,35 +91,6 @@ def l2_sq_char(xc, yc, table: CharacterTable):
     """
     sq = np.abs(table.values.T) ** 2
     return (sq[xc] * sq[yc] / np.asarray(table.degrees, dtype=np.float64) ** 2).sum(axis=-1) / table.order
-
-
-class DistanceReport(NamedTuple):
-    l1: float
-    l2_sq: float  # squared l2 distance to uniform, computed directly
-    linf: float
-
-
-def dist_to_uniform(dist: PairDistribution, classes: ClassData) -> DistanceReport:
-    sizes = np.asarray(classes.sizes, dtype=np.float64)
-    u = 1.0 / dist.order
-    diff = dist.probs - u
-    return DistanceReport(
-        l1=float(sizes @ np.abs(diff)),
-        l2_sq=float(sizes @ (diff * diff)),
-        linf=float(np.abs(diff).max()),
-    )
-
-
-class CoverageReport(NamedTuple):
-    support: int  # |x^G y^G| in elements
-    fraction: float
-
-
-def coverage(dist: PairDistribution, classes: ClassData) -> CoverageReport:
-    """Support of the product set from the distribution's exact pair counts."""
-    sizes = np.asarray(classes.sizes, dtype=np.int64)
-    support = int(sizes[np.asarray(dist.counts) > 0].sum())
-    return CoverageReport(support=support, fraction=support / dist.order)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +112,9 @@ def thompson_search(table: GroupTable, classes: ClassData) -> ThompsonResult:
     the best class is the first one of largest support.
     """
     class_rows = ClassRows(table, classes)
-    supports = [class_rows.support(i, i) for i in range(classes.k)]
+    rows = np.concatenate([class_rows.rows(i, np.array([i])) for i in range(classes.k)])
+    diag = np.arange(classes.k)
+    supports = pair_stats(rows, diag, diag, classes).support.tolist()
     best_class = int(np.argmax(supports))
     best_support = supports[best_class]
     return ThompsonResult(
@@ -226,12 +218,10 @@ def survey(
     xs, ys = np.nonzero(weights)  # row-major: pairs in (x_class, y_class) order
     w_arr = weights[xs, ys]
     rows = tensor[xs, ys]  # a_ij of every surveyed pair
-    size_int = np.asarray(sizes, dtype=np.int64)
-    probs = rows / (size_int[xs] * size_int[ys])[:, None]
-    l1 = np.abs(probs - 1.0 / order) @ np.asarray(sizes, dtype=np.float64)
+    stats = pair_stats(rows, xs, ys, classes)
     n_arr = order * l2_sq_char(xs, ys, chartable)
-    cover = ((rows > 0) @ size_int) / order
-    pair_rows = tuple(map(SurveyPair, *(c.tolist() for c in (xs, ys, w_arr, n_arr, l1, cover))))
+    cover = stats.support / order
+    pair_rows = tuple(map(SurveyPair, *(c.tolist() for c in (xs, ys, w_arr, n_arr, stats.l1, cover))))
 
     # exact N - 1 per pair from Python ints, which unlike int64 cannot overflow here
     a = rows.astype(object)

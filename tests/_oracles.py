@@ -13,7 +13,9 @@ translated-inverse coupling) that the production kernels must match count
 for count, and a Dixon character table split with list-of-lists
 algebra mod P from the whole tensor, whose values the production table must
 match bit for bit.  The class numbering by np.unique must match conj_classes
-byte for byte.  The exact checks that only tests call live here as well: the
+byte for byte.  The per-pair probability, l2, distance-to-uniform and coverage
+formulas of one class pair are the references for the array path
+classmix.mixing.pair_stats.  The exact checks that only tests call live here as well: the
 coverage/norm link of a pair distribution, the character-bound fraction, the
 validation of a protocol on every pair of G^t x G^t, its exact acceptance by
 fiber enumeration and the rectangle-decomposition inequality, and the
@@ -381,11 +383,78 @@ def coverage_norm_link_holds(dist, classes) -> bool:
     support = sum(s for s, c in zip(sizes, dist.counts) if c > 0)
     # N = |G| * sum_k |C_k| p_k^2 with p_k = counts_k / (pairs * |C_k|)
     n_exact = (
-        Fraction(dist.order)
+        Fraction(classes.order)
         * sum(Fraction(c * c, s) for c, s in zip(dist.counts, sizes))
         / (Fraction(total_pairs) ** 2)
     )
-    return n_exact >= Fraction(dist.order, support)
+    return n_exact >= Fraction(classes.order, support)
+
+
+# Per-pair statistics of one class pair, one formula each, as the references for the
+# array path classmix.mixing.pair_stats.
+
+
+class PairDistribution(NamedTuple):
+    """Per-class values of the product distribution for one class pair.
+
+    probs[k] is the probability of each single element of class k, and
+    counts[k] the exact number of pairs in C_x x C_y with product in class k.
+    """
+
+    x_class: int
+    y_class: int
+    probs: np.ndarray
+    order: int
+    source: str  # "char" | "brute"
+    counts: tuple[int, ...] = ()
+
+
+def from_constants(xc: int, yc: int, row: np.ndarray, classes, source: str) -> PairDistribution:
+    """The distribution of one class pair from its row a_xy of class-algebra constants."""
+    sizes = np.asarray(classes.sizes, dtype=np.int64)
+    counts = row * sizes
+    probs = counts / (float(sizes[xc] * sizes[yc]) * sizes.astype(np.float64))
+    return PairDistribution(xc, yc, probs, classes.order, source, counts=tuple(counts.tolist()))
+
+
+def l2_sq(dist: PairDistribution, classes) -> float:
+    """Squared l2 norm: sum over g of p(g)^2, via class sizes."""
+    sizes = np.asarray(classes.sizes, dtype=np.float64)
+    return float(sizes @ (dist.probs * dist.probs))
+
+
+class DistanceReport(NamedTuple):
+    l1: float
+    l2_sq: float  # squared l2 distance to uniform, computed directly
+    linf: float
+
+
+def dist_to_uniform(dist: PairDistribution, classes) -> DistanceReport:
+    sizes = np.asarray(classes.sizes, dtype=np.float64)
+    u = 1.0 / dist.order
+    diff = dist.probs - u
+    return DistanceReport(
+        l1=float(sizes @ np.abs(diff)),
+        l2_sq=float(sizes @ (diff * diff)),
+        linf=float(np.abs(diff).max()),
+    )
+
+
+class CoverageReport(NamedTuple):
+    support: int  # |x^G y^G| in elements
+    fraction: float
+
+
+def coverage(dist: PairDistribution, classes) -> CoverageReport:
+    """Support of the product set from the distribution's exact pair counts."""
+    sizes = np.asarray(classes.sizes, dtype=np.int64)
+    support = int(sizes[np.asarray(dist.counts) > 0].sum())
+    return CoverageReport(support=support, fraction=support / dist.order)
+
+
+def class_rows_support(class_rows, i: int, j: int) -> int:
+    """|C_i C_j| from one ClassRows row: class l lies in C_i C_j exactly when a_ijl > 0.  Costs |C_i| products."""
+    return int(class_rows.sizes[class_rows.rows(i, np.array([j]))[0] > 0].sum())
 
 
 class CharBoundReport(NamedTuple):

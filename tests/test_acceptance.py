@@ -31,13 +31,12 @@ from classmix.interleave import (
 )
 from classmix.mixing import (
     Independent,
+    PairStats,
     TranslatedInverse,
-    coverage,
-    dist_to_uniform,
-    l2_sq,
     l2_sq_char,
     p_brute,
     p_char,
+    pair_stats,
     survey,
     thompson_search,
 )
@@ -53,6 +52,11 @@ from _oracles import (
 
 TEST_GROUPS = ["A:5", "A:6", "A:7", "S:4", "PSL2:7", "PSL2:11", "PSL2:13"]
 ORACLE_GROUPS = ["A:5", "S:4", "S:3", "PSL2:7"]
+
+
+def _one(dist, xc, yc, classes) -> PairStats:
+    """pair_stats of one class pair: entry 0 of each statistic."""
+    return PairStats(*(v[0] for v in pair_stats(dist.row[None], [xc], [yc], classes)))
 
 
 def _ok(name: str):
@@ -74,7 +78,7 @@ def test_criterion_01_character_table_validity(group_cache):
         assert chartable2.degrees == chartable.degrees, label
         assert np.array_equal(chartable2.values, chartable.values), label
         assert np.array_equal(chartable2.residues, chartable.residues), label
-        assert chartable2.class_sizes == chartable.class_sizes, label
+        assert classes2.sizes == classes.sizes, label
         assert chartable2.order == chartable.order, label
         assert chartable2.row_residual == chartable.row_residual, label
         assert chartable2.col_residual == chartable.col_residual, label
@@ -93,12 +97,12 @@ def test_criterion_02_zeta_special_values(group_cache):
 
 
 def test_criterion_03_lemma_dual_path(group_cache):
-    """l2_sq(p_brute) vs l2_sq_char within 1e-9 relative on ALL class pairs."""
+    """||p_brute||_2^2 vs l2_sq_char within 1e-9 relative on ALL class pairs."""
     for label in ORACLE_GROUPS:
         table, classes, _, chartable = group_cache(label)
         for xc in range(classes.k):
             for yc in range(classes.k):
-                brute_val = l2_sq(p_brute(xc, yc, table, classes), classes)
+                brute_val = _one(p_brute(xc, yc, table, classes), xc, yc, classes).l2_sq
                 char_val = l2_sq_char(xc, yc, chartable)
                 assert abs(brute_val - char_val) <= 1e-9 * max(brute_val, char_val), (
                     label, xc, yc,
@@ -116,10 +120,10 @@ def test_criterion_04_distance_identities(group_cache):
                     p_char(xc, yc, chartable, classes),
                     p_brute(xc, yc, table, classes),
                 ):
-                    dr = dist_to_uniform(dist, classes)
-                    identity_rhs = l2_sq(dist, classes) - 1.0 / table.order
-                    assert abs(dr.l2_sq - identity_rhs) < 1e-12, (label, xc, yc)
-                    assert dr.l1 <= math.sqrt(table.order * dr.l2_sq) + 1e-12, (label, xc, yc)
+                    st = _one(dist, xc, yc, classes)
+                    identity_rhs = st.l2_sq - 1.0 / table.order
+                    assert abs(st.l2_sq_dist - identity_rhs) < 1e-12, (label, xc, yc)
+                    assert st.l1 <= math.sqrt(table.order * st.l2_sq_dist) + 1e-12, (label, xc, yc)
     _ok("4 distance identities")
 
 
@@ -129,7 +133,7 @@ def test_criterion_05_frozen_a5_value(group_cache):
     five_cycle_classes = [c for c in range(classes.k) if classes.orders[c] == 5]
     assert len(five_cycle_classes) == 2
     for c in five_cycle_classes:
-        brute_val = l2_sq(p_brute(c, c, table, classes), classes)
+        brute_val = _one(p_brute(c, c, table, classes), c, c, classes).l2_sq
         assert abs(brute_val - 265 / 8640) <= 1e-9
         assert abs(l2_sq_char(c, c, chartable) - 265 / 8640) <= 1e-9
     _ok("5 frozen oracle value 265/8640")

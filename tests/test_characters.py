@@ -264,15 +264,14 @@ def test_orthogonality_residuals(group_cache):
 
 def test_perturbed_table_fails_orthogonality(group_cache):
     """verify_orthogonality reads the residuals a table carries; these are the perturbed values' own."""
-    _, _, _, chartable = group_cache("A:5")
+    _, classes, _, chartable = group_cache("A:5")
     values = chartable.values.copy()
     values[1, 1] += 1e-3
-    row_res, col_res = characters._residuals(values, chartable.class_sizes, chartable.order)
+    row_res, col_res = characters._residuals(values, classes.sizes, chartable.order)
     broken = CharacterTable(
         values=values,
         residues=chartable.residues,
         degrees=chartable.degrees,
-        class_sizes=chartable.class_sizes,
         order=chartable.order,
         modulus_prime=chartable.modulus_prime,
         row_residual=row_res,
@@ -309,16 +308,16 @@ def test_second_orthogonality_identity_column(group_cache):
 
 def test_dixon_bit_identical_across_runs():
     spec = GroupSpec.alt(5)
-    tables = []
+    runs = []
     for _ in range(2):
         table = group_build(spec)
         classes = conj_classes(table)
-        tables.append(dixon_character_table(table, classes))
-    a, b = tables
+        runs.append((classes, dixon_character_table(table, classes)))
+    (classes_a, a), (classes_b, b) = runs
     assert a.degrees == b.degrees
     assert np.array_equal(a.values, b.values)  # exact float equality
     assert np.array_equal(a.residues, b.residues)
-    assert a.class_sizes == b.class_sizes
+    assert classes_a.sizes == classes_b.sizes
     assert a.order == b.order
     assert a.row_residual == b.row_residual
     assert a.col_residual == b.col_residual

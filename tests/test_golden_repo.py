@@ -44,6 +44,11 @@ CASES = [
 ]
 
 
+def test_every_golden_has_a_case():
+    """Each goldens/v1/*.json report is compared by exactly one CASES entry, and each entry has its file."""
+    assert sorted(path.stem for path in GOLDEN_DIR.glob("*.json")) == sorted(name for name, _ in CASES)
+
+
 def _refuse_constant(name):
     raise ValueError(f"report holds {name}")
 

@@ -242,7 +242,7 @@ def test_mc_agrees_with_exact(s3):
     exact = exact_distribution(a, b, s3)
     mc = mc_distribution(a, b, 200_000, make_stream(34), s3)
     for g in range(s3.order):
-        se = max(float(mc.stderr[g]), 1e-9)
+        se = max(math.sqrt(mc.probs[g] * (1.0 - mc.probs[g]) / mc.total), 1e-9)
         assert abs(mc.probs[g] - exact.probs[g]) < 4 * se
 
 

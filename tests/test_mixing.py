@@ -12,13 +12,12 @@ from classmix.mixing import (
     BijectionCoupling,
     Diagonal,
     Independent,
+    PairStats,
     TranslatedInverse,
-    coverage,
-    dist_to_uniform,
-    l2_sq,
     l2_sq_char,
     p_brute,
     p_char,
+    pair_stats,
     survey,
     thompson_search,
 )
@@ -30,8 +29,13 @@ from _oracles import (
     brute_conjugacy_classes,
     brute_pair_distribution,
     char_bound_fraction,
+    class_rows_support,
+    coverage,
     coverage_norm_link_holds,
+    dist_to_uniform,
+    from_constants,
     full_sweep_structure_constants,
+    l2_sq,
     oracle_spec,
     sym_elements,
     translated_inverse_counts,
@@ -40,30 +44,36 @@ from _oracles import (
 ORACLE_GROUPS = ["A:5", "S:4", "S:3", "PSL2:7"]
 
 
+def _one(dist, xc, yc, classes) -> PairStats:
+    """pair_stats of one class pair: entry 0 of each statistic (probs is the pair's (k,) row)."""
+    return PairStats(*(v[0] for v in pair_stats(dist.row[None], [xc], [yc], classes)))
+
+
 def test_p_char_identity_times_class_is_uniform_on_class(group_cache):
     table, classes, _, chartable = group_cache("A:5")
     for yc in range(classes.k):
-        dist = p_char(0, yc, chartable, classes)
+        probs = _one(p_char(0, yc, chartable, classes), 0, yc, classes).probs
         expected = np.zeros(classes.k)
         expected[yc] = 1.0 / classes.sizes[yc]
-        assert np.allclose(dist.probs, expected, atol=1e-12)
+        assert np.allclose(probs, expected, atol=1e-12)
 
 
 def test_p_char_identity_pair_is_point_mass(group_cache):
     _, classes, _, chartable = group_cache("PSL2:7")
-    dist = p_char(0, 0, chartable, classes)
-    assert dist.probs[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(dist.probs[1:]).max() < 1e-12
+    probs = _one(p_char(0, 0, chartable, classes), 0, 0, classes).probs
+    assert probs[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(probs[1:]).max() < 1e-12
 
 
 def test_s3_brute_matches_hand_count(group_cache):
     table, classes, _, _ = group_cache("S:3")
     tc = classes.sizes.index(3)  # transpositions
     dist = p_brute(tc, tc, table, classes)
+    probs = _one(dist, tc, tc, classes).probs
     # 9 pairs: 3 give the identity, 6 give a 3-cycle (class of size 2)
-    assert dist.probs[0] == pytest.approx(3 / 9)
+    assert probs[0] == pytest.approx(3 / 9)
     three_cycle = classes.sizes.index(2)
-    assert dist.probs[three_cycle] == pytest.approx((6 / 9) / 2)
+    assert probs[three_cycle] == pytest.approx((6 / 9) / 2)
     assert dist.counts == tuple(
         3 if k == 0 else (6 if k == three_cycle else 0) for k in range(classes.k)
     )
@@ -78,7 +88,7 @@ def test_brute_matches_independent_oracle():
     # align oracle classes with package classes via sorted size+order signature
     for xc in range(classes.k):
         for yc in range(classes.k):
-            dist = p_brute(xc, yc, table, classes)
+            dist = _one(p_brute(xc, yc, table, classes), xc, yc, classes)
             ox = [tuple(table.elements[i]) for i in classes.members(xc)]
             oy = [tuple(table.elements[i]) for i in classes.members(yc)]
             sizes = [len(c) for c in oracle_classes]
@@ -95,8 +105,8 @@ def test_oracle_equivalence_all_pairs(label, group_cache):
     table, classes, _, chartable = group_cache(label)
     for xc in range(classes.k):
         for yc in range(classes.k):
-            brute = p_brute(xc, yc, table, classes)
-            char = p_char(xc, yc, chartable, classes)
+            brute = _one(p_brute(xc, yc, table, classes), xc, yc, classes)
+            char = _one(p_char(xc, yc, chartable, classes), xc, yc, classes)
             assert np.abs(brute.probs - char.probs).max() < 1e-9
 
 
@@ -106,17 +116,17 @@ def test_normalization_all_pairs(label, group_cache):
     sizes = np.asarray(classes.sizes, dtype=np.float64)
     for xc in range(classes.k):
         for yc in range(classes.k):
-            char = p_char(xc, yc, chartable, classes)
+            char = _one(p_char(xc, yc, chartable, classes), xc, yc, classes)
             assert abs(float(sizes @ char.probs) - 1.0) < 1e-10
 
 
 def test_l2_examples(group_cache):
     table, classes, _, chartable = group_cache("A:5")
     # identity pair -> point mass -> 1
-    assert l2_sq(p_char(0, 0, chartable, classes), classes) == pytest.approx(1.0, abs=1e-10)
+    assert _one(p_char(0, 0, chartable, classes), 0, 0, classes).l2_sq == pytest.approx(1.0, abs=1e-10)
     # identity x class -> 1/|class|
     for yc in range(1, classes.k):
-        val = l2_sq(p_char(0, yc, chartable, classes), classes)
+        val = _one(p_char(0, yc, chartable, classes), 0, yc, classes).l2_sq
         assert val == pytest.approx(1.0 / classes.sizes[yc], abs=1e-12)
 
 
@@ -125,8 +135,8 @@ def test_a5_five_cycle_frozen_value(group_cache):
     table, classes, _, chartable = group_cache("A:5")
     five_cycles = [c for c in range(classes.k) if classes.orders[c] == 5]
     for c in five_cycles:
-        brute = p_brute(c, c, table, classes)
-        assert l2_sq(brute, classes) == pytest.approx(265 / 8640, abs=1e-9)
+        brute = _one(p_brute(c, c, table, classes), c, c, classes)
+        assert brute.l2_sq == pytest.approx(265 / 8640, abs=1e-9)
         assert l2_sq_char(c, c, chartable) == pytest.approx(265 / 8640, abs=1e-9)
 
 
@@ -135,7 +145,7 @@ def test_lemma_dual_path_identity(group_cache):
         table, classes, _, chartable = group_cache(label)
         for xc in range(classes.k):
             for yc in range(classes.k):
-                a = l2_sq(p_char(xc, yc, chartable, classes), classes)
+                a = _one(p_char(xc, yc, chartable, classes), xc, yc, classes).l2_sq
                 b = l2_sq_char(xc, yc, chartable)
                 assert abs(a - b) <= 1e-9 * max(abs(a), abs(b))
 
@@ -154,65 +164,80 @@ def test_distance_identities(group_cache):
         table, classes, _, chartable = group_cache(label)
         for xc in range(classes.k):
             for yc in range(classes.k):
-                dist = p_char(xc, yc, chartable, classes)
-                dr = dist_to_uniform(dist, classes)
-                assert abs(dr.l2_sq - (l2_sq(dist, classes) - 1.0 / table.order)) < 1e-12
-                assert dr.l1 <= math.sqrt(table.order * dr.l2_sq) + 1e-12
+                st = _one(p_char(xc, yc, chartable, classes), xc, yc, classes)
+                assert abs(st.l2_sq_dist - (st.l2_sq - 1.0 / table.order)) < 1e-12
+                assert st.l1 <= math.sqrt(table.order * st.l2_sq_dist) + 1e-12
 
 
 def test_distance_trivial_cases(group_cache):
     table, classes, _, chartable = group_cache("A:5")
     # x = identity, y of class size m: l1 = 2(1 - m/|G|)
     for yc in range(classes.k):
-        dr = dist_to_uniform(p_char(0, yc, chartable, classes), classes)
+        l1 = _one(p_char(0, yc, chartable, classes), 0, yc, classes).l1
         m = classes.sizes[yc]
-        assert dr.l1 == pytest.approx(2 * (1 - m / table.order), abs=1e-10)
+        assert l1 == pytest.approx(2 * (1 - m / table.order), abs=1e-10)
 
 
 def test_uniform_distribution_zero_distance(group_cache):
-    table, classes, _, chartable = group_cache("A:5")
-    from classmix.mixing import PairDistribution
-
-    uniform = PairDistribution(
-        x_class=0,
-        y_class=0,
-        probs=np.full(classes.k, 1.0 / table.order),
-        order=table.order,
-        source="char",
-    )
-    dr = dist_to_uniform(uniform, classes)
-    assert (dr.l1, dr.l2_sq, dr.linf) == (0.0, 0.0, 0.0)
+    """A row of 1/|G| on the identity pair (|C_1|^2 = 1) is the uniform distribution itself."""
+    table, classes, _, _ = group_cache("A:5")
+    st = pair_stats(np.full((1, classes.k), 1.0 / table.order), [0], [0], classes)
+    assert (st.l1[0], st.l2_sq_dist[0], st.linf[0]) == (0.0, 0.0, 0.0)
+    assert st.support[0] == table.order
 
 
 def test_coverage_examples(group_cache):
     table, classes, _, chartable = group_cache("A:5")
     for yc in range(classes.k):
-        cov = coverage(p_brute(0, yc, table, classes), classes)
-        assert cov.support == classes.sizes[yc]
+        assert _one(p_brute(0, yc, table, classes), 0, yc, classes).support == classes.sizes[yc]
     # oracle-confirmed: a 5-cycle class squared misses the double
     # transpositions, covering 45 of 60; the 3-cycle class covers everything
     five = next(c for c in range(classes.k) if classes.orders[c] == 5)
-    cov = coverage(p_brute(five, five, table, classes), classes)
-    assert cov.support == 45
+    assert _one(p_brute(five, five, table, classes), five, five, classes).support == 45
     three = next(c for c in range(classes.k) if classes.orders[c] == 3)
-    cov3 = coverage(p_brute(three, three, table, classes), classes)
-    assert cov3.support == 60 and cov3.fraction == 1.0
+    assert _one(p_brute(three, three, table, classes), three, three, classes).support == 60
 
 
 @pytest.mark.parametrize("label", ORACLE_LABELS)
 def test_coverage_brute_counts_match_support_table(label, tmp_path):
-    """ClassRows.support(i, j) is |C_i C_j| by both routes' exact counts and by the one-sweep-per-class tensor."""
+    """|C_i C_j| from one ClassRows row equals both routes' per-pair coverage, the one-sweep-per-class
+    tensor's and pair_stats' over one ClassRows sweep per x class."""
     table = group_build(oracle_spec(label, tmp_path))
     classes = conj_classes(table)
     chartable = dixon_character_table(table, classes)
     rows = ClassRows(table, classes)
     supports = (full_sweep_structure_constants(table, classes) > 0) @ np.asarray(classes.sizes, dtype=np.int64)
+    ys = np.arange(classes.k)
+    for xc in range(classes.k):
+        swept = pair_stats(rows.rows(xc, ys), np.full(classes.k, xc), ys, classes).support
+        for yc in range(classes.k):
+            support = class_rows_support(rows, xc, yc)
+            brute = from_constants(xc, yc, p_brute(xc, yc, table, classes).row, classes, "brute")
+            char = from_constants(xc, yc, p_char(xc, yc, chartable, classes).row, classes, "char")
+            assert support == coverage(brute, classes).support
+            assert support == coverage(char, classes).support
+            assert support == supports[xc, yc] == swept[yc]
+
+
+@pytest.mark.parametrize("label", ["A:5", "PSL2:7", "S:6", "SL2:8"])
+def test_one_pair_stats_match_per_pair_oracles_bit_for_bit(label, group_cache):
+    """A one-pair pair_stats call equals the per-pair reference formulas bit for bit, by both routes."""
+    table, classes, _, chartable = group_cache(label)
     for xc in range(classes.k):
         for yc in range(classes.k):
-            support = rows.support(xc, yc)
-            assert support == coverage(p_brute(xc, yc, table, classes), classes).support
-            assert support == coverage(p_char(xc, yc, chartable, classes), classes).support
-            assert support == supports[xc, yc]
+            for source, dist in (
+                ("char", p_char(xc, yc, chartable, classes)),
+                ("brute", p_brute(xc, yc, table, classes)),
+            ):
+                st = _one(dist, xc, yc, classes)
+                ref = from_constants(xc, yc, dist.row, classes, source)
+                dr = dist_to_uniform(ref, classes)
+                assert st.probs.tobytes() == ref.probs.tobytes(), (label, xc, yc, source)
+                got = np.array([st.l1, st.l2_sq, st.l2_sq_dist, st.linf])
+                assert got.tobytes() == np.array([dr.l1, l2_sq(ref, classes), dr.l2_sq, dr.linf]).tobytes(), (
+                    label, xc, yc, source,
+                )
+                assert st.support == coverage(ref, classes).support, (label, xc, yc, source)
 
 
 @pytest.mark.parametrize("label", ORACLE_LABELS)
@@ -269,8 +294,8 @@ def test_p_brute_loop_path_without_mul_table(group_cache):
     # A_8 is above the dense-table threshold, exercising the elementwise loop
     table, classes, _, chartable = group_cache("A:8")
     yc = int(np.argsort(classes.sizes)[1])  # smallest nontrivial class
-    brute = p_brute(0, yc, table, classes)
-    char = p_char(0, yc, chartable, classes)
+    brute = _one(p_brute(0, yc, table, classes), 0, yc, classes)
+    char = _one(p_char(0, yc, chartable, classes), 0, yc, classes)
     assert np.abs(brute.probs - char.probs).max() < 1e-9
 
 
@@ -303,8 +328,8 @@ def test_thompson_matches_brute_squares(group_cache):
     table, classes, _, _ = group_cache("S:4")
     res = thompson_search(table, classes)
     for c, support in res.per_class:
-        cov = coverage(p_brute(c, c, table, classes), classes)
-        assert cov.support == support
+        brute = from_constants(c, c, p_brute(c, c, table, classes).row, classes, "brute")
+        assert coverage(brute, classes).support == support
 
 
 # -- surveys -------------------------------------------------------------------
@@ -415,11 +440,12 @@ def test_survey_pairs_match_per_pair_routes(label, group_cache):
         rep = survey(table, classes, chartable, coupling)
         assert [(p.x_class, p.y_class) for p in rep.pairs] == sorted((p.x_class, p.y_class) for p in rep.pairs)
         for p in rep.pairs:
-            dist = p_char(p.x_class, p.y_class, chartable, classes)
-            assert p.l1 == pytest.approx(dist_to_uniform(dist, classes).l1, abs=1e-12)
-            assert p.n_stat == table.order * l2_sq_char(p.x_class, p.y_class, chartable)
-            brute = coverage(p_brute(p.x_class, p.y_class, table, classes), classes)
-            assert p.coverage_fraction == brute.fraction
+            x, y = p.x_class, p.y_class
+            char = from_constants(x, y, p_char(x, y, chartable, classes).row, classes, "char")
+            assert p.l1 == pytest.approx(dist_to_uniform(char, classes).l1, abs=1e-12)
+            assert p.n_stat == table.order * l2_sq_char(x, y, chartable)
+            brute = from_constants(x, y, p_brute(x, y, table, classes).row, classes, "brute")
+            assert p.coverage_fraction == coverage(brute, classes).fraction
 
 
 @pytest.mark.parametrize("label", ["A:5", "S:4", "PSL2:7"])
