@@ -23,7 +23,6 @@ from .groups import GroupSpec, conj_classes, group_build
 from .interleave import (
     MIN_MC_SAMPLES,
     advantage,
-    deviation_report,
     exact_distribution,
     full_tuple_set,
     load_protocol,
@@ -227,13 +226,14 @@ def _cmd_survey(args) -> int:
 
 def _cmd_thompson(args) -> int:
     table, classes = _build_all(args)
-    res = thompson_search(table, classes)
+    supports = thompson_search(table, classes)
+    best = supports.index(max(supports))  # the first class of largest support
     payload = {
-        "best_class": res.best_class,
-        "support": res.support,
-        "fraction": res.fraction,
-        "witness": res.witness,
-        "per_class": [{"class": c, "support": s} for c, s in res.per_class],
+        "best_class": best,
+        "support": supports[best],
+        "fraction": supports[best] / table.order,
+        "witness": supports[best] == table.order,
+        "per_class": [{"class": c, "support": s} for c, s in enumerate(supports)],
         "class_orders": list(classes.orders),
         "class_sizes": list(classes.sizes),
     }
@@ -253,25 +253,36 @@ def _cmd_interleave(args) -> int:
         b_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 2))
     start = time.perf_counter()
     if args.mc is not None:
-        est = mc_distribution(a_set, b_set, args.mc, make_stream(args.seed, 3), table)
+        mode, est = "montecarlo", mc_distribution(a_set, b_set, args.mc, make_stream(args.seed, 3), table)
     else:
-        est = exact_distribution(a_set, b_set, table)
+        mode, est = "exact", exact_distribution(a_set, b_set, table)
     seconds = time.perf_counter() - start
-    meta = {"mode": est.mode, "kernel_s": seconds, "total_per_s": est.total / seconds, **est.work}
+    meta = {"mode": mode, "kernel_s": seconds, "total_per_s": est.total / seconds, **est.work}
     meta["tuple_set_bytes"] = a_set.mask.nbytes + b_set.mask.nbytes
-    spec = table.spec
-    rep = deviation_report(
-        est, float(a_set.density), float(b_set.density), family=spec.kind, base=float(spec.base), arity=args.t
-    )
-    exponent = rep.implied_exponent if math.isfinite(rep.implied_exponent) else "inf"
+    alpha, beta, base = float(a_set.density), float(b_set.density), float(table.spec.base)
+    # normalized = D alpha beta |G|; the implied exponent c solves normalized = base^(-c t), with base the
+    # degree n or the field size q; c > 0 is the qualitative pass, and c is inf when D = 0
+    normalized = est.linf_dev * alpha * beta * table.order
+    exponent = -math.log(normalized) / (args.t * math.log(base)) if normalized > 0.0 else "inf"
     payload = {
-        "mode": est.mode,
+        "mode": mode,
         "total": est.total,
         "linf_dev": est.linf_dev,
         "probs": {table.elements[i].hex(): float(p) for i, p in enumerate(est.probs)},
-        "deviation": {"schema": 1, **rep._asdict(), "implied_exponent": exponent},
-        "alpha": float(a_set.density),
-        "beta": float(b_set.density),
+        "deviation": {
+            "schema": 1,
+            "linf_dev": est.linf_dev,
+            "alpha": alpha,
+            "beta": beta,
+            "order": table.order,
+            "arity": args.t,
+            "family": table.spec.kind,
+            "base": base,
+            "normalized": normalized,
+            "implied_exponent": exponent,
+        },
+        "alpha": alpha,
+        "beta": beta,
         "t": args.t,
     }
     return _emit(args, payload, meta=meta)
@@ -282,8 +293,19 @@ def _cmd_advantage(args) -> int:
     protocol = load_protocol(args.protocol, table)
     g = _parse_element(table, args.g)
     h = _parse_element(table, args.h)
-    rep = advantage(protocol, table, g, h, samples=args.samples, stream=make_stream(args.seed, 4))
-    payload = {**rep._asdict(), "g": g, "h": h, "protocol": str(args.protocol), "rectangles": len(protocol.rectangles)}
+    p_g, p_h = advantage(protocol, table, g, h, samples=args.samples, stream=make_stream(args.seed, 4))
+    payload = {
+        "p_g": p_g,
+        "p_h": p_h,
+        "advantage": abs(p_g - p_h),
+        "stderr": math.sqrt((p_g * (1 - p_g) + p_h * (1 - p_h)) / args.samples),
+        "bit_budget": protocol.bit_budget,
+        "samples": args.samples,
+        "g": g,
+        "h": h,
+        "protocol": str(args.protocol),
+        "rectangles": len(protocol.rectangles),
+    }
     return _emit(args, payload)
 
 

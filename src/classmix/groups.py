@@ -414,10 +414,11 @@ def group_build(spec: GroupSpec, max_order: int | None = None) -> GroupTable:
     """Breadth-first closure over the spec's generators, one level per step.
 
     Raises CapExceeded when the (known or discovered) order exceeds the cap:
-    max_order if given, else MIXER_MAX_ORDER.  A generator set producing the
-    trivial group is allowed.
+    max_order if given (it must be positive), else config.DEFAULT_MAX_ORDER.
+    A generator set producing the trivial group is allowed.
     """
-    cap = min(config.max_order(max_order), np.iinfo(np.int32).max)  # element indices are int32
+    cap = config.DEFAULT_MAX_ORDER if max_order is None else config.positive(int(max_order), "max order")
+    cap = min(cap, np.iinfo(np.int32).max)  # element indices are int32
     if spec.order is not None and spec.order > cap:
         raise CapExceeded(f"{spec.label} has order {spec.order}, above the cap {cap}")
 

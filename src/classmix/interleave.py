@@ -253,17 +253,16 @@ class InterleaveEstimate(NamedTuple):
     probs: np.ndarray  # float64, length |G|
     counts: np.ndarray  # int64 draws or exact pair counts
     total: int
-    mode: str  # "exact" | "montecarlo"
     linf_dev: float
     work: dict | None = None  # counts of the work done, for run metadata (never in the report)
 
 
-def _estimate_from_counts(counts: np.ndarray, total: int, order: int, mode: str, work: dict) -> InterleaveEstimate:
+def _estimate_from_counts(counts: np.ndarray, total: int, order: int, work: dict) -> InterleaveEstimate:
     probs = counts / float(total)
     # deviation computed in exact integers: max |counts * |G| - total| / (total * |G|)
     dev_num = int(np.abs(counts * np.int64(order) - total).max())
     linf = dev_num / (total * order) if dev_num else 0.0
-    return InterleaveEstimate(probs=probs, counts=counts, total=total, mode=mode, linf_dev=float(linf), work=work)
+    return InterleaveEstimate(probs=probs, counts=counts, total=total, linf_dev=float(linf), work=work)
 
 
 def exact_distribution(a_set: TupleSet, b_set: TupleSet, table: GroupTable) -> InterleaveEstimate:
@@ -308,7 +307,7 @@ def exact_distribution(a_set: TupleSet, b_set: TupleSet, table: GroupTable) -> I
         "fold_lookups": lookups,
         "tail_products": -(-len(suffixes) // per),
     }
-    return _estimate_from_counts(counts, pairs, order, "exact", work)
+    return _estimate_from_counts(counts, pairs, order, work)
 
 
 def mc_distribution(
@@ -339,7 +338,7 @@ def mc_distribution(
         return [(ia[i : i + ROW_CHUNK], ib[i : i + ROW_CHUNK]) for i in range(0, n, ROW_CHUNK)]
 
     counts = np.sum(_pipeline(count, draw, range(0, samples, block)), axis=0, dtype=np.int64)
-    return _estimate_from_counts(counts, samples, table.order, "montecarlo", {"samples": samples})
+    return _estimate_from_counts(counts, samples, table.order, {"samples": samples})
 
 
 def _check_compat(a_set: TupleSet, b_set: TupleSet, table: GroupTable):
@@ -347,56 +346,6 @@ def _check_compat(a_set: TupleSet, b_set: TupleSet, table: GroupTable):
         raise ArityMismatch(f"arity {a_set.arity} vs {b_set.arity}")
     if a_set.group_order != table.order or b_set.group_order != table.order:
         raise SpecSyntax("tuple sets were built over a different group order")
-
-
-# ---------------------------------------------------------------------------
-# deviation shapes
-
-
-class DeviationReport(NamedTuple):
-    """l-infinity deviation and the implied decay exponent at desk scale.
-
-    normalized = D * alpha * beta * |G|; the implied exponent solves
-    normalized = base^(-c * t) with base = n (alternating) or q (Lie type,
-    rank folded in by the caller through t).  c > 0 is the qualitative pass.
-    """
-
-    linf_dev: float
-    alpha: float
-    beta: float
-    order: int
-    arity: int
-    family: str
-    base: float
-    normalized: float
-    implied_exponent: float  # inf when the deviation is exactly 0
-
-
-def deviation_report(
-    estimate: InterleaveEstimate,
-    alpha: float,
-    beta: float,
-    family: str,
-    base: float,
-    arity: int,
-) -> DeviationReport:
-    order = len(estimate.probs)
-    normalized = estimate.linf_dev * alpha * beta * order
-    if normalized <= 0.0:
-        implied = math.inf
-    else:
-        implied = -math.log(normalized) / (arity * math.log(base))
-    return DeviationReport(
-        linf_dev=estimate.linf_dev,
-        alpha=alpha,
-        beta=beta,
-        order=order,
-        arity=arity,
-        family=family,
-        base=float(base),
-        normalized=float(normalized),
-        implied_exponent=implied,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +435,6 @@ def _check_cover(twice: tuple[int, int] | None, uncovered: tuple[int, int] | Non
         raise UncoveredProbe(f"pair (a={uncovered[0]}, b={uncovered[1]}) not covered")
 
 
-class AdvantageReport(NamedTuple):
-    p_g: float
-    p_h: float
-    advantage: float
-    stderr: float
-    bit_budget: int
-    samples: int
-
-
 def advantage(
     protocol: RectangleProtocol,
     table: GroupTable,
@@ -502,8 +442,8 @@ def advantage(
     h: int,
     samples: int,
     stream: np.random.Generator,
-) -> AdvantageReport:
-    """Monte Carlo |p_g - p_h| via conditional fiber sampling."""
+) -> tuple[float, float]:
+    """Monte Carlo acceptance rates (p_g, p_h) of the protocol on the fibers of g and h, by fiber sampling."""
     if samples < 1:
         raise SpecSyntax(f"advantage needs at least one sample, got {samples}")
     arity = protocol.rectangles[0].a_set.arity
@@ -511,16 +451,7 @@ def advantage(
         raise LoopBudgetExceeded(
             f"{samples} samples of arity {arity} exceed the {MAX_MATERIALIZED} materialized tuple entries"
         )
-    p_g, p_h = (_acceptance(protocol, table, target, arity, stream, samples) for target in (g, h))
-    se = math.sqrt((p_g * (1 - p_g) + p_h * (1 - p_h)) / samples)
-    return AdvantageReport(
-        p_g=p_g,
-        p_h=p_h,
-        advantage=abs(p_g - p_h),
-        stderr=se,
-        bit_budget=protocol.bit_budget,
-        samples=samples,
-    )
+    return tuple(_acceptance(protocol, table, target, arity, stream, samples) for target in (g, h))
 
 
 def _acceptance(protocol: RectangleProtocol, table: GroupTable, g: int, arity: int, stream, samples: int) -> float:

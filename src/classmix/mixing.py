@@ -67,17 +67,22 @@ def pair_stats(rows: np.ndarray, xs, ys, classes: ClassData) -> PairStats:
 
     p(g) = a_xyk / (|C_x| |C_y|) for g in class k, and class k lies in C_x C_y
     exactly when a_xyk > 0.  Sums over G are sums over classes weighted by
-    |C_k|, one matrix-vector product per statistic.
+    |C_k|, one dot product per pair, so a pair's values do not depend on the
+    other pairs of the call (an (m, k) @ (k,) product rounds some rows differently).
     """
     sizes = np.asarray(classes.sizes, dtype=np.int64)
-    weights = sizes.astype(np.float64)
+    weights = sizes.astype(np.float64)[:, None]
     probs = rows / (sizes[xs] * sizes[ys])[:, None]
     diff = probs - 1.0 / classes.order
+
+    def weighted(x):  # x @ weights, one (1, k) @ (k, 1) product per row
+        return np.matmul(x[:, None, :], weights)[:, 0, 0]
+
     return PairStats(
         probs=probs,
-        l1=np.abs(diff) @ weights,
-        l2_sq=(probs * probs) @ weights,
-        l2_sq_dist=(diff * diff) @ weights,
+        l1=weighted(np.abs(diff)),
+        l2_sq=weighted(probs * probs),
+        l2_sq_dist=weighted(diff * diff),
         linf=np.abs(diff).max(axis=1),
         support=(rows > 0) @ sizes,
     )
@@ -97,33 +102,15 @@ def l2_sq_char(xc, yc, table: CharacterTable):
 # Thompson-type search
 
 
-class ThompsonResult(NamedTuple):
-    best_class: int
-    support: int
-    fraction: float
-    witness: bool
-    per_class: tuple[tuple[int, int], ...]  # (class index, support size)
+def thompson_search(table: GroupTable, classes: ClassData) -> list[int]:
+    """The supports |C_i^2| of the k class squares, in elements; C_i^2 covers G when |C_i^2| = |G|.
 
-
-def thompson_search(table: GroupTable, classes: ClassData) -> ThompsonResult:
-    """Exact search for a class whose square covers the group.
-
-    Reads |C_i^2| from the k diagonal class-matrix rows, |G| products in all;
-    the best class is the first one of largest support.
+    Reads them from the k diagonal class-matrix rows, |G| products in all.
     """
     class_rows = ClassRows(table, classes)
     rows = np.concatenate([class_rows.rows(i, np.array([i])) for i in range(classes.k)])
     diag = np.arange(classes.k)
-    supports = pair_stats(rows, diag, diag, classes).support.tolist()
-    best_class = int(np.argmax(supports))
-    best_support = supports[best_class]
-    return ThompsonResult(
-        best_class=best_class,
-        support=best_support,
-        fraction=best_support / table.order,
-        witness=best_support == table.order,
-        per_class=tuple(enumerate(supports)),
-    )
+    return pair_stats(rows, diag, diag, classes).support.tolist()
 
 
 # ---------------------------------------------------------------------------

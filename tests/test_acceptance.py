@@ -21,7 +21,6 @@ from classmix.interleave import (
     RectangleProtocol,
     advantage,
     decode_tuples,
-    deviation_report,
     exact_distribution,
     explicit_tuple_set,
     fiber_sample,
@@ -144,9 +143,7 @@ def test_criterion_06_thompson_witnesses(group_cache):
     labels = [f"A:{n}" for n in range(5, 10)] + [f"PSL2:{q}" for q in (5, 7, 8, 9, 11, 13)]
     for label in labels:
         table, classes, _, _ = group_cache(label)
-        res = thompson_search(table, classes)
-        assert res.witness, label
-        assert res.fraction == 1.0, label
+        assert max(thompson_search(table, classes)) == table.order, label
     _ok("6 Thompson desk verification")
 
 
@@ -243,10 +240,8 @@ def test_criterion_10_interleave_exactness_and_decay(group_cache):
             est = mc_distribution(
                 a_set, b_set, DECAY_SAMPLES[t], make_stream(2024, 3), table, block=2_000_000
             )
-        rep = deviation_report(
-            est, float(a_set.density), float(b_set.density), family="alt", base=5.0, arity=t
-        )
-        assert rep.implied_exponent > 0, t
+        # the implied exponent -log(normalized) / (t log 5) of the interleave report is positive
+        assert est.linf_dev * float(a_set.density) * float(b_set.density) * table.order < 1, t
         devs[t] = est.linf_dev
         assert abs(est.linf_dev - GOLDEN_DECAY[t]) <= 1e-9 * GOLDEN_DECAY[t], t
     assert devs[2] >= devs[3] >= devs[4]
@@ -299,8 +294,8 @@ def test_criterion_12_advantage_experiment(group_cache):
 
     for bit in (0, 1):
         proto = RectangleProtocol(rectangles=(Rectangle(a_set=full, b_set=full, bit=bit),))
-        rep = advantage(proto, table, 1, 2, samples=20_000, stream=make_stream(12))
-        assert rep.advantage == 0.0
+        p_g, p_h = advantage(proto, table, 1, 2, samples=20_000, stream=make_stream(12))
+        assert p_g == p_h
         protocols.append(proto)
 
     proto = _half_split_protocol(table)
@@ -309,10 +304,10 @@ def test_criterion_12_advantage_experiment(group_cache):
     g, h = 1, 2
     exact_g = float(exact_conditional_acceptance(proto, table, g))
     exact_h = float(exact_conditional_acceptance(proto, table, h))
-    rep = advantage(proto, table, g, h, samples=400_000, stream=make_stream(13))
-    sigma = max(rep.stderr, 1e-9)
-    assert abs(rep.p_g - exact_g) < 4 * sigma
-    assert abs(rep.p_h - exact_h) < 4 * sigma
+    p_g, p_h = advantage(proto, table, g, h, samples=400_000, stream=make_stream(13))
+    sigma = max(math.sqrt((p_g * (1 - p_g) + p_h * (1 - p_h)) / 400_000), 1e-9)
+    assert abs(p_g - exact_g) < 4 * sigma
+    assert abs(p_h - exact_h) < 4 * sigma
 
     for proto in protocols:
         for gg, hh in [(0, 1), (1, 2), (2, 5)]:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from classmix import interleave
+from classmix.cli import main
 from classmix.errors import (
     ArityMismatch,
     LoopBudgetExceeded,
@@ -24,7 +26,6 @@ from classmix.interleave import (
     RectangleProtocol,
     TupleSet,
     advantage,
-    deviation_report,
     exact_distribution,
     explicit_tuple_set,
     encode_tuples,
@@ -479,34 +480,37 @@ def test_explicit_rejects_duplicates(s3):
 # -- deviation shapes ----------------------------------------------------------
 
 
-def test_deviation_uniform_is_infinite_exponent(s3):
-    full = full_tuple_set(s3, 2)
-    est = exact_distribution(full, full, s3)
-    rep = deviation_report(est, 1.0, 1.0, family="sym", base=3, arity=2)
-    assert rep.linf_dev == 0.0
-    assert math.isinf(rep.implied_exponent)
+def _deviation(capsys, *argv):
+    """The deviation block of the report of `classmix interleave <argv>`, with the exponent recomputed."""
+    assert main(["interleave", *argv]) == 0
+    dev = json.loads(capsys.readouterr().out)["deviation"]
+    assert dev["normalized"] == dev["linf_dev"] * dev["alpha"] * dev["beta"] * dev["order"]
+    if dev["normalized"] > 0:
+        assert dev["implied_exponent"] == -math.log(dev["normalized"]) / (dev["arity"] * math.log(dev["base"]))
+    return dev
 
 
-def test_deviation_point_mass(s3):
-    a = explicit_tuple_set(s3, [(1, 2)])
-    est = exact_distribution(a, a, s3)
-    assert est.linf_dev == pytest.approx(1.0 - 1.0 / s3.order)
-    alpha = float(a.density)
-    rep = deviation_report(est, alpha, alpha, family="sym", base=3, arity=2)
+def test_deviation_uniform_is_infinite_exponent(capsys):
+    dev = _deviation(capsys, "S:3", "--t", "2", "--alpha", "1.0")
+    assert dev["linf_dev"] == 0.0
+    assert dev["implied_exponent"] == "inf"
+
+
+def test_deviation_point_mass(s3, capsys):
+    # alpha = 0.01 keeps round(0.36) -> 1 of the 36 tuples on each side, so a . b is one element
+    dev = _deviation(capsys, "S:3", "--t", "2", "--alpha", "0.01")
+    assert dev["linf_dev"] == pytest.approx(1.0 - 1.0 / s3.order)
+    assert dev["alpha"] == dev["beta"] == 1 / 36
     # with the true singleton densities the (alpha beta)^-1 factor keeps the
-    # normalized quantity below 1, so the implied exponent stays positive;
-    # passing the degenerate densities through unchanged is the contract
-    assert rep.normalized == pytest.approx(est.linf_dev * alpha * alpha * s3.order)
-    assert rep.normalized < 1.0
-    assert rep.implied_exponent > 0
+    # normalized quantity below 1, so the implied exponent stays positive
+    assert dev["normalized"] < 1.0
+    assert dev["implied_exponent"] > 0
 
 
-def test_deviation_a5_density_half_positive_exponent(a5):
-    a = seeded_tuple_set(a5, 2, 0.5, make_stream(100))
-    b = seeded_tuple_set(a5, 2, 0.5, make_stream(101))
-    est = exact_distribution(a, b, a5)
-    rep = deviation_report(est, 0.5, 0.5, family="alt", base=5, arity=2)
-    assert rep.implied_exponent > 0
+def test_deviation_a5_density_half_positive_exponent(capsys):
+    dev = _deviation(capsys, "A:5", "--t", "2", "--alpha", "0.5", "--seed", "100")
+    assert (dev["family"], dev["base"], dev["arity"], dev["alpha"]) == ("alt", 5.0, 2, 0.5)
+    assert dev["implied_exponent"] > 0
 
 
 # -- fiber sampling --------------------------------------------------------------
@@ -597,9 +601,9 @@ def test_advantage_matches_whole_array_acceptance(monkeypatch, a5, arity):
     monkeypatch.setattr(interleave, "ROW_CHUNK", 7777)
     protocol = _seeded_split_protocol(a5, arity, 101)
     stream, reference = make_stream(102), make_stream(102)
-    rep = advantage(protocol, a5, 3, 41, samples=30_001, stream=stream)
+    rates = advantage(protocol, a5, 3, 41, samples=30_001, stream=stream)
     p_g, p_h = (whole_array_acceptance(protocol, a5, x, arity, reference, 30_001) for x in (3, 41))
-    assert (rep.p_g, rep.p_h) == (p_g, p_h) and 0 < p_g < 1
+    assert rates == (p_g, p_h) and 0 < p_g < 1
     assert stream.bit_generator.state == reference.bit_generator.state
 
 
@@ -649,10 +653,8 @@ def test_advantage_memory(monkeypatch, a5):
 def test_constant_protocol_zero_advantage(s3):
     full = full_tuple_set(s3, 2)
     proto = RectangleProtocol(rectangles=(Rectangle(a_set=full, b_set=full, bit=1),))
-    rep = advantage(proto, s3, 1, 2, samples=20_000, stream=make_stream(5))
-    assert rep.p_g == 1.0 and rep.p_h == 1.0
-    assert rep.advantage == 0.0
-    assert rep.bit_budget == 0
+    assert advantage(proto, s3, 1, 2, samples=20_000, stream=make_stream(5)) == (1.0, 1.0)
+    assert proto.bit_budget == 0
     exact = exact_conditional_acceptance(proto, s3, 1)
     assert exact == 1
 
@@ -663,11 +665,11 @@ def test_two_rectangle_protocol_matches_exact(s3):
     g, h = 1, 2
     exact_g = float(exact_conditional_acceptance(proto, s3, g))
     exact_h = float(exact_conditional_acceptance(proto, s3, h))
-    rep = advantage(proto, s3, g, h, samples=200_000, stream=make_stream(99))
-    se = max(rep.stderr, 1e-9)
-    assert abs(rep.p_g - exact_g) < 4 * se
-    assert abs(rep.p_h - exact_h) < 4 * se
-    assert rep.bit_budget == 1
+    p_g, p_h = advantage(proto, s3, g, h, samples=200_000, stream=make_stream(99))
+    se = max(math.sqrt((p_g * (1 - p_g) + p_h * (1 - p_h)) / 200_000), 1e-9)
+    assert abs(p_g - exact_g) < 4 * se
+    assert abs(p_h - exact_h) < 4 * se
+    assert proto.bit_budget == 1
 
 
 def test_rectangle_inequality(s3):

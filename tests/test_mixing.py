@@ -305,29 +305,28 @@ def test_p_brute_loop_path_without_mul_table(group_cache):
 def test_thompson_a5_witness_is_three_cycle(group_cache):
     # oracle-confirmed witness: the 3-cycle class (the 5-cycle classes cover 45/60)
     table, classes, _, _ = group_cache("A:5")
-    res = thompson_search(table, classes)
-    assert res.witness
-    assert classes.orders[res.best_class] == 3
+    supports = thompson_search(table, classes)
+    assert max(supports) == table.order
+    assert classes.orders[supports.index(max(supports))] == 3
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
 def test_thompson_psl2_witness(q, group_cache):
     table, classes, _, _ = group_cache(f"PSL2:{q}")
-    res = thompson_search(table, classes)
-    assert res.witness
+    assert max(thompson_search(table, classes)) == table.order
 
 
 def test_thompson_trivial_group():
     table = group_build(GroupSpec.from_perm_generators([tuple(range(3))]))
     classes = conj_classes(table)
-    res = thompson_search(table, classes)
-    assert res.witness and res.fraction == 1.0
+    assert thompson_search(table, classes) == [table.order]
 
 
 def test_thompson_matches_brute_squares(group_cache):
     table, classes, _, _ = group_cache("S:4")
-    res = thompson_search(table, classes)
-    for c, support in res.per_class:
+    supports = thompson_search(table, classes)
+    assert len(supports) == classes.k
+    for c, support in enumerate(supports):
         brute = from_constants(c, c, p_brute(c, c, table, classes).row, classes, "brute")
         assert coverage(brute, classes).support == support
 
@@ -446,6 +445,17 @@ def test_survey_pairs_match_per_pair_routes(label, group_cache):
             assert p.n_stat == table.order * l2_sq_char(x, y, chartable)
             brute = from_constants(x, y, p_brute(x, y, table, classes).row, classes, "brute")
             assert p.coverage_fraction == coverage(brute, classes).fraction
+
+
+@pytest.mark.parametrize("label", ["A:5", "PSL2:7", "S:6"])
+def test_survey_l1_equals_one_pair_stats_bit_for_bit(label, group_cache):
+    """Each survey pair's l1 is a one-pair pair_stats call's on its p_char row, bit for bit, so survey and mixpair
+    print the same l1 for the same pair whatever other pairs the survey holds."""
+    table, classes, _, chartable = group_cache(label)
+    for coupling in _all_couplings(table):
+        for p in survey(table, classes, chartable, coupling).pairs:
+            one = _one(p_char(p.x_class, p.y_class, chartable, classes), p.x_class, p.y_class, classes)
+            assert p.l1 == one.l1, (label, coupling, p.x_class, p.y_class)
 
 
 @pytest.mark.parametrize("label", ["A:5", "S:4", "PSL2:7"])
