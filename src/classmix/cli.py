@@ -251,15 +251,18 @@ def _cmd_interleave(args) -> int:
     else:
         a_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 1))
         b_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 2))
+    set_bytes, alpha, beta = a_set.mask.nbytes + b_set.mask.nbytes, float(a_set.density), float(b_set.density)
     start = time.perf_counter()
     if args.mc is not None:
-        mode, est = "montecarlo", mc_distribution(a_set, b_set, args.mc, make_stream(args.seed, 3), table)
+        cols = a_set.columns, b_set.columns  # decoded after both draws, so B's draw holds A's mask, not its columns
+        del a_set, b_set  # the kernel reads only columns: both |G|^t masks are freed before its index blocks
+        mode, est = "montecarlo", mc_distribution(*cols, args.mc, make_stream(args.seed, 3), table)
     else:
         mode, est = "exact", exact_distribution(a_set, b_set, table)
     seconds = time.perf_counter() - start
     meta = {"mode": mode, "kernel_s": seconds, "total_per_s": est.total / seconds, **est.work}
-    meta["tuple_set_bytes"] = a_set.mask.nbytes + b_set.mask.nbytes
-    alpha, beta, base = float(a_set.density), float(b_set.density), float(table.spec.base)
+    meta["tuple_set_bytes"] = set_bytes
+    base = float(table.spec.base)
     # normalized = D alpha beta |G|; the implied exponent c solves normalized = base^(-c t), with base the
     # degree n or the field size q; c > 0 is the qualitative pass, and c is inf when D = 0
     normalized = est.linf_dev * alpha * beta * table.order

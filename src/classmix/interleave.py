@@ -3,7 +3,7 @@
 A t-tuple pair (a, b) multiplies out as a1 b1 a2 b2 ... at bt.  Tuple sets are
 materialized explicitly (as membership masks over the base-|G| codes of G^t) so
 densities are exact rationals and exact enumeration is possible within the loop
-budget.
+budget.  Monte Carlo reads only the member columns (`TupleSet.columns`), never a mask.
 The conditional sampler for a fixed product g uses the free-coordinate
 bijection: a and b1..b_{t-1} determine b_t, so drawing the free coordinates
 uniformly is exactly uniform on the fiber.
@@ -71,21 +71,23 @@ def _pmap(fn, items) -> list:
     return list(_pool().map(fn, items))
 
 
-def _pipeline(fn, draw, keys) -> list:
-    """[fn(x) for key in keys for x in draw(key)], where draw(key) draws a block of items from a stream.
+def _pipeline(fn, draw, keys):
+    """Yields fn(x) for key in keys for x in draw(key), in order, where draw(key) draws a block of items from a stream.
 
     Block k + 1 is drawn on the caller's thread while the workers run block k, so at most two
-    blocks are alive and no item of block k + 1 runs beside one of block k.  A single block has
-    nothing to overlap and goes to _pmap.
+    blocks are alive and no item of block k + 1 runs beside one of block k.  Block k's results are
+    yielded after block k + 1 is drawn and dropped with block k, so no more than one block's results
+    are held here.  A single block has nothing to overlap and goes to _pmap.
     """
     if len(keys) <= 1:
-        return _pmap(fn, [x for key in keys for x in draw(key)])
-    pool, done, pending = _pool(), [], []
+        yield from _pmap(fn, [x for key in keys for x in draw(key)])
+        return
+    pool, pending = _pool(), []
     for key in keys:
         block = draw(key)  # drawn while the pending block runs
-        done += [f.result() for f in pending]
+        yield from (f.result() for f in pending)
         pending = [pool.submit(fn, x) for x in block]
-    return done + [f.result() for f in pending]
+    yield from (f.result() for f in pending)
 
 
 class TupleSet:
@@ -202,7 +204,8 @@ def _draw_mask(total: int, m: int, stream: np.random.Generator) -> np.ndarray:
         moved = swaps != steps
         np.minimum.at(first, swaps[moved], steps[moved])
 
-    _pipeline(fill, draw, range(total, stop, -ROW_CHUNK))
+    for _ in _pipeline(fill, draw, range(total, stop, -ROW_CHUNK)):  # fill returns nothing: this runs the blocks
+        pass
     mask = np.ones(total, dtype=bool)
 
     def clear_chain_ends(lo):  # chains from distinct head positions end at distinct tail positions
@@ -272,7 +275,7 @@ def exact_distribution(a_set: TupleSet, b_set: TupleSet, table: GroupTable) -> I
     B is folded once per suffix s into tails[s, h], and pair_counts = firsts^T tails,
     where row s of A's mask viewed as (|G|^(t-1), |G|) is the first-coordinate histogram of s.
     """
-    _check_compat(a_set, b_set, table)
+    _check_compat((a_set.arity, b_set.arity), a_set.group_order == b_set.group_order == table.order)
     pairs = a_set.size * b_set.size
     limit = min(config.loop_budget(), 2**53 - 1)
     if pairs > limit:
@@ -311,21 +314,22 @@ def exact_distribution(a_set: TupleSet, b_set: TupleSet, table: GroupTable) -> I
 
 
 def mc_distribution(
-    a_set: TupleSet,
-    b_set: TupleSet,
+    a_cols: np.ndarray,
+    b_cols: np.ndarray,
     samples: int,
     stream: np.random.Generator,
     table: GroupTable,
     block: int = 1_000_000,
 ) -> InterleaveEstimate:
-    """Monte Carlo estimate with uniform draws from A and B, in stream-split blocks.
+    """Monte Carlo estimate with uniform draws from A and B, given as member columns (TupleSet.columns), no mask.
 
-    The caller's thread draws block k + 1 while the workers gather, chain and count block k's slices.
+    The caller's thread draws block k + 1 while the workers gather, chain and count block k's slices;
+    each slice's counts are added up as they come.
     """
-    _check_compat(a_set, b_set, table)
+    _check_compat((a_cols.shape[1], b_cols.shape[1]), max(a_cols.max(), b_cols.max()) < table.order)
     if samples < MIN_MC_SAMPLES:
         raise SpecSyntax(f"at least {MIN_MC_SAMPLES} samples required, got {samples}")
-    mul, a_cols, b_cols = table.full_mul_table(), a_set.columns, b_set.columns
+    mul = table.full_mul_table()
 
     def count(drawn):
         a, b = a_cols.take(drawn[0], axis=0), b_cols.take(drawn[1], axis=0)
@@ -333,18 +337,21 @@ def mc_distribution(
 
     def draw(lo):  # int32 indices, the same values as int64 ones: |A| and |B| are below MAX_MATERIALIZED
         n = min(block, samples - lo)
-        ia = stream.integers(0, a_set.size, size=n, dtype=np.int32)
-        ib = stream.integers(0, b_set.size, size=n, dtype=np.int32)
+        ia = stream.integers(0, len(a_cols), size=n, dtype=np.int32)
+        ib = stream.integers(0, len(b_cols), size=n, dtype=np.int32)
         return [(ia[i : i + ROW_CHUNK], ib[i : i + ROW_CHUNK]) for i in range(0, n, ROW_CHUNK)]
 
-    counts = np.sum(_pipeline(count, draw, range(0, samples, block)), axis=0, dtype=np.int64)
+    counts = np.zeros(table.order, dtype=np.int64)
+    for slice_counts in _pipeline(count, draw, range(0, samples, block)):
+        counts += slice_counts
     return _estimate_from_counts(counts, samples, table.order, {"samples": samples})
 
 
-def _check_compat(a_set: TupleSet, b_set: TupleSet, table: GroupTable):
-    if a_set.arity != b_set.arity:
-        raise ArityMismatch(f"arity {a_set.arity} vs {b_set.arity}")
-    if a_set.group_order != table.order or b_set.group_order != table.order:
+def _check_compat(arities: tuple[int, int], in_group: bool):
+    """Raise unless A and B have one arity and their coordinates come from the table's group."""
+    if arities[0] != arities[1]:
+        raise ArityMismatch(f"arity {arities[0]} vs {arities[1]}")
+    if not in_group:
         raise SpecSyntax("tuple sets were built over a different group order")
 
 

@@ -238,7 +238,7 @@ def test_criterion_10_interleave_exactness_and_decay(group_cache):
             est = exact_distribution(a_set, b_set, table)
         else:
             est = mc_distribution(
-                a_set, b_set, DECAY_SAMPLES[t], make_stream(2024, 3), table, block=2_000_000
+                a_set.columns, b_set.columns, DECAY_SAMPLES[t], make_stream(2024, 3), table, block=2_000_000
             )
         # the implied exponent -log(normalized) / (t log 5) of the interleave report is positive
         assert est.linf_dev * float(a_set.density) * float(b_set.density) * table.order < 1, t

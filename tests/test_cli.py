@@ -6,13 +6,16 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import classmix
-from classmix import characters, cli
+from classmix import characters, cli, interleave
 from classmix.cli import main
 from classmix.errors import SpecSyntax, UnsupportedParameters
 from classmix.groups import GroupSpec, GroupTable
@@ -221,6 +224,38 @@ def test_interleave_meta_records_work(tmp_path):
     assert meta["samples"] == 20000
     assert meta["total_per_s"] == pytest.approx(20000 / meta["kernel_s"])
     assert meta["tuple_set_bytes"] == 2 * 60**3
+
+
+def test_interleave_mc_frees_both_masks_before_the_kernel(monkeypatch):
+    """Monte Carlo reads only member columns: no |G|^t mask is alive once mc_distribution is entered."""
+    masks, draw, kernel = [], cli.seeded_tuple_set, cli.mc_distribution
+
+    def recording_draw(*args):
+        tset = draw(*args)
+        masks.append(weakref.ref(tset.mask))
+        return tset
+
+    def checking_kernel(*args):
+        assert len(masks) == 2 and all(ref() is None for ref in masks)
+        return kernel(*args)
+
+    monkeypatch.setattr(cli, "seeded_tuple_set", recording_draw)
+    monkeypatch.setattr(cli, "mc_distribution", checking_kernel)
+    assert run_cli("interleave", "A:5", "--t", "3", "--alpha", "0.5", "--mc", "20000", "--quiet") == 0
+
+
+def test_interleave_mc_peaks_in_the_second_draw(monkeypatch):
+    """A t=4 Monte Carlo run holds at most what drawing B holds, 6 bytes per tuple of G^t (A's mask, B's `first` and
+    mask), the bound of test_seeded_tuple_set_memory.  Two workers fix the O(ROW_CHUNK) transients in flight."""
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(interleave, "_POOL", pool)
+        tracemalloc.start()
+        try:
+            assert run_cli("interleave", "A:5", "--t", "4", "--mc", "20000", "--quiet") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 6 * 60**4 + (4 << 20)
 
 
 def test_every_meta_records_peak_rss(tmp_path):

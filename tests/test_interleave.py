@@ -92,7 +92,16 @@ def test_arity_mismatch(s3):
     with pytest.raises(ArityMismatch):
         exact_distribution(a, b, s3)
     with pytest.raises(ArityMismatch):
-        mc_distribution(a, b, 10**4, make_stream(0), s3)
+        mc_distribution(a.columns, b.columns, 10**4, make_stream(0), s3)
+
+
+def test_tuple_sets_from_another_group(s3, a5):
+    """Coordinates beyond the table's group are refused by both kernels, before any product."""
+    a = explicit_tuple_set(a5, [(0, 59)])
+    with pytest.raises(SpecSyntax):
+        exact_distribution(a, a, s3)
+    with pytest.raises(SpecSyntax):
+        mc_distribution(a.columns, a.columns, 10**4, make_stream(0), s3)
 
 
 def test_full_density_exactly_uniform(s3):
@@ -207,7 +216,7 @@ def test_exact_distribution_batches_tail_products(monkeypatch, group_cache, labe
 def test_mc_distribution_matches_decode_fold_loop(a5, t):
     a_set = seeded_tuple_set(a5, t, 0.5, make_stream(80))
     b_set = seeded_tuple_set(a5, t, 0.5, make_stream(81))
-    est = mc_distribution(a_set, b_set, 50_000, make_stream(82), a5, block=12_345)
+    est = mc_distribution(a_set.columns, b_set.columns, 50_000, make_stream(82), a5, block=12_345)
     mul = a5.full_mul_table()
     a_codes, b_codes = np.flatnonzero(a_set.mask), np.flatnonzero(b_set.mask)
     reference = decode_fold_mc_counts(mul, a_codes, b_codes, t, 50_000, make_stream(82), 12_345)
@@ -241,7 +250,7 @@ def test_mc_agrees_with_exact(s3):
     a = seeded_tuple_set(s3, 2, 0.5, stream)
     b = seeded_tuple_set(s3, 2, 0.5, stream)
     exact = exact_distribution(a, b, s3)
-    mc = mc_distribution(a, b, 200_000, make_stream(34), s3)
+    mc = mc_distribution(a.columns, b.columns, 200_000, make_stream(34), s3)
     for g in range(s3.order):
         se = max(math.sqrt(mc.probs[g] * (1.0 - mc.probs[g]) / mc.total), 1e-9)
         assert abs(mc.probs[g] - exact.probs[g]) < 4 * se
@@ -250,15 +259,15 @@ def test_mc_agrees_with_exact(s3):
 def test_mc_determinism(s3):
     a = seeded_tuple_set(s3, 2, 0.5, make_stream(40))
     b = seeded_tuple_set(s3, 2, 0.5, make_stream(41))
-    m1 = mc_distribution(a, b, 50_000, make_stream(42), s3)
-    m2 = mc_distribution(a, b, 50_000, make_stream(42), s3)
+    m1 = mc_distribution(a.columns, b.columns, 50_000, make_stream(42), s3)
+    m2 = mc_distribution(a.columns, b.columns, 50_000, make_stream(42), s3)
     assert np.array_equal(m1.counts, m2.counts)
 
 
 def test_mc_requires_min_samples(s3):
     a = full_tuple_set(s3, 2)
     with pytest.raises(SpecSyntax):
-        mc_distribution(a, a, 100, make_stream(0), s3)
+        mc_distribution(a.columns, a.columns, 100, make_stream(0), s3)
 
 
 def test_seeded_tuple_set_reproducible(s3):
@@ -333,7 +342,8 @@ def test_seeded_tuple_sets_from_a_shared_stream(s3):
 
 
 def test_columns_decode_in_chunks(monkeypatch, a5):
-    monkeypatch.setattr(interleave, "ROW_CHUNK", 7)
+    """A ragged prime chunk: 2,227 chunks of 97 codes, 827 of them empty, the last holding 78."""
+    monkeypatch.setattr(interleave, "ROW_CHUNK", 97)
     tset = seeded_tuple_set(a5, 3, 0.01, make_stream(91))
     assert np.array_equal(tset.columns, interleave.decode_tuples(np.flatnonzero(tset.mask), 3, a5.order))
     assert tset.columns.dtype == np.uint8
@@ -371,7 +381,7 @@ def _kernel_results(monkeypatch, table, workers):
         a_cols = _fanned_out(pool, lambda: a_set.columns)
         b_cols = _fanned_out(pool, lambda: b_set.columns)
         mc = _fanned_out(
-            pool, lambda: mc_distribution(a_set, b_set, 50_000, make_stream(98), table, block=12_345), "count"
+            pool, lambda: mc_distribution(a_cols, b_cols, 50_000, make_stream(98), table, block=12_345), "count"
         )
         fresh = _fanned_out(pool, lambda: TupleSet(a_set.arity, a_set.group_order, a_set.mask).columns)
         fiber = fiber_sample(table, 7, 3, make_stream(99), draws=40_000)
@@ -418,7 +428,7 @@ def test_pool_without_sched_getaffinity(monkeypatch, a5):
     try:
         again = seeded_tuple_set(a5, 3, 0.5, make_stream(96))
         assert interleave._POOL._max_workers == interleave._workers() == 3
-        mc = mc_distribution(a_set, b_set, 50_000, make_stream(98), a5, block=12_345)
+        mc = mc_distribution(a_set.columns, b_set.columns, 50_000, make_stream(98), a5, block=12_345)
     finally:
         if interleave._POOL is not None:
             interleave._POOL.shutdown()
@@ -458,11 +468,30 @@ def test_mc_distribution_index_memory(monkeypatch, a5):
         monkeypatch.setattr(interleave, "_POOL", pool)
         tracemalloc.start()
         try:
-            mc_distribution(a_set, b_set, 2 * block + 12_345, make_stream(108), a5, block=block)
+            mc_distribution(a_set.columns, b_set.columns, 2 * block + 12_345, make_stream(108), a5, block=block)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
     assert peak <= 16 * block + 48 * interleave.ROW_CHUNK * workers
+
+
+def test_mc_distribution_memory_does_not_grow_with_samples(monkeypatch, a5):
+    """Each slice's counts are added into one array as the pipeline yields them, so 8,000 slices peak where 200
+    do: a list of every slice's bincount grows about 1 KB per slice."""
+    monkeypatch.setattr(interleave, "ROW_CHUNK", 100)
+    cols = [seeded_tuple_set(a5, 2, 0.5, make_stream(s)).columns for s in (110, 111)]
+    a5.full_mul_table()
+    peaks = []
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(interleave, "_POOL", pool)
+        for slices in (200, 8000):
+            tracemalloc.start()
+            try:
+                mc_distribution(*cols, 100 * slices, make_stream(112), a5, block=10_000)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + (512 << 10), peaks
 
 
 def test_explicit_tuple_set_capped(monkeypatch, s3):
