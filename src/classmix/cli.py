@@ -24,7 +24,6 @@ from .interleave import (
     MIN_MC_SAMPLES,
     advantage,
     exact_distribution,
-    full_tuple_set,
     load_protocol,
     mc_distribution,
     seeded_tuple_set,
@@ -196,7 +195,7 @@ def _cmd_survey(args) -> int:
     table, classes = _build_all(args)
     name, coupling = _parse_coupling(table, args.coupling)
     chartable = dixon_character_table(table, classes)
-    rep = survey(table, classes, chartable, coupling, thresholds=tuple(args.thresholds))
+    rep = survey(classes, chartable, coupling, thresholds=tuple(args.thresholds))
     payload = {
         "coupling": name,
         # a fixed note, and constants since every survey is exact;
@@ -245,12 +244,8 @@ def _cmd_interleave(args) -> int:
         raise SpecSyntax(f"--mc must be at least {MIN_MC_SAMPLES}, got {args.mc}")
     table = _build_table(args)
     table.full_mul_table()  # exits 4 above MUL_TABLE_LIMIT before any tuple set is drawn
-    if args.alpha == 1.0:
-        a_set = full_tuple_set(table, args.t)
-        b_set = full_tuple_set(table, args.t)
-    else:
-        a_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 1))
-        b_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 2))
+    a_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 1))
+    b_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 2))
     set_bytes, alpha, beta = a_set.mask.nbytes + b_set.mask.nbytes, float(a_set.density), float(b_set.density)
     start = time.perf_counter()
     if args.mc is not None:

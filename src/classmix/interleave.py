@@ -36,8 +36,9 @@ from .groups import ROW_CHUNK, GroupTable, pack_digits, unpack_digits
 
 MAX_MATERIALIZED = 64_000_000  # tuples of G^t or sampled tuple entries kept in memory
 MIN_MC_SAMPLES = 10**4  # fewest Monte Carlo samples, checked by mc_distribution and `interleave --mc`
+MC_BLOCK = 1_000_000  # Monte Carlo draws per block; A's and B's index draws alternate per block, so it fixes the draw
 
-_POOL = None  # worker threads of _pmap and _pipeline, one per usable CPU, started by the first kernel that uses them
+_POOL = None  # worker threads of _pipeline, one per usable CPU, started by the first kernel that uses them
 
 
 def _workers() -> int:
@@ -56,35 +57,19 @@ def _pool():
     return _POOL
 
 
-def _pmap(fn, items) -> list:
-    """[fn(x) for x in items], run on the worker threads; a single item runs on the caller's thread.
+def _pipeline(fn, blocks):
+    """Yields fn(x) for each item x of each block in `blocks`, in order, the items run on the worker threads.
 
-    The kernels hand the workers numpy calls that release the interpreter lock (gathers, table
-    lookups, bincount, floor division), and each worker writes only its own slice of any shared
-    output, so the results do not depend on the number of workers.  Stream draws stay on the
-    caller's thread, in the calls and order of a serial loop; the one pipeline rule (`_pipeline`)
-    is that the caller submits block k, draws block k + 1, and only then collects block k.
+    The kernels hand the workers numpy calls that release the interpreter lock (gathers, table lookups,
+    bincount, floor division), and each worker writes only its own slice of any shared output, so the
+    results do not depend on the number of workers.  The one rule: block k + 1 is taken from `blocks` on
+    the caller's thread, where the stream draws happen, while the workers run block k, and only then are
+    block k's results yielded.  So draws keep the calls and order of a serial loop, no item of block k + 1
+    runs beside one of block k, and at most two blocks and one block's results are held.  Nothing runs
+    unless the caller uses up the generator.
     """
-    items = list(items)
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    return list(_pool().map(fn, items))
-
-
-def _pipeline(fn, draw, keys):
-    """Yields fn(x) for key in keys for x in draw(key), in order, where draw(key) draws a block of items from a stream.
-
-    Block k + 1 is drawn on the caller's thread while the workers run block k, so at most two
-    blocks are alive and no item of block k + 1 runs beside one of block k.  Block k's results are
-    yielded after block k + 1 is drawn and dropped with block k, so no more than one block's results
-    are held here.  A single block has nothing to overlap and goes to _pmap.
-    """
-    if len(keys) <= 1:
-        yield from _pmap(fn, [x for key in keys for x in draw(key)])
-        return
     pool, pending = _pool(), []
-    for key in keys:
-        block = draw(key)  # drawn while the pending block runs
+    for block in blocks:  # taken while the pending block runs
         yield from (f.result() for f in pending)
         pending = [pool.submit(fn, x) for x in block]
     yield from (f.result() for f in pending)
@@ -117,7 +102,8 @@ class TupleSet:
             codes = np.flatnonzero(self.mask[starts[i] : starts[i] + ROW_CHUNK]) + starts[i]
             out[ends[i] - len(codes) : ends[i]] = decode_tuples(codes, self.arity, self.group_order)
 
-        _pmap(decode, range(len(starts)))
+        for _ in _pipeline(decode, [range(len(starts))]):
+            pass
         return out
 
 
@@ -135,10 +121,10 @@ def decode_tuples(codes: np.ndarray, arity: int, order: int) -> np.ndarray:
 def _tuple_count(order: int, arity: int) -> int:
     if arity < 1:
         raise ArityMismatch(f"arity must be >= 1, got {arity}")
-    total = order**arity
-    if total > MAX_MATERIALIZED:
-        raise LoopBudgetExceeded(f"G^t has {total} tuples; materialization is capped at {MAX_MATERIALIZED}")
-    return total
+    # order^arity >= 2^arity > MAX_MATERIALIZED past its bit length: refused before the power is taken
+    if order > 1 and (arity > MAX_MATERIALIZED.bit_length() or order**arity > MAX_MATERIALIZED):
+        raise LoopBudgetExceeded(f"G^t has {order}^{arity} tuples; materialization is capped at {MAX_MATERIALIZED}")
+    return order**arity
 
 
 def explicit_tuple_set(table: GroupTable, rows: list[tuple[int, ...]]) -> TupleSet:
@@ -163,13 +149,15 @@ def seeded_tuple_set(table: GroupTable, arity: int, density: float, stream: np.r
     """Uniform random subset of G^t of the given density, materialized explicitly.
 
     The realized density is exactly round(density * |G|^t) / |G|^t; the draw is
-    reproducible from the stream.
+    reproducible from the stream.  When that rounds to all of G^t the set is G^t
+    and nothing is drawn.
     """
     total = _tuple_count(table.order, arity)
     if not (0.0 < density <= 1.0):
         raise SpecSyntax(f"density must lie in (0, 1], got {density}")
     m = max(1, round(density * total))
-    return TupleSet(arity=arity, group_order=table.order, mask=_draw_mask(total, m, stream))
+    mask = np.ones(total, dtype=bool) if m == total else _draw_mask(total, m, stream)
+    return TupleSet(arity=arity, group_order=table.order, mask=mask)
 
 
 _UNSET = np.iinfo(np.uint32).max  # no step swapped into this position; steps are below MAX_MATERIALIZED
@@ -204,7 +192,7 @@ def _draw_mask(total: int, m: int, stream: np.random.Generator) -> np.ndarray:
         moved = swaps != steps
         np.minimum.at(first, swaps[moved], steps[moved])
 
-    for _ in _pipeline(fill, draw, range(total, stop, -ROW_CHUNK)):  # fill returns nothing: this runs the blocks
+    for _ in _pipeline(fill, map(draw, range(total, stop, -ROW_CHUNK))):  # fill returns nothing: this runs the blocks
         pass
     mask = np.ones(total, dtype=bool)
 
@@ -222,13 +210,9 @@ def _draw_mask(total: int, m: int, stream: np.random.Generator) -> np.ndarray:
             more = np.flatnonzero(nxt != _UNSET)
         mask.put(ends, False)
 
-    _pmap(clear_chain_ends, range(0, head, ROW_CHUNK))
+    for _ in _pipeline(clear_chain_ends, [range(0, head, ROW_CHUNK)]):
+        pass
     return mask
-
-
-def full_tuple_set(table: GroupTable, arity: int) -> TupleSet:
-    mask = np.ones(_tuple_count(table.order, arity), dtype=bool)
-    return TupleSet(arity=arity, group_order=table.order, mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +269,7 @@ def exact_distribution(a_set: TupleSet, b_set: TupleSet, table: GroupTable) -> I
     by_suffix = a_set.mask.reshape(-1, order)  # row: suffix code (a2..at), column: a1
     suffixes = np.flatnonzero(by_suffix.any(axis=1))
     per = max(1, ROW_CHUNK // order)  # suffixes per firsts^T tails product, so none is a thin update
-    step = max(1, ROW_CHUNK // max(b_set.size, order))  # suffixes per fold block: about ROW_CHUNK products
+    step = max(1, ROW_CHUNK // max(b_set.size, order))  # suffixes per fold block, about ROW_CHUNK products each
     pair_counts = np.zeros((order, order))  # float64 BLAS; every sum is at most |A||B| < 2^53, so exact
     for lo in range(0, len(suffixes), per):
         rows = suffixes[lo : lo + per]
@@ -319,12 +303,12 @@ def mc_distribution(
     samples: int,
     stream: np.random.Generator,
     table: GroupTable,
-    block: int = 1_000_000,
 ) -> InterleaveEstimate:
     """Monte Carlo estimate with uniform draws from A and B, given as member columns (TupleSet.columns), no mask.
 
-    The caller's thread draws block k + 1 while the workers gather, chain and count block k's slices;
-    each slice's counts are added up as they come.
+    Each block of MC_BLOCK samples draws its A indices, then its B indices.  The caller's thread
+    draws block k + 1 while the workers gather, chain and count block k's slices; each slice's
+    counts are added up as they come.
     """
     _check_compat((a_cols.shape[1], b_cols.shape[1]), max(a_cols.max(), b_cols.max()) < table.order)
     if samples < MIN_MC_SAMPLES:
@@ -336,13 +320,13 @@ def mc_distribution(
         return np.bincount(_chain(mul, _interleave(a.T, b.T)), minlength=table.order)
 
     def draw(lo):  # int32 indices, the same values as int64 ones: |A| and |B| are below MAX_MATERIALIZED
-        n = min(block, samples - lo)
+        n = min(MC_BLOCK, samples - lo)
         ia = stream.integers(0, len(a_cols), size=n, dtype=np.int32)
         ib = stream.integers(0, len(b_cols), size=n, dtype=np.int32)
         return [(ia[i : i + ROW_CHUNK], ib[i : i + ROW_CHUNK]) for i in range(0, n, ROW_CHUNK)]
 
     counts = np.zeros(table.order, dtype=np.int64)
-    for slice_counts in _pipeline(count, draw, range(0, samples, block)):
+    for slice_counts in _pipeline(count, map(draw, range(0, samples, MC_BLOCK))):
         counts += slice_counts
     return _estimate_from_counts(counts, samples, table.order, {"samples": samples})
 
@@ -484,7 +468,7 @@ def _acceptance(protocol: RectangleProtocol, table: GroupTable, g: int, arity: i
         bits, twice, uncovered = protocol.cover(encode_tuples(a, order), encode_tuples(b, order))
         return int(np.count_nonzero(bits > 0)), twice, uncovered
 
-    accepted, twice, uncovered = zip(*_pipeline(accept, draw, range(0, samples, per)))
+    accepted, twice, uncovered = zip(*_pipeline(accept, map(draw, range(0, samples, per))))
     _check_cover(*(next(filter(None, pairs), None) for pairs in (twice, uncovered)))
     return sum(accepted) / samples
 

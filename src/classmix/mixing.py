@@ -166,7 +166,6 @@ def check_survey_inputs(thresholds):
 
 
 def survey(
-    table: GroupTable,
     classes: ClassData,
     chartable: CharacterTable,
     coupling: Coupling,
@@ -187,7 +186,7 @@ def survey(
     tensor = structure_constants(chartable, classes).tensor
     k = classes.k
     sizes = classes.sizes
-    order = table.order
+    order = classes.order
 
     if isinstance(coupling, Independent):
         w = np.asarray(sizes, dtype=np.float64) / order

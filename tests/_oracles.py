@@ -18,8 +18,8 @@ formulas of one class pair are the references for the array path
 classmix.mixing.pair_stats.  The exact checks that only tests call live here as well: the
 coverage/norm link of a pair distribution, the character-bound fraction, the
 validation of a protocol on every pair of G^t x G^t, its exact acceptance by
-fiber enumeration and the rectangle-decomposition inequality, and the
-tuple-set file writer.
+fiber enumeration and the rectangle-decomposition inequality, the
+tuple-set file writer, and G^t itself as a tuple set.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from classmix.characters import _least_dixon_prime, _primitive_root_of_order, wi
 from classmix.errors import InvariantViolation, LoopBudgetExceeded, SpecSyntax
 from classmix.groups import GroupSpec
 from classmix.interleave import (
-    _check_cover, _complete_rows, decode_tuples, encode_tuples, exact_distribution, fiber_sample,
+    TupleSet, _check_cover, _complete_rows, decode_tuples, encode_tuples, exact_distribution, fiber_sample,
 )
 
 # D4 x C3 on seven points: its order-3 and order-6 classes come in inverse pairs
@@ -549,6 +549,11 @@ def rectangle_bound_check(protocol, table, g: int, h: int) -> tuple[float, float
         worst = max(worst, normalized)
     rhs = (2.0**protocol.bit_budget) * 2.0 * worst
     return lhs, rhs
+
+
+def full_tuple_set(table, arity: int) -> TupleSet:
+    """All of G^t, as `interleave --alpha 1` draws it."""
+    return TupleSet(arity, table.order, np.ones(table.order**arity, dtype=bool))
 
 
 def save_tuple_set(path, tset, group_label: str):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from classmix import interleave
 from classmix.characters import (
     dixon_character_table,
     verify_orthogonality,
@@ -24,7 +25,6 @@ from classmix.interleave import (
     exact_distribution,
     explicit_tuple_set,
     fiber_sample,
-    full_tuple_set,
     mc_distribution,
     seeded_tuple_set,
 )
@@ -44,6 +44,7 @@ from classmix.rng import make_stream
 from _oracles import (
     char_bound_fraction,
     exact_conditional_acceptance,
+    full_tuple_set,
     interleave_product,
     rectangle_bound_check,
     validate_protocol_exact,
@@ -181,7 +182,7 @@ def test_criterion_08_survey_trend(group_cache):
         probs = []
         for param, expected in golden.items():
             table, classes, _, chartable = group_cache(f"{family}:{param}")
-            rep = survey(table, classes, chartable, Independent(), thresholds=(1.0,))
+            rep = survey(classes, chartable, Independent(), thresholds=(1.0,))
             value = dict(rep.thresholds)[1.0]
             assert abs(value - expected) < 1e-9, (family, param)
             probs.append(value)
@@ -196,7 +197,7 @@ def test_criterion_09_translated_inverse_bit_identical(group_cache):
         table, classes, _, chartable = group_cache(label)
         for seed in (101, 202, 303):
             a = int(make_stream(seed).integers(0, table.order))
-            rep = survey(table, classes, chartable, TranslatedInverse(a))
+            rep = survey(classes, chartable, TranslatedInverse(a))
             # independent full sweep over x, exact integer weights
             mul = table.full_mul_table()
             counts = {}
@@ -208,7 +209,7 @@ def test_criterion_09_translated_inverse_bit_identical(group_cache):
             for pair in rep.pairs:
                 assert pair.weight == counts[(pair.x_class, pair.y_class)] / table.order
                 assert pair.n_stat == table.order * l2_sq_char(pair.x_class, pair.y_class, chartable)
-            rerun = survey(table, classes, chartable, TranslatedInverse(a))
+            rerun = survey(classes, chartable, TranslatedInverse(a))
             assert rerun == rep  # every field, floats exactly
     _ok("9 coupling coverage bit-identical")
 
@@ -223,8 +224,9 @@ GOLDEN_DECAY = {
 DECAY_SAMPLES = {3: 40_000_000, 4: 100_000_000}
 
 
-def test_criterion_10_interleave_exactness_and_decay(group_cache):
-    """Full density exactly uniform; seeded density-1/2 decay on A_5 (FROZEN golden)."""
+def test_criterion_10_interleave_exactness_and_decay(group_cache, monkeypatch):
+    """Full density exactly uniform; seeded density-1/2 decay on A_5 (FROZEN golden, drawn in 2M-sample blocks)."""
+    monkeypatch.setattr(interleave, "MC_BLOCK", 2_000_000)
     table, _, _, _ = group_cache("A:5")
     full = full_tuple_set(table, 2)
     est = exact_distribution(full, full, table)
@@ -237,9 +239,7 @@ def test_criterion_10_interleave_exactness_and_decay(group_cache):
         if t == 2:
             est = exact_distribution(a_set, b_set, table)
         else:
-            est = mc_distribution(
-                a_set.columns, b_set.columns, DECAY_SAMPLES[t], make_stream(2024, 3), table, block=2_000_000
-            )
+            est = mc_distribution(a_set.columns, b_set.columns, DECAY_SAMPLES[t], make_stream(2024, 3), table)
         # the implied exponent -log(normalized) / (t log 5) of the interleave report is positive
         assert est.linf_dev * float(a_set.density) * float(b_set.density) * table.order < 1, t
         devs[t] = est.linf_dev

@@ -23,7 +23,7 @@ from classmix.interleave import MIN_MC_SAMPLES
 from classmix.mixing import DEFAULT_THRESHOLDS, survey
 from classmix.rng import make_stream
 
-from _oracles import MATGEN_FILE, PERMGEN_FILE, save_tuple_set
+from _oracles import MATGEN_FILE, PERMGEN_FILE, full_tuple_set, save_tuple_set
 
 
 def run_cli(*argv):
@@ -284,7 +284,6 @@ def test_dixon_meta_records_work(tmp_path):
 
 def test_advantage_cli(tmp_path):
     from classmix.groups import group_build
-    from classmix.interleave import full_tuple_set
 
     table = group_build(GroupSpec.sym(3))
     full = full_tuple_set(table, 2)
@@ -326,7 +325,7 @@ def test_bijfile_coupling_is_exact_on_a9(tmp_path, group_cache):
     perm = make_stream(31).permutation(table.order)
     path = tmp_path / "bij.txt"
     path.write_text("\n".join(map(str, perm.tolist())) + "\n")
-    rep = survey(table, classes, chartable, cli._parse_coupling(table, f"bijfile:{path}")[1])
+    rep = survey(classes, chartable, cli._parse_coupling(table, f"bijfile:{path}")[1])
     counts = Counter(zip(classes.class_of.tolist(), classes.class_of[perm].tolist()))
     assert {(p.x_class, p.y_class): p.weight for p in rep.pairs} == {
         pair: count / table.order for pair, count in counts.items()
@@ -401,6 +400,9 @@ BAD_INPUTS = [
     ("zeta-s-nan", {}, ["zeta", "S:3", "--s", "2", "nan"], 2),
     ("interleave-arity-zero", {}, [*EXACT_ARGS[:3], "0", *EXACT_ARGS[4:]], 11),
     ("interleave-alpha-above-one", {}, [*EXACT_ARGS[:5], "5"], 2),
+    # 6^t above interleave.MAX_MATERIALIZED: refused before 6^t, which has more digits than int() prints, is taken
+    ("interleave-arity-1e5", {}, [*EXACT_ARGS[:3], "100000", *EXACT_ARGS[4:]], 5),
+    ("interleave-arity-1e8", {}, [*EXACT_ARGS[:3], "100000000", *EXACT_ARGS[4:]], 5),
     ("interleave-mc-zero", {}, ["interleave", "S:3", "--mc", "0"], 2),
     ("loop-budget-not-int", {}, EXACT_ARGS, 2, {"MIXER_LOOP_BUDGET": "abc"}),
     ("loop-budget-not-positive", {}, EXACT_ARGS, 2, {"MIXER_LOOP_BUDGET": "0"}),
@@ -541,7 +543,7 @@ def test_every_golden_report_key_is_named_by_the_cli():
                     yield from keys(item)
 
     reports = sorted((root / "goldens" / "v1").glob("*.json"))
-    assert len(reports) == 16
+    assert len(reports) == 17
     unnamed = {(p.name, key) for p in reports for key in keys(json.loads(p.read_text())) if key not in literals}
     assert not unnamed, sorted(unnamed)
 

@@ -124,7 +124,8 @@ def test_fuzz_protocol_files(a, b, bits, g, samples):
     command=st.sampled_from(["survey", "mixpair", "interleave", "zeta"]),
     group=st.sampled_from(["S:3", "A:5"]),
     values=st.lists(numbers, min_size=1, max_size=3),
-    arity=st.integers(min_value=-1, max_value=3),
+    # t <= 3 keeps G^t tiny; from t = 11 on 6^t is past interleave.MAX_MATERIALIZED, up to t = 10^8
+    arity=st.one_of(st.integers(min_value=-1, max_value=3), st.integers(min_value=11, max_value=10**8)),
     coupling=st.one_of(
         st.sampled_from(["independent", "diagonal", "bijfile:{d}/missing.txt", "transinv:hex:0102"]),
         numbers.map(lambda n: f"transinv:{n}"),

@@ -25,6 +25,8 @@ CASES = [
     # 7A/7B are inverse to each other, so this pins the l* column of the structure constants
     ("survey__PSL27__seed0", ["survey", "PSL2:7", "--coupling", "independent"]),
     ("interleave__A5__seed2024", ["interleave", "A:5", "--t", "2", "--alpha", "0.5", "--seed", "2024"]),
+    # all of G^2 on both sides: the exactly uniform distribution, with no draw
+    ("interleave__S3__alpha1__seed0", ["interleave", "S:3", "--t", "2", "--alpha", "1"]),
     ("chartable__PSL29__seed0", ["chartable", "PSL2:9"]),
     ("thompson__SL28__seed0", ["thompson", "SL2:8"]),
     # keys all 360 elements by canonical hex, so it pins element order and multiplication

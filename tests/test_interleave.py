@@ -30,7 +30,6 @@ from classmix.interleave import (
     explicit_tuple_set,
     encode_tuples,
     fiber_sample,
-    full_tuple_set,
     load_protocol,
     load_tuple_set,
     mc_distribution,
@@ -44,6 +43,7 @@ from _oracles import (
     evaluate_codes,
     exact_conditional_acceptance,
     fold_exact_counts,
+    full_tuple_set,
     interleave_product,
     rectangle_bound_check,
     save_tuple_set,
@@ -213,10 +213,11 @@ def test_exact_distribution_batches_tail_products(monkeypatch, group_cache, labe
 
 
 @pytest.mark.parametrize("t", [2, 3])
-def test_mc_distribution_matches_decode_fold_loop(a5, t):
+def test_mc_distribution_matches_decode_fold_loop(monkeypatch, a5, t):
     a_set = seeded_tuple_set(a5, t, 0.5, make_stream(80))
     b_set = seeded_tuple_set(a5, t, 0.5, make_stream(81))
-    est = mc_distribution(a_set.columns, b_set.columns, 50_000, make_stream(82), a5, block=12_345)
+    monkeypatch.setattr(interleave, "MC_BLOCK", 12_345)
+    est = mc_distribution(a_set.columns, b_set.columns, 50_000, make_stream(82), a5)
     mul = a5.full_mul_table()
     a_codes, b_codes = np.flatnonzero(a_set.mask), np.flatnonzero(b_set.mask)
     reference = decode_fold_mc_counts(mul, a_codes, b_codes, t, 50_000, make_stream(82), 12_345)
@@ -349,6 +350,34 @@ def test_columns_decode_in_chunks(monkeypatch, a5):
     assert tset.columns.dtype == np.uint8
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_pipeline_takes_the_next_block_before_yielding_and_runs_it_after(monkeypatch, workers):
+    """Results come back in item order; block k + 1 is taken before block k's first result is yielded, and none of
+    its items starts before block k's last result is yielded."""
+    sizes, log = (3, 1, 4, 2), []  # list.append is atomic, so worker and caller entries keep their order
+
+    def blocks():
+        for k, size in enumerate(sizes):
+            log.append(("take", k))
+            yield [(k, i) for i in range(size)]
+
+    def fn(item):
+        log.append(("start", item))
+        return item
+
+    with ThreadPoolExecutor(workers) as pool:
+        monkeypatch.setattr(interleave, "_POOL", pool)
+        results = []
+        for item in interleave._pipeline(fn, blocks()):
+            log.append(("yield", item))
+            results.append(item)
+    assert results == [(k, i) for k, size in enumerate(sizes) for i in range(size)]
+    at = {entry: n for n, entry in enumerate(log)}
+    for k in range(len(sizes) - 1):
+        assert at[("take", k + 1)] < at[("yield", (k, 0))]
+        assert min(at[("start", (k + 1, i))] for i in range(sizes[k + 1])) > at[("yield", (k, sizes[k] - 1))]
+
+
 class _CountingPool(ThreadPoolExecutor):
     """Thread pool that counts the tasks handed to it, by the name of the function each task runs."""
 
@@ -374,15 +403,14 @@ def _kernel_results(monkeypatch, table, workers):
 
     The pipelined kernels (the swap fill of a seeded draw, the MC counts and the acceptance chunks) must each hand
     the pool more than one task of their own; fiber_sample runs on the calling thread."""
+    monkeypatch.setattr(interleave, "MC_BLOCK", 12_345)
     with _CountingPool(workers) as pool:
         monkeypatch.setattr(interleave, "_POOL", pool)
         a_set = _fanned_out(pool, lambda: seeded_tuple_set(table, 3, 0.5, make_stream(96)), "fill", "clear_chain_ends")
         b_set = _fanned_out(pool, lambda: seeded_tuple_set(table, 3, 0.5, make_stream(97)), "fill", "clear_chain_ends")
         a_cols = _fanned_out(pool, lambda: a_set.columns)
         b_cols = _fanned_out(pool, lambda: b_set.columns)
-        mc = _fanned_out(
-            pool, lambda: mc_distribution(a_cols, b_cols, 50_000, make_stream(98), table, block=12_345), "count"
-        )
+        mc = _fanned_out(pool, lambda: mc_distribution(a_cols, b_cols, 50_000, make_stream(98), table), "count")
         fresh = _fanned_out(pool, lambda: TupleSet(a_set.arity, a_set.group_order, a_set.mask).columns)
         fiber = fiber_sample(table, 7, 3, make_stream(99), draws=40_000)
         protocol = _half_split_protocol(table)
@@ -425,10 +453,11 @@ def test_pool_without_sched_getaffinity(monkeypatch, a5):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(interleave, "_POOL", None)
+    monkeypatch.setattr(interleave, "MC_BLOCK", 12_345)
     try:
         again = seeded_tuple_set(a5, 3, 0.5, make_stream(96))
         assert interleave._POOL._max_workers == interleave._workers() == 3
-        mc = mc_distribution(a_set.columns, b_set.columns, 50_000, make_stream(98), a5, block=12_345)
+        mc = mc_distribution(a_set.columns, b_set.columns, 50_000, make_stream(98), a5)
     finally:
         if interleave._POOL is not None:
             interleave._POOL.shutdown()
@@ -464,11 +493,12 @@ def test_mc_distribution_index_memory(monkeypatch, a5):
     a_set, b_set = (seeded_tuple_set(a5, 4, 0.5, make_stream(s)) for s in (106, 107))
     a_set.columns, b_set.columns, a5.full_mul_table()
     block, workers = 500_000, 2
+    monkeypatch.setattr(interleave, "MC_BLOCK", block)
     with ThreadPoolExecutor(workers) as pool:
         monkeypatch.setattr(interleave, "_POOL", pool)
         tracemalloc.start()
         try:
-            mc_distribution(a_set.columns, b_set.columns, 2 * block + 12_345, make_stream(108), a5, block=block)
+            mc_distribution(a_set.columns, b_set.columns, 2 * block + 12_345, make_stream(108), a5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -479,6 +509,7 @@ def test_mc_distribution_memory_does_not_grow_with_samples(monkeypatch, a5):
     """Each slice's counts are added into one array as the pipeline yields them, so 8,000 slices peak where 200
     do: a list of every slice's bincount grows about 1 KB per slice."""
     monkeypatch.setattr(interleave, "ROW_CHUNK", 100)
+    monkeypatch.setattr(interleave, "MC_BLOCK", 10_000)
     cols = [seeded_tuple_set(a5, 2, 0.5, make_stream(s)).columns for s in (110, 111)]
     a5.full_mul_table()
     peaks = []
@@ -487,7 +518,7 @@ def test_mc_distribution_memory_does_not_grow_with_samples(monkeypatch, a5):
         for slices in (200, 8000):
             tracemalloc.start()
             try:
-                mc_distribution(*cols, 100 * slices, make_stream(112), a5, block=10_000)
+                mc_distribution(*cols, 100 * slices, make_stream(112), a5)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

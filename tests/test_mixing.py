@@ -336,17 +336,17 @@ def test_thompson_matches_brute_squares(group_cache):
 
 def test_survey_independent_total_probability(group_cache):
     table, classes, _, chartable = group_cache("A:5")
-    rep = survey(table, classes, chartable, Independent(), thresholds=(0.5, 1.0))
+    rep = survey(classes, chartable, Independent(), thresholds=(0.5, 1.0))
     weights = sum(p.weight for p in rep.pairs)
     assert weights == pytest.approx(1.0, abs=1e-10)
     # delta = infinity: every pair counts
-    big = survey(table, classes, chartable, Independent(), thresholds=(float("inf"),))
+    big = survey(classes, chartable, Independent(), thresholds=(float("inf"),))
     assert big.thresholds[0][1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_survey_weighted_mean_consistency(group_cache):
     table, classes, _, chartable = group_cache("A:5")
-    rep = survey(table, classes, chartable, Independent())
+    rep = survey(classes, chartable, Independent())
     mean_from_report = sum(p.weight * p.n_stat for p in rep.pairs)
     direct = 0.0
     for i in range(classes.k):
@@ -358,7 +358,7 @@ def test_survey_weighted_mean_consistency(group_cache):
 
 def test_survey_diagonal_weights(group_cache):
     table, classes, _, chartable = group_cache("S:4")
-    rep = survey(table, classes, chartable, Diagonal())
+    rep = survey(classes, chartable, Diagonal())
     for p in rep.pairs:
         assert p.x_class == p.y_class
         assert p.weight == pytest.approx(classes.sizes[p.x_class] / table.order)
@@ -368,7 +368,7 @@ def test_survey_translated_inverse_matches_full_sweep(group_cache):
     table, classes, _, chartable = group_cache("PSL2:11")
     stream = make_stream(5)
     a = int(stream.integers(0, table.order))
-    rep = survey(table, classes, chartable, TranslatedInverse(a))
+    rep = survey(classes, chartable, TranslatedInverse(a))
     # independent recomputation of the pair weights
     mul = table.full_mul_table()
     counts = {}
@@ -378,7 +378,7 @@ def test_survey_translated_inverse_matches_full_sweep(group_cache):
         counts[key] = counts.get(key, 0) + 1
     for p in rep.pairs:
         assert p.weight == counts[(p.x_class, p.y_class)] / table.order
-    rep2 = survey(table, classes, chartable, TranslatedInverse(a))
+    rep2 = survey(classes, chartable, TranslatedInverse(a))
     assert rep == rep2  # every field, floats exactly
 
 
@@ -395,7 +395,7 @@ def test_translated_inverse_weights_match_element_sweep(label, tmp_path, group_c
     else:
         table, classes, _, chartable = group_cache(label)
     for a in make_stream(29).integers(0, table.order, size=3).tolist():
-        rep = survey(table, classes, chartable, TranslatedInverse(a))
+        rep = survey(classes, chartable, TranslatedInverse(a))
         counts = translated_inverse_counts(table, classes, a)
         xs, ys = np.nonzero(counts)
         assert [(p.x_class, p.y_class) for p in rep.pairs] == list(zip(xs.tolist(), ys.tolist()))
@@ -406,7 +406,7 @@ def test_survey_bijection_coupling(group_cache):
     table, classes, _, chartable = group_cache("S:4")
     stream = make_stream(17)
     mapping = tuple(int(i) for i in stream.permutation(table.order))
-    rep = survey(table, classes, chartable, BijectionCoupling(mapping))
+    rep = survey(classes, chartable, BijectionCoupling(mapping))
     assert sum(p.weight for p in rep.pairs) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -419,7 +419,7 @@ def test_bijection_validation(tmp_path):
 
 def test_survey_quantiles_monotone(group_cache):
     table, classes, _, chartable = group_cache("A:6")
-    rep = survey(table, classes, chartable, Independent())
+    rep = survey(classes, chartable, Independent())
     values = [v for _, v in rep.quantiles]
     assert values == sorted(values)
 
@@ -436,7 +436,7 @@ def test_survey_pairs_match_per_pair_routes(label, group_cache):
     """Batched survey rows equal the per-pair character, distance and brute coverage routes."""
     table, classes, _, chartable = group_cache(label)
     for coupling in _all_couplings(table):
-        rep = survey(table, classes, chartable, coupling)
+        rep = survey(classes, chartable, coupling)
         assert [(p.x_class, p.y_class) for p in rep.pairs] == sorted((p.x_class, p.y_class) for p in rep.pairs)
         for p in rep.pairs:
             x, y = p.x_class, p.y_class
@@ -453,7 +453,7 @@ def test_survey_l1_equals_one_pair_stats_bit_for_bit(label, group_cache):
     print the same l1 for the same pair whatever other pairs the survey holds."""
     table, classes, _, chartable = group_cache(label)
     for coupling in _all_couplings(table):
-        for p in survey(table, classes, chartable, coupling).pairs:
+        for p in survey(classes, chartable, coupling).pairs:
             one = _one(p_char(p.x_class, p.y_class, chartable, classes), p.x_class, p.y_class, classes)
             assert p.l1 == one.l1, (label, coupling, p.x_class, p.y_class)
 
@@ -464,7 +464,7 @@ def test_survey_thresholds_are_exact(label, group_cache):
     table, classes, _, chartable = group_cache(label)
     deltas = (0.0, 0.5, 1.0, 2.0, 3.0)
     for coupling in _all_couplings(table):
-        rep = survey(table, classes, chartable, coupling, thresholds=deltas)
+        rep = survey(classes, chartable, coupling, thresholds=deltas)
         for delta, prob in rep.thresholds:
             expected = 0.0
             for p in rep.pairs:
@@ -480,15 +480,15 @@ def test_survey_threshold_ties_count(group_cache):
     """Pairs with N exactly 1 + delta count: A_5 (identity, 3-cycles) has N = 3, float 3.0000000000000004."""
     for label, exact in (("A:5", Fraction(3521, 3600)), ("PSL2:7", Fraction(28001, 28224))):
         table, classes, _, chartable = group_cache(label)
-        rep = survey(table, classes, chartable, Independent(), thresholds=(2.0,))
+        rep = survey(classes, chartable, Independent(), thresholds=(2.0,))
         assert dict(rep.thresholds)[2.0] == pytest.approx(float(exact), abs=1e-12), label
 
 
 def test_survey_rejects_nan_threshold(group_cache):
     table, classes, _, chartable = group_cache("S:4")
     with pytest.raises(SpecSyntax):
-        survey(table, classes, chartable, Independent(), thresholds=(1.0, float("nan")))
-    rep = survey(table, classes, chartable, Independent(), thresholds=(-math.inf, math.inf))
+        survey(classes, chartable, Independent(), thresholds=(1.0, float("nan")))
+    rep = survey(classes, chartable, Independent(), thresholds=(-math.inf, math.inf))
     assert rep.thresholds[0][1] == 0.0
     assert rep.thresholds[1][1] == pytest.approx(1.0, abs=1e-12)
 
@@ -497,7 +497,7 @@ def test_survey_rejects_imaginary_character_noise(group_cache):
     table, classes, _, chartable = group_cache("A:5")
     noisy = chartable._replace(values=chartable.values + 1e-6j * np.arange(classes.k))
     with pytest.raises(InvariantViolation):
-        survey(table, classes, noisy, Independent())
+        survey(classes, noisy, Independent())
     with pytest.raises(InvariantViolation):
         p_char(1, 2, noisy, classes)
 
