@@ -246,11 +246,11 @@ def _cmd_interleave(args) -> int:
     table.full_mul_table()  # exits 4 above MUL_TABLE_LIMIT before any tuple set is drawn
     a_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 1))
     b_set = seeded_tuple_set(table, args.t, args.alpha, make_stream(args.seed, 2))
-    set_bytes, alpha, beta = a_set.mask.nbytes + b_set.mask.nbytes, float(a_set.density), float(b_set.density)
+    set_bytes, alpha, beta = a_set.bits.nbytes + b_set.bits.nbytes, float(a_set.density), float(b_set.density)
     start = time.perf_counter()
     if args.mc is not None:
-        cols = a_set.columns, b_set.columns  # decoded after both draws, so B's draw holds A's mask, not its columns
-        del a_set, b_set  # the kernel reads only columns: both |G|^t masks are freed before its index blocks
+        cols = a_set.columns, b_set.columns  # decoded after both draws, so B's draw holds A's bits, not its columns
+        del a_set, b_set  # the kernel reads only columns: both sets' bits are freed before its index blocks
         mode, est = "montecarlo", mc_distribution(*cols, args.mc, make_stream(args.seed, 3), table)
     else:
         mode, est = "exact", exact_distribution(a_set, b_set, table)

@@ -1,9 +1,12 @@
 """Interleaved products over G^t and the rectangle distinguishing experiment.
 
 A t-tuple pair (a, b) multiplies out as a1 b1 a2 b2 ... at bt.  Tuple sets are
-materialized explicitly (as membership masks over the base-|G| codes of G^t) so
-densities are exact rationals and exact enumeration is possible within the loop
-budget.  Monte Carlo reads only the member columns (`TupleSet.columns`), never a mask.
+materialized explicitly, as packed membership bits over the base-|G| codes of G^t
+(one bit per tuple), so densities are exact rationals and exact enumeration is
+possible within the loop budget.  The bits are counted, decoded and converted in
+`ROW_CHUNK`-code chunks, and `RectangleProtocol.cover` reads one bit per code, so
+only exact enumeration unpacks a whole set.  Monte Carlo reads only the member
+columns (`TupleSet.columns`), never the bits.
 The conditional sampler for a fixed product g uses the free-coordinate
 bijection: a and b1..b_{t-1} determine b_t, so drawing the free coordinates
 uniformly is exactly uniform on the fiber.
@@ -65,27 +68,31 @@ def _pipeline(fn, blocks):
     results do not depend on the number of workers.  The one rule: block k + 1 is taken from `blocks` on
     the caller's thread, where the stream draws happen, while the workers run block k, and only then are
     block k's results yielded.  So draws keep the calls and order of a serial loop, no item of block k + 1
-    runs beside one of block k, and at most two blocks and one block's results are held.  Nothing runs
-    unless the caller uses up the generator.
+    runs beside one of block k, and at most two blocks and one block's results are held.  Once submitted,
+    an item is held only by its task, so it is freed as soon as fn(item) returns.  Nothing runs unless the
+    caller uses up the generator.
     """
     pool, pending = _pool(), []
     for block in blocks:  # taken while the pending block runs
         yield from (f.result() for f in pending)
         pending = [pool.submit(fn, x) for x in block]
+        del block
     yield from (f.result() for f in pending)
 
 
 class TupleSet:
-    """Subset of G^t held as a membership mask over tuple codes (base |G| digits = coordinates)."""
+    """Subset of G^t held as packed membership bits over tuple codes (base |G| digits = coordinates)."""
 
-    def __init__(self, arity: int, group_order: int, mask: np.ndarray):
+    def __init__(self, arity: int, group_order: int, bits: np.ndarray):
         self.arity = arity
         self.group_order = group_order
-        self.mask = mask  # bool, length |G|^t; entry c is True when the tuple with code c is a member
+        # uint8, ceil(|G|^t / 8) bytes, np.packbits(mask, bitorder="little") of the membership mask: code c is a
+        # member when bit c & 7 of byte c >> 3 is set; the pad bits past |G|^t are zero
+        self.bits = bits
 
     @cached_property
     def size(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return int(sum(_chunk_counts(self.bits, _chunk_bytes())))
 
     @property
     def density(self) -> Fraction:
@@ -95,16 +102,43 @@ class TupleSet:
     def columns(self) -> np.ndarray:
         """Coordinates, shape (size, arity): column i is coordinate i, each tuple one contiguous row."""
         out = np.empty((self.size, self.arity), dtype=np.min_scalar_type(self.group_order - 1))
-        starts = range(0, len(self.mask), ROW_CHUNK)  # no int64 array of every member code at once
-        ends = np.cumsum([np.count_nonzero(self.mask[lo : lo + ROW_CHUNK]) for lo in starts])
+        step = _chunk_bytes()
+        starts = range(0, len(self.bits), step)  # no int64 array of every member code at once
+        ends = np.cumsum(_chunk_counts(self.bits, step))
 
         def decode(i):  # chunk i fills rows ends[i-1]:ends[i] of out
-            codes = np.flatnonzero(self.mask[starts[i] : starts[i] + ROW_CHUNK]) + starts[i]
+            codes = np.flatnonzero(_unpack(self.bits[starts[i] : starts[i] + step])) + 8 * starts[i]
             out[ends[i] - len(codes) : ends[i]] = decode_tuples(codes, self.arity, self.group_order)
 
         for _ in _pipeline(decode, [range(len(starts))]):
             pass
         return out
+
+    def contains(self, codes: np.ndarray) -> np.ndarray:
+        """Membership flags of int64 tuple codes, each read from its own bit: the set is never unpacked."""
+        return ((self.bits.take(codes >> 3) >> (codes.astype(np.uint8) & 7)) & 1).view(bool)
+
+
+def _chunk_bytes() -> int:
+    """Bytes of packed bits per chunk: ROW_CHUNK tuple codes, rounded up to whole bytes."""
+    return -(-ROW_CHUNK // 8)
+
+
+def _chunk_counts(bits: np.ndarray, step: int) -> list[int]:
+    """Members in each `step`-byte chunk of packed bits, unpacked one chunk at a time."""
+    return [np.count_nonzero(_unpack(bits[lo : lo + step])) for lo in range(0, len(bits), step)]
+
+
+def _unpack(bits: np.ndarray) -> np.ndarray:
+    """Bool flags of packed bits, 8 per byte: flat-non-zero reads a bool view about twice as fast as uint8."""
+    return np.unpackbits(bits, bitorder="little").view(bool)
+
+
+def _pack_codes(codes: np.ndarray, total: int) -> np.ndarray:
+    """Packed bits of `total` tuple codes in which exactly the given int64 codes are set."""
+    bits = np.zeros(-(-total // 8), dtype=np.uint8)
+    np.bitwise_or.at(bits, codes >> 3, np.left_shift(np.uint8(1), codes.astype(np.uint8) & 7))
+    return bits
 
 
 def encode_tuples(rows: np.ndarray, order: int) -> np.ndarray:
@@ -133,16 +167,17 @@ def explicit_tuple_set(table: GroupTable, rows: list[tuple[int, ...]]) -> TupleS
     t = len(rows[0])
     if table.order**t > 2**63 - 1:  # codes are int64
         raise UnsupportedParameters(f"|G|^t = {table.order}^{t} tuple codes overflow int64")
-    mask = np.zeros(_tuple_count(table.order, t), dtype=bool)
+    total = _tuple_count(table.order, t)
     for r in rows:
         if len(r) != t:
             raise ArityMismatch(f"tuple {r} has arity {len(r)}, expected {t}")
         if any(not (0 <= x < table.order) for x in r):
             raise SpecSyntax(f"element index out of range in tuple {r}")
-    mask[encode_tuples(np.array(rows, dtype=np.int64), table.order)] = True
-    if np.count_nonzero(mask) != len(rows):
+    bits = _pack_codes(encode_tuples(np.array(rows, dtype=np.int64), table.order), total)
+    tset = TupleSet(arity=t, group_order=table.order, bits=bits)
+    if tset.size != len(rows):
         raise SpecSyntax("duplicate tuples in explicit tuple set")
-    return TupleSet(arity=t, group_order=table.order, mask=mask)
+    return tset
 
 
 def seeded_tuple_set(table: GroupTable, arity: int, density: float, stream: np.random.Generator) -> TupleSet:
@@ -156,15 +191,20 @@ def seeded_tuple_set(table: GroupTable, arity: int, density: float, stream: np.r
     if not (0.0 < density <= 1.0):
         raise SpecSyntax(f"density must lie in (0, 1], got {density}")
     m = max(1, round(density * total))
-    mask = np.ones(total, dtype=bool) if m == total else _draw_mask(total, m, stream)
-    return TupleSet(arity=arity, group_order=table.order, mask=mask)
+    if m == total:
+        bits = np.full(-(-total // 8), 0xFF, dtype=np.uint8)
+        bits[-1] >>= -total % 8  # the pad bits stay zero
+    else:
+        bits = _draw_bits(total, m, stream)
+    return TupleSet(arity=arity, group_order=table.order, bits=bits)
 
 
 _UNSET = np.iinfo(np.uint32).max  # no step swapped into this position; steps are below MAX_MATERIALIZED
+_END = _UNSET - 1  # this tail position ends a chain, so it is not a member; also above every position
 
 
-def _draw_mask(total: int, m: int, stream: np.random.Generator) -> np.ndarray:
-    """Membership mask of stream.choice(total, m, replace=False), leaving the stream where choice does.
+def _draw_bits(total: int, m: int, stream: np.random.Generator) -> np.ndarray:
+    """Packed membership bits of stream.choice(total, m, replace=False), leaving the stream where choice does.
 
     Where numpy's choice takes Floyd's algorithm it holds O(m), and is called.  On its other
     branch, the tail shuffle, choice swaps position i of an int64 arange(total) with a uniform
@@ -174,12 +214,13 @@ def _draw_mask(total: int, m: int, stream: np.random.Generator) -> np.ndarray:
     value y unless a step hit it; if one did, it ends holding the value at the end of the chain
     y -> first[y] -> first[first[y]] -> ..., a tail position.  So the members are the hit head
     positions and every tail position that ends no chain.  A worker fills `first` from one block of
-    draws while the caller draws the next.
+    draws while the caller draws the next.  Each chain end is then marked _END in `first` itself:
+    a step has one swap, so each position has at most one predecessor and the chains are disjoint
+    paths, and marking one chain's end changes no other chain's walk.  The bits are read off `first`
+    last, one chunk at a time, so a draw holds `first` and the bits, 4 1/8 bytes per code.
     """
     if total <= 10_000 or m <= total // 50:  # numpy's own test for Floyd's algorithm
-        mask = np.zeros(total, dtype=bool)
-        mask[stream.choice(total, size=m, replace=False)] = True
-        return mask
+        return _pack_codes(stream.choice(total, size=m, replace=False), total)
     head, stop = total - m, max(total - m, 1)
     first = np.full(total, _UNSET, dtype=np.uint32)
 
@@ -194,13 +235,10 @@ def _draw_mask(total: int, m: int, stream: np.random.Generator) -> np.ndarray:
 
     for _ in _pipeline(fill, map(draw, range(total, stop, -ROW_CHUNK))):  # fill returns nothing: this runs the blocks
         pass
-    mask = np.ones(total, dtype=bool)
 
     def clear_chain_ends(lo):  # chains from distinct head positions end at distinct tail positions
-        hit = mask[lo : min(lo + ROW_CHUNK, head)]
-        hits = first[lo : lo + len(hit)]
-        np.not_equal(hits, _UNSET, out=hit)
-        ends = hits[hit]
+        hits = first[lo : min(lo + ROW_CHUNK, head)]
+        ends = hits[hits != _UNSET]
         live, nxt = np.arange(len(ends)), first.take(ends)
         more = np.flatnonzero(nxt != _UNSET)
         while more.size:  # take and put: about 25% faster here than integer-array indexing
@@ -208,11 +246,22 @@ def _draw_mask(total: int, m: int, stream: np.random.Generator) -> np.ndarray:
             ends.put(live, nxt.take(more))
             nxt = first.take(ends.take(live))
             more = np.flatnonzero(nxt != _UNSET)
-        mask.put(ends, False)
+        first.put(ends, _END)
 
     for _ in _pipeline(clear_chain_ends, [range(0, head, ROW_CHUNK)]):
         pass
-    return mask
+    bits, step = np.empty(-(-total // 8), dtype=np.uint8), _chunk_bytes()
+
+    def pack(lo):  # bytes lo:lo + step, from codes 8 lo onwards; packbits leaves the last byte's pad bits zero
+        part = first[8 * lo : 8 * (lo + step)]
+        flags = part != _END  # a tail position is a member unless it ends a chain
+        heads = min(max(head - 8 * lo, 0), len(part))  # the head positions come first
+        np.not_equal(part[:heads], _UNSET, out=flags[:heads])  # a head position is a member when a step hit it
+        bits[lo : lo + step] = np.packbits(flags, bitorder="little")
+
+    for _ in _pipeline(pack, [range(0, len(bits), step)]):
+        pass
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +306,7 @@ def exact_distribution(a_set: TupleSet, b_set: TupleSet, table: GroupTable) -> I
 
     a . b = a1 h where h = b1 a2 b2 ... at bt depends on a only through s = (a2..at):
     B is folded once per suffix s into tails[s, h], and pair_counts = firsts^T tails,
-    where row s of A's mask viewed as (|G|^(t-1), |G|) is the first-coordinate histogram of s.
+    where row s of A's unpacked mask viewed as (|G|^(t-1), |G|) is the first-coordinate histogram of s.
     """
     _check_compat((a_set.arity, b_set.arity), a_set.group_order == b_set.group_order == table.order)
     pairs = a_set.size * b_set.size
@@ -266,7 +315,7 @@ def exact_distribution(a_set: TupleSet, b_set: TupleSet, table: GroupTable) -> I
         raise LoopBudgetExceeded(f"{pairs} pairs exceed the loop budget")
     order = table.order
     mul = table.full_mul_table()
-    by_suffix = a_set.mask.reshape(-1, order)  # row: suffix code (a2..at), column: a1
+    by_suffix = _unpack(a_set.bits)[: order**a_set.arity].reshape(-1, order)  # row: suffix (a2..at), column: a1
     suffixes = np.flatnonzero(by_suffix.any(axis=1))
     per = max(1, ROW_CHUNK // order)  # suffixes per firsts^T tails product, so none is a thin update
     step = max(1, ROW_CHUNK // max(b_set.size, order))  # suffixes per fold block, about ROW_CHUNK products each
@@ -304,11 +353,13 @@ def mc_distribution(
     stream: np.random.Generator,
     table: GroupTable,
 ) -> InterleaveEstimate:
-    """Monte Carlo estimate with uniform draws from A and B, given as member columns (TupleSet.columns), no mask.
+    """Monte Carlo estimate with uniform draws from A and B, given as member columns (TupleSet.columns), no bits.
 
-    Each block of MC_BLOCK samples draws its A indices, then its B indices.  The caller's thread
-    draws block k + 1 while the workers gather, chain and count block k's slices; each slice's
-    counts are added up as they come.
+    Each block of MC_BLOCK samples draws its A indices, then its B indices, one int32 call per
+    ROW_CHUNK slice: the bounded int32 draw takes the stream one value at a time, so these are the
+    values of one call per block.  The caller's thread draws block k + 1 while the workers gather,
+    chain and count block k's slices; each slice's indices are freed once it is counted, and each
+    slice's counts are added up as they come.
     """
     _check_compat((a_cols.shape[1], b_cols.shape[1]), max(a_cols.max(), b_cols.max()) < table.order)
     if samples < MIN_MC_SAMPLES:
@@ -321,9 +372,10 @@ def mc_distribution(
 
     def draw(lo):  # int32 indices, the same values as int64 ones: |A| and |B| are below MAX_MATERIALIZED
         n = min(MC_BLOCK, samples - lo)
-        ia = stream.integers(0, len(a_cols), size=n, dtype=np.int32)
-        ib = stream.integers(0, len(b_cols), size=n, dtype=np.int32)
-        return [(ia[i : i + ROW_CHUNK], ib[i : i + ROW_CHUNK]) for i in range(0, n, ROW_CHUNK)]
+        sizes = [min(ROW_CHUNK, n - i) for i in range(0, n, ROW_CHUNK)]
+        ia = [stream.integers(0, len(a_cols), size=k, dtype=np.int32) for k in sizes]
+        ib = [stream.integers(0, len(b_cols), size=k, dtype=np.int32) for k in sizes]
+        return list(zip(ia, ib))
 
     counts = np.zeros(table.order, dtype=np.int64)
     for slice_counts in _pipeline(count, map(draw, range(0, samples, MC_BLOCK))):
@@ -405,9 +457,9 @@ class RectangleProtocol(NamedTuple):
         bits = np.full(len(a_codes), -1, dtype=np.int8)
         twice = np.zeros(len(a_codes), dtype=bool)
         for rect in self.rectangles:
-            mask = rect.a_set.mask.take(a_codes) & rect.b_set.mask.take(b_codes)
-            twice |= mask & (bits >= 0)
-            bits[mask] = rect.bit
+            inside = rect.a_set.contains(a_codes) & rect.b_set.contains(b_codes)
+            twice |= inside & (bits >= 0)
+            bits[inside] = rect.bit
         return bits, _first_pair(twice, a_codes, b_codes), _first_pair(bits < 0, a_codes, b_codes)
 
 
@@ -465,7 +517,9 @@ def _acceptance(protocol: RectangleProtocol, table: GroupTable, g: int, arity: i
         a, b = a_rows[lo : lo + len(free)], np.empty((len(free), arity), dtype=np.intp)
         b[:, :-1] = free
         _complete_rows(mul, inverses, a, b, g)
-        bits, twice, uncovered = protocol.cover(encode_tuples(a, order), encode_tuples(b, order))
+        codes = encode_tuples(a, order), encode_tuples(b, order)
+        del b  # its intp rows are freed before cover's bit tests run
+        bits, twice, uncovered = protocol.cover(*codes)
         return int(np.count_nonzero(bits > 0)), twice, uncovered
 
     accepted, twice, uncovered = zip(*_pipeline(accept, map(draw, range(0, samples, per))))

@@ -553,7 +553,17 @@ def rectangle_bound_check(protocol, table, g: int, h: int) -> tuple[float, float
 
 def full_tuple_set(table, arity: int) -> TupleSet:
     """All of G^t, as `interleave --alpha 1` draws it."""
-    return TupleSet(arity, table.order, np.ones(table.order**arity, dtype=bool))
+    return TupleSet(arity, table.order, packed(np.ones(table.order**arity, dtype=bool)))
+
+
+def packed(mask) -> np.ndarray:
+    """TupleSet bits of a bool membership mask over the tuple codes."""
+    return np.packbits(mask, bitorder="little")
+
+
+def mask_of(tset) -> np.ndarray:
+    """The bool membership mask of a tuple set, one entry per tuple of G^t (the pad bits dropped)."""
+    return np.unpackbits(tset.bits, count=tset.group_order**tset.arity, bitorder="little").view(bool)
 
 
 def save_tuple_set(path, tset, group_label: str):

@@ -214,7 +214,7 @@ def test_interleave_meta_records_work(tmp_path):
     assert meta["fold_lookups"] == 60 * 1800 * 3
     assert meta["tail_products"] == 1  # the 60 suffix rows fit one product of ROW_CHUNK // 60 rows
     assert meta["kernel_s"] > 0 and meta["total_per_s"] > 0
-    assert meta["tuple_set_bytes"] == 2 * 60**2  # two masks, one byte per tuple of G^2
+    assert meta["tuple_set_bytes"] == 2 * 60**2 // 8  # two sets' bits, one bit per tuple of G^2
     assert meta["peak_rss_mb"] > 0
     report = json.loads((tmp_path / "exact" / "interleave__A5__seed0.json").read_text())
     assert not {"pairs", "suffixes", "kernel_s", "tuple_set_bytes", "peak_rss_mb"} & set(report)
@@ -223,16 +223,16 @@ def test_interleave_meta_records_work(tmp_path):
     assert meta["mode"] == "montecarlo"
     assert meta["samples"] == 20000
     assert meta["total_per_s"] == pytest.approx(20000 / meta["kernel_s"])
-    assert meta["tuple_set_bytes"] == 2 * 60**3
+    assert meta["tuple_set_bytes"] == 2 * 60**3 // 8
 
 
 def test_interleave_mc_frees_both_masks_before_the_kernel(monkeypatch):
-    """Monte Carlo reads only member columns: no |G|^t mask is alive once mc_distribution is entered."""
+    """Monte Carlo reads only member columns: neither set's bits are alive once mc_distribution is entered."""
     masks, draw, kernel = [], cli.seeded_tuple_set, cli.mc_distribution
 
     def recording_draw(*args):
         tset = draw(*args)
-        masks.append(weakref.ref(tset.mask))
+        masks.append(weakref.ref(tset.bits))
         return tset
 
     def checking_kernel(*args):
@@ -245,8 +245,9 @@ def test_interleave_mc_frees_both_masks_before_the_kernel(monkeypatch):
 
 
 def test_interleave_mc_peaks_in_the_second_draw(monkeypatch):
-    """A t=4 Monte Carlo run holds at most what drawing B holds, 6 bytes per tuple of G^t (A's mask, B's `first` and
-    mask), the bound of test_seeded_tuple_set_memory.  Two workers fix the O(ROW_CHUNK) transients in flight."""
+    """A t=4 Monte Carlo run holds at most what drawing B holds, 4 1/4 bytes per tuple of G^t (A's bits, B's `first`
+    and bits), the bound of test_seeded_tuple_set_memory; decoding B holds as much (both sets' bits and columns, 2
+    bytes per tuple each at density 1/2).  Two workers fix the O(ROW_CHUNK) transients in flight."""
     with ThreadPoolExecutor(2) as pool:
         monkeypatch.setattr(interleave, "_POOL", pool)
         tracemalloc.start()
@@ -255,7 +256,7 @@ def test_interleave_mc_peaks_in_the_second_draw(monkeypatch):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peak <= 6 * 60**4 + (4 << 20)
+    assert peak <= 4 * 60**4 + 60**4 // 4 + (4 << 20)
 
 
 def test_every_meta_records_peak_rss(tmp_path):

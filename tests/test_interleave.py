@@ -4,6 +4,7 @@ import os
 import re
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -45,6 +46,8 @@ from _oracles import (
     fold_exact_counts,
     full_tuple_set,
     interleave_product,
+    mask_of,
+    packed,
     rectangle_bound_check,
     save_tuple_set,
     tuple_rows,
@@ -186,7 +189,7 @@ def test_exact_distribution_matches_per_tuple_fold(monkeypatch, label, t, densit
     a_set = seeded_tuple_set(table, t, density, make_stream(70))
     b_set = seeded_tuple_set(table, t, density, make_stream(71))
     assert a_set.columns.dtype == dtype
-    a_codes, b_codes = np.flatnonzero(a_set.mask), np.flatnonzero(b_set.mask)
+    a_codes, b_codes = np.flatnonzero(mask_of(a_set)), np.flatnonzero(mask_of(b_set))
     reference = fold_exact_counts(table.full_mul_table(), a_codes, b_codes, t)
     assert np.array_equal(exact_distribution(a_set, b_set, table).counts, reference)
     for suffixes_per_chunk in chunk_sizes:
@@ -206,7 +209,8 @@ def test_exact_distribution_batches_tail_products(monkeypatch, group_cache, labe
     if table.order <= 6:
         reference = _pair_loop_counts(table, a_set, b_set)
     else:
-        reference = fold_exact_counts(table.full_mul_table(), np.flatnonzero(a_set.mask), np.flatnonzero(b_set.mask), t)
+        a_codes, b_codes = np.flatnonzero(mask_of(a_set)), np.flatnonzero(mask_of(b_set))
+        reference = fold_exact_counts(table.full_mul_table(), a_codes, b_codes, t)
     assert np.array_equal(est.counts, reference)
     rows = max(1, chunk // table.order)
     assert est.work["tail_products"] == math.ceil(est.work["suffixes"] / rows)
@@ -219,7 +223,7 @@ def test_mc_distribution_matches_decode_fold_loop(monkeypatch, a5, t):
     monkeypatch.setattr(interleave, "MC_BLOCK", 12_345)
     est = mc_distribution(a_set.columns, b_set.columns, 50_000, make_stream(82), a5)
     mul = a5.full_mul_table()
-    a_codes, b_codes = np.flatnonzero(a_set.mask), np.flatnonzero(b_set.mask)
+    a_codes, b_codes = np.flatnonzero(mask_of(a_set)), np.flatnonzero(mask_of(b_set))
     reference = decode_fold_mc_counts(mul, a_codes, b_codes, t, 50_000, make_stream(82), 12_345)
     assert np.array_equal(est.counts, reference)
 
@@ -274,7 +278,7 @@ def test_mc_requires_min_samples(s3):
 def test_seeded_tuple_set_reproducible(s3):
     t1 = seeded_tuple_set(s3, 2, 0.5, make_stream(7))
     t2 = seeded_tuple_set(s3, 2, 0.5, make_stream(7))
-    assert np.array_equal(t1.mask, t2.mask)
+    assert np.array_equal(t1.bits, t2.bits)
     assert t1.density == Fraction(18, 36)
 
 
@@ -284,16 +288,60 @@ def test_seeded_tuple_set_reproducible(s3):
     ids=["S3-t2", "A5-t3-floyd", "A5-t4-tail-shuffle", "PSL27-t2"],
 )
 def test_seeded_tuple_set_is_the_sorted_choice(label, t, density):
-    """The mask holds exactly numpy's choice draw and leaves the caller's stream where the draw left it."""
+    """The bits hold exactly numpy's choice draw, one bit per tuple, and leave the caller's stream where the draw
+    left it."""
     table = group_build(GroupSpec.parse(label))
     total = table.order**t
     stream, reference = make_stream(90), make_stream(90)
     tset = seeded_tuple_set(table, t, density, stream)
     expected = np.sort(reference.choice(total, size=max(1, round(density * total)), replace=False))
-    codes = np.flatnonzero(tset.mask)
+    codes = np.flatnonzero(mask_of(tset))
     assert codes.dtype == np.int64 and np.array_equal(codes, expected)
     assert stream.bit_generator.state == reference.bit_generator.state
-    assert tset.mask.shape == (total,) and tset.size == len(expected)
+    assert tset.bits.dtype == np.uint8 and tset.bits.shape == (-(-total // 8),) and tset.size == len(expected)
+
+
+@pytest.mark.parametrize("label,t", [("trivial", 1), ("trivial", 2), ("trivial", 3), ("S:3", 1)])
+def test_bits_pad_stays_zero(tmp_path, label, t):
+    """|G|^t % 8 != 0 leaves pad bits in the last byte: every producer keeps them zero, so a held set is
+    ceil(|G|^t / 8) bytes and its size is the count of the unpacked mask."""
+    if label == "trivial":  # the trivial group, as a permgen file
+        (tmp_path / "g.txt").write_text("n=3\n()\n")
+        label = f"permgen:{tmp_path / 'g.txt'}"
+    table = group_build(GroupSpec.parse(label))
+    total = table.order**t
+    assert total % 8
+    sets = [seeded_tuple_set(table, t, alpha, make_stream(119)) for alpha in (0.5, 1.0)]
+    sets.append(explicit_tuple_set(table, [(table.order - 1,) * t]))
+    for tset in sets:
+        assert tset.bits.dtype == np.uint8 and tset.bits.nbytes == -(-total // 8)
+        assert not np.unpackbits(tset.bits, bitorder="little")[total:].any()
+        assert tset.size == np.count_nonzero(mask_of(tset)) == np.count_nonzero(np.unpackbits(tset.bits))
+    assert sets[1].size == total
+    assert main(["interleave", label, "--t", str(t), "--alpha", "1", "--quiet", "--out", str(tmp_path)]) == 0
+    meta = json.loads(next(tmp_path.glob("interleave__*.meta.json")).read_text())
+    assert meta["tuple_set_bytes"] == 2 * -(-total // 8)
+
+
+@pytest.mark.parametrize("label,t", [("A:5", 1), ("A:5", 2), ("S:3", 3)])
+def test_cover_bit_test_reads_the_unpacked_masks(label, t):
+    """cover reads one bit per code; on random codes it gives what the unpacked masks give, overlaps and gaps too."""
+    table = group_build(GroupSpec.parse(label))
+    total = table.order**t
+    sets = [seeded_tuple_set(table, t, density, make_stream(120 + i)) for i, density in enumerate((0.5, 0.3, 0.7))]
+    protocol = RectangleProtocol((Rectangle(sets[0], sets[1], 1), Rectangle(sets[2], sets[0], 0)))
+    a_codes, b_codes = (make_stream(s).integers(0, total, size=20_000) for s in (124, 125))
+    for tset in sets:
+        assert np.array_equal(tset.contains(a_codes), mask_of(tset)[a_codes])
+    bits, twice = np.full(len(a_codes), -1, dtype=np.int8), np.zeros(len(a_codes), dtype=bool)
+    for rect in protocol.rectangles:
+        inside = mask_of(rect.a_set)[a_codes] & mask_of(rect.b_set)[b_codes]
+        twice |= inside & (bits >= 0)
+        bits[inside] = rect.bit
+    got, first_twice, first_uncovered = protocol.cover(a_codes, b_codes)
+    assert np.array_equal(got, bits) and twice.any() and (bits < 0).any()
+    i, j = np.argmax(twice), np.argmax(bits < 0)
+    assert first_twice == (a_codes[i], b_codes[i]) and first_uncovered == (a_codes[j], b_codes[j])
 
 
 class _RecordingStream:
@@ -327,8 +375,10 @@ def test_draw_mask_at_choice_branch_edges(monkeypatch, total, m, method, chunk):
     monkeypatch.setattr(interleave, "ROW_CHUNK", chunk)
     stream, reference = make_stream(93), make_stream(93)
     recorder = _RecordingStream(stream)
-    mask = interleave._draw_mask(total, m, recorder)
-    assert np.array_equal(np.flatnonzero(mask), np.sort(reference.choice(total, size=m, replace=False)))
+    bits = interleave._draw_bits(total, m, recorder)
+    expected = np.zeros(total, dtype=bool)
+    expected[reference.choice(total, size=m, replace=False)] = True
+    assert np.array_equal(bits, packed(expected))
     assert stream.bit_generator.state == reference.bit_generator.state
     assert recorder.calls == {method}
 
@@ -338,15 +388,16 @@ def test_seeded_tuple_sets_from_a_shared_stream(s3):
     a = seeded_tuple_set(s3, 2, 0.5, stream)
     b = seeded_tuple_set(s3, 2, 0.5, stream)
     for tset in (a, b):
-        assert np.array_equal(np.flatnonzero(tset.mask), np.sort(reference.choice(36, size=18, replace=False)))
+        assert np.array_equal(np.flatnonzero(mask_of(tset)), np.sort(reference.choice(36, size=18, replace=False)))
     assert stream.bit_generator.state == reference.bit_generator.state
 
 
 def test_columns_decode_in_chunks(monkeypatch, a5):
-    """A ragged prime chunk: 2,227 chunks of 97 codes, 827 of them empty, the last holding 78."""
+    """A ragged prime chunk: 97 codes round up to 13 bytes, so 2,077 chunks of 104 codes, 717 of them empty, the
+    last holding 96."""
     monkeypatch.setattr(interleave, "ROW_CHUNK", 97)
     tset = seeded_tuple_set(a5, 3, 0.01, make_stream(91))
-    assert np.array_equal(tset.columns, interleave.decode_tuples(np.flatnonzero(tset.mask), 3, a5.order))
+    assert np.array_equal(tset.columns, interleave.decode_tuples(np.flatnonzero(mask_of(tset)), 3, a5.order))
     assert tset.columns.dtype == np.uint8
 
 
@@ -399,7 +450,7 @@ def _fanned_out(pool, kernel, *names):
 
 
 def _kernel_results(monkeypatch, table, workers):
-    """Seeded masks, MC counts, decoded columns, fiber rows and an advantage report, on a pool of `workers` threads.
+    """Seeded bits, MC counts, decoded columns, fiber rows and an advantage report, on a pool of `workers` threads.
 
     The pipelined kernels (the swap fill of a seeded draw, the MC counts and the acceptance chunks) must each hand
     the pool more than one task of their own; fiber_sample runs on the calling thread."""
@@ -411,18 +462,18 @@ def _kernel_results(monkeypatch, table, workers):
         a_cols = _fanned_out(pool, lambda: a_set.columns)
         b_cols = _fanned_out(pool, lambda: b_set.columns)
         mc = _fanned_out(pool, lambda: mc_distribution(a_cols, b_cols, 50_000, make_stream(98), table), "count")
-        fresh = _fanned_out(pool, lambda: TupleSet(a_set.arity, a_set.group_order, a_set.mask).columns)
+        fresh = _fanned_out(pool, lambda: TupleSet(a_set.arity, a_set.group_order, a_set.bits).columns)
         fiber = fiber_sample(table, 7, 3, make_stream(99), draws=40_000)
         protocol = _half_split_protocol(table)
         report = _fanned_out(
             pool, lambda: advantage(protocol, table, 0, 5, samples=30_000, stream=make_stream(100)), "accept"
         )
-    return (a_set.mask, b_set.mask, mc.counts, fresh, a_cols, b_cols, *fiber, report)
+    return (a_set.bits, b_set.bits, mc.counts, fresh, a_cols, b_cols, *fiber, report)
 
 
 def test_kernels_do_not_depend_on_worker_count(monkeypatch, a5):
     """More workers than cores, switching threads often: each worker's slice of the output stays its own."""
-    monkeypatch.setattr(interleave, "ROW_CHUNK", 7777)  # several slices per block and mask, draw calls per fiber
+    monkeypatch.setattr(interleave, "ROW_CHUNK", 7777)  # several slices per block and set, draw calls per fiber
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -435,7 +486,8 @@ def test_kernels_do_not_depend_on_worker_count(monkeypatch, a5):
     assert one[-1] == three[-1]
     total = a5.order**3
     a_codes, b_codes = (np.sort(make_stream(s).choice(total, size=total // 2, replace=False)) for s in (96, 97))
-    assert np.array_equal(np.flatnonzero(one[0]), a_codes) and np.array_equal(np.flatnonzero(one[1]), b_codes)
+    assert np.array_equal(np.flatnonzero(np.unpackbits(one[0], bitorder="little")), a_codes)
+    assert np.array_equal(np.flatnonzero(np.unpackbits(one[1], bitorder="little")), b_codes)
     assert np.array_equal(one[3], interleave.decode_tuples(a_codes, 3, a5.order))
     reference = decode_fold_mc_counts(a5.full_mul_table(), a_codes, b_codes, 3, 50_000, make_stream(98), 12_345)
     assert np.array_equal(one[2], reference)
@@ -448,7 +500,7 @@ def test_pool_without_sched_getaffinity(monkeypatch, a5):
     monkeypatch.setattr(interleave, "ROW_CHUNK", 7777)
     a_set = seeded_tuple_set(a5, 3, 0.5, make_stream(96))
     b_set = seeded_tuple_set(a5, 3, 0.5, make_stream(97))
-    a_codes, b_codes = np.flatnonzero(a_set.mask), np.flatnonzero(b_set.mask)
+    a_codes, b_codes = np.flatnonzero(mask_of(a_set)), np.flatnonzero(mask_of(b_set))
     reference = decode_fold_mc_counts(a5.full_mul_table(), a_codes, b_codes, 3, 50_000, make_stream(98), 12_345)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -461,29 +513,31 @@ def test_pool_without_sched_getaffinity(monkeypatch, a5):
     finally:
         if interleave._POOL is not None:
             interleave._POOL.shutdown()
-    assert np.array_equal(again.mask, a_set.mask)
+    assert np.array_equal(again.bits, a_set.bits)
     assert np.array_equal(mc.counts, reference)
 
 
 def test_seeded_tuple_set_memory(monkeypatch, a5):
-    """A held set costs one byte per tuple of G^t; drawing a second holds 5 more: `first` (uint32) and its mask.
+    """A held set costs one bit per tuple of G^t; drawing a second holds 4 1/8 bytes more: `first` (uint32) and its
+    bits.
 
     tracemalloc counts numpy's data buffers exactly, so these bounds do not depend on the allocator.  Two
     workers fix how many chain slices hold their O(ROW_CHUNK) transients at once.
     """
     total = a5.order**4
+    streams = make_stream(92), make_stream(93)  # made first: the first stream imports numpy.random, about 0.7 MB
     with ThreadPoolExecutor(2) as pool:
         monkeypatch.setattr(interleave, "_POOL", pool)
         tracemalloc.start()
         try:
-            held = seeded_tuple_set(a5, 4, 0.5, make_stream(92))
+            held = seeded_tuple_set(a5, 4, 0.5, streams[0])
             current, _ = tracemalloc.get_traced_memory()
-            second = seeded_tuple_set(a5, 4, 0.5, make_stream(93))
+            second = seeded_tuple_set(a5, 4, 0.5, streams[1])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert current <= total + (64 << 10)
-    assert peak <= 6 * total + (4 << 20)
+    assert current <= total // 8 + (64 << 10)
+    assert peak <= 4 * total + total // 4 + (4 << 20)
     assert held.size == second.size == total // 2
 
 
@@ -523,6 +577,51 @@ def test_mc_distribution_memory_does_not_grow_with_samples(monkeypatch, a5):
             finally:
                 tracemalloc.stop()
     assert peaks[1] <= peaks[0] + (512 << 10), peaks
+
+
+@pytest.mark.parametrize("bound", [7, 1800, 3_240_000])
+def test_mc_slice_draws_equal_the_block_draw(bound):
+    """mc_distribution draws a block's indices one int32 call per ROW_CHUNK slice: the values, and the stream state
+    after them, of one int32 or int64 call for the whole block (71,000 is not a multiple of ROW_CHUNK)."""
+    n = 71_000
+    streams = [make_stream(118) for _ in range(3)]
+    slices = [
+        streams[0].integers(0, bound, size=min(interleave.ROW_CHUNK, n - i), dtype=np.int32)
+        for i in range(0, n, interleave.ROW_CHUNK)
+    ]
+    assert len(slices) == 2
+    whole32 = streams[1].integers(0, bound, size=n, dtype=np.int32)
+    whole64 = streams[2].integers(0, bound, size=n)
+    assert np.array_equal(np.concatenate(slices), whole32) and np.array_equal(whole32, whole64)
+    assert streams[0].bit_generator.state == streams[1].bit_generator.state == streams[2].bit_generator.state
+
+
+def test_mc_slice_indices_die_before_their_block_ends(monkeypatch, a5):
+    """Each Monte Carlo slice's index arrays are held only by its task.  With one worker, slice j is counted after
+    slices 0..j-1 of its block have finished, and by then their arrays are dead."""
+    monkeypatch.setattr(interleave, "ROW_CHUNK", 1000)
+    monkeypatch.setattr(interleave, "MC_BLOCK", 4000)  # 4 slices per block, A's 4 draws then B's
+    cols = [seeded_tuple_set(a5, 2, 0.5, make_stream(s)).columns for s in (113, 114)]
+    stream, drawn, counted, chain = make_stream(115), [], [], interleave._chain
+
+    class RecordingStream:  # weak references to every index array, in draw order
+        def integers(self, *args, **kwargs):
+            out = stream.integers(*args, **kwargs)
+            drawn.append(weakref.ref(out))
+            return out
+
+    def checking_chain(mul, factors):  # runs once per slice, in slice order on one worker
+        j = len(counted)  # slice j is slice j % 4 of block j // 4: draws 8 (j // 4) + j % 4 (A) and 4 later (B)
+        finished = [drawn[8 * (i // 4) + i % 4 + side] for i in range(j) for side in (0, 4)]
+        counted.append(all(ref() is None for ref in finished))
+        return chain(mul, factors)
+
+    monkeypatch.setattr(interleave, "_chain", checking_chain)
+    with ThreadPoolExecutor(1) as pool:
+        monkeypatch.setattr(interleave, "_POOL", pool)
+        est = mc_distribution(*cols, 16_000, RecordingStream(), a5)
+    assert est.counts.sum() == 16_000 and len(drawn) == 32
+    assert counted == [True] * 16
 
 
 def test_explicit_tuple_set_capped(monkeypatch, s3):
@@ -650,7 +749,7 @@ def _half_split_protocol(table, arity=2):
 def _seeded_split_protocol(table, arity, seed):
     """(A x G^t, bit 1) and (A' x G^t, bit 0) for a seeded half A of G^t and its complement A'."""
     half, full = seeded_tuple_set(table, arity, 0.5, make_stream(seed)), full_tuple_set(table, arity)
-    rest = TupleSet(arity, table.order, ~half.mask)
+    rest = TupleSet(arity, table.order, packed(~mask_of(half)))
     return RectangleProtocol(rectangles=(Rectangle(half, full, 1), Rectangle(rest, full, 0)))
 
 
@@ -681,8 +780,8 @@ def test_advantage_names_a_later_overlap_before_an_earlier_uncovered_pair(monkey
     one_a[a_codes[later]] = one_b[b_codes[later]] = True
     protocol = RectangleProtocol(
         rectangles=(
-            Rectangle(TupleSet(2, a5.order, rest), full_tuple_set(a5, 2), 1),
-            Rectangle(TupleSet(2, a5.order, one_a), TupleSet(2, a5.order, one_b), 0),
+            Rectangle(TupleSet(2, a5.order, packed(rest)), full_tuple_set(a5, 2), 1),
+            Rectangle(TupleSet(2, a5.order, packed(one_a)), TupleSet(2, a5.order, packed(one_b)), 0),
         )
     )
     with pytest.raises(OverlappingRectangles) as expected:
@@ -782,7 +881,7 @@ def test_tuple_set_file_roundtrip(s3, tmp_path):
     path = tmp_path / "a.tuples"
     save_tuple_set(path, tset, "S:3")
     loaded = load_tuple_set(path, s3)
-    assert np.array_equal(loaded.mask, tset.mask)
+    assert np.array_equal(loaded.bits, tset.bits)
 
 
 def test_tuple_set_group_mismatch(s3, tmp_path):
