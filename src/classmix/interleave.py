@@ -14,6 +14,8 @@ uniformly is exactly uniform on the fiber.
 
 from __future__ import annotations
 
+import collections
+import copy
 import functools
 import math
 import os
@@ -65,19 +67,30 @@ def _pipeline(fn, blocks):
 
     The kernels hand the workers numpy calls that release the interpreter lock (gathers, table lookups,
     bincount, floor division), and each worker writes only its own slice of any shared output, so the
-    results do not depend on the number of workers.  The one rule: block k + 1 is taken from `blocks` on
-    the caller's thread, where the stream draws happen, while the workers run block k, and only then are
-    block k's results yielded.  So draws keep the calls and order of a serial loop, no item of block k + 1
-    runs beside one of block k, and at most two blocks and one block's results are held.  Once submitted,
-    an item is held only by its task, so it is freed as soon as fn(item) returns.  Nothing runs unless the
-    caller uses up the generator.
+    results do not depend on the number of workers.  Blocks and items are taken on the caller's thread,
+    where the stream draws happen, so draws keep the calls and order of a serial loop.  Two rules:
+    - Between blocks: block k + 1 is taken from `blocks` while the workers run block k's last items, and
+      none of its items is taken before block k's last result is yielded, so no item of block k + 1 runs
+      beside one of block k.
+    - Within a block: a listed block (a list or range) is already held, and all its items are submitted at
+      once, so it is yielded only after block k + 1 is taken.  A lazy block (an iterator) is taken one item
+      at a time, each submitted as it is taken, and once 2 x `_workers()` of its items are outstanding the
+      oldest result is yielded before the next item is taken.
+    Once submitted, an item is held only by its task, so it is freed as soon as fn(item) returns.  Nothing
+    runs unless the caller uses up the generator.
     """
-    pool, pending = _pool(), []
+    pool, pending = _pool(), collections.deque()
     for block in blocks:  # taken while the pending block runs
-        yield from (f.result() for f in pending)
-        pending = [pool.submit(fn, x) for x in block]
+        while pending:
+            yield pending.popleft().result()
+        window = 2 * _workers() if iter(block) is block else None
+        for future in map(functools.partial(pool.submit, fn), block):  # no name holds an item once it is submitted
+            pending.append(future)
+            if len(pending) == window:
+                yield pending.popleft().result()
         del block
-    yield from (f.result() for f in pending)
+    while pending:
+        yield pending.popleft().result()
 
 
 class TupleSet:
@@ -226,7 +239,7 @@ def _draw_bits(total: int, m: int, stream: np.random.Generator) -> np.ndarray:
 
     def draw(hi):  # steps hi - 1 down to the block's end, as choice draws them
         steps = np.arange(hi - 1, max(hi - ROW_CHUNK, stop) - 1, -1, dtype=np.uint32)
-        return [(steps, stream.integers(0, steps, endpoint=True))]
+        return [(steps, stream.integers(0, steps, endpoint=True, dtype=np.int32))]  # the int64 call's values
 
     def fill(block):  # one item per block, so first has a single writer
         steps, swaps = block
@@ -357,9 +370,12 @@ def mc_distribution(
 
     Each block of MC_BLOCK samples draws its A indices, then its B indices, one int32 call per
     ROW_CHUNK slice: the bounded int32 draw takes the stream one value at a time, so these are the
-    values of one call per block.  The caller's thread draws block k + 1 while the workers gather,
-    chain and count block k's slices; each slice's indices are freed once it is counted, and each
-    slice's counts are added up as they come.
+    values of one call per block.  A's block is replayed, not held: at the block's start the stream
+    is copied, and the stream passes A's block one slice at a time, the values discarded.  The block
+    is then a lazy run of (A slice from the copy, B slice from the stream) pairs, so each pair is
+    drawn as the pipeline takes it and the stream ends where one call per block leaves it.  So at
+    most 2 x `_workers()` pairs are held, each freed once it is counted, and each slice's counts are
+    added up as they come; the replay costs one more bounded draw per sample on the caller's thread.
     """
     _check_compat((a_cols.shape[1], b_cols.shape[1]), max(a_cols.max(), b_cols.max()) < table.order)
     if samples < MIN_MC_SAMPLES:
@@ -370,12 +386,17 @@ def mc_distribution(
         a, b = a_cols.take(drawn[0], axis=0), b_cols.take(drawn[1], axis=0)
         return np.bincount(_chain(mul, _interleave(a.T, b.T)), minlength=table.order)
 
-    def draw(lo):  # int32 indices, the same values as int64 ones: |A| and |B| are below MAX_MATERIALIZED
+    def indices(source, cols, k):  # int32, the same values as int64 ones: |A| and |B| are below MAX_MATERIALIZED
+        return source.integers(0, len(cols), size=k, dtype=np.int32)
+
+    def draw(lo):
         n = min(MC_BLOCK, samples - lo)
         sizes = [min(ROW_CHUNK, n - i) for i in range(0, n, ROW_CHUNK)]
-        ia = [stream.integers(0, len(a_cols), size=k, dtype=np.int32) for k in sizes]
-        ib = [stream.integers(0, len(b_cols), size=k, dtype=np.int32) for k in sizes]
-        return list(zip(ia, ib))
+        replay = copy.deepcopy(stream)  # the stream where A's block starts
+        for k in sizes:  # the stream passes A's block while the workers count the previous block's last pairs
+            indices(stream, a_cols, k)
+        # lazy: a fresh pair per take (zip would keep its last pair alive in the tuple it reuses)
+        return ((indices(replay, a_cols, k), indices(stream, b_cols, k)) for k in sizes)
 
     counts = np.zeros(table.order, dtype=np.int64)
     for slice_counts in _pipeline(count, map(draw, range(0, samples, MC_BLOCK))):

@@ -383,6 +383,23 @@ def test_draw_mask_at_choice_branch_edges(monkeypatch, total, m, method, chunk):
     assert recorder.calls == {method}
 
 
+@pytest.mark.parametrize(
+    "hi,stop",
+    [(60**4, 60**4 // 2), (5000, 1), (interleave.MAX_MATERIALIZED, interleave.MAX_MATERIALIZED - 200_000)],
+    ids=["A5-t4", "to-step-1", "near-cap"],
+)
+def test_swap_draws_in_int32_equal_the_int64_draw(hi, stop):
+    """_draw_bits draws each block's swaps as int32 against array bounds: for every block of steps hi - 1 down to
+    stop, as its `draw` makes them, the values and the stream state after them are those of the int64 call."""
+    s32, s64 = make_stream(119), make_stream(119)
+    for top in range(hi, stop, -interleave.ROW_CHUNK):
+        steps = np.arange(top - 1, max(top - interleave.ROW_CHUNK, stop) - 1, -1, dtype=np.uint32)
+        swaps = s32.integers(0, steps, endpoint=True, dtype=np.int32)
+        assert swaps.dtype == np.int32 and np.array_equal(swaps, s64.integers(0, steps, endpoint=True))
+        assert s32.bit_generator.state == s64.bit_generator.state
+    assert steps[-1] == stop
+
+
 def test_seeded_tuple_sets_from_a_shared_stream(s3):
     stream, reference = make_stream(9), make_stream(9)
     a = seeded_tuple_set(s3, 2, 0.5, stream)
@@ -427,6 +444,32 @@ def test_pipeline_takes_the_next_block_before_yielding_and_runs_it_after(monkeyp
     for k in range(len(sizes) - 1):
         assert at[("take", k + 1)] < at[("yield", (k, 0))]
         assert min(at[("start", (k + 1, i))] for i in range(sizes[k + 1])) > at[("yield", (k, sizes[k] - 1))]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_pipeline_holds_a_window_of_a_lazy_block(monkeypatch, workers):
+    """A lazy block's items are taken one at a time: at most 2 x workers are taken but not yet yielded, that many
+    are, and block k + 1's first item is taken only after block k's last result is yielded."""
+    sizes, log = (20, 7, 13), []
+
+    def block(k, size):
+        for i in range(size):
+            log.append(("take", (k, i)))
+            yield k, i
+
+    monkeypatch.setattr(interleave, "_workers", lambda: workers)
+    with ThreadPoolExecutor(workers) as pool:
+        monkeypatch.setattr(interleave, "_POOL", pool)
+        results = []
+        for item in interleave._pipeline(lambda item: item, (block(k, size) for k, size in enumerate(sizes))):
+            log.append(("yield", item))
+            results.append(item)
+    assert results == [(k, i) for k, size in enumerate(sizes) for i in range(size)]
+    held = np.cumsum([1 if kind == "take" else -1 for kind, _ in log])  # taken but not yet yielded
+    assert held.max() == 2 * workers
+    at = {entry: n for n, entry in enumerate(log)}
+    for k in range(len(sizes) - 1):
+        assert at[("take", (k + 1, 0))] > at[("yield", (k, sizes[k] - 1))]
 
 
 class _CountingPool(ThreadPoolExecutor):
@@ -542,21 +585,23 @@ def test_seeded_tuple_set_memory(monkeypatch, a5):
 
 
 def test_mc_distribution_index_memory(monkeypatch, a5):
-    """Block k + 1's int32 indices are drawn while block k's are counted: together no more than one block of int64
-    indices, 16 bytes per sample, plus each worker's O(ROW_CHUNK) slice transients."""
+    """Monte Carlo holds at most 2 x workers pairs of int32 index slices (8 bytes per sample) plus each worker's
+    O(ROW_CHUNK) slice transients, whatever the block size: A's block is replayed, not held."""
     a_set, b_set = (seeded_tuple_set(a5, 4, 0.5, make_stream(s)) for s in (106, 107))
     a_set.columns, b_set.columns, a5.full_mul_table()
-    block, workers = 500_000, 2
-    monkeypatch.setattr(interleave, "MC_BLOCK", block)
-    with ThreadPoolExecutor(workers) as pool:
-        monkeypatch.setattr(interleave, "_POOL", pool)
-        tracemalloc.start()
-        try:
-            mc_distribution(a_set.columns, b_set.columns, 2 * block + 12_345, make_stream(108), a5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert peak <= 16 * block + 48 * interleave.ROW_CHUNK * workers
+    workers, chunk = 2, interleave.ROW_CHUNK
+    monkeypatch.setattr(interleave, "_workers", lambda: workers)
+    for block in (500_000, 1_000_000):
+        monkeypatch.setattr(interleave, "MC_BLOCK", block)
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(interleave, "_POOL", pool)
+            tracemalloc.start()
+            try:
+                mc_distribution(a_set.columns, b_set.columns, 2 * block + 12_345, make_stream(108), a5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 48 * chunk * workers + 2 * workers * 8 * chunk, block
 
 
 def test_mc_distribution_memory_does_not_grow_with_samples(monkeypatch, a5):
@@ -596,32 +641,45 @@ def test_mc_slice_draws_equal_the_block_draw(bound):
     assert streams[0].bit_generator.state == streams[1].bit_generator.state == streams[2].bit_generator.state
 
 
-def test_mc_slice_indices_die_before_their_block_ends(monkeypatch, a5):
-    """Each Monte Carlo slice's index arrays are held only by its task.  With one worker, slice j is counted after
-    slices 0..j-1 of its block have finished, and by then their arrays are dead."""
+def test_mc_pair_indices_die_once_counted(monkeypatch, a5):
+    """Each Monte Carlo pair's index arrays are held only by its task.  With one worker, pair j is counted after
+    pairs 0..j-1 have finished, and by then their arrays are dead; at most the window, 2 pairs, is alive then; and
+    once count j is added to the total, every earlier pair's arrays are dead."""
     monkeypatch.setattr(interleave, "ROW_CHUNK", 1000)
-    monkeypatch.setattr(interleave, "MC_BLOCK", 4000)  # 4 slices per block, A's 4 draws then B's
+    monkeypatch.setattr(interleave, "MC_BLOCK", 4000)  # 4 pairs per block
+    monkeypatch.setattr(interleave, "_workers", lambda: 1)
     cols = [seeded_tuple_set(a5, 2, 0.5, make_stream(s)).columns for s in (113, 114)]
-    stream, drawn, counted, chain = make_stream(115), [], [], interleave._chain
+    taken, chained, live, added = [], [], [], []
+    pipeline, chain = interleave._pipeline, interleave._chain
 
-    class RecordingStream:  # weak references to every index array, in draw order
-        def integers(self, *args, **kwargs):
-            out = stream.integers(*args, **kwargs)
-            drawn.append(weakref.ref(out))
-            return out
+    def dead(pairs):
+        return all(ref() is None for refs in pairs for ref in refs)
 
-    def checking_chain(mul, factors):  # runs once per slice, in slice order on one worker
-        j = len(counted)  # slice j is slice j % 4 of block j // 4: draws 8 (j // 4) + j % 4 (A) and 4 later (B)
-        finished = [drawn[8 * (i // 4) + i % 4 + side] for i in range(j) for side in (0, 4)]
-        counted.append(all(ref() is None for ref in finished))
+    def recorded(block):  # weak references to each pair's two index arrays, in take order
+        for pair in block:
+            taken.append([weakref.ref(x) for x in pair])
+            yield pair
+            del pair
+
+    def checking_pipeline(fn, blocks):
+        for j, result in enumerate(pipeline(fn, map(recorded, blocks))):
+            yield result
+            added.append(dead(taken[:j]))  # mc_distribution has added count j to its total
+
+    def checking_chain(mul, factors):  # runs once per pair, in take order on one worker
+        j = len(chained)
+        chained.append(dead(taken[:j]))
+        live.append(sum(not dead([refs]) for refs in taken))
         return chain(mul, factors)
 
+    monkeypatch.setattr(interleave, "_pipeline", checking_pipeline)
     monkeypatch.setattr(interleave, "_chain", checking_chain)
     with ThreadPoolExecutor(1) as pool:
         monkeypatch.setattr(interleave, "_POOL", pool)
-        est = mc_distribution(*cols, 16_000, RecordingStream(), a5)
-    assert est.counts.sum() == 16_000 and len(drawn) == 32
-    assert counted == [True] * 16
+        est = mc_distribution(*cols, 16_000, make_stream(115), a5)
+    assert est.counts.sum() == 16_000 and len(taken) == 16
+    assert chained == added == [True] * 16 and max(live) <= 2
+    assert dead(taken)
 
 
 def test_explicit_tuple_set_capped(monkeypatch, s3):
