@@ -525,6 +525,21 @@ def test_every_public_definition_has_a_caller():
     assert not uncalled, uncalled
 
 
+def test_only_the_pipeline_hands_work_to_the_pool():
+    """The worker pool has one entry point: no classmix code but `interleave._pipeline` names `_pool` or `.submit`,
+    so every kernel takes the pipeline's window and order."""
+    root = Path(__file__).resolve().parents[1]
+    callers = set()
+    for path in sorted((root / "src" / "classmix").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Name) and node.id == "_pool") or (
+                    isinstance(node, ast.Attribute) and node.attr == "submit"
+                ):
+                    callers.add((path.stem, getattr(stmt, "name", None)))
+    assert callers == {("interleave", "_pipeline")}, callers
+
+
 def test_every_golden_report_key_is_named_by_the_cli():
     """Every key of every goldens/v1 report is a string literal of classmix/cli.py: the CLI names each report field,
     and no report field is the field name of a library record.  The data-keyed maps, interleave's `probs` (element

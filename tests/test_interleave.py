@@ -371,16 +371,22 @@ class _RecordingStream:
 def test_draw_mask_at_choice_branch_edges(monkeypatch, total, m, method, chunk):
     """numpy's choice runs Floyd's algorithm up to m = total // 50 and the tail shuffle past it, which the replay
     draws through `integers`.  m = total has no head, and its last step bound is 1.  Blocks of 7777 divide
-    neither the head of A:5 t=4 nor its step count, so the last head slice stops inside a block."""
+    neither the head of A:5 t=4 nor its step count, so the last head slice stops inside a block.  With 3 workers
+    several swap fills contend for the lock on `first`."""
     monkeypatch.setattr(interleave, "ROW_CHUNK", chunk)
-    stream, reference = make_stream(93), make_stream(93)
-    recorder = _RecordingStream(stream)
-    bits = interleave._draw_bits(total, m, recorder)
     expected = np.zeros(total, dtype=bool)
+    reference = make_stream(93)
     expected[reference.choice(total, size=m, replace=False)] = True
-    assert np.array_equal(bits, packed(expected))
-    assert stream.bit_generator.state == reference.bit_generator.state
-    assert recorder.calls == {method}
+    for workers in (1, 3):
+        monkeypatch.setattr(interleave, "_workers", lambda: workers)
+        stream = make_stream(93)
+        recorder = _RecordingStream(stream)
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(interleave, "_POOL", pool)
+            bits = interleave._draw_bits(total, m, recorder)
+        assert np.array_equal(bits, packed(expected)), workers
+        assert stream.bit_generator.state == reference.bit_generator.state
+        assert recorder.calls == {method}
 
 
 @pytest.mark.parametrize(
@@ -419,57 +425,29 @@ def test_columns_decode_in_chunks(monkeypatch, a5):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_pipeline_takes_the_next_block_before_yielding_and_runs_it_after(monkeypatch, workers):
-    """Results come back in item order; block k + 1 is taken before block k's first result is yielded, and none of
-    its items starts before block k's last result is yielded."""
-    sizes, log = (3, 1, 4, 2), []  # list.append is atomic, so worker and caller entries keep their order
+def test_pipeline_holds_a_window_of_lazy_items(monkeypatch, workers):
+    """Results come back in item order; items are taken one at a time from a lazy iterator, as the pipeline needs
+    them; and at most 2 x workers are taken but not yet yielded, and at some point exactly that many are."""
+    log = []  # the caller's takes and yields, in order
 
-    def blocks():
-        for k, size in enumerate(sizes):
-            log.append(("take", k))
-            yield [(k, i) for i in range(size)]
-
-    def fn(item):
-        log.append(("start", item))
-        return item
-
-    with ThreadPoolExecutor(workers) as pool:
-        monkeypatch.setattr(interleave, "_POOL", pool)
-        results = []
-        for item in interleave._pipeline(fn, blocks()):
-            log.append(("yield", item))
-            results.append(item)
-    assert results == [(k, i) for k, size in enumerate(sizes) for i in range(size)]
-    at = {entry: n for n, entry in enumerate(log)}
-    for k in range(len(sizes) - 1):
-        assert at[("take", k + 1)] < at[("yield", (k, 0))]
-        assert min(at[("start", (k + 1, i))] for i in range(sizes[k + 1])) > at[("yield", (k, sizes[k] - 1))]
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_pipeline_holds_a_window_of_a_lazy_block(monkeypatch, workers):
-    """A lazy block's items are taken one at a time: at most 2 x workers are taken but not yet yielded, that many
-    are, and block k + 1's first item is taken only after block k's last result is yielded."""
-    sizes, log = (20, 7, 13), []
-
-    def block(k, size):
-        for i in range(size):
-            log.append(("take", (k, i)))
-            yield k, i
+    def items():
+        for i in range(23):
+            log.append(("take", i))
+            yield i
 
     monkeypatch.setattr(interleave, "_workers", lambda: workers)
     with ThreadPoolExecutor(workers) as pool:
         monkeypatch.setattr(interleave, "_POOL", pool)
-        results = []
-        for item in interleave._pipeline(lambda item: item, (block(k, size) for k, size in enumerate(sizes))):
+        results, pipeline = [], interleave._pipeline(lambda item: item, items())
+        assert not log  # nothing is taken before the caller asks for a result
+        for item in pipeline:
             log.append(("yield", item))
             results.append(item)
-    assert results == [(k, i) for k, size in enumerate(sizes) for i in range(size)]
+    assert results == list(range(23))
+    assert [i for kind, i in log if kind == "take"] == results
     held = np.cumsum([1 if kind == "take" else -1 for kind, _ in log])  # taken but not yet yielded
-    assert held.max() == 2 * workers
-    at = {entry: n for n, entry in enumerate(log)}
-    for k in range(len(sizes) - 1):
-        assert at[("take", (k + 1, 0))] > at[("yield", (k, sizes[k] - 1))]
+    assert held.max() == 2 * workers and held[-1] == 0
+    assert log[: 2 * workers + 1] == [("take", i) for i in range(2 * workers)] + [("yield", 0)]
 
 
 class _CountingPool(ThreadPoolExecutor):
@@ -655,14 +633,14 @@ def test_mc_pair_indices_die_once_counted(monkeypatch, a5):
     def dead(pairs):
         return all(ref() is None for refs in pairs for ref in refs)
 
-    def recorded(block):  # weak references to each pair's two index arrays, in take order
-        for pair in block:
+    def recorded(items):  # weak references to each pair's two index arrays, in take order
+        for pair in items:
             taken.append([weakref.ref(x) for x in pair])
             yield pair
             del pair
 
-    def checking_pipeline(fn, blocks):
-        for j, result in enumerate(pipeline(fn, map(recorded, blocks))):
+    def checking_pipeline(fn, items):
+        for j, result in enumerate(pipeline(fn, recorded(items))):
             yield result
             added.append(dead(taken[:j]))  # mc_distribution has added count j to its total
 
@@ -813,15 +791,21 @@ def _seeded_split_protocol(table, arity, seed):
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
 def test_advantage_matches_whole_array_acceptance(monkeypatch, a5, arity):
-    """The chunked acceptance draws what one fiber_sample call draws and accepts the same pairs; 30,001 samples are
-    not a multiple of the 7,777-sample chunks."""
+    """The chunked acceptance draws what one fiber_sample call draws and accepts the same pairs, with any number of
+    workers; 30,001 samples are not a multiple of the 7,777-sample chunks."""
     monkeypatch.setattr(interleave, "ROW_CHUNK", 7777)
     protocol = _seeded_split_protocol(a5, arity, 101)
-    stream, reference = make_stream(102), make_stream(102)
-    rates = advantage(protocol, a5, 3, 41, samples=30_001, stream=stream)
+    reference = make_stream(102)
     p_g, p_h = (whole_array_acceptance(protocol, a5, x, arity, reference, 30_001) for x in (3, 41))
-    assert rates == (p_g, p_h) and 0 < p_g < 1
-    assert stream.bit_generator.state == reference.bit_generator.state
+    assert 0 < p_g < 1
+    for workers in (1, 3):
+        monkeypatch.setattr(interleave, "_workers", lambda: workers)
+        stream = make_stream(102)
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(interleave, "_POOL", pool)
+            rates = advantage(protocol, a5, 3, 41, samples=30_001, stream=stream)
+        assert rates == (p_g, p_h), workers
+        assert stream.bit_generator.state == reference.bit_generator.state
 
 
 def test_advantage_names_a_later_overlap_before_an_earlier_uncovered_pair(monkeypatch, a5):
@@ -851,11 +835,11 @@ def test_advantage_names_a_later_overlap_before_an_earlier_uncovered_pair(monkey
 
 def test_advantage_memory(monkeypatch, a5):
     """advantage keeps each sample's a coordinates, one byte each for A:5, plus O(ROW_CHUNK) per worker: the b draws
-    of two blocks and each chunk's completion, codes and bits."""
+    of the pipeline's window and each chunk's completion, codes and bits."""
     protocol = _seeded_split_protocol(a5, 2, 104)
     a5.full_mul_table(), a5.inverses
     samples, workers = 1_000_000, 2
-    monkeypatch.setattr(interleave, "_workers", lambda: workers)  # block size, on a machine of any size
+    monkeypatch.setattr(interleave, "_workers", lambda: workers)  # window size, on a machine of any size
     with ThreadPoolExecutor(workers) as pool:
         monkeypatch.setattr(interleave, "_POOL", pool)
         tracemalloc.start()
