@@ -44,21 +44,21 @@ class ClassRows:
 
     def __init__(self, table: GroupTable, classes: ClassData):
         self.table = table
-        self.classes = classes
         self.sizes = np.asarray(classes.sizes, dtype=np.int64)
+        self.inv = np.asarray(classes.inverse_class, dtype=np.intp)
         self.products = 0
 
     def rows(self, j: int, pivots: np.ndarray) -> np.ndarray:
         """tensor[j, i, :] for every i in pivots."""
-        table, classes, sizes = self.table, self.classes, self.sizes
-        k = classes.k
-        inv = np.asarray(classes.inverse_class, dtype=np.intp)
-        ws = table.rows[classes.members(inv[j])]
-        zs = table.rows[np.asarray(classes.reps)[inv[pivots]]]
+        table, sizes, inv = self.table, self.sizes, self.inv
+        k = len(sizes)
+        reps, class_of = table.class_map
+        ws = table.rows[np.flatnonzero(class_of == inv[j])]
+        zs = table.rows[reps[inv[pivots]]]
         per = max(1, ROW_CHUNK // len(ws))
         h = np.empty((len(pivots), k), dtype=np.int64)
         for s in range(0, len(pivots), per):
-            c = classes.class_of[table.lookup(table.engine.right(ws, zs[s : s + per]))]
+            c = class_of[table.lookup(table.engine.right(ws, zs[s : s + per]))]
             n = c.shape[1]
             h[s : s + n] = np.bincount((c + k * np.arange(n)).ravel(), minlength=n * k).reshape(n, k)
         self.products += len(pivots) * len(ws)
@@ -73,14 +73,14 @@ class CharacterTable(NamedTuple):
 
     Rows are sorted by (degree, descending lexicographic value order), which
     pins the trivial character to row 0.  Columns follow the class order of
-    the ClassData the table was built from.  `residues` holds the same values
-    mod the Dixon prime P, rows in the same order.
+    the ClassData the table carries in `classes`.  `residues` holds the same
+    values mod the Dixon prime P, rows in the same order.
     """
 
     values: np.ndarray  # complex128 (k, k)
     residues: np.ndarray  # int64 (k, k), in [0, P)
     degrees: tuple[int, ...]
-    order: int
+    classes: ClassData
     modulus_prime: int
     row_residual: float
     col_residual: float
@@ -305,7 +305,7 @@ def dixon_character_table(table: GroupTable, classes: ClassData) -> CharacterTab
         values=values,
         residues=s[perm],
         degrees=degrees,
-        order=order,
+        classes=classes,
         modulus_prime=p,
         row_residual=row_res,
         col_residual=col_res,
@@ -324,7 +324,7 @@ def _residuals(values: np.ndarray, sizes, order) -> tuple[float, float]:
     return row_res, col_res
 
 
-def class_products(chartable: CharacterTable, classes: ClassData, xs, ys) -> np.ndarray:
+def class_products(chartable: CharacterTable, xs, ys) -> np.ndarray:
     """Class-algebra constants a_xyl for the class pairs (xs[m], ys[m]), one row per pair.
 
     a_xyl = |C_x| |C_y| / |G| sum_chi chi(x) chi(y) chi(l*) / chi(1) (Frobenius), with l*
@@ -333,15 +333,15 @@ def class_products(chartable: CharacterTable, classes: ClassData, xs, ys) -> np.
     exponent does not divide |G|; a wrong rounding would be off by a multiple of
     P > 2 sqrt(|G|)), and each probability a_xyl / (|C_x| |C_y|) must be real within IMAG_TOL.
     """
-    p = chartable.modulus_prime
+    p, classes = chartable.modulus_prime, chartable.classes
     sizes = np.asarray(classes.sizes, dtype=np.int64)
     inv = np.asarray(classes.inverse_class, dtype=np.intp)
     pairs = sizes[xs] * sizes[ys]
     chi, res = chartable.values, chartable.residues
-    probs = (chi[:, xs] * chi[:, ys] / np.asarray(chartable.degrees)[:, None]).T @ chi[:, inv] / chartable.order
+    probs = (chi[:, xs] * chi[:, ys] / np.asarray(chartable.degrees)[:, None]).T @ chi[:, inv] / classes.order
     consts = np.rint(probs.real * pairs[:, None]).astype(np.int64)
     weights = res[:, xs] * res[:, ys] % p * _inv_mod(chartable.degrees, p)[:, None] % p
-    scale = pairs % p * pow(chartable.order, p - 2, p) % p
+    scale = pairs % p * pow(classes.order, p - 2, p) % p
     if (consts % p != _matmul_mod(weights.T, res[:, inv], p) * scale[:, None] % p).any():
         raise InvariantViolation("a structure constant read off the character table disagrees with its residue mod P")
     if np.abs(probs.imag).max() > IMAG_TOL:
@@ -349,14 +349,15 @@ def class_products(chartable: CharacterTable, classes: ClassData, xs, ys) -> np.
     return consts
 
 
-def structure_constants(chartable: CharacterTable, classes: ClassData) -> StructureConstants:
+def structure_constants(chartable: CharacterTable) -> StructureConstants:
     """All k^3 constants a_ijl by class_products, which must also satisfy the marginals
     sum_j a_ijl = |C_i|, sum_i a_ijl = |C_j| and the identity column a_ij1 = |C_i| [i = j*];
     that column is what a wrong inverse-class map breaks.
     """
+    classes = chartable.classes
     k = classes.k
     sizes = np.asarray(classes.sizes, dtype=np.int64)
-    tensor = class_products(chartable, classes, *np.divmod(np.arange(k * k), k)).reshape(k, k, k)
+    tensor = class_products(chartable, *np.divmod(np.arange(k * k), k)).reshape(k, k, k)
     marginal = sizes[:, None]  # sum_j a_ijl = |C_i| and sum_i a_ijl = |C_j|, for every l
     if (tensor.sum(axis=1) != marginal).any() or (tensor.sum(axis=0) != marginal).any():
         raise InvariantViolation("structure constants do not sum to the class sizes")
@@ -368,7 +369,7 @@ def structure_constants(chartable: CharacterTable, classes: ClassData) -> Struct
 def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
     """The row and column orthogonality residuals Dixon measured, against tolerance ORTHOGONALITY_TOL * |G|."""
     row_res, col_res = table.row_residual, table.col_residual
-    tol = ORTHOGONALITY_TOL * table.order
+    tol = ORTHOGONALITY_TOL * table.classes.order
     return OrthogonalityReport(
         max_row_residual=row_res,
         max_col_residual=col_res,

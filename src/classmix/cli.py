@@ -16,6 +16,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .characters import dixon_character_table, verify_orthogonality, witten_zeta
 from .errors import ClassmixError, SpecSyntax, UnsupportedParameters, parse_int, read_input_text
@@ -60,14 +62,15 @@ def _parse_element(table, text: str) -> int:
 
 
 def _parse_coupling(table, text: str):
-    """(report name, coupling) of a --coupling value; transinv is named by the element's index."""
+    """(report name, coupling) of a --coupling value, elements resolved to classes; transinv is named by the index."""
     if text == "independent":
         return "independent", Independent()
     if text == "diagonal":
         return "diagonal", Diagonal()
+    reps, class_of = table.class_map
     if text.startswith("transinv:"):
         a = _parse_element(table, text.split(":", 1)[1])
-        return f"transinv:{a}", TranslatedInverse(a)
+        return f"transinv:{a}", TranslatedInverse(int(class_of[a]))
     if text.startswith("bijfile:"):
         entries = read_input_text(text.split(":", 1)[1], "bijection file").split()
         mapping = tuple(parse_int(e, "bijection entry") for e in entries)
@@ -75,7 +78,9 @@ def _parse_coupling(table, text: str):
             raise SpecSyntax(f"bijection file has {len(mapping)} entries, group order is {table.order}")
         if sorted(mapping) != list(range(table.order)):
             raise SpecSyntax("bijection table is not a permutation of element indices")
-        return "bijection", BijectionCoupling(mapping)
+        k = len(reps)
+        pairs = np.bincount(class_of * k + class_of[np.asarray(mapping)], minlength=k * k)
+        return "bijection", BijectionCoupling(pairs.reshape(k, k))
     raise SpecSyntax(f"unknown coupling {text!r}")
 
 
@@ -128,7 +133,7 @@ def _cmd_chartable(args) -> int:
     chartable = dixon_character_table(table, classes)
     report = verify_orthogonality(chartable)
     payload = {
-        "order": chartable.order,
+        "order": classes.order,
         "class_sizes": list(classes.sizes),
         "class_orders": list(classes.orders),
         "degrees": list(chartable.degrees),
@@ -168,7 +173,7 @@ def _cmd_mixpair(args) -> int:
     dist = (
         p_brute(args.x, args.y, table, classes)
         if args.method == "brute"
-        else p_char(args.x, args.y, chartable, classes)
+        else p_char(args.x, args.y, chartable)
     )
     stats = pair_stats(dist.row[None], [args.x], [args.y], classes)
     support = int(stats.support[0])
@@ -195,7 +200,7 @@ def _cmd_survey(args) -> int:
     table, classes = _build_all(args)
     name, coupling = _parse_coupling(table, args.coupling)
     chartable = dixon_character_table(table, classes)
-    rep = survey(classes, chartable, coupling, thresholds=tuple(args.thresholds))
+    rep = survey(chartable, coupling, thresholds=tuple(args.thresholds))
     payload = {
         "coupling": name,
         # a fixed note, and constants since every survey is exact;

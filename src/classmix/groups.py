@@ -305,7 +305,7 @@ def _matgen_spec(rest: str) -> GroupSpec:
 
 
 class GroupTable:
-    """Fully enumerated group: element rows, their rank codes, generator indices.
+    """Fully enumerated group: element rows, rank codes, generator indices, and element maps built on first use.
 
     Elements are sorted by rank code, which is canonical byte order, except
     that the identity is pinned to index 0; so one searchsorted over codes[1:]
@@ -330,6 +330,33 @@ class GroupTable:
     def inverses(self) -> np.ndarray:
         """Array with inverses[g] = index(g^-1)."""
         return self._sweep(self.engine.inv)
+
+    @cached_property
+    def class_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """(reps, class_of): the conjugacy class representatives and the int32 class of each element index.
+
+        Min-label propagation: each round lowers every label to its conjugates' labels under each
+        generator, then to its label's label.  Labels only decrease and always name an element of the
+        same orbit; at the fixpoint they are constant along every generator cycle, so each orbit is
+        labelled by its smallest index.  That index is the class representative, and classes are
+        numbered by it (identity class first).
+        """
+        conj_perms = [self.conjugation_permutation(h) for h in self.generator_indices]
+        labels = np.arange(self.order, dtype=np.int32)
+        fell = True
+        while fell:
+            before = labels.sum(dtype=np.int64)
+            # a label is at most its element, so labels[labels] is the minimum with the label's label
+            for perm in (*conj_perms, labels):
+                np.minimum(labels, labels[perm], out=labels)
+            fell = labels.sum(dtype=np.int64) < before  # labels never rise
+        del conj_perms
+        is_rep = np.zeros(self.order, dtype=bool)
+        is_rep[labels] = True  # exactly the orbit minima
+        number = is_rep.astype(np.int32)
+        np.cumsum(number, out=number)  # in place: cumsum(is_rep, dtype=np.int32) casts a copy first
+        number -= 1  # number[r] = the class of representative r, classes numbered by representative
+        return np.flatnonzero(is_rep), number[labels]
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
         """Indices of rows of group elements (any leading shape; one row gives a 0-d index).
@@ -511,7 +538,7 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
 
 
 class ClassData(NamedTuple):
-    """Conjugacy classes: representatives, sizes, maps, and power maps.
+    """The class algebra, identity class first; it holds no element map, so it needs no GroupTable.
 
     power_map has one row per power m up to the largest representative order,
     not up to the exponent: rep^m for larger m is row m % orders[c], and Dixon's
@@ -519,52 +546,31 @@ class ClassData(NamedTuple):
     512,064 but largest order 127.)
     """
 
-    reps: tuple[int, ...]
     sizes: tuple[int, ...]
-    class_of: np.ndarray  # int32, element index -> class index
-    inverse_class: tuple[int, ...]
     orders: tuple[int, ...]  # order of each class representative
-    exponent: int
     power_map: np.ndarray  # int32 (max(orders) + 1, k); row m = class of rep^m
 
     @property
     def k(self) -> int:
-        return len(self.reps)
+        return len(self.sizes)
 
     @property
     def order(self) -> int:
         return int(sum(self.sizes))
 
-    def members(self, c: int) -> np.ndarray:
-        return np.flatnonzero(self.class_of == c)
+    @property
+    def exponent(self) -> int:
+        return math.lcm(*self.orders)
+
+    @property
+    def inverse_class(self) -> tuple[int, ...]:
+        """The class of the inverses of each class: rep^(n-1) = rep^-1 for a representative of order n."""
+        return tuple(self.power_map[np.asarray(self.orders) - 1, np.arange(self.k)].tolist())
 
 
 def conj_classes(table: GroupTable) -> ClassData:
-    """Partition the element indices into conjugation orbits by min-label propagation.
-
-    Each round lowers every label to its conjugates' labels under each generator,
-    then to its label's label.  Labels only decrease and always name an element of
-    the same orbit; at the fixpoint they are constant along every generator cycle,
-    so each orbit is labelled by its smallest index.  That index is the class
-    representative, and classes are numbered by it (identity class first).
-    """
-    conj_perms = [table.conjugation_permutation(h) for h in table.generator_indices]
-    labels = np.arange(table.order, dtype=np.int32)
-    fell = True
-    while fell:
-        before = labels.sum(dtype=np.int64)
-        # a label is at most its element, so labels[labels] is the minimum with the label's label
-        for perm in (*conj_perms, labels):
-            np.minimum(labels, labels[perm], out=labels)
-        fell = labels.sum(dtype=np.int64) < before  # labels never rise
-    del conj_perms
-    is_rep = np.zeros(table.order, dtype=bool)
-    is_rep[labels] = True  # exactly the orbit minima
-    number = is_rep.astype(np.int32)
-    np.cumsum(number, out=number)  # in place: cumsum(is_rep, dtype=np.int32) casts a copy first
-    number -= 1  # number[r] = the class of representative r, classes numbered by representative
-    reps, class_of = np.flatnonzero(is_rep), number[labels]
-    del labels, number  # freed before bincount makes its intp copy of class_of
+    """The class algebra of the table's conjugacy classes, numbered as its `class_map` numbers them."""
+    reps, class_of = table.class_map
     sizes = np.bincount(class_of)
     k = len(reps)
     # powers[m, j] = index of reps[j]^m, up to the largest representative order
@@ -577,13 +583,4 @@ def conj_classes(table: GroupTable) -> ClassData:
         orders[(idx == 0) & (orders == 0)] = len(powers)
         powers.append(idx)
         cur = table.engine.mul(cur, rep_rows)
-    power_map = class_of[np.array(powers)]
-    return ClassData(
-        reps=tuple(reps.tolist()),
-        sizes=tuple(sizes.tolist()),
-        class_of=class_of,
-        inverse_class=tuple(power_map[orders - 1, np.arange(k)].tolist()),  # rep^(n-1) = rep^-1
-        orders=tuple(orders.tolist()),
-        exponent=math.lcm(*orders.tolist()),
-        power_map=power_map,
-    )
+    return ClassData(sizes=tuple(sizes.tolist()), orders=tuple(orders.tolist()), power_map=class_of[np.array(powers)])

@@ -38,9 +38,9 @@ def _from_constants(row: np.ndarray, classes: ClassData) -> PairDistribution:
     return PairDistribution(row, tuple((row * np.asarray(classes.sizes, dtype=np.int64)).tolist()))
 
 
-def p_char(xc: int, yc: int, table: CharacterTable, classes: ClassData) -> PairDistribution:
+def p_char(xc: int, yc: int, table: CharacterTable) -> PairDistribution:
     """Distribution via the character sum: one row of constants, checked mod P."""
-    return _from_constants(class_products(table, classes, [xc], [yc])[0], classes)
+    return _from_constants(class_products(table, [xc], [yc])[0], table.classes)
 
 
 def p_brute(xc: int, yc: int, table: GroupTable, classes: ClassData) -> PairDistribution:
@@ -95,7 +95,7 @@ def l2_sq_char(xc, yc, table: CharacterTable):
     along the last axis, so one pair or many give bit-identical values.
     """
     sq = np.abs(table.values.T) ** 2
-    return (sq[xc] * sq[yc] / np.asarray(table.degrees, dtype=np.float64) ** 2).sum(axis=-1) / table.order
+    return (sq[xc] * sq[yc] / np.asarray(table.degrees, dtype=np.float64) ** 2).sum(axis=-1) / table.classes.order
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +126,15 @@ class Diagonal(NamedTuple):
 
 
 class TranslatedInverse(NamedTuple):
-    """x uniform, y = x^-1 a for a fixed element a."""
+    """x uniform, y = x^-1 a for a fixed element a, given by its class."""
 
-    a_index: int
+    a_class: int
 
 
 class BijectionCoupling(NamedTuple):
-    """x uniform, y = f(x) for an arbitrary permutation f of element indices (checked where f is read)."""
+    """x uniform, y = f(x) for a permutation f of G, given by counts[i, j] = #{x in C_i : f(x) in C_j}."""
 
-    mapping: tuple[int, ...]
+    counts: np.ndarray
 
 
 Coupling = Independent | Diagonal | TranslatedInverse | BijectionCoupling
@@ -166,27 +166,24 @@ def check_survey_inputs(thresholds):
 
 
 def survey(
-    classes: ClassData,
     chartable: CharacterTable,
     coupling: Coupling,
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
 ) -> SurveyReport:
     """Coupling-weighted sweep of the normalized collision statistic N.
 
-    Every coupling is exact.  Independent and Diagonal couplings are class
-    sweeps.  For TranslatedInverse(a) the number of x in C_i with x^-1 a in
-    C_j is a_ij,cl(a), so the weights are one slice of the structure
-    constants; a BijectionCoupling sweeps every x in G.  Probabilities,
-    coverage and threshold membership are exact, from the structure
-    constants: p_ij(k) = a_ijk / (|C_i| |C_j|), class k
-    lies in C_i C_j exactly when a_ijk > 0, and N <= 1 + delta exactly when
-    |G| sum_k |C_k| a_ijk^2 <= (1 + delta) (|C_i| |C_j|)^2.
+    Every coupling is exact and read from class data.  Independent and
+    Diagonal couplings are class sweeps.  For TranslatedInverse(a) the number
+    of x in C_i with x^-1 a in C_j is a_ij,cl(a), so the weights are one slice
+    of the structure constants; a BijectionCoupling's weights are its
+    class-pair counts over |G|.  Probabilities, coverage and threshold
+    membership are exact, from the structure constants: p_ij(k) = a_ijk /
+    (|C_i| |C_j|), class k lies in C_i C_j exactly when a_ijk > 0, and
+    N <= 1 + delta exactly when |G| sum_k |C_k| a_ijk^2 <= (1 + delta) (|C_i| |C_j|)^2.
     """
     check_survey_inputs(thresholds)
-    tensor = structure_constants(chartable, classes).tensor
-    k = classes.k
-    sizes = classes.sizes
-    order = classes.order
+    tensor = structure_constants(chartable).tensor
+    sizes, order = chartable.classes.sizes, chartable.classes.order
 
     if isinstance(coupling, Independent):
         w = np.asarray(sizes, dtype=np.float64) / order
@@ -194,17 +191,16 @@ def survey(
     elif isinstance(coupling, Diagonal):
         weights = np.diag(np.asarray(sizes, dtype=np.float64) / order)
     elif isinstance(coupling, TranslatedInverse):
-        weights = tensor[:, :, classes.class_of[coupling.a_index]] / order
+        weights = tensor[:, :, coupling.a_class] / order
     elif isinstance(coupling, BijectionCoupling):
-        pair_class = classes.class_of * k + classes.class_of[np.asarray(coupling.mapping, dtype=np.int64)]
-        weights = np.bincount(pair_class, minlength=k * k).reshape(k, k) / order
+        weights = coupling.counts / order
     else:
         raise SpecSyntax(f"unknown coupling {coupling!r}")
 
     xs, ys = np.nonzero(weights)  # row-major: pairs in (x_class, y_class) order
     w_arr = weights[xs, ys]
     rows = tensor[xs, ys]  # a_ij of every surveyed pair
-    stats = pair_stats(rows, xs, ys, classes)
+    stats = pair_stats(rows, xs, ys, chartable.classes)
     n_arr = order * l2_sq_char(xs, ys, chartable)
     cover = stats.support / order
     pair_rows = tuple(map(SurveyPair, *(c.tolist() for c in (xs, ys, w_arr, n_arr, stats.l1, cover))))

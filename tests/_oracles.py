@@ -352,25 +352,32 @@ def whole_array_acceptance(protocol, table, g, arity, stream, samples):
     return float(bits.mean())
 
 
-def full_sweep_structure_constants(table, classes):
+def class_members(table, c):
+    """The element indices of class c, ascending."""
+    return np.flatnonzero(table.class_map[1] == c)
+
+
+def full_sweep_structure_constants(table):
     """Class-algebra constants from one sweep of the whole group per class representative.
 
     u contributes to (i, j, l) with i = class(u) and j = class(u^-1 z_l), for the
     representative z_l of class l.
     """
-    k = classes.k
+    reps, class_of = table.class_map
+    k = len(reps)
     tensor = np.zeros((k, k, k), dtype=np.int64)
-    for l, rep in enumerate(classes.reps):
-        j_arr = classes.class_of[table.right_mul_indices(rep)[table.inverses]]
-        tensor[:, :, l] = np.bincount(classes.class_of * k + j_arr, minlength=k * k).reshape(k, k)
+    for l, rep in enumerate(reps):
+        j_arr = class_of[table.right_mul_indices(rep)[table.inverses]]
+        tensor[:, :, l] = np.bincount(class_of * k + j_arr, minlength=k * k).reshape(k, k)
     return tensor
 
 
-def translated_inverse_counts(table, classes, a):
+def translated_inverse_counts(table, a):
     """(k, k) counts of x with x in C_i and x^-1 a in C_j, from one product per element."""
-    k = classes.k
+    reps, class_of = table.class_map
+    k = len(reps)
     partner = mul_indices(table, table.inverses, [a])
-    return np.bincount(classes.class_of * k + classes.class_of[partner], minlength=k * k).reshape(k, k)
+    return np.bincount(class_of * k + class_of[partner], minlength=k * k).reshape(k, k)
 
 
 def coverage_norm_link_holds(dist, classes) -> bool:

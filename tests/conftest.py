@@ -18,7 +18,7 @@ def built(label: str):
         table = group_build(GroupSpec.parse(label))
         classes = conj_classes(table)
         chartable = dixon_character_table(table, classes)
-        constants = structure_constants(chartable, classes)
+        constants = structure_constants(chartable)
         _cache[label] = (table, classes, constants, chartable)
     return _cache[label]
 

@@ -79,7 +79,7 @@ def test_criterion_01_character_table_validity(group_cache):
         assert np.array_equal(chartable2.values, chartable.values), label
         assert np.array_equal(chartable2.residues, chartable.residues), label
         assert classes2.sizes == classes.sizes, label
-        assert chartable2.order == chartable.order, label
+        assert chartable2.classes.order == chartable.classes.order, label
         assert chartable2.row_residual == chartable.row_residual, label
         assert chartable2.col_residual == chartable.col_residual, label
     _ok("1 character-table validity")
@@ -117,7 +117,7 @@ def test_criterion_04_distance_identities(group_cache):
         for xc in range(classes.k):
             for yc in range(classes.k):
                 for dist in (
-                    p_char(xc, yc, chartable, classes),
+                    p_char(xc, yc, chartable),
                     p_brute(xc, yc, table, classes),
                 ):
                     st = _one(dist, xc, yc, classes)
@@ -182,7 +182,7 @@ def test_criterion_08_survey_trend(group_cache):
         probs = []
         for param, expected in golden.items():
             table, classes, _, chartable = group_cache(f"{family}:{param}")
-            rep = survey(classes, chartable, Independent(), thresholds=(1.0,))
+            rep = survey(chartable, Independent(), thresholds=(1.0,))
             value = dict(rep.thresholds)[1.0]
             assert abs(value - expected) < 1e-9, (family, param)
             probs.append(value)
@@ -197,19 +197,19 @@ def test_criterion_09_translated_inverse_bit_identical(group_cache):
         table, classes, _, chartable = group_cache(label)
         for seed in (101, 202, 303):
             a = int(make_stream(seed).integers(0, table.order))
-            rep = survey(classes, chartable, TranslatedInverse(a))
+            rep = survey(chartable, TranslatedInverse(int(table.class_map[1][a])))
             # independent full sweep over x, exact integer weights
             mul = table.full_mul_table()
             counts = {}
             for x in range(table.order):
                 y = mul[table.inverses[x], a]
-                key = (int(classes.class_of[x]), int(classes.class_of[y]))
+                key = (int(table.class_map[1][x]), int(table.class_map[1][y]))
                 counts[key] = counts.get(key, 0) + 1
             assert len(rep.pairs) == len(counts)
             for pair in rep.pairs:
                 assert pair.weight == counts[(pair.x_class, pair.y_class)] / table.order
                 assert pair.n_stat == table.order * l2_sq_char(pair.x_class, pair.y_class, chartable)
-            rerun = survey(classes, chartable, TranslatedInverse(a))
+            rerun = survey(chartable, TranslatedInverse(int(table.class_map[1][a])))
             assert rerun == rep  # every field, floats exactly
     _ok("9 coupling coverage bit-identical")
 

@@ -104,13 +104,13 @@ def test_structure_constants_match_oracles(label, tmp_path):
     """
     table = group_build(oracle_spec(label, tmp_path))
     classes = conj_classes(table)
-    tensor = structure_constants(dixon_character_table(table, classes), classes).tensor
-    assert np.array_equal(tensor, full_sweep_structure_constants(table, classes))
+    tensor = structure_constants(dixon_character_table(table, classes)).tensor
+    assert np.array_equal(tensor, full_sweep_structure_constants(table))
 
     elements, ops = _oracle_group(label, table)
     oracle_classes, oracle_tensor = brute_structure_constants(elements, **ops)
     # production class of each oracle class, found through its smallest member
-    perm = [int(classes.class_of[table.index_of(bytes(c[0]))]) for c in oracle_classes]
+    perm = [int(table.class_map[1][table.index_of(bytes(c[0]))]) for c in oracle_classes]
     assert sorted(perm) == list(range(classes.k))
     assert [classes.sizes[c] for c in perm] == [len(c) for c in oracle_classes]
     assert np.array_equal(tensor[np.ix_(perm, perm, perm)], np.array(oracle_tensor, dtype=np.int64))
@@ -122,7 +122,7 @@ def test_structure_constants_match_oracles(label, tmp_path):
 def test_structure_constants_match_sweep_on_bench_groups(label, group_cache):
     """The benchmark's survey and thompson groups: P from 547 to 29761, k up to 22, |G| up to 181,440."""
     table, classes, constants, _ = group_cache(label)
-    assert np.array_equal(constants.tensor, full_sweep_structure_constants(table, classes))
+    assert np.array_equal(constants.tensor, full_sweep_structure_constants(table))
 
 
 @pytest.mark.parametrize("label", ORACLE_LABELS + ["A:8"])
@@ -134,7 +134,7 @@ def test_dixon_row_sources_match_list_oracle(label, tmp_path):
     """
     table = group_build(oracle_spec(label, tmp_path))
     classes = conj_classes(table)
-    tensor = full_sweep_structure_constants(table, classes)
+    tensor = full_sweep_structure_constants(table)
     rows = ClassRows(table, classes)
     for j in range(classes.k):
         assert np.array_equal(rows.rows(j, np.arange(classes.k)), tensor[j])
@@ -148,13 +148,20 @@ def test_dixon_row_sources_match_list_oracle(label, tmp_path):
         assert chartable.work["class_matrices"] == 11
 
 
+def _swap_inverse_classes(classes, a, b):
+    """classes with the inverse classes of a and b swapped, in row (order - 1) of each one's power map."""
+    inv, power_map = list(classes.inverse_class), classes.power_map.copy()
+    power_map[classes.orders[a] - 1, a], power_map[classes.orders[b] - 1, b] = inv[b], inv[a]
+    swapped = classes._replace(power_map=power_map)
+    inv[a], inv[b] = inv[b], inv[a]
+    assert swapped.inverse_class == tuple(inv)
+    return swapped
+
+
 def test_class_rows_reject_wrong_inverse_classes(group_cache):
     """With the inverse classes of 3A (20) and 2A (15) in A:5 swapped, some row does not divide."""
     table, classes, _, _ = group_cache("A:5")
-    inv = list(classes.inverse_class)
-    three_a, two_a = classes.sizes.index(20), classes.sizes.index(15)
-    inv[three_a], inv[two_a] = inv[two_a], inv[three_a]
-    rows = ClassRows(table, classes._replace(inverse_class=tuple(inv)))
+    rows = ClassRows(table, _swap_inverse_classes(classes, classes.sizes.index(20), classes.sizes.index(15)))
     with pytest.raises(InvariantViolation):
         for j in range(classes.k):
             rows.rows(j, np.arange(classes.k))
@@ -193,12 +200,10 @@ def test_root_search_above_2_24():
 
 def test_structure_constants_reject_wrong_inverse_classes(group_cache):
     """Swapping the inverse classes of 3A (20) and 2A (15) in A:5 breaks the identity column."""
-    table, classes, _, chartable = group_cache("A:5")
-    inv = list(classes.inverse_class)
-    three_a, two_a = classes.sizes.index(20), classes.sizes.index(15)
-    inv[three_a], inv[two_a] = inv[two_a], inv[three_a]
+    _, classes, _, chartable = group_cache("A:5")
+    swapped = _swap_inverse_classes(classes, classes.sizes.index(20), classes.sizes.index(15))
     with pytest.raises(InvariantViolation):
-        structure_constants(chartable, classes._replace(inverse_class=tuple(inv)))
+        structure_constants(chartable._replace(classes=swapped))
 
 
 def test_structure_constants_reject_wrong_residue(group_cache):
@@ -207,7 +212,7 @@ def test_structure_constants_reject_wrong_residue(group_cache):
     residues = chartable.residues.copy()
     residues[1, 1] = (residues[1, 1] + 1) % chartable.modulus_prime
     with pytest.raises(InvariantViolation, match="mod P"):
-        structure_constants(chartable._replace(residues=residues), classes)
+        structure_constants(chartable._replace(residues=residues))
 
 
 def test_structure_constants_reject_perturbed_values(group_cache):
@@ -216,7 +221,7 @@ def test_structure_constants_reject_perturbed_values(group_cache):
     values = chartable.values.copy()
     values[1, 1] += 1.0
     with pytest.raises(InvariantViolation, match="mod P"):
-        structure_constants(chartable._replace(values=values), classes)
+        structure_constants(chartable._replace(values=values))
 
 
 def test_dixon_degree_multisets(group_cache):
@@ -267,12 +272,12 @@ def test_perturbed_table_fails_orthogonality(group_cache):
     _, classes, _, chartable = group_cache("A:5")
     values = chartable.values.copy()
     values[1, 1] += 1e-3
-    row_res, col_res = characters._residuals(values, classes.sizes, chartable.order)
+    row_res, col_res = characters._residuals(values, classes.sizes, classes.order)
     broken = CharacterTable(
         values=values,
         residues=chartable.residues,
         degrees=chartable.degrees,
-        order=chartable.order,
+        classes=classes,
         modulus_prime=chartable.modulus_prime,
         row_residual=row_res,
         col_residual=col_res,
@@ -318,7 +323,7 @@ def test_dixon_bit_identical_across_runs():
     assert np.array_equal(a.values, b.values)  # exact float equality
     assert np.array_equal(a.residues, b.residues)
     assert classes_a.sizes == classes_b.sizes
-    assert a.order == b.order
+    assert a.classes.order == b.classes.order
     assert a.row_residual == b.row_residual
     assert a.col_residual == b.col_residual
 

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -15,10 +16,10 @@ from pathlib import Path
 import pytest
 
 import classmix
-from classmix import characters, cli, interleave
+from classmix import characters, cli, interleave, mixing
 from classmix.cli import main
 from classmix.errors import SpecSyntax, UnsupportedParameters
-from classmix.groups import GroupSpec, GroupTable
+from classmix.groups import ClassData, GroupSpec, GroupTable
 from classmix.interleave import MIN_MC_SAMPLES
 from classmix.mixing import DEFAULT_THRESHOLDS, survey
 from classmix.rng import make_stream
@@ -326,8 +327,9 @@ def test_bijfile_coupling_is_exact_on_a9(tmp_path, group_cache):
     perm = make_stream(31).permutation(table.order)
     path = tmp_path / "bij.txt"
     path.write_text("\n".join(map(str, perm.tolist())) + "\n")
-    rep = survey(classes, chartable, cli._parse_coupling(table, f"bijfile:{path}")[1])
-    counts = Counter(zip(classes.class_of.tolist(), classes.class_of[perm].tolist()))
+    rep = survey(chartable, cli._parse_coupling(table, f"bijfile:{path}")[1])
+    class_of = table.class_map[1]
+    counts = Counter(zip(class_of.tolist(), class_of[perm].tolist()))
     assert {(p.x_class, p.y_class): p.weight for p in rep.pairs} == {
         pair: count / table.order for pair, count in counts.items()
     }
@@ -523,6 +525,16 @@ def test_every_public_definition_has_a_caller():
         and all(caller[: len(owner)] == owner for caller in callers.get(name, ()))
     ]
     assert not uncalled, uncalled
+
+
+def test_class_level_functions_read_class_data_only():
+    """ClassData is the class algebra alone, and the class-level functions name no element data (no class map, no
+    GroupTable, no element rows), so they run on class data for groups that are never enumerated."""
+    assert ClassData._fields == ("sizes", "orders", "power_map")
+    functions = (characters.class_products, characters.structure_constants, characters.witten_zeta)
+    for fn in (*functions, mixing.p_char, mixing.pair_stats, mixing.survey):
+        source = inspect.getsource(fn)
+        assert not [name for name in ("class_of", "GroupTable", ".rows") if name in source], fn.__name__
 
 
 def test_only_the_pipeline_hands_work_to_the_pool():

@@ -241,11 +241,12 @@ def test_conj_classes_match_brute_orbits(spec):
     classes = conj_classes(table)
     elements = [tuple(key) for key in table.elements]
     oracle_classes, _ = brute_conjugacy_classes(elements)
-    members = [sorted(elements[i] for i in classes.members(c)) for c in range(classes.k)]
+    reps, class_of = table.class_map
+    members = [sorted(elements[i] for i in np.flatnonzero(class_of == c)) for c in range(classes.k)]
     assert members == oracle_classes
-    assert [elements[r] for r in classes.reps] == [c[0] for c in oracle_classes]
+    assert [elements[r] for r in reps] == [c[0] for c in oracle_classes]
     assert list(classes.sizes) == [len(c) for c in oracle_classes]
-    assert list(classes.reps) == sorted(classes.reps)
+    assert list(reps) == sorted(reps)
 
 
 def test_psl2_7_class_count():
@@ -256,9 +257,9 @@ def test_psl2_7_class_count():
 
 def test_identity_class_is_singleton():
     for label_spec in [GroupSpec.sym(3), GroupSpec.alt(6), GroupSpec.psl2(8)]:
-        classes = conj_classes(group_build(label_spec))
-        assert classes.sizes[0] == 1
-        assert classes.reps[0] == 0
+        table = group_build(label_spec)
+        assert conj_classes(table).sizes[0] == 1
+        assert table.class_map[0][0] == 0
 
 
 def test_class_sizes_sum_and_divide(group_cache):
@@ -276,7 +277,7 @@ def test_conjugation_invariance(group_cache):
     pairs = stream.integers(0, table.order, size=(1000, 2))
     for g, h in pairs:
         conj = mul[mul[h, g], table.inverses[h]]
-        assert classes.class_of[conj] == classes.class_of[int(g)]
+        assert table.class_map[1][conj] == table.class_map[1][int(g)]
 
 
 def _traced_peak(fn):
@@ -446,12 +447,13 @@ def test_class_labelling_matches_unique(label, tmp_path):
     classes = conj_classes(table)
     expected = list(unique_labelling_classes(table))
     expected[4] = expected[4][: max(classes.orders) + 1]
-    got = (classes.reps, classes.sizes, classes.class_of, classes.inverse_class, classes.power_map)
+    reps, class_of = table.class_map
+    got = (reps, classes.sizes, class_of, classes.inverse_class, classes.power_map)
     names = ("reps", "sizes", "class_of", "inverse_class", "power_map")
     for name, a, b in zip(names, got, expected):
         a, b = np.asarray(a), np.asarray(b)
         assert a.shape == b.shape and np.array_equal(a, b), name
-    assert classes.class_of.dtype == classes.power_map.dtype == np.int32
+    assert class_of.dtype == classes.power_map.dtype == np.int32
 
 
 def test_power_map_coherence(group_cache):
@@ -464,8 +466,8 @@ def test_power_map_coherence(group_cache):
         power = 0
         for _step in range(m):
             power = mul[power, g]
-        c = classes.class_of[g]
-        assert classes.class_of[power] == classes.power_map[m % classes.orders[c], c]
+        c = table.class_map[1][g]
+        assert table.class_map[1][power] == classes.power_map[m % classes.orders[c], c]
 
 
 def test_power_map_row_one_is_identity_map(group_cache):
@@ -486,9 +488,9 @@ def test_inverse_class_from_representatives(label):
     """inverse_class, taken from the representatives' inverses, is the class of every member's inverse."""
     table = group_build(GroupSpec.parse(label))
     classes = conj_classes(table)
-    reps = np.asarray(classes.reps)
-    assert list(classes.inverse_class) == classes.class_of[table.inverses[reps]].tolist()
-    assert np.array_equal(np.asarray(classes.inverse_class)[classes.class_of], classes.class_of[table.inverses])
+    reps, class_of = table.class_map
+    assert list(classes.inverse_class) == class_of[table.inverses[reps]].tolist()
+    assert np.array_equal(np.asarray(classes.inverse_class)[class_of], class_of[table.inverses])
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])

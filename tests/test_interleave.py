@@ -3,7 +3,9 @@ import math
 import os
 import re
 import sys
+import threading
 import tracemalloc
+import types
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -387,6 +389,46 @@ def test_draw_mask_at_choice_branch_edges(monkeypatch, total, m, method, chunk):
         assert np.array_equal(bits, packed(expected)), workers
         assert stream.bit_generator.state == reference.bit_generator.state
         assert recorder.calls == {method}
+
+
+def test_swap_fills_hold_the_one_lock(monkeypatch):
+    """Every swap fill of the tail-shuffle branch runs under the one lock that _draw_bits makes, and the lock never
+    has two holders.  A stand-in for threading.Lock, a real lock that counts its entries and holders, makes this a
+    count rather than a race: a fill outside the lock, or under a lock of its own, is caught on every run."""
+    total, m, chunk = 200_000, 100_000, 7777
+    monkeypatch.setattr(interleave, "ROW_CHUNK", chunk)
+    seen = Counter()  # entries, current holders and the most holders at once, over every lock made
+    made, guard = [], threading.Lock()
+
+    class RecordingLock:
+        def __init__(self):
+            self.lock = threading.Lock()
+            made.append(self)
+
+        def __enter__(self):
+            self.lock.acquire()
+            with guard:
+                seen["entries"] += 1
+                seen["holders"] += 1
+                seen["most"] = max(seen["most"], seen["holders"])
+
+        def __exit__(self, *exc):
+            with guard:
+                seen["holders"] -= 1
+            self.lock.release()
+
+    monkeypatch.setattr(interleave, "threading", types.SimpleNamespace(Lock=RecordingLock))
+    monkeypatch.setattr(interleave, "_workers", lambda: 3)
+    stream, reference = make_stream(97), make_stream(97)
+    with ThreadPoolExecutor(3) as pool:
+        monkeypatch.setattr(interleave, "_POOL", pool)
+        bits = interleave._draw_bits(total, m, stream)
+    expected = np.zeros(total, dtype=bool)
+    expected[reference.choice(total, size=m, replace=False)] = True
+    assert np.array_equal(bits, packed(expected))
+    assert stream.bit_generator.state == reference.bit_generator.state
+    assert len(made) == 1
+    assert seen == {"entries": len(range(total, total - m, -chunk)), "holders": 0, "most": 1}
 
 
 @pytest.mark.parametrize(

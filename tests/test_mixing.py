@@ -6,8 +6,8 @@ import pytest
 
 from classmix import cli
 from classmix.errors import InvariantViolation, LoopBudgetExceeded, SpecSyntax
-from classmix.groups import GroupSpec, conj_classes, group_build
-from classmix.characters import ClassRows, dixon_character_table, witten_zeta
+from classmix.groups import ClassData, GroupSpec, conj_classes, group_build
+from classmix.characters import ClassRows, class_products, dixon_character_table, structure_constants, witten_zeta
 from classmix.mixing import (
     BijectionCoupling,
     Diagonal,
@@ -29,6 +29,7 @@ from _oracles import (
     brute_conjugacy_classes,
     brute_pair_distribution,
     char_bound_fraction,
+    class_members,
     class_rows_support,
     coverage,
     coverage_norm_link_holds,
@@ -44,6 +45,13 @@ from _oracles import (
 ORACLE_GROUPS = ["A:5", "S:4", "S:3", "PSL2:7"]
 
 
+def _bijection(table, mapping) -> BijectionCoupling:
+    """The coupling y = mapping[x] of a permutation of element indices, as its class-pair counts."""
+    reps, class_of = table.class_map
+    k = len(reps)
+    return BijectionCoupling(np.bincount(class_of * k + class_of[list(mapping)], minlength=k * k).reshape(k, k))
+
+
 def _one(dist, xc, yc, classes) -> PairStats:
     """pair_stats of one class pair: entry 0 of each statistic (probs is the pair's (k,) row)."""
     return PairStats(*(v[0] for v in pair_stats(dist.row[None], [xc], [yc], classes)))
@@ -52,7 +60,7 @@ def _one(dist, xc, yc, classes) -> PairStats:
 def test_p_char_identity_times_class_is_uniform_on_class(group_cache):
     table, classes, _, chartable = group_cache("A:5")
     for yc in range(classes.k):
-        probs = _one(p_char(0, yc, chartable, classes), 0, yc, classes).probs
+        probs = _one(p_char(0, yc, chartable), 0, yc, classes).probs
         expected = np.zeros(classes.k)
         expected[yc] = 1.0 / classes.sizes[yc]
         assert np.allclose(probs, expected, atol=1e-12)
@@ -60,7 +68,7 @@ def test_p_char_identity_times_class_is_uniform_on_class(group_cache):
 
 def test_p_char_identity_pair_is_point_mass(group_cache):
     _, classes, _, chartable = group_cache("PSL2:7")
-    probs = _one(p_char(0, 0, chartable, classes), 0, 0, classes).probs
+    probs = _one(p_char(0, 0, chartable), 0, 0, classes).probs
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
     assert np.abs(probs[1:]).max() < 1e-12
 
@@ -89,13 +97,13 @@ def test_brute_matches_independent_oracle():
     for xc in range(classes.k):
         for yc in range(classes.k):
             dist = _one(p_brute(xc, yc, table, classes), xc, yc, classes)
-            ox = [tuple(table.elements[i]) for i in classes.members(xc)]
-            oy = [tuple(table.elements[i]) for i in classes.members(yc)]
+            ox = [tuple(table.elements[i]) for i in class_members(table, xc)]
+            oy = [tuple(table.elements[i]) for i in class_members(table, yc)]
             sizes = [len(c) for c in oracle_classes]
             probs = brute_pair_distribution(ox, oy, assigned, sizes)
             # map package classes to oracle classes by a member element
             for k in range(classes.k):
-                member = tuple(table.elements[classes.members(k)[0]])
+                member = tuple(table.elements[class_members(table, k)[0]])
                 ok = assigned[member]
                 assert float(probs[ok]) == pytest.approx(dist.probs[k], abs=1e-15)
 
@@ -106,7 +114,7 @@ def test_oracle_equivalence_all_pairs(label, group_cache):
     for xc in range(classes.k):
         for yc in range(classes.k):
             brute = _one(p_brute(xc, yc, table, classes), xc, yc, classes)
-            char = _one(p_char(xc, yc, chartable, classes), xc, yc, classes)
+            char = _one(p_char(xc, yc, chartable), xc, yc, classes)
             assert np.abs(brute.probs - char.probs).max() < 1e-9
 
 
@@ -116,17 +124,17 @@ def test_normalization_all_pairs(label, group_cache):
     sizes = np.asarray(classes.sizes, dtype=np.float64)
     for xc in range(classes.k):
         for yc in range(classes.k):
-            char = _one(p_char(xc, yc, chartable, classes), xc, yc, classes)
+            char = _one(p_char(xc, yc, chartable), xc, yc, classes)
             assert abs(float(sizes @ char.probs) - 1.0) < 1e-10
 
 
 def test_l2_examples(group_cache):
     table, classes, _, chartable = group_cache("A:5")
     # identity pair -> point mass -> 1
-    assert _one(p_char(0, 0, chartable, classes), 0, 0, classes).l2_sq == pytest.approx(1.0, abs=1e-10)
+    assert _one(p_char(0, 0, chartable), 0, 0, classes).l2_sq == pytest.approx(1.0, abs=1e-10)
     # identity x class -> 1/|class|
     for yc in range(1, classes.k):
-        val = _one(p_char(0, yc, chartable, classes), 0, yc, classes).l2_sq
+        val = _one(p_char(0, yc, chartable), 0, yc, classes).l2_sq
         assert val == pytest.approx(1.0 / classes.sizes[yc], abs=1e-12)
 
 
@@ -145,7 +153,7 @@ def test_lemma_dual_path_identity(group_cache):
         table, classes, _, chartable = group_cache(label)
         for xc in range(classes.k):
             for yc in range(classes.k):
-                a = _one(p_char(xc, yc, chartable, classes), xc, yc, classes).l2_sq
+                a = _one(p_char(xc, yc, chartable), xc, yc, classes).l2_sq
                 b = l2_sq_char(xc, yc, chartable)
                 assert abs(a - b) <= 1e-9 * max(abs(a), abs(b))
 
@@ -164,7 +172,7 @@ def test_distance_identities(group_cache):
         table, classes, _, chartable = group_cache(label)
         for xc in range(classes.k):
             for yc in range(classes.k):
-                st = _one(p_char(xc, yc, chartable, classes), xc, yc, classes)
+                st = _one(p_char(xc, yc, chartable), xc, yc, classes)
                 assert abs(st.l2_sq_dist - (st.l2_sq - 1.0 / table.order)) < 1e-12
                 assert st.l1 <= math.sqrt(table.order * st.l2_sq_dist) + 1e-12
 
@@ -173,7 +181,7 @@ def test_distance_trivial_cases(group_cache):
     table, classes, _, chartable = group_cache("A:5")
     # x = identity, y of class size m: l1 = 2(1 - m/|G|)
     for yc in range(classes.k):
-        l1 = _one(p_char(0, yc, chartable, classes), 0, yc, classes).l1
+        l1 = _one(p_char(0, yc, chartable), 0, yc, classes).l1
         m = classes.sizes[yc]
         assert l1 == pytest.approx(2 * (1 - m / table.order), abs=1e-10)
 
@@ -206,14 +214,14 @@ def test_coverage_brute_counts_match_support_table(label, tmp_path):
     classes = conj_classes(table)
     chartable = dixon_character_table(table, classes)
     rows = ClassRows(table, classes)
-    supports = (full_sweep_structure_constants(table, classes) > 0) @ np.asarray(classes.sizes, dtype=np.int64)
+    supports = (full_sweep_structure_constants(table) > 0) @ np.asarray(classes.sizes, dtype=np.int64)
     ys = np.arange(classes.k)
     for xc in range(classes.k):
         swept = pair_stats(rows.rows(xc, ys), np.full(classes.k, xc), ys, classes).support
         for yc in range(classes.k):
             support = class_rows_support(rows, xc, yc)
             brute = from_constants(xc, yc, p_brute(xc, yc, table, classes).row, classes, "brute")
-            char = from_constants(xc, yc, p_char(xc, yc, chartable, classes).row, classes, "char")
+            char = from_constants(xc, yc, p_char(xc, yc, chartable).row, classes, "char")
             assert support == coverage(brute, classes).support
             assert support == coverage(char, classes).support
             assert support == supports[xc, yc] == swept[yc]
@@ -226,7 +234,7 @@ def test_one_pair_stats_match_per_pair_oracles_bit_for_bit(label, group_cache):
     for xc in range(classes.k):
         for yc in range(classes.k):
             for source, dist in (
-                ("char", p_char(xc, yc, chartable, classes)),
+                ("char", p_char(xc, yc, chartable)),
                 ("brute", p_brute(xc, yc, table, classes)),
             ):
                 st = _one(dist, xc, yc, classes)
@@ -246,10 +254,10 @@ def test_char_and_brute_counts_are_the_structure_constants(label, tmp_path):
     table = group_build(oracle_spec(label, tmp_path))
     classes = conj_classes(table)
     chartable = dixon_character_table(table, classes)
-    counts = full_sweep_structure_constants(table, classes) * np.asarray(classes.sizes, dtype=np.int64)
+    counts = full_sweep_structure_constants(table) * np.asarray(classes.sizes, dtype=np.int64)
     for xc in range(classes.k):
         for yc in range(classes.k):
-            char = p_char(xc, yc, chartable, classes)
+            char = p_char(xc, yc, chartable)
             brute = p_brute(xc, yc, table, classes)
             assert char.counts == brute.counts == tuple(counts[xc, yc].tolist())
             assert all(type(c) is int for c in char.counts + brute.counts)
@@ -261,7 +269,7 @@ def test_p_char_rejects_moved_residue(group_cache):
     residues = chartable.residues.copy()
     residues[1, 1] = (residues[1, 1] + 1) % chartable.modulus_prime
     with pytest.raises(InvariantViolation, match="mod P"):
-        p_char(1, 0, chartable._replace(residues=residues), classes)
+        p_char(1, 0, chartable._replace(residues=residues))
 
 
 def test_coverage_norm_link(group_cache):
@@ -295,7 +303,7 @@ def test_p_brute_loop_path_without_mul_table(group_cache):
     table, classes, _, chartable = group_cache("A:8")
     yc = int(np.argsort(classes.sizes)[1])  # smallest nontrivial class
     brute = _one(p_brute(0, yc, table, classes), 0, yc, classes)
-    char = _one(p_char(0, yc, chartable, classes), 0, yc, classes)
+    char = _one(p_char(0, yc, chartable), 0, yc, classes)
     assert np.abs(brute.probs - char.probs).max() < 1e-9
 
 
@@ -336,17 +344,17 @@ def test_thompson_matches_brute_squares(group_cache):
 
 def test_survey_independent_total_probability(group_cache):
     table, classes, _, chartable = group_cache("A:5")
-    rep = survey(classes, chartable, Independent(), thresholds=(0.5, 1.0))
+    rep = survey(chartable, Independent(), thresholds=(0.5, 1.0))
     weights = sum(p.weight for p in rep.pairs)
     assert weights == pytest.approx(1.0, abs=1e-10)
     # delta = infinity: every pair counts
-    big = survey(classes, chartable, Independent(), thresholds=(float("inf"),))
+    big = survey(chartable, Independent(), thresholds=(float("inf"),))
     assert big.thresholds[0][1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_survey_weighted_mean_consistency(group_cache):
     table, classes, _, chartable = group_cache("A:5")
-    rep = survey(classes, chartable, Independent())
+    rep = survey(chartable, Independent())
     mean_from_report = sum(p.weight * p.n_stat for p in rep.pairs)
     direct = 0.0
     for i in range(classes.k):
@@ -358,7 +366,7 @@ def test_survey_weighted_mean_consistency(group_cache):
 
 def test_survey_diagonal_weights(group_cache):
     table, classes, _, chartable = group_cache("S:4")
-    rep = survey(classes, chartable, Diagonal())
+    rep = survey(chartable, Diagonal())
     for p in rep.pairs:
         assert p.x_class == p.y_class
         assert p.weight == pytest.approx(classes.sizes[p.x_class] / table.order)
@@ -368,17 +376,17 @@ def test_survey_translated_inverse_matches_full_sweep(group_cache):
     table, classes, _, chartable = group_cache("PSL2:11")
     stream = make_stream(5)
     a = int(stream.integers(0, table.order))
-    rep = survey(classes, chartable, TranslatedInverse(a))
+    rep = survey(chartable, TranslatedInverse(int(table.class_map[1][a])))
     # independent recomputation of the pair weights
     mul = table.full_mul_table()
     counts = {}
     for x in range(table.order):
         y = mul[table.inverses[x], a]
-        key = (int(classes.class_of[x]), int(classes.class_of[y]))
+        key = (int(table.class_map[1][x]), int(table.class_map[1][y]))
         counts[key] = counts.get(key, 0) + 1
     for p in rep.pairs:
         assert p.weight == counts[(p.x_class, p.y_class)] / table.order
-    rep2 = survey(classes, chartable, TranslatedInverse(a))
+    rep2 = survey(chartable, TranslatedInverse(int(table.class_map[1][a])))
     assert rep == rep2  # every field, floats exactly
 
 
@@ -395,8 +403,8 @@ def test_translated_inverse_weights_match_element_sweep(label, tmp_path, group_c
     else:
         table, classes, _, chartable = group_cache(label)
     for a in make_stream(29).integers(0, table.order, size=3).tolist():
-        rep = survey(classes, chartable, TranslatedInverse(a))
-        counts = translated_inverse_counts(table, classes, a)
+        rep = survey(chartable, TranslatedInverse(int(table.class_map[1][a])))
+        counts = translated_inverse_counts(table, a)
         xs, ys = np.nonzero(counts)
         assert [(p.x_class, p.y_class) for p in rep.pairs] == list(zip(xs.tolist(), ys.tolist()))
         assert [p.weight for p in rep.pairs] == (counts[xs, ys] / table.order).tolist()
@@ -406,7 +414,7 @@ def test_survey_bijection_coupling(group_cache):
     table, classes, _, chartable = group_cache("S:4")
     stream = make_stream(17)
     mapping = tuple(int(i) for i in stream.permutation(table.order))
-    rep = survey(classes, chartable, BijectionCoupling(mapping))
+    rep = survey(chartable, _bijection(table, mapping))
     assert sum(p.weight for p in rep.pairs) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -419,7 +427,7 @@ def test_bijection_validation(tmp_path):
 
 def test_survey_quantiles_monotone(group_cache):
     table, classes, _, chartable = group_cache("A:6")
-    rep = survey(classes, chartable, Independent())
+    rep = survey(chartable, Independent())
     values = [v for _, v in rep.quantiles]
     assert values == sorted(values)
 
@@ -428,7 +436,7 @@ def _all_couplings(table):
     stream = make_stream(23)
     a = int(stream.integers(0, table.order))
     mapping = tuple(int(i) for i in stream.permutation(table.order))
-    return [Independent(), Diagonal(), TranslatedInverse(a), BijectionCoupling(mapping)]
+    return [Independent(), Diagonal(), TranslatedInverse(int(table.class_map[1][a])), _bijection(table, mapping)]
 
 
 @pytest.mark.parametrize("label", ["A:5", "S:4", "PSL2:7"])
@@ -436,11 +444,11 @@ def test_survey_pairs_match_per_pair_routes(label, group_cache):
     """Batched survey rows equal the per-pair character, distance and brute coverage routes."""
     table, classes, _, chartable = group_cache(label)
     for coupling in _all_couplings(table):
-        rep = survey(classes, chartable, coupling)
+        rep = survey(chartable, coupling)
         assert [(p.x_class, p.y_class) for p in rep.pairs] == sorted((p.x_class, p.y_class) for p in rep.pairs)
         for p in rep.pairs:
             x, y = p.x_class, p.y_class
-            char = from_constants(x, y, p_char(x, y, chartable, classes).row, classes, "char")
+            char = from_constants(x, y, p_char(x, y, chartable).row, classes, "char")
             assert p.l1 == pytest.approx(dist_to_uniform(char, classes).l1, abs=1e-12)
             assert p.n_stat == table.order * l2_sq_char(x, y, chartable)
             brute = from_constants(x, y, p_brute(x, y, table, classes).row, classes, "brute")
@@ -453,8 +461,8 @@ def test_survey_l1_equals_one_pair_stats_bit_for_bit(label, group_cache):
     print the same l1 for the same pair whatever other pairs the survey holds."""
     table, classes, _, chartable = group_cache(label)
     for coupling in _all_couplings(table):
-        for p in survey(classes, chartable, coupling).pairs:
-            one = _one(p_char(p.x_class, p.y_class, chartable, classes), p.x_class, p.y_class, classes)
+        for p in survey(chartable, coupling).pairs:
+            one = _one(p_char(p.x_class, p.y_class, chartable), p.x_class, p.y_class, classes)
             assert p.l1 == one.l1, (label, coupling, p.x_class, p.y_class)
 
 
@@ -464,7 +472,7 @@ def test_survey_thresholds_are_exact(label, group_cache):
     table, classes, _, chartable = group_cache(label)
     deltas = (0.0, 0.5, 1.0, 2.0, 3.0)
     for coupling in _all_couplings(table):
-        rep = survey(classes, chartable, coupling, thresholds=deltas)
+        rep = survey(chartable, coupling, thresholds=deltas)
         for delta, prob in rep.thresholds:
             expected = 0.0
             for p in rep.pairs:
@@ -480,15 +488,15 @@ def test_survey_threshold_ties_count(group_cache):
     """Pairs with N exactly 1 + delta count: A_5 (identity, 3-cycles) has N = 3, float 3.0000000000000004."""
     for label, exact in (("A:5", Fraction(3521, 3600)), ("PSL2:7", Fraction(28001, 28224))):
         table, classes, _, chartable = group_cache(label)
-        rep = survey(classes, chartable, Independent(), thresholds=(2.0,))
+        rep = survey(chartable, Independent(), thresholds=(2.0,))
         assert dict(rep.thresholds)[2.0] == pytest.approx(float(exact), abs=1e-12), label
 
 
 def test_survey_rejects_nan_threshold(group_cache):
     table, classes, _, chartable = group_cache("S:4")
     with pytest.raises(SpecSyntax):
-        survey(classes, chartable, Independent(), thresholds=(1.0, float("nan")))
-    rep = survey(classes, chartable, Independent(), thresholds=(-math.inf, math.inf))
+        survey(chartable, Independent(), thresholds=(1.0, float("nan")))
+    rep = survey(chartable, Independent(), thresholds=(-math.inf, math.inf))
     assert rep.thresholds[0][1] == 0.0
     assert rep.thresholds[1][1] == pytest.approx(1.0, abs=1e-12)
 
@@ -497,9 +505,28 @@ def test_survey_rejects_imaginary_character_noise(group_cache):
     table, classes, _, chartable = group_cache("A:5")
     noisy = chartable._replace(values=chartable.values + 1e-6j * np.arange(classes.k))
     with pytest.raises(InvariantViolation):
-        survey(classes, noisy, Independent())
+        survey(noisy, Independent())
     with pytest.raises(InvariantViolation):
-        p_char(1, 2, noisy, classes)
+        p_char(1, 2, noisy)
+
+
+@pytest.mark.parametrize("label", ["A:5", "PSL2:7", "S:6"])
+def test_class_level_answers_from_class_data_alone(label, group_cache):
+    """class_products, structure_constants, witten_zeta and survey need only the class algebra: with the ClassData
+    rebuilt from plain copies of the sizes, orders and power map, and no GroupTable in scope, they are
+    bit-identical to the enumerated group's."""
+    _, classes, _, chartable = group_cache(label)
+    bare = chartable._replace(
+        classes=ClassData(tuple(classes.sizes), tuple(classes.orders), np.array(classes.power_map.tolist()))
+    )
+    k = chartable.k
+    xs, ys = np.divmod(np.arange(k * k), k)
+    assert class_products(bare, xs, ys).tobytes() == class_products(chartable, xs, ys).tobytes()
+    assert structure_constants(bare).tensor.tobytes() == structure_constants(chartable).tensor.tobytes()
+    for s in (1.0, 2.0):
+        assert repr(witten_zeta(bare, s)) == repr(witten_zeta(chartable, s))
+    for coupling in (Independent(), Diagonal(), TranslatedInverse(k - 1)):
+        assert repr(survey(bare, coupling)) == repr(survey(chartable, coupling))
 
 
 # -- character-bound fraction ----------------------------------------------------
