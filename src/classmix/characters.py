@@ -30,8 +30,8 @@ class StructureConstants(NamedTuple):
     tensor: np.ndarray
 
 
-class ClassRows:
-    """Rows of the class matrices computed from the group, without the tensor.
+def class_rows(table: GroupTable, classes: ClassData, j: int, pivots: np.ndarray) -> np.ndarray:
+    """tensor[j, i, :] for every i in pivots: rows of the class matrices computed from the group, without the tensor.
 
     |C_l| tensor[j, i, l] counts the pairs (v, w) in C_j x C_i with v w in C_l,
     that is w^-1 v^-1 in C_l*.  Conjugating a pair so that w^-1 becomes the
@@ -39,33 +39,24 @@ class ClassRows:
     |C_l| tensor[j, i, l] = |C_i| h[l*] with h[c] = #{x in C_j* : z_i* x in C_c}.
     x z_i* = z_i*^-1 (z_i* x) z_i* lies in the same class, so h counts the
     products x z_i*: one column gather per representative for permutations.
-    Row (j, i) costs |C_j| products and lookups; `products` counts them.
+    Row (j, i) costs |C_j| products and lookups.
     """
-
-    def __init__(self, table: GroupTable, classes: ClassData):
-        self.table = table
-        self.sizes = np.asarray(classes.sizes, dtype=np.int64)
-        self.inv = np.asarray(classes.inverse_class, dtype=np.intp)
-        self.products = 0
-
-    def rows(self, j: int, pivots: np.ndarray) -> np.ndarray:
-        """tensor[j, i, :] for every i in pivots."""
-        table, sizes, inv = self.table, self.sizes, self.inv
-        k = len(sizes)
-        reps, class_of = table.class_map
-        ws = table.rows[np.flatnonzero(class_of == inv[j])]
-        zs = table.rows[reps[inv[pivots]]]
-        per = max(1, ROW_CHUNK // len(ws))
-        h = np.empty((len(pivots), k), dtype=np.int64)
-        for s in range(0, len(pivots), per):
-            c = class_of[table.lookup(table.engine.right(ws, zs[s : s + per]))]
-            n = c.shape[1]
-            h[s : s + n] = np.bincount((c + k * np.arange(n)).ravel(), minlength=n * k).reshape(n, k)
-        self.products += len(pivots) * len(ws)
-        rows, rem = np.divmod(sizes[pivots, None] * h[:, inv], sizes)
-        if rem.any():
-            raise InvariantViolation("a class-matrix entry is not divisible by its class size")
-        return rows
+    sizes = np.asarray(classes.sizes, dtype=np.int64)
+    inv = np.asarray(classes.inverse_class, dtype=np.intp)
+    k = len(sizes)
+    reps, class_of = table.class_map
+    ws = table.rows[np.flatnonzero(class_of == inv[j])]
+    zs = table.rows[reps[inv[pivots]]]
+    per = max(1, ROW_CHUNK // len(ws))
+    h = np.empty((len(pivots), k), dtype=np.int64)
+    for s in range(0, len(pivots), per):
+        c = class_of[table.lookup(table.engine.right(ws, zs[s : s + per]))]
+        n = c.shape[1]
+        h[s : s + n] = np.bincount((c + k * np.arange(n)).ravel(), minlength=n * k).reshape(n, k)
+    rows, rem = np.divmod(sizes[pivots, None] * h[:, inv], sizes)
+    if rem.any():
+        raise InvariantViolation("a class-matrix entry is not divisible by its class size")
+    return rows
 
 
 class CharacterTable(NamedTuple):
@@ -181,7 +172,7 @@ def _primitive_root_of_order(e: int, p: int) -> int:
     raise EigensplitFailure(f"no element of order {e} in GF({p})")  # unreachable for prime p
 
 
-def _split(class_rows: ClassRows, k: int, p: int, work: dict) -> np.ndarray:
+def _split(table: GroupTable, classes: ClassData, p: int, work: dict) -> np.ndarray:
     """Common one-dimensional eigenspaces of the class matrices over GF(p), one per row.
 
     A block is a basis B (k x d) of a common eigenspace of the matrices used so
@@ -191,6 +182,7 @@ def _split(class_rows: ClassRows, k: int, p: int, work: dict) -> np.ndarray:
     eigenvalue: the nullspace N of R - lambda, with N[F] = I on its free rows F,
     gives the block B N with pivot rows P[F].
     """
+    k = classes.k
     blocks = [(np.eye(k, dtype=np.int64), np.arange(k))]
     for j in range(1, k):
         live = [blk for blk in blocks if len(blk[1]) > 1]
@@ -198,9 +190,10 @@ def _split(class_rows: ClassRows, k: int, p: int, work: dict) -> np.ndarray:
             break
         need = np.flatnonzero(np.bincount(np.concatenate([piv for _, piv in live]), minlength=k))
         rows = np.zeros((k, k), dtype=np.int64)
-        rows[need] = class_rows.rows(j, need) % p
+        rows[need] = class_rows(table, classes, j, need) % p
         work["class_matrices"] += 1
         work["rows"] += len(need)
+        work["products"] += len(need) * classes.sizes[j]  # row (j, i) costs |C_j| products
         new_blocks = []
         for basis, piv in blocks:
             if len(piv) == 1:
@@ -232,21 +225,19 @@ def dixon_character_table(table: GroupTable, classes: ClassData) -> CharacterTab
 
     Stages: (1) least prime P = 1 (mod exponent), P > 2 sqrt(|G|);
     (2) common eigenvectors by iterative eigenspace splitting, computing from
-    the group (ClassRows) only the class-matrix rows the split needs; (3) exact
+    the group (class_rows) only the class-matrix rows the split needs; (3) exact
     degree recovery; (4) complex lift by Fourier inversion over the power maps;
     (5) deterministic row order.  A row or column orthogonality residual of at
     least ORTHOGONALITY_TOL * |G| raises InvariantViolation.  The table's `work`
     records P, the class matrices used, the rows read, the element products
-    spent on them and the largest block a split left.
+    spent on them (|C_j| per row of M_j) and the largest block a split left.
     """
     k = classes.k
     order = classes.order
     e = classes.exponent
     p = _least_dixon_prime(e, order)
-    class_rows = ClassRows(table, classes)
-    work = {"prime": p, "class_matrices": 0, "rows": 0, "max_block": 1}
-    vectors = _split(class_rows, k, p, work)
-    work["products"] = class_rows.products
+    work = {"prime": p, "class_matrices": 0, "rows": 0, "max_block": 1, "products": 0}
+    vectors = _split(table, classes, p, work)
 
     if not vectors[:, 0].all():
         raise EigensplitFailure("eigenvector vanishes at the identity class")

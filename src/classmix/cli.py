@@ -32,10 +32,6 @@ from .interleave import (
 )
 from .mixing import (
     DEFAULT_THRESHOLDS,
-    BijectionCoupling,
-    Diagonal,
-    Independent,
-    TranslatedInverse,
     check_survey_inputs,
     l2_sq_char,
     p_brute,
@@ -61,16 +57,23 @@ def _parse_element(table, text: str) -> int:
     return idx
 
 
-def _parse_coupling(table, text: str):
-    """(report name, coupling) of a --coupling value, elements resolved to classes; transinv is named by the index."""
+def _parse_coupling(table, classes, text: str):
+    """(report name, coupling) of a --coupling value; transinv is named by the element index.
+
+    The coupling is the function survey calls with the structure constants: it returns the (k, k)
+    weights P[x in C_i, y in C_j].  Elements are resolved to classes here, before any character table.
+    """
+    order = classes.order
+    w = np.asarray(classes.sizes, dtype=np.float64) / order
     if text == "independent":
-        return "independent", Independent()
+        return "independent", lambda tensor: np.outer(w, w)
     if text == "diagonal":
-        return "diagonal", Diagonal()
+        return "diagonal", lambda tensor: np.diag(w)
     reps, class_of = table.class_map
     if text.startswith("transinv:"):
         a = _parse_element(table, text.split(":", 1)[1])
-        return f"transinv:{a}", TranslatedInverse(int(class_of[a]))
+        a_class = int(class_of[a])  # x in C_i with x^-1 a in C_j: a_ij,cl(a) of them
+        return f"transinv:{a}", lambda tensor: tensor[:, :, a_class] / order
     if text.startswith("bijfile:"):
         entries = read_input_text(text.split(":", 1)[1], "bijection file").split()
         mapping = tuple(parse_int(e, "bijection entry") for e in entries)
@@ -79,8 +82,8 @@ def _parse_coupling(table, text: str):
         if sorted(mapping) != list(range(table.order)):
             raise SpecSyntax("bijection table is not a permutation of element indices")
         k = len(reps)
-        pairs = np.bincount(class_of * k + class_of[np.asarray(mapping)], minlength=k * k)
-        return "bijection", BijectionCoupling(pairs.reshape(k, k))
+        counts = np.bincount(class_of * k + class_of[np.asarray(mapping)], minlength=k * k).reshape(k, k)
+        return "bijection", lambda tensor: counts / order
     raise SpecSyntax(f"unknown coupling {text!r}")
 
 
@@ -198,7 +201,7 @@ def _cmd_mixpair(args) -> int:
 def _cmd_survey(args) -> int:
     check_survey_inputs(args.thresholds)
     table, classes = _build_all(args)
-    name, coupling = _parse_coupling(table, args.coupling)
+    name, coupling = _parse_coupling(table, classes, args.coupling)
     chartable = dixon_character_table(table, classes)
     rep = survey(chartable, coupling, thresholds=tuple(args.thresholds))
     payload = {

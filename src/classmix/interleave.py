@@ -187,9 +187,9 @@ def explicit_tuple_set(table: GroupTable, rows: list[tuple[int, ...]]) -> TupleS
 def seeded_tuple_set(table: GroupTable, arity: int, density: float, stream: np.random.Generator) -> TupleSet:
     """Uniform random subset of G^t of the given density, materialized explicitly.
 
-    The realized density is exactly round(density * |G|^t) / |G|^t; the draw is
-    reproducible from the stream.  When that rounds to all of G^t the set is G^t
-    and nothing is drawn.
+    The set holds max(1, round(density * |G|^t)) tuples, so a density that rounds to
+    no tuple still draws one; the draw is reproducible from the stream.  When the
+    count rounds to all of G^t the set is G^t and nothing is drawn.
     """
     total = _tuple_count(table.order, arity)
     if not (0.0 < density <= 1.0):
@@ -423,8 +423,7 @@ def fiber_sample(
         raise ArityMismatch(f"arity must be >= 1, got {arity}")
     a_rows = _draw_rows(stream, table.order, draws, arity, np.int64)
     b_rows = np.empty((draws, arity), dtype=np.int64)
-    if arity > 1:
-        b_rows[:, : arity - 1] = stream.integers(0, table.order, size=(draws, arity - 1))
+    b_rows[:, :-1] = _draw_rows(stream, table.order, draws, arity - 1, np.int64)
     _complete_rows(table.full_mul_table(), table.inverses, a_rows, b_rows, g)
     return a_rows, b_rows
 

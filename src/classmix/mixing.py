@@ -12,13 +12,14 @@ thompson all read it.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from . import config
-from .characters import CharacterTable, ClassRows, class_products, structure_constants
+from .characters import CharacterTable, class_products, class_rows, structure_constants
 from .errors import LoopBudgetExceeded, SpecSyntax
 from .groups import ClassData, GroupTable
 
@@ -48,7 +49,7 @@ def p_brute(xc: int, yc: int, table: GroupTable, classes: ClassData) -> PairDist
     products = classes.sizes[xc]
     if products > config.loop_budget():
         raise LoopBudgetExceeded(f"{products} products exceed the loop budget")
-    return _from_constants(ClassRows(table, classes).rows(xc, np.array([yc]))[0], classes)
+    return _from_constants(class_rows(table, classes, xc, np.array([yc]))[0], classes)
 
 
 class PairStats(NamedTuple):
@@ -107,37 +108,13 @@ def thompson_search(table: GroupTable, classes: ClassData) -> list[int]:
 
     Reads them from the k diagonal class-matrix rows, |G| products in all.
     """
-    class_rows = ClassRows(table, classes)
-    rows = np.concatenate([class_rows.rows(i, np.array([i])) for i in range(classes.k)])
+    rows = np.concatenate([class_rows(table, classes, i, np.array([i])) for i in range(classes.k)])
     diag = np.arange(classes.k)
     return pair_stats(rows, diag, diag, classes).support.tolist()
 
 
 # ---------------------------------------------------------------------------
-# couplings and surveys
-
-
-class Independent(NamedTuple):
-    """x and y independent and uniform."""
-
-
-class Diagonal(NamedTuple):
-    """x uniform, y = x."""
-
-
-class TranslatedInverse(NamedTuple):
-    """x uniform, y = x^-1 a for a fixed element a, given by its class."""
-
-    a_class: int
-
-
-class BijectionCoupling(NamedTuple):
-    """x uniform, y = f(x) for a permutation f of G, given by counts[i, j] = #{x in C_i : f(x) in C_j}."""
-
-    counts: np.ndarray
-
-
-Coupling = Independent | Diagonal | TranslatedInverse | BijectionCoupling
+# surveys
 
 
 class SurveyPair(NamedTuple):
@@ -167,35 +144,24 @@ def check_survey_inputs(thresholds):
 
 def survey(
     chartable: CharacterTable,
-    coupling: Coupling,
+    coupling: Callable[[np.ndarray], np.ndarray],
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
 ) -> SurveyReport:
     """Coupling-weighted sweep of the normalized collision statistic N.
 
-    Every coupling is exact and read from class data.  Independent and
-    Diagonal couplings are class sweeps.  For TranslatedInverse(a) the number
-    of x in C_i with x^-1 a in C_j is a_ij,cl(a), so the weights are one slice
-    of the structure constants; a BijectionCoupling's weights are its
-    class-pair counts over |G|.  Probabilities, coverage and threshold
-    membership are exact, from the structure constants: p_ij(k) = a_ijk /
-    (|C_i| |C_j|), class k lies in C_i C_j exactly when a_ijk > 0, and
-    N <= 1 + delta exactly when |G| sum_k |C_k| a_ijk^2 <= (1 + delta) (|C_i| |C_j|)^2.
+    A coupling of (x, y) is given by its class-pair weights: coupling(tensor) is
+    the (k, k) float64 array of P[x in C_i, y in C_j], from the structure
+    constants tensor[i, j, l] that the survey computes once.  (The translated
+    inverse y = x^-1 a needs them: the number of x in C_i with x^-1 a in C_j is
+    a_ij,cl(a).)  Probabilities, coverage and threshold membership are exact,
+    from the structure constants: p_ij(k) = a_ijk / (|C_i| |C_j|), class k lies
+    in C_i C_j exactly when a_ijk > 0, and N <= 1 + delta exactly when
+    |G| sum_k |C_k| a_ijk^2 <= (1 + delta) (|C_i| |C_j|)^2.
     """
     check_survey_inputs(thresholds)
     tensor = structure_constants(chartable).tensor
     sizes, order = chartable.classes.sizes, chartable.classes.order
-
-    if isinstance(coupling, Independent):
-        w = np.asarray(sizes, dtype=np.float64) / order
-        weights = np.outer(w, w)
-    elif isinstance(coupling, Diagonal):
-        weights = np.diag(np.asarray(sizes, dtype=np.float64) / order)
-    elif isinstance(coupling, TranslatedInverse):
-        weights = tensor[:, :, coupling.a_class] / order
-    elif isinstance(coupling, BijectionCoupling):
-        weights = coupling.counts / order
-    else:
-        raise SpecSyntax(f"unknown coupling {coupling!r}")
+    weights = coupling(tensor)
 
     xs, ys = np.nonzero(weights)  # row-major: pairs in (x_class, y_class) order
     w_arr = weights[xs, ys]

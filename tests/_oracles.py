@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from classmix import config
-from classmix.characters import _least_dixon_prime, _primitive_root_of_order, witten_zeta
+from classmix.characters import _least_dixon_prime, _primitive_root_of_order, class_rows, witten_zeta
 from classmix.errors import InvariantViolation, LoopBudgetExceeded, SpecSyntax
 from classmix.groups import GroupSpec
 from classmix.interleave import (
@@ -459,9 +459,9 @@ def coverage(dist: PairDistribution, classes) -> CoverageReport:
     return CoverageReport(support=support, fraction=support / dist.order)
 
 
-def class_rows_support(class_rows, i: int, j: int) -> int:
-    """|C_i C_j| from one ClassRows row: class l lies in C_i C_j exactly when a_ijl > 0.  Costs |C_i| products."""
-    return int(class_rows.sizes[class_rows.rows(i, np.array([j]))[0] > 0].sum())
+def class_rows_support(table, classes, i: int, j: int) -> int:
+    """|C_i C_j| from one class_rows row: class l lies in C_i C_j exactly when a_ijl > 0.  Costs |C_i| products."""
+    return int(np.asarray(classes.sizes)[class_rows(table, classes, i, np.array([j]))[0] > 0].sum())
 
 
 class CharBoundReport(NamedTuple):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from classmix import interleave
+from classmix import cli, interleave
 from classmix.characters import (
     dixon_character_table,
     verify_orthogonality,
@@ -29,9 +29,7 @@ from classmix.interleave import (
     seeded_tuple_set,
 )
 from classmix.mixing import (
-    Independent,
     PairStats,
-    TranslatedInverse,
     l2_sq_char,
     p_brute,
     p_char,
@@ -182,7 +180,7 @@ def test_criterion_08_survey_trend(group_cache):
         probs = []
         for param, expected in golden.items():
             table, classes, _, chartable = group_cache(f"{family}:{param}")
-            rep = survey(chartable, Independent(), thresholds=(1.0,))
+            rep = survey(chartable, cli._parse_coupling(table, classes, "independent")[1], thresholds=(1.0,))
             value = dict(rep.thresholds)[1.0]
             assert abs(value - expected) < 1e-9, (family, param)
             probs.append(value)
@@ -192,12 +190,12 @@ def test_criterion_08_survey_trend(group_cache):
 
 
 def test_criterion_09_translated_inverse_bit_identical(group_cache):
-    """TranslatedInverse surveys reproduce an exact full-sweep recomputation."""
+    """Translated-inverse (transinv) surveys reproduce an exact full-sweep recomputation."""
     for label in ("A:5", "PSL2:11"):
         table, classes, _, chartable = group_cache(label)
         for seed in (101, 202, 303):
             a = int(make_stream(seed).integers(0, table.order))
-            rep = survey(chartable, TranslatedInverse(int(table.class_map[1][a])))
+            rep = survey(chartable, cli._parse_coupling(table, classes, f"transinv:{a}")[1])
             # independent full sweep over x, exact integer weights
             mul = table.full_mul_table()
             counts = {}
@@ -209,7 +207,7 @@ def test_criterion_09_translated_inverse_bit_identical(group_cache):
             for pair in rep.pairs:
                 assert pair.weight == counts[(pair.x_class, pair.y_class)] / table.order
                 assert pair.n_stat == table.order * l2_sq_char(pair.x_class, pair.y_class, chartable)
-            rerun = survey(chartable, TranslatedInverse(int(table.class_map[1][a])))
+            rerun = survey(chartable, cli._parse_coupling(table, classes, f"transinv:{a}")[1])
             assert rerun == rep  # every field, floats exactly
     _ok("9 coupling coverage bit-identical")
 

@@ -6,11 +6,11 @@ import pytest
 from classmix import characters
 from classmix.characters import (
     CharacterTable,
-    ClassRows,
     _least_dixon_prime,
     _matmul_mod,
     _nullspace,
     _roots_mod,
+    class_rows,
     dixon_character_table,
     structure_constants,
     verify_orthogonality,
@@ -129,15 +129,14 @@ def test_structure_constants_match_sweep_on_bench_groups(label, group_cache):
 def test_dixon_row_sources_match_list_oracle(label, tmp_path):
     """Pivot rows from the group give the list-based split's table, from the whole tensor, bit for bit.
 
-    ClassRows also reproduces every whole class matrix; A:8 uses 11 of its 13
+    class_rows also reproduces every whole class matrix; A:8 uses 11 of its 13
     non-identity class matrices, the deepest split of these groups.
     """
     table = group_build(oracle_spec(label, tmp_path))
     classes = conj_classes(table)
     tensor = full_sweep_structure_constants(table)
-    rows = ClassRows(table, classes)
     for j in range(classes.k):
-        assert np.array_equal(rows.rows(j, np.arange(classes.k)), tensor[j])
+        assert np.array_equal(class_rows(table, classes, j, np.arange(classes.k)), tensor[j])
     degrees, values, prime = list_dixon_table(classes, tensor)
     chartable = dixon_character_table(table, classes)
     assert chartable.degrees == degrees
@@ -161,10 +160,10 @@ def _swap_inverse_classes(classes, a, b):
 def test_class_rows_reject_wrong_inverse_classes(group_cache):
     """With the inverse classes of 3A (20) and 2A (15) in A:5 swapped, some row does not divide."""
     table, classes, _, _ = group_cache("A:5")
-    rows = ClassRows(table, _swap_inverse_classes(classes, classes.sizes.index(20), classes.sizes.index(15)))
+    swapped = _swap_inverse_classes(classes, classes.sizes.index(20), classes.sizes.index(15))
     with pytest.raises(InvariantViolation):
         for j in range(classes.k):
-            rows.rows(j, np.arange(classes.k))
+            class_rows(table, swapped, j, np.arange(classes.k))
 
 
 def test_matmul_mod_exact_below_2_31():

@@ -327,7 +327,7 @@ def test_bijfile_coupling_is_exact_on_a9(tmp_path, group_cache):
     perm = make_stream(31).permutation(table.order)
     path = tmp_path / "bij.txt"
     path.write_text("\n".join(map(str, perm.tolist())) + "\n")
-    rep = survey(chartable, cli._parse_coupling(table, f"bijfile:{path}")[1])
+    rep = survey(chartable, cli._parse_coupling(table, classes, f"bijfile:{path}")[1])
     class_of = table.class_map[1]
     counts = Counter(zip(class_of.tolist(), class_of[perm].tolist()))
     assert {(p.x_class, p.y_class): p.weight for p in rep.pairs} == {
@@ -529,12 +529,14 @@ def test_every_public_definition_has_a_caller():
 
 def test_class_level_functions_read_class_data_only():
     """ClassData is the class algebra alone, and the class-level functions name no element data (no class map, no
-    GroupTable, no element rows), so they run on class data for groups that are never enumerated."""
+    GroupTable, no element rows), so they run on class data for groups that are never enumerated.  survey dispatches
+    on no coupling type: it calls the coupling's weight function."""
     assert ClassData._fields == ("sizes", "orders", "power_map")
     functions = (characters.class_products, characters.structure_constants, characters.witten_zeta)
     for fn in (*functions, mixing.p_char, mixing.pair_stats, mixing.survey):
         source = inspect.getsource(fn)
         assert not [name for name in ("class_of", "GroupTable", ".rows") if name in source], fn.__name__
+    assert "isinstance" not in inspect.getsource(mixing.survey)  # a coupling is its weight function, not a record
 
 
 def test_only_the_pipeline_hands_work_to_the_pool():

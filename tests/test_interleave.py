@@ -303,6 +303,18 @@ def test_seeded_tuple_set_is_the_sorted_choice(label, t, density):
     assert tset.bits.dtype == np.uint8 and tset.bits.shape == (-(-total // 8),) and tset.size == len(expected)
 
 
+@pytest.mark.parametrize("t", [2, 4], ids=["at-most-10000-tuples", "over-10000-tuples"])
+def test_seeded_tuple_set_density_rounding_to_zero_draws_one_tuple(a5, t):
+    """A density below half a tuple still draws one: the set holds max(1, round(density |G|^t)) tuples.  A:5 has
+    3,600 pairs and 12,960,000 4-tuples; with one tuple, both take choice's Floyd branch."""
+    total = a5.order**t
+    stream, reference = make_stream(91), make_stream(91)
+    tset = seeded_tuple_set(a5, t, 1e-300, stream)
+    assert tset.size == 1 and tset.density == Fraction(1, total)
+    assert np.flatnonzero(mask_of(tset)).tolist() == reference.choice(total, size=1, replace=False).tolist()
+    assert stream.bit_generator.state == reference.bit_generator.state
+
+
 @pytest.mark.parametrize("label,t", [("trivial", 1), ("trivial", 2), ("trivial", 3), ("S:3", 1)])
 def test_bits_pad_stays_zero(tmp_path, label, t):
     """|G|^t % 8 != 0 leaves pad bits in the last byte: every producer keeps them zero, so a held set is

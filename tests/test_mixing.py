@@ -7,13 +7,9 @@ import pytest
 from classmix import cli
 from classmix.errors import InvariantViolation, LoopBudgetExceeded, SpecSyntax
 from classmix.groups import ClassData, GroupSpec, conj_classes, group_build
-from classmix.characters import ClassRows, class_products, dixon_character_table, structure_constants, witten_zeta
+from classmix.characters import class_products, class_rows, dixon_character_table, structure_constants, witten_zeta
 from classmix.mixing import (
-    BijectionCoupling,
-    Diagonal,
-    Independent,
     PairStats,
-    TranslatedInverse,
     l2_sq_char,
     p_brute,
     p_char,
@@ -45,11 +41,17 @@ from _oracles import (
 ORACLE_GROUPS = ["A:5", "S:4", "S:3", "PSL2:7"]
 
 
-def _bijection(table, mapping) -> BijectionCoupling:
-    """The coupling y = mapping[x] of a permutation of element indices, as its class-pair counts."""
+def _bijection(table, mapping):
+    """The coupling y = mapping[x] of a permutation of element indices: its class-pair counts over |G|."""
     reps, class_of = table.class_map
     k = len(reps)
-    return BijectionCoupling(np.bincount(class_of * k + class_of[list(mapping)], minlength=k * k).reshape(k, k))
+    counts = np.bincount(class_of * k + class_of[list(mapping)], minlength=k * k).reshape(k, k)
+    return lambda tensor: counts / table.order
+
+
+def _coupling(table, classes, text):
+    """The coupling the CLI builds for --coupling text."""
+    return cli._parse_coupling(table, classes, text)[1]
 
 
 def _one(dist, xc, yc, classes) -> PairStats:
@@ -208,18 +210,17 @@ def test_coverage_examples(group_cache):
 
 @pytest.mark.parametrize("label", ORACLE_LABELS)
 def test_coverage_brute_counts_match_support_table(label, tmp_path):
-    """|C_i C_j| from one ClassRows row equals both routes' per-pair coverage, the one-sweep-per-class
-    tensor's and pair_stats' over one ClassRows sweep per x class."""
+    """|C_i C_j| from one class_rows row equals both routes' per-pair coverage, the one-sweep-per-class
+    tensor's and pair_stats' over one class_rows sweep per x class."""
     table = group_build(oracle_spec(label, tmp_path))
     classes = conj_classes(table)
     chartable = dixon_character_table(table, classes)
-    rows = ClassRows(table, classes)
     supports = (full_sweep_structure_constants(table) > 0) @ np.asarray(classes.sizes, dtype=np.int64)
     ys = np.arange(classes.k)
     for xc in range(classes.k):
-        swept = pair_stats(rows.rows(xc, ys), np.full(classes.k, xc), ys, classes).support
+        swept = pair_stats(class_rows(table, classes, xc, ys), np.full(classes.k, xc), ys, classes).support
         for yc in range(classes.k):
-            support = class_rows_support(rows, xc, yc)
+            support = class_rows_support(table, classes, xc, yc)
             brute = from_constants(xc, yc, p_brute(xc, yc, table, classes).row, classes, "brute")
             char = from_constants(xc, yc, p_char(xc, yc, chartable).row, classes, "char")
             assert support == coverage(brute, classes).support
@@ -344,17 +345,17 @@ def test_thompson_matches_brute_squares(group_cache):
 
 def test_survey_independent_total_probability(group_cache):
     table, classes, _, chartable = group_cache("A:5")
-    rep = survey(chartable, Independent(), thresholds=(0.5, 1.0))
+    rep = survey(chartable, _coupling(table, classes, "independent"), thresholds=(0.5, 1.0))
     weights = sum(p.weight for p in rep.pairs)
     assert weights == pytest.approx(1.0, abs=1e-10)
     # delta = infinity: every pair counts
-    big = survey(chartable, Independent(), thresholds=(float("inf"),))
+    big = survey(chartable, _coupling(table, classes, "independent"), thresholds=(float("inf"),))
     assert big.thresholds[0][1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_survey_weighted_mean_consistency(group_cache):
     table, classes, _, chartable = group_cache("A:5")
-    rep = survey(chartable, Independent())
+    rep = survey(chartable, _coupling(table, classes, "independent"))
     mean_from_report = sum(p.weight * p.n_stat for p in rep.pairs)
     direct = 0.0
     for i in range(classes.k):
@@ -366,7 +367,7 @@ def test_survey_weighted_mean_consistency(group_cache):
 
 def test_survey_diagonal_weights(group_cache):
     table, classes, _, chartable = group_cache("S:4")
-    rep = survey(chartable, Diagonal())
+    rep = survey(chartable, _coupling(table, classes, "diagonal"))
     for p in rep.pairs:
         assert p.x_class == p.y_class
         assert p.weight == pytest.approx(classes.sizes[p.x_class] / table.order)
@@ -376,7 +377,7 @@ def test_survey_translated_inverse_matches_full_sweep(group_cache):
     table, classes, _, chartable = group_cache("PSL2:11")
     stream = make_stream(5)
     a = int(stream.integers(0, table.order))
-    rep = survey(chartable, TranslatedInverse(int(table.class_map[1][a])))
+    rep = survey(chartable, _coupling(table, classes, f"transinv:{a}"))
     # independent recomputation of the pair weights
     mul = table.full_mul_table()
     counts = {}
@@ -386,7 +387,7 @@ def test_survey_translated_inverse_matches_full_sweep(group_cache):
         counts[key] = counts.get(key, 0) + 1
     for p in rep.pairs:
         assert p.weight == counts[(p.x_class, p.y_class)] / table.order
-    rep2 = survey(chartable, TranslatedInverse(int(table.class_map[1][a])))
+    rep2 = survey(chartable, _coupling(table, classes, f"transinv:{a}"))
     assert rep == rep2  # every field, floats exactly
 
 
@@ -403,7 +404,7 @@ def test_translated_inverse_weights_match_element_sweep(label, tmp_path, group_c
     else:
         table, classes, _, chartable = group_cache(label)
     for a in make_stream(29).integers(0, table.order, size=3).tolist():
-        rep = survey(chartable, TranslatedInverse(int(table.class_map[1][a])))
+        rep = survey(chartable, _coupling(table, classes, f"transinv:{a}"))
         counts = translated_inverse_counts(table, a)
         xs, ys = np.nonzero(counts)
         assert [(p.x_class, p.y_class) for p in rep.pairs] == list(zip(xs.tolist(), ys.tolist()))
@@ -421,29 +422,31 @@ def test_survey_bijection_coupling(group_cache):
 def test_bijection_validation(tmp_path):
     """A bijection file that is not a permutation of the element indices is refused where it is read."""
     (tmp_path / "b.txt").write_text("0 0 2 3 4 5\n")
+    s3 = group_build(GroupSpec.sym(3))
     with pytest.raises(SpecSyntax, match="not a permutation"):
-        cli._parse_coupling(group_build(GroupSpec.sym(3)), f"bijfile:{tmp_path / 'b.txt'}")
+        cli._parse_coupling(s3, conj_classes(s3), f"bijfile:{tmp_path / 'b.txt'}")
 
 
 def test_survey_quantiles_monotone(group_cache):
     table, classes, _, chartable = group_cache("A:6")
-    rep = survey(chartable, Independent())
+    rep = survey(chartable, _coupling(table, classes, "independent"))
     values = [v for _, v in rep.quantiles]
     assert values == sorted(values)
 
 
-def _all_couplings(table):
+def _all_couplings(table, classes):
     stream = make_stream(23)
     a = int(stream.integers(0, table.order))
     mapping = tuple(int(i) for i in stream.permutation(table.order))
-    return [Independent(), Diagonal(), TranslatedInverse(int(table.class_map[1][a])), _bijection(table, mapping)]
+    texts = ("independent", "diagonal", f"transinv:{a}")
+    return [*(_coupling(table, classes, text) for text in texts), _bijection(table, mapping)]
 
 
 @pytest.mark.parametrize("label", ["A:5", "S:4", "PSL2:7"])
 def test_survey_pairs_match_per_pair_routes(label, group_cache):
     """Batched survey rows equal the per-pair character, distance and brute coverage routes."""
     table, classes, _, chartable = group_cache(label)
-    for coupling in _all_couplings(table):
+    for coupling in _all_couplings(table, classes):
         rep = survey(chartable, coupling)
         assert [(p.x_class, p.y_class) for p in rep.pairs] == sorted((p.x_class, p.y_class) for p in rep.pairs)
         for p in rep.pairs:
@@ -460,7 +463,7 @@ def test_survey_l1_equals_one_pair_stats_bit_for_bit(label, group_cache):
     """Each survey pair's l1 is a one-pair pair_stats call's on its p_char row, bit for bit, so survey and mixpair
     print the same l1 for the same pair whatever other pairs the survey holds."""
     table, classes, _, chartable = group_cache(label)
-    for coupling in _all_couplings(table):
+    for coupling in _all_couplings(table, classes):
         for p in survey(chartable, coupling).pairs:
             one = _one(p_char(p.x_class, p.y_class, chartable), p.x_class, p.y_class, classes)
             assert p.l1 == one.l1, (label, coupling, p.x_class, p.y_class)
@@ -471,7 +474,7 @@ def test_survey_thresholds_are_exact(label, group_cache):
     """P[N <= 1 + delta] counts a pair exactly when its rational N, from brute pair counts, does."""
     table, classes, _, chartable = group_cache(label)
     deltas = (0.0, 0.5, 1.0, 2.0, 3.0)
-    for coupling in _all_couplings(table):
+    for coupling in _all_couplings(table, classes):
         rep = survey(chartable, coupling, thresholds=deltas)
         for delta, prob in rep.thresholds:
             expected = 0.0
@@ -488,15 +491,15 @@ def test_survey_threshold_ties_count(group_cache):
     """Pairs with N exactly 1 + delta count: A_5 (identity, 3-cycles) has N = 3, float 3.0000000000000004."""
     for label, exact in (("A:5", Fraction(3521, 3600)), ("PSL2:7", Fraction(28001, 28224))):
         table, classes, _, chartable = group_cache(label)
-        rep = survey(chartable, Independent(), thresholds=(2.0,))
+        rep = survey(chartable, _coupling(table, classes, "independent"), thresholds=(2.0,))
         assert dict(rep.thresholds)[2.0] == pytest.approx(float(exact), abs=1e-12), label
 
 
 def test_survey_rejects_nan_threshold(group_cache):
     table, classes, _, chartable = group_cache("S:4")
     with pytest.raises(SpecSyntax):
-        survey(chartable, Independent(), thresholds=(1.0, float("nan")))
-    rep = survey(chartable, Independent(), thresholds=(-math.inf, math.inf))
+        survey(chartable, _coupling(table, classes, "independent"), thresholds=(1.0, float("nan")))
+    rep = survey(chartable, _coupling(table, classes, "independent"), thresholds=(-math.inf, math.inf))
     assert rep.thresholds[0][1] == 0.0
     assert rep.thresholds[1][1] == pytest.approx(1.0, abs=1e-12)
 
@@ -505,7 +508,7 @@ def test_survey_rejects_imaginary_character_noise(group_cache):
     table, classes, _, chartable = group_cache("A:5")
     noisy = chartable._replace(values=chartable.values + 1e-6j * np.arange(classes.k))
     with pytest.raises(InvariantViolation):
-        survey(noisy, Independent())
+        survey(noisy, _coupling(table, classes, "independent"))
     with pytest.raises(InvariantViolation):
         p_char(1, 2, noisy)
 
@@ -514,7 +517,8 @@ def test_survey_rejects_imaginary_character_noise(group_cache):
 def test_class_level_answers_from_class_data_alone(label, group_cache):
     """class_products, structure_constants, witten_zeta and survey need only the class algebra: with the ClassData
     rebuilt from plain copies of the sizes, orders and power map, and no GroupTable in scope, they are
-    bit-identical to the enumerated group's."""
+    bit-identical to the enumerated group's.  The surveyed bijection is x -> x^-1, whose class-pair counts
+    |C_i| [j = i*] are class data too."""
     _, classes, _, chartable = group_cache(label)
     bare = chartable._replace(
         classes=ClassData(tuple(classes.sizes), tuple(classes.orders), np.array(classes.power_map.tolist()))
@@ -525,7 +529,16 @@ def test_class_level_answers_from_class_data_alone(label, group_cache):
     assert structure_constants(bare).tensor.tobytes() == structure_constants(chartable).tensor.tobytes()
     for s in (1.0, 2.0):
         assert repr(witten_zeta(bare, s)) == repr(witten_zeta(chartable, s))
-    for coupling in (Independent(), Diagonal(), TranslatedInverse(k - 1)):
+    order = bare.classes.order
+    w = np.asarray(bare.classes.sizes, dtype=np.float64) / order
+    inverse_counts = np.diag(bare.classes.sizes)[:, bare.classes.inverse_class]
+    couplings = (
+        lambda tensor: np.outer(w, w),
+        lambda tensor: np.diag(w),
+        lambda tensor: tensor[:, :, k - 1] / order,
+        lambda tensor: inverse_counts / order,
+    )
+    for coupling in couplings:
         assert repr(survey(bare, coupling)) == repr(survey(chartable, coupling))
 
 
