@@ -39,14 +39,14 @@ def class_rows(table: GroupTable, classes: ClassData, j: int, pivots: np.ndarray
     |C_l| tensor[j, i, l] = |C_i| h[l*] with h[c] = #{x in C_j* : z_i* x in C_c}.
     x z_i* = z_i*^-1 (z_i* x) z_i* lies in the same class, so h counts the
     products x z_i*: one column gather per representative for permutations.
-    Row (j, i) costs |C_j| products and lookups.
+    Row (j, i) costs |C_j| products and lookups; a call decodes the rows of C_j* once.
     """
     sizes = np.asarray(classes.sizes, dtype=np.int64)
     inv = np.asarray(classes.inverse_class, dtype=np.intp)
     k = len(sizes)
     reps, class_of = table.class_map
-    ws = table.rows[np.flatnonzero(class_of == inv[j])]
-    zs = table.rows[reps[inv[pivots]]]
+    ws = table.rows_of(np.flatnonzero(class_of == inv[j]))
+    zs = table.rows_of(reps[inv[pivots]])
     per = max(1, ROW_CHUNK // len(ws))
     h = np.empty((len(pivots), k), dtype=np.int64)
     for s in range(0, len(pivots), per):

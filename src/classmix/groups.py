@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -305,18 +305,17 @@ def _matgen_spec(rest: str) -> GroupSpec:
 
 
 class GroupTable:
-    """Fully enumerated group: element rows, rank codes, generator indices, and element maps built on first use.
+    """Fully enumerated group: rank codes, generator indices, and element maps built on first use.
 
-    Elements are sorted by rank code, which is canonical byte order, except
-    that the identity is pinned to index 0; so one searchsorted over codes[1:]
-    maps rows to indices.  Immutable after construction and safe to share.
+    Codes are the only per-element array held: rows_of decodes rows where they are read.  Elements are sorted by
+    rank code, which is canonical byte order, except that the identity is pinned to index 0; so one searchsorted
+    over codes[1:] maps rows to indices.  Immutable after construction and safe to share.
     """
 
     def __init__(self, spec: GroupSpec, engine, codes: np.ndarray, generators: np.ndarray):
         self.spec = spec
         self.engine = engine
         self.codes = codes
-        self.rows = _decode(codes, engine)
         self.order = len(codes)
         self.generator_indices = tuple(dict.fromkeys(self.lookup(generators).tolist()))
         self._mul_table: np.ndarray | None = None
@@ -324,12 +323,12 @@ class GroupTable:
     @cached_property
     def elements(self) -> list[bytes]:
         """Canonical byte keys in index order."""
-        return [row.tobytes() for row in self.rows]
+        return [row.tobytes() for row in self.rows_of(slice(None))]
 
     @cached_property
     def inverses(self) -> np.ndarray:
         """Array with inverses[g] = index(g^-1)."""
-        return self._sweep(self.engine.inv)
+        return self._sweep(self.engine.inv)[0]
 
     @cached_property
     def class_map(self) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +340,10 @@ class GroupTable:
         labelled by its smallest index.  That index is the class representative, and classes are
         numbered by it (identity class first).
         """
-        conj_perms = [self.conjugation_permutation(h) for h in self.generator_indices]
+        engine, hs = self.engine, self.rows_of(list(self.generator_indices))
+        conj_perms = self._sweep(  # c[g] = index(h g h^-1) for each generator h, each chunk decoded once for all
+            *(lambda rows, h=h: engine.left(h, engine.right(rows, engine.inv(h[None]))[:, 0]) for h in hs)
+        )
         labels = np.arange(self.order, dtype=np.int32)
         fell = True
         while fell:
@@ -359,12 +361,12 @@ class GroupTable:
         return np.flatnonzero(is_rep), number[labels]
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
-        """Indices of rows of group elements (any leading shape; one row gives a 0-d index).
+        """Indices of rows of group elements (any leading shape; one row gives a 0-d index)."""
+        return self._search(_codes(rows, self.engine))
 
-        Codes are searched in ascending order, which keeps searchsorted's probes in cache,
-        and the indices are scattered back into the code buffer, so they have its dtype.
-        """
-        codes = _codes(rows, self.engine)
+    def _search(self, codes: np.ndarray) -> np.ndarray:
+        """Indices of the codes of group elements, in their shape and dtype: searched in ascending order, which
+        keeps searchsorted's probes in cache, and scattered back into the code buffer."""
         flat = codes.ravel()
         order = flat.argsort()
         flat.sort()
@@ -374,21 +376,27 @@ class GroupTable:
         flat[order] = idx
         return flat.reshape(codes.shape)
 
-    def _sweep(self, image) -> np.ndarray:
-        """int32 r with r[g] = index(image(rows)[g]), image applied to ROW_CHUNK rows at a time."""
-        out = np.empty(self.order, dtype=np.int32)
+    def rows_of(self, idx) -> np.ndarray:
+        """Engine rows of an index, index array or slice, decoded from their codes: shape idx's shape + (row width,)."""
+        codes = self.codes[idx]
+        return _decode(np.ravel(codes), self.engine).reshape(*np.shape(codes), -1)
+
+    def _sweep(self, *images) -> np.ndarray:
+        """int32 r with r[i, g] = index(images[i](rows)[g]), each ROW_CHUNK rows decoded once for every image."""
+        out = np.empty((len(images), self.order), dtype=np.int32)
         for lo in range(0, self.order, ROW_CHUNK):
-            out[lo : lo + ROW_CHUNK] = self.lookup(image(self.rows[lo : lo + ROW_CHUNK]))
+            rows = self.rows_of(slice(lo, lo + ROW_CHUNK))
+            for r, image in zip(out, images):
+                r[lo : lo + ROW_CHUNK] = self._search(_codes(image(rows), self.engine))  # the image freed first
         return out
 
     # -- element-level ops ---------------------------------------------------
 
     def index_of(self, key: bytes) -> int:
-        width = self.rows.shape[1] * self.engine.dtype.itemsize
-        if len(key) == width:
+        if len(key) == self.engine.identity.nbytes:
             row = np.frombuffer(key, dtype=self.engine.dtype)
-            i = int(self.lookup(row))
-            if i < self.order and np.array_equal(self.rows[i], row):
+            i = int(self.lookup(row)) if row.max() < self.engine.base else self.order  # a larger entry may alias a code
+            if i < self.order and self.codes[i] == _codes(row, self.engine):
                 return i
         raise MixedGroups(f"element {key.hex()} does not belong to group {self.spec.label}")
 
@@ -396,13 +404,7 @@ class GroupTable:
 
     def right_mul_indices(self, g: int) -> np.ndarray:
         """Array r with r[h] = index(h * g) for every element h."""
-        return self._sweep(lambda rows: self.engine.right(rows, self.rows[[g]])[:, 0])
-
-    def conjugation_permutation(self, h: int) -> np.ndarray:
-        """Array c with c[g] = index(h g h^-1)."""
-        engine, h_row = self.engine, self.rows[h]
-        h_inv = engine.inv(h_row[None])
-        return self._sweep(lambda rows: engine.left(h_row, engine.right(rows, h_inv)[:, 0]))
+        return self._sweep(lambda rows: self.engine.right(rows, self.rows_of([g]))[:, 0])[0]
 
     def full_mul_table(self) -> np.ndarray:
         """Dense index multiplication table, for groups of order at most MUL_TABLE_LIMIT.
@@ -414,8 +416,7 @@ class GroupTable:
         if self.order > MUL_TABLE_LIMIT:
             raise CapExceeded(f"multiplication table of order {self.order} exceeds limit {MUL_TABLE_LIMIT}")
         if self._mul_table is None:
-            engine = self.engine
-            lefts = [self._sweep(lambda rows: engine.left(self.rows[s], rows)) for s in self.generator_indices]
+            lefts = self._sweep(*(partial(self.engine.left, s) for s in self.rows_of(list(self.generator_indices))))
             table = np.empty((self.order, self.order), dtype=np.int32)
             table[0] = np.arange(self.order)
             reached = [0]
@@ -574,7 +575,7 @@ def conj_classes(table: GroupTable) -> ClassData:
     sizes = np.bincount(class_of)
     k = len(reps)
     # powers[m, j] = index of reps[j]^m, up to the largest representative order
-    rep_rows = table.rows[reps]
+    rep_rows = table.rows_of(reps)
     powers = [np.zeros(k, dtype=np.int64)]
     orders = np.zeros(k, dtype=np.int64)
     cur = rep_rows

@@ -19,7 +19,9 @@ classmix.mixing.pair_stats.  The exact checks that only tests call live here as 
 coverage/norm link of a pair distribution, the character-bound fraction, the
 validation of a protocol on every pair of G^t x G^t, its exact acceptance by
 fiber enumeration and the rectangle-decomposition inequality, the
-tuple-set file writer, and G^t itself as a tuple set.
+tuple-set file writer, G^t itself as a tuple set, and the conjugation
+permutation of one element, which the class map computes for all generators
+in one sweep.
 """
 
 from __future__ import annotations
@@ -62,7 +64,14 @@ def oracle_spec(label, tmp_path):
 
 def mul_indices(table, i, j) -> np.ndarray:
     """Elementwise index(i * j) for index arrays of equal ndim that broadcast."""
-    return table.lookup(table.engine.mul(table.rows[i], table.rows[j]))
+    return table.lookup(table.engine.mul(table.rows_of(i), table.rows_of(j)))
+
+
+def conjugation_permutation(table, h: int) -> np.ndarray:
+    """Array c with c[g] = index(h g h^-1), from the table's chunked sweep with one image."""
+    engine, h_row = table.engine, table.rows_of(h)
+    h_inv = engine.inv(h_row[None])
+    return table._sweep(lambda rows: engine.left(h_row, engine.right(rows, h_inv)[:, 0]))[0]
 
 
 def sym_elements(n: int) -> list[tuple[int, ...]]:
@@ -600,7 +609,7 @@ def unique_labelling_classes(table):
             break
     reps, class_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     k = len(reps)
-    rep_rows = table.rows[reps]
+    rep_rows = table.rows_of(reps)
     powers = [np.zeros(k, dtype=np.int64)]
     orders = np.zeros(k, dtype=np.int64)
     cur = rep_rows

@@ -26,6 +26,7 @@ from _oracles import (
     alt_elements,
     brute_conjugacy_classes,
     column_mul_table,
+    conjugation_permutation,
     mat_inv,
     mat_mul,
     mul_indices,
@@ -154,7 +155,8 @@ def test_psl2_canonical_identifies_negation():
         sl2 = group_build(GroupSpec.sl2(q))
         gf = field_for_size(q)
         proj = Mat2Engine(gf, projective=True)
-        assert np.array_equal(proj.canonical(sl2.rows), proj.canonical(gf.neg(sl2.rows)))
+        rows = sl2.rows_of(slice(None))
+        assert np.array_equal(proj.canonical(rows), proj.canonical(gf.neg(rows)))
 
 
 def test_mul_table_consistency_small():
@@ -293,35 +295,36 @@ def _traced_peak(fn):
 
 @pytest.mark.parametrize("label, per_product", [("S:9", 40), ("PSL2:49", 160)], ids=["S:9", "PSL2:49"])
 def test_conjugation_permutation_memory(group_cache, label, per_product):
-    """Conjugation holds its int32 result and one block of rows and their lookup.
+    """Conjugation holds its int32 result, one block of rows decoded from the codes, and their image's lookup.
 
-    S:9's traced peak is 3.8 MB, against 14.9 MB when the whole group went
+    S:9's traced peak is 3.5 MB, against 14.9 MB when the whole group went
     through at once.  PSL2:49 goes through in one block of 58,800 products at
-    8.5 MB: the matrix product and its PSL2 sign choice hold about 137 bytes of
+    8.8 MB: the matrix product and its PSL2 sign choice hold about 137 bytes of
     int64 field gathers per product, where a permutation product holds its row.
     """
     table, _, _, _ = group_cache(label)
     expected = mul_indices(table, mul_indices(table, [1], np.arange(0, table.order, 997)), [table.inverses[1]])
-    perm, peak = _traced_peak(lambda: table.conjugation_permutation(1))
+    perm, peak = _traced_peak(lambda: conjugation_permutation(table, 1))
     assert np.array_equal(perm[::997], expected)
     assert peak < 4 * table.order + per_product * ROW_CHUNK
 
 
 def test_stage_memory_s9():
-    """Each S:9 stage holds what it keeps plus O(ROW_CHUNK) of transients (peaks 5.5, 6.2 and 0.5 MB).
+    """Each S:9 stage holds what it keeps plus O(ROW_CHUNK) of transients (peaks 3.1, 5.9 and 0.5 MB).
 
-    group_build keeps 13 bytes per element (int32 codes and uint8 rows);
-    conj_classes keeps an int32 class map while int32 labels, two int32
-    conjugation permutations and one gather of the labels pass through; Dixon
-    keeps nothing of size |G|.  With int64 codes, a copy of the labels per
-    round and an intp class map the first two peaked at 7.7 and 9.1 MB;
-    unblocked sweeps and np.unique at 17.0 and 25.3 MB.
+    group_build keeps 4 bytes per element (int32 codes; rows are decoded where
+    they are read, and storing them peaked at 5.5 MB); conj_classes keeps an
+    int32 class map while int32 labels, two int32 conjugation permutations and
+    one gather of the labels pass through; Dixon keeps nothing of size |G|.
+    With int64 codes, a copy of the labels per round and an intp class map the
+    first two peaked at 7.7 and 9.1 MB; unblocked sweeps and np.unique at 17.0
+    and 25.3 MB.
     """
     table, build_peak = _traced_peak(lambda: group_build(GroupSpec.sym(9)))
     classes, classes_peak = _traced_peak(lambda: conj_classes(table))
     _, dixon_peak = _traced_peak(lambda: dixon_character_table(table, classes))
     n = table.order
-    assert build_peak < 14 * n + 24 * ROW_CHUNK
+    assert build_peak < 5 * n + 24 * ROW_CHUNK
     assert classes_peak < 18 * n + 16 * ROW_CHUNK
     assert dixon_peak < 4 * n + 48 * ROW_CHUNK
 
@@ -403,7 +406,7 @@ def test_lookup_matches_per_row_search(label, tmp_path):
     picks[0, :3] = 0, table.order - 1, 0
     picks[-1, -1] = table.order - 1
     for idx in (picks[0, 1], picks[:, 0], picks):
-        rows = table.rows[idx]
+        rows = table.rows_of(idx)
         got = table.lookup(rows)
         want = np.array([search(r) for r in rows.reshape(-1, rows.shape[-1])]).reshape(np.shape(idx))
         assert np.shape(got) == np.shape(idx) and got.dtype == codes.dtype
@@ -425,13 +428,39 @@ def test_perm_engine_fixed_factor_products_match_mul():
     assert np.array_equal(engine.left(h, right), engine.mul(np.broadcast_to(h, right.shape), right))
 
 
+@pytest.mark.parametrize("label", ["S:9", "PSL2:31", "SL2:16"])
+def test_table_stores_only_its_codes(label):
+    """A built table's only per-element array is its codes; rows_of decodes rows that look up to their indices, for
+    a scalar index (one row) and an index array alike, and index_of finds each element key's index."""
+    table = group_build(GroupSpec.parse(label))
+    arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) == table.codes.nbytes
+    picks = np.array([0, table.order // 3, table.order // 2 + 1, table.order - 1])
+    for i in picks:
+        assert table.rows_of(i).shape == table.engine.identity.shape
+        assert int(table.lookup(table.rows_of(i))) == i
+        assert table.index_of(table.elements[i]) == i
+    rows = table.rows_of(picks)
+    assert rows.shape == (len(picks), *table.engine.identity.shape) and rows.dtype == table.engine.dtype
+    assert np.array_equal(table.lookup(rows), picks)
+
+
+def test_index_of_rejects_digits_above_the_base():
+    """index_of compares rank codes, and a key with a digit at or above the base may have an element's code:
+    (0, 1, 1, 7) has the code of S:4's identity (0, 1, 2, 3) in base 4, and is rejected."""
+    table = group_build(GroupSpec.sym(4))
+    assert table.index_of(bytes([0, 1, 2, 3])) == 0
+    with pytest.raises(MixedGroups):
+        table.index_of(bytes([0, 1, 1, 7]))
+
+
 @pytest.mark.parametrize("label", ["A:5", "PSL2:7"])
 def test_lookup_of_one_row(label):
     """One 1-D row looks up to a 0-d index, which index_of turns into an int."""
     table = group_build(GroupSpec.parse(label))
     for i in (0, 1, table.order - 1):
-        assert np.ndim(table.lookup(table.rows[i])) == 0
-        assert int(table.lookup(table.rows[i])) == i
+        assert np.ndim(table.lookup(table.rows_of(i))) == 0
+        assert int(table.lookup(table.rows_of(i))) == i
         assert table.index_of(table.elements[i]) == i
 
 
