@@ -387,7 +387,7 @@ class GroupTable:
         for lo in range(0, self.order, ROW_CHUNK):
             rows = self.rows_of(slice(lo, lo + ROW_CHUNK))
             for r, image in zip(out, images):
-                r[lo : lo + ROW_CHUNK] = self._search(_codes(image(rows), self.engine))  # the image freed first
+                r[lo : lo + ROW_CHUNK] = self._search(_codes(image(rows), self.engine))  # image freed before the search
         return out
 
     # -- element-level ops ---------------------------------------------------
@@ -395,7 +395,7 @@ class GroupTable:
     def index_of(self, key: bytes) -> int:
         if len(key) == self.engine.identity.nbytes:
             row = np.frombuffer(key, dtype=self.engine.dtype)
-            i = int(self.lookup(row)) if row.max() < self.engine.base else self.order  # a larger entry may alias a code
+            i = int(self.lookup(row)) if row.max() < self.engine.base else self.order  # entries >= base alias codes
             if i < self.order and self.codes[i] == _codes(row, self.engine):
                 return i
         raise MixedGroups(f"element {key.hex()} does not belong to group {self.spec.label}")

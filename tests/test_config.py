@@ -25,5 +25,6 @@ def test_env_override_loop_budget(monkeypatch):
 def test_canonical_encoding_idempotent():
     # engine canonicalization: re-canonicalizing every stored element changes nothing
     table = group_build(GroupSpec.psl2(7))
-    assert np.array_equal(table.engine.canonical(table.rows_of(slice(None))), table.rows_of(slice(None)))
+    rows = table.rows_of(slice(None))
+    assert np.array_equal(table.engine.canonical(rows), rows)
     assert [table.index_of(key) for key in table.elements] == list(range(table.order))
