@@ -261,9 +261,6 @@ def dixon_character_table(table: GroupTable, classes: ClassData) -> CharacterTab
     root_powers: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # per element order
     for j in range(k):
         nj = classes.orders[j]
-        if nj == 1:
-            values[:, j] = degrees
-            continue
         if nj not in root_powers:  # W[l, m] = theta_j^(-l m) mod P, and exp(2 pi i m / nj)
             theta_inv = pow(theta, e - e // nj, p)
             exponents = np.outer(np.arange(nj), np.arange(nj)) % nj

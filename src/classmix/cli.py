@@ -103,16 +103,16 @@ def _report_name(args) -> str:
 def _emit(args, payload: dict, csv_text: str | None = None, meta: dict | None = None) -> int:
     payload = {**payload, "schema": 1, "subcommand": args.command, "group": args.group, "seed": args.seed}
     body = _canonical_json(payload)
-    if args.out:
-        name = _report_name(args)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / f"{name}.json").write_text(body, encoding="utf-8")
+    if args.out:  # main made the directory before the run
         meta = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S"), "version": __version__, **(meta or {})}
         meta["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # Linux reports KiB
-        (outdir / f"{name}.meta.json").write_text(_canonical_json(meta), encoding="utf-8")
-        if csv_text is not None:
-            (outdir / f"{name}.csv").write_text(csv_text, encoding="utf-8")
+        files = {"json": body, "meta.json": _canonical_json(meta), "csv": csv_text}
+        try:
+            for suffix, text in files.items():
+                if text is not None:
+                    (Path(args.out) / f"{_report_name(args)}.{suffix}").write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise SpecSyntax(f"cannot write to --out {args.out}: {exc}") from exc
     if not args.quiet:
         sys.stdout.write(body)
     return 0
@@ -382,6 +382,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.seed < 0:  # SeedSequence takes only non-negative seeds
             raise SpecSyntax(f"--seed must be non-negative, got {args.seed}")
+        if args.out:  # before the run: a path that cannot be a directory fails before any work
+            try:
+                Path(args.out).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise SpecSyntax(f"cannot make the --out directory {args.out}: {exc}") from exc
         return args.func(args)
     except ClassmixError as exc:
         print(f"error[{exc.exit_code}] {type(exc).__name__}: {exc}", file=sys.stderr)

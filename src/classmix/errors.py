@@ -42,7 +42,7 @@ class NoSuitablePrime(ClassmixError):
 
 
 class UncoveredProbe(ClassmixError):
-    """A sampled (a, b) pair fell in no protocol rectangle."""
+    """A pair (a, b) of G^t x G^t lies in no protocol rectangle; found before sampling."""
 
     exit_code = 8
 
@@ -66,7 +66,7 @@ class ArityMismatch(ClassmixError):
 
 
 class OverlappingRectangles(ClassmixError):
-    """A probed pair was covered by more than one protocol rectangle."""
+    """A pair (a, b) of G^t x G^t lies in more than one protocol rectangle; found before sampling."""
 
     exit_code = 12
 

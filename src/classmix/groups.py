@@ -326,11 +326,6 @@ class GroupTable:
         return [row.tobytes() for row in self.rows_of(slice(None))]
 
     @cached_property
-    def inverses(self) -> np.ndarray:
-        """Array with inverses[g] = index(g^-1)."""
-        return self._sweep(self.engine.inv)[0]
-
-    @cached_property
     def class_map(self) -> tuple[np.ndarray, np.ndarray]:
         """(reps, class_of): the conjugacy class representatives and the int32 class of each element index.
 

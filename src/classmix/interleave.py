@@ -3,13 +3,14 @@
 A t-tuple pair (a, b) multiplies out as a1 b1 a2 b2 ... at bt.  Tuple sets are
 materialized explicitly, as packed membership bits over the base-|G| codes of G^t
 (one bit per tuple), so densities are exact rationals and exact enumeration is
-possible within the loop budget.  The bits are counted, decoded and converted in
-`ROW_CHUNK`-code chunks, and `RectangleProtocol.cover` reads one bit per code, so
-only exact enumeration unpacks a whole set.  Monte Carlo reads only the member
+possible within the loop budget.  The bits are counted once and decoded in
+`ROW_CHUNK`-code chunks, and `advantage` reads one bit per sampled code, so only
+exact enumeration unpacks a whole set.  Monte Carlo reads only the member
 columns (`TupleSet.columns`), never the bits.
 The conditional sampler for a fixed product g uses the free-coordinate
 bijection: a and b1..b_{t-1} determine b_t, so drawing the free coordinates
-uniformly is exactly uniform on the fiber.
+uniformly is exactly uniform on the fiber.  `advantage` checks exactly, before
+any draw, that the protocol's rectangles partition G^t x G^t.
 """
 
 from __future__ import annotations
@@ -95,8 +96,14 @@ class TupleSet:
         self.bits = bits
 
     @cached_property
+    def _chunk_counts(self) -> list[int]:
+        """Members in each `_CHUNK_BYTES`-byte chunk of the bits, each chunk unpacked once for size and columns."""
+        chunks = (self.bits[lo : lo + _CHUNK_BYTES] for lo in range(0, len(self.bits), _CHUNK_BYTES))
+        return [np.count_nonzero(_unpack(chunk)) for chunk in chunks]
+
+    @cached_property
     def size(self) -> int:
-        return int(sum(_chunk_counts(self.bits, _chunk_bytes())))
+        return int(sum(self._chunk_counts))
 
     @property
     def density(self) -> Fraction:
@@ -106,12 +113,11 @@ class TupleSet:
     def columns(self) -> np.ndarray:
         """Coordinates, shape (size, arity): column i is coordinate i, each tuple one contiguous row."""
         out = np.empty((self.size, self.arity), dtype=np.min_scalar_type(self.group_order - 1))
-        step = _chunk_bytes()
-        starts = range(0, len(self.bits), step)  # no int64 array of every member code at once
-        ends = np.cumsum(_chunk_counts(self.bits, step))
+        starts = range(0, len(self.bits), _CHUNK_BYTES)  # no int64 array of every member code at once
+        ends = np.cumsum(self._chunk_counts)
 
         def decode(i):  # chunk i fills rows ends[i-1]:ends[i] of out
-            codes = np.flatnonzero(_unpack(self.bits[starts[i] : starts[i] + step])) + 8 * starts[i]
+            codes = np.flatnonzero(_unpack(self.bits[starts[i] : starts[i] + _CHUNK_BYTES])) + 8 * starts[i]
             out[ends[i] - len(codes) : ends[i]] = decode_tuples(codes, self.arity, self.group_order)
 
         for _ in _pipeline(decode, range(len(starts))):
@@ -123,14 +129,7 @@ class TupleSet:
         return ((self.bits.take(codes >> 3) >> (codes.astype(np.uint8) & 7)) & 1).view(bool)
 
 
-def _chunk_bytes() -> int:
-    """Bytes of packed bits per chunk: ROW_CHUNK tuple codes, rounded up to whole bytes."""
-    return -(-ROW_CHUNK // 8)
-
-
-def _chunk_counts(bits: np.ndarray, step: int) -> list[int]:
-    """Members in each `step`-byte chunk of packed bits, unpacked one chunk at a time."""
-    return [np.count_nonzero(_unpack(bits[lo : lo + step])) for lo in range(0, len(bits), step)]
+_CHUNK_BYTES = -(-ROW_CHUNK // 8)  # bytes of packed bits per chunk: ROW_CHUNK tuple codes, rounded up to whole bytes
 
 
 def _unpack(bits: np.ndarray) -> np.ndarray:
@@ -258,16 +257,16 @@ def _draw_bits(total: int, m: int, stream: np.random.Generator) -> np.ndarray:
 
     for _ in _pipeline(clear_chain_ends, range(0, head, ROW_CHUNK)):
         pass
-    bits, step = np.empty(-(-total // 8), dtype=np.uint8), _chunk_bytes()
+    bits = np.empty(-(-total // 8), dtype=np.uint8)
 
-    def pack(lo):  # bytes lo:lo + step, from codes 8 lo onwards; packbits leaves the last byte's pad bits zero
-        part = first[8 * lo : 8 * (lo + step)]
+    def pack(lo):  # bytes lo:lo + _CHUNK_BYTES, from codes 8 lo onwards; packbits leaves the last byte's pad bits zero
+        part = first[8 * lo : 8 * (lo + _CHUNK_BYTES)]
         flags = part != _END  # a tail position is a member unless it ends a chain
         heads = min(max(head - 8 * lo, 0), len(part))  # the head positions come first
         np.not_equal(part[:heads], _UNSET, out=flags[:heads])  # a head position is a member when a step hit it
-        bits[lo : lo + step] = np.packbits(flags, bitorder="little")
+        bits[lo : lo + _CHUNK_BYTES] = np.packbits(flags, bitorder="little")
 
-    for _ in _pipeline(pack, range(0, len(bits), step)):
+    for _ in _pipeline(pack, range(0, len(bits), _CHUNK_BYTES)):
         pass
     return bits
 
@@ -424,7 +423,8 @@ def fiber_sample(
     a_rows = _draw_rows(stream, table.order, draws, arity, np.int64)
     b_rows = np.empty((draws, arity), dtype=np.int64)
     b_rows[:, :-1] = _draw_rows(stream, table.order, draws, arity - 1, np.int64)
-    _complete_rows(table.full_mul_table(), table.inverses, a_rows, b_rows, g)
+    mul = table.full_mul_table()
+    _complete_rows(mul, mul[mul.argmin(axis=1), g], a_rows, b_rows)
     return a_rows, b_rows
 
 
@@ -440,10 +440,10 @@ def _draw_rows(stream: np.random.Generator, order: int, draws: int, arity: int, 
     return rows
 
 
-def _complete_rows(mul: np.ndarray, inverses: np.ndarray, a: np.ndarray, b: np.ndarray, g: int):
-    """Fill b_t with the unique completion: prefix = a1 b1 ... b_{t-1} a_t, b_t = prefix^-1 g."""
-    prefix = _chain(mul, _interleave(a.T, b.T)[:-1])
-    b[:, -1] = _chain(mul, [inverses[prefix], g])
+def _complete_rows(mul: np.ndarray, completion: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Fill b_t with the unique completion: prefix = a1 b1 ... b_{t-1} a_t, b_t = prefix^-1 g = completion[prefix],
+    where completion = mul[mul.argmin(axis=1), g]: x^-1 is the column where row x of the table holds index 0."""
+    b[:, -1] = completion[_chain(mul, _interleave(a.T, b.T)[:-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -466,33 +466,36 @@ class RectangleProtocol(NamedTuple):
         n = len(self.rectangles)
         return 0 if n <= 1 else math.ceil(math.log2(n))
 
-    def cover(self, a_codes: np.ndarray, b_codes: np.ndarray):
-        """Output bits (-1 where no rectangle covers the pair), then the first multiply covered and the first
-        uncovered pair, each as (a code, b code) or None."""
-        bits = np.full(len(a_codes), -1, dtype=np.int8)
-        twice = np.zeros(len(a_codes), dtype=bool)
-        codes = a_codes, b_codes
-        contains = functools.cache(lambda tset, side: tset.contains(codes[side]))  # a shared set is read once
-        for rect in self.rectangles:
-            inside = contains(rect.a_set, 0) & contains(rect.b_set, 1)
-            twice |= inside & (bits >= 0)
-            bits -= (bits - rect.bit) * inside  # bits[inside] = rect.bit, about 30x faster than a masked write
-        return bits, _first_pair(twice, a_codes, b_codes), _first_pair(bits < 0, a_codes, b_codes)
+
+def _check_partition(protocol: RectangleProtocol):
+    """Raise unless the rectangles partition G^t x G^t, naming the least bad pair in (a code, b code) order; an
+    overlap before a gap.  Two rectangles share (A_r & A_s) x (B_r & B_s), whose least pair is the least code of
+    each AND of packed bits, and disjoint rectangles cover all |G|^(2t) pairs when their |A_r||B_r| sum to that."""
+    rects = protocol.rectangles
+    shared = [(_least_code(r.a_set.bits & s.a_set.bits), _least_code(r.b_set.bits & s.b_set.bits))
+              for i, r in enumerate(rects) for s in rects[:i]]
+    if overlaps := [pair for pair in shared if None not in pair]:
+        raise OverlappingRectangles("pair (a={}, b={}) multiply covered".format(*min(overlaps)))
+    total = rects[0].a_set.group_order ** rects[0].a_set.arity
+    if sum(r.a_set.size * r.b_set.size for r in rects) != total**2:
+        raise UncoveredProbe("pair (a={}, b={}) not covered".format(*_least_uncovered(rects, total)))
 
 
-def _first_pair(flags: np.ndarray, a_codes: np.ndarray, b_codes: np.ndarray) -> tuple[int, int] | None:
-    if not flags.any():
-        return None
-    i = int(np.argmax(flags))
-    return int(a_codes[i]), int(b_codes[i])
+def _least_code(bits: np.ndarray) -> int | None:
+    """The least code whose bit is set in packed bits, or None when none is."""
+    i = int(np.argmax(bits != 0))
+    return 8 * i + int(np.argmax(_unpack(bits[i : i + 1]))) if bits[i] else None
 
 
-def _check_cover(twice: tuple[int, int] | None, uncovered: tuple[int, int] | None):
-    """Raise on a multiply covered pair before an uncovered one."""
-    if twice is not None:
-        raise OverlappingRectangles(f"pair (a={twice[0]}, b={twice[1]}) multiply covered")
-    if uncovered is not None:
-        raise UncoveredProbe(f"pair (a={uncovered[0]}, b={uncovered[1]}) not covered")
+def _least_uncovered(rects: tuple[Rectangle, ...], total: int) -> tuple[int, int]:
+    """The least pair of disjoint rectangles that cover fewer than |G|^(2t) pairs: row a is whole when the B_r of
+    the A_r holding a sum to |G|^t.  The least short row is found one chunk of a codes at a time."""
+    for lo in range(0, total, 8 * _CHUNK_BYTES):
+        sizes = sum(_unpack(r.a_set.bits[lo // 8 : lo // 8 + _CHUNK_BYTES]) * r.b_set.size for r in rects)
+        if (short := np.flatnonzero(sizes[: total - lo] < total)).size:  # the pad codes past |G|^t are no rows
+            a = lo + int(short[0])
+            held = [r.b_set.bits for r in rects if r.a_set.contains(np.array([a]))[0]]
+            return a, _least_code(~functools.reduce(np.bitwise_or, held, np.zeros_like(rects[0].b_set.bits)))
 
 
 def advantage(
@@ -511,17 +514,19 @@ def advantage(
         raise LoopBudgetExceeded(
             f"{samples} samples of arity {arity} exceed the {MAX_MATERIALIZED} materialized tuple entries"
         )
+    _check_partition(protocol)
     return tuple(_acceptance(protocol, table, target, arity, stream, samples) for target in (g, h))
 
 
 def _acceptance(protocol: RectangleProtocol, table: GroupTable, g: int, arity: int, stream, samples: int) -> float:
-    """Share of `samples` fiber draws for g that the protocol accepts; raises on the first bad pair in draw order.
+    """Share of `samples` fiber draws for g in the bit-1 rectangles of the protocol, a checked partition.
 
     The stream is drawn as fiber_sample draws it: every a first (kept in the narrowest dtype), then
     b's free coordinates.  The pool gets one item per ROW_CHUNK samples, its start and its b draw,
     drawn as the pipeline takes it: the bounded int32 draw takes the stream one value at a time.
     """
-    order, mul, inverses = table.order, table.full_mul_table(), table.inverses
+    order, mul = table.order, table.full_mul_table()
+    completion, ones = mul[mul.argmin(axis=1), g], [r for r in protocol.rectangles if r.bit]
     a_rows = _draw_rows(stream, order, samples, arity, np.min_scalar_type(order - 1))
 
     def draw(lo):
@@ -531,15 +536,12 @@ def _acceptance(protocol: RectangleProtocol, table: GroupTable, g: int, arity: i
         lo, free = chunk
         a, b = a_rows[lo : lo + len(free)], np.empty((len(free), arity), dtype=np.intp)
         b[:, :-1] = free
-        _complete_rows(mul, inverses, a, b, g)
-        codes = encode_tuples(a, order), encode_tuples(b, order)
-        del b  # its intp rows are freed before cover's bit tests run
-        bits, twice, uncovered = protocol.cover(*codes)
-        return int(np.count_nonzero(bits > 0)), twice, uncovered
+        _complete_rows(mul, completion, a, b)
+        a_codes, b_codes = encode_tuples(a, order), encode_tuples(b, order)
+        del b  # its intp rows are freed before the bit tests run
+        return sum(int(np.count_nonzero(r.a_set.contains(a_codes) & r.b_set.contains(b_codes))) for r in ones)
 
-    accepted, twice, uncovered = zip(*_pipeline(accept, map(draw, range(0, samples, ROW_CHUNK))))
-    _check_cover(*(next(filter(None, pairs), None) for pairs in (twice, uncovered)))
-    return sum(accepted) / samples
+    return sum(_pipeline(accept, map(draw, range(0, samples, ROW_CHUNK)))) / samples
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ byte for byte.  The per-pair probability, l2, distance-to-uniform and coverage
 formulas of one class pair are the references for the array path
 classmix.mixing.pair_stats.  The exact checks that only tests call live here as well: the
 coverage/norm link of a pair distribution, the character-bound fraction, the
+engine sweep of every element's inverse, the per-pair cover of a rectangle
+protocol (its output bits and first bad pairs in input order), the
 validation of a protocol on every pair of G^t x G^t, its exact acceptance by
 fiber enumeration and the rectangle-decomposition inequality, the
 tuple-set file writer, G^t itself as a tuple set, and the conjugation
@@ -36,10 +38,10 @@ import numpy as np
 
 from classmix import config
 from classmix.characters import _least_dixon_prime, _primitive_root_of_order, class_rows, witten_zeta
-from classmix.errors import InvariantViolation, LoopBudgetExceeded, SpecSyntax
+from classmix.errors import InvariantViolation, LoopBudgetExceeded, OverlappingRectangles, SpecSyntax, UncoveredProbe
 from classmix.groups import GroupSpec
 from classmix.interleave import (
-    TupleSet, _check_cover, _complete_rows, decode_tuples, encode_tuples, exact_distribution, fiber_sample,
+    TupleSet, _complete_rows, decode_tuples, encode_tuples, exact_distribution, fiber_sample,
 )
 
 # D4 x C3 on seven points: its order-3 and order-6 classes come in inverse pairs
@@ -65,6 +67,11 @@ def oracle_spec(label, tmp_path):
 def mul_indices(table, i, j) -> np.ndarray:
     """Elementwise index(i * j) for index arrays of equal ndim that broadcast."""
     return table.lookup(table.engine.mul(table.rows_of(i), table.rows_of(j)))
+
+
+def inverses(table) -> np.ndarray:
+    """Array with inverses[g] = index(g^-1), from one engine sweep of the whole group."""
+    return table._sweep(table.engine.inv)[0]
 
 
 def conjugation_permutation(table, h: int) -> np.ndarray:
@@ -373,10 +380,10 @@ def full_sweep_structure_constants(table):
     representative z_l of class l.
     """
     reps, class_of = table.class_map
-    k = len(reps)
+    k, inverse = len(reps), inverses(table)
     tensor = np.zeros((k, k, k), dtype=np.int64)
     for l, rep in enumerate(reps):
-        j_arr = class_of[table.right_mul_indices(rep)[table.inverses]]
+        j_arr = class_of[table.right_mul_indices(rep)[inverse]]
         tensor[:, :, l] = np.bincount(class_of * k + j_arr, minlength=k * k).reshape(k, k)
     return tensor
 
@@ -385,7 +392,7 @@ def translated_inverse_counts(table, a):
     """(k, k) counts of x with x in C_i and x^-1 a in C_j, from one product per element."""
     reps, class_of = table.class_map
     k = len(reps)
-    partner = mul_indices(table, table.inverses, [a])
+    partner = mul_indices(table, inverses(table), [a])
     return np.bincount(class_of * k + class_of[partner], minlength=k * k).reshape(k, k)
 
 
@@ -506,10 +513,33 @@ def tuple_rows(tset) -> np.ndarray:
     return tset.columns.astype(np.int64)
 
 
+def cover(protocol, a_codes, b_codes):
+    """Output bits (-1 where no rectangle covers the pair), then the first multiply covered and the first
+    uncovered pair, each as (a code, b code) or None."""
+    bits = np.full(len(a_codes), -1, dtype=np.int8)
+    twice = np.zeros(len(a_codes), dtype=bool)
+    for rect in protocol.rectangles:
+        inside = rect.a_set.contains(a_codes) & rect.b_set.contains(b_codes)
+        twice |= inside & (bits >= 0)
+        bits[inside] = rect.bit
+    return bits, first_pair(twice, a_codes, b_codes), first_pair(bits < 0, a_codes, b_codes)
+
+
+def first_pair(flags, a_codes, b_codes) -> tuple[int, int] | None:
+    if not flags.any():
+        return None
+    i = int(np.argmax(flags))
+    return int(a_codes[i]), int(b_codes[i])
+
+
 def evaluate_codes(protocol, a_codes, b_codes) -> np.ndarray:
-    """Vectorized evaluation, one membership test per code; raises on the first bad pair."""
-    bits, twice, uncovered = protocol.cover(a_codes, b_codes)
-    _check_cover(twice, uncovered)
+    """Vectorized evaluation, one membership test per code; raises on the first bad pair in input order, a
+    multiply covered pair before an uncovered one."""
+    bits, twice, uncovered = cover(protocol, a_codes, b_codes)
+    if twice is not None:
+        raise OverlappingRectangles(f"pair (a={twice[0]}, b={twice[1]}) multiply covered")
+    if uncovered is not None:
+        raise UncoveredProbe(f"pair (a={uncovered[0]}, b={uncovered[1]}) not covered")
     return bits
 
 
@@ -531,7 +561,8 @@ def enumerate_fiber(table, g: int, arity: int):
     a_rows = free_rows[:, :arity]
     b_rows = np.empty((total, arity), dtype=free_rows.dtype)
     b_rows[:, : arity - 1] = free_rows[:, arity:]
-    _complete_rows(table.full_mul_table(), table.inverses, a_rows, b_rows, g)
+    mul = table.full_mul_table()
+    _complete_rows(mul, mul[inverses(table), g], a_rows, b_rows)
     return a_rows, b_rows
 
 
@@ -598,7 +629,8 @@ def unique_labelling_classes(table):
     """
     everything = np.arange(table.order)
     gens = table.generator_indices
-    perms = [mul_indices(table, mul_indices(table, [h], everything), [table.inverses[h]]) for h in gens]
+    inverse = inverses(table)
+    perms = [mul_indices(table, mul_indices(table, [h], everything), [inverse[h]]) for h in gens]
     labels = everything
     while True:
         prev = labels

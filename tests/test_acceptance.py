@@ -44,6 +44,7 @@ from _oracles import (
     exact_conditional_acceptance,
     full_tuple_set,
     interleave_product,
+    inverses,
     rectangle_bound_check,
     validate_protocol_exact,
 )
@@ -197,10 +198,10 @@ def test_criterion_09_translated_inverse_bit_identical(group_cache):
             a = int(make_stream(seed).integers(0, table.order))
             rep = survey(chartable, cli._parse_coupling(table, classes, f"transinv:{a}")[1])
             # independent full sweep over x, exact integer weights
-            mul = table.full_mul_table()
+            mul, inverse = table.full_mul_table(), inverses(table)
             counts = {}
             for x in range(table.order):
-                y = mul[table.inverses[x], a]
+                y = mul[inverse[x], a]
                 key = (int(table.class_map[1][x]), int(table.class_map[1][y]))
                 counts[key] = counts.get(key, 0) + 1
             assert len(rep.pairs) == len(counts)

@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import classmix
-from classmix import characters, cli, interleave, mixing
+from classmix import characters, cli, errors, interleave, mixing
 from classmix.cli import main
 from classmix.errors import SpecSyntax, UnsupportedParameters
 from classmix.groups import ClassData, GroupSpec, GroupTable
@@ -168,6 +169,28 @@ def test_error_exit_codes():
     assert run_cli("chartable", "A:99", "--quiet") == 3
     assert run_cli("chartable", "bogus", "--quiet") == 2  # spec syntax
     assert run_cli("chartable", "A:10", "--max-order", "100", "--quiet") == 4  # cap
+
+
+@pytest.mark.parametrize("case", ["existing-file", "under-a-file", "report-is-a-directory"])
+def test_out_path_errors_exit_2(tmp_path, case):
+    """An --out that cannot be made a directory, or a report that cannot be written in it, exits 2 with one
+    error line and no traceback."""
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir" / "zeta__A5__seed0.json").mkdir(parents=True)
+    out = {"existing-file": "file", "under-a-file": "file/sub", "report-is-a-directory": "dir"}[case]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = [sys.executable, "-m", "classmix.cli", "zeta", "A:5", "--s", "1", "--out", str(tmp_path / out)]
+    done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error[2] SpecSyntax: "), done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_out_directory_is_made_before_the_run(tmp_path, monkeypatch):
+    """A path that cannot be the --out directory is refused before the group is built."""
+    monkeypatch.setattr(cli, "group_build", lambda *args: pytest.fail("the group was built"))
+    (tmp_path / "file").write_text("")
+    assert run_cli("zeta", "A:5", "--s", "1", "--out", str(tmp_path / "file")) == 2
 
 
 def test_interleave_exact_full_density(tmp_path):
@@ -576,6 +599,20 @@ def test_every_golden_report_key_is_named_by_the_cli():
     assert len(reports) == 17
     unnamed = {(p.name, key) for p in reports for key in keys(json.loads(p.read_text())) if key not in literals}
     assert not unnamed, sorted(unnamed)
+
+
+def test_every_error_exit_code_has_a_readme_row():
+    """Each exit code of a classmix.errors subclass has its own row in README's exit-code table."""
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("### Exit codes\n", 1)[1].split("\n#", 1)[0]
+    documented = {int(code) for code in re.findall(r"^\| (\d+) \|", section, flags=re.M)}
+    codes = {
+        cls.__name__: cls.exit_code
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.ClassmixError) and cls is not errors.ClassmixError
+    }
+    assert len(codes) == 11
+    assert not {name: code for name, code in codes.items() if code not in documented}
 
 
 def test_benchmark_tracer_counters_run(tmp_path):

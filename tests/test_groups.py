@@ -27,6 +27,7 @@ from _oracles import (
     brute_conjugacy_classes,
     column_mul_table,
     conjugation_permutation,
+    inverses,
     mat_inv,
     mat_mul,
     mul_indices,
@@ -119,7 +120,7 @@ def test_degenerate_generators_flagged():
 
 def test_element_ops_and_identity_law():
     table = group_build(GroupSpec.alt(5))
-    mul, inv = table.full_mul_table(), table.inverses
+    mul, inv = table.full_mul_table(), inverses(table)
     stream = make_stream(7)
     for g in stream.integers(0, table.order, size=50).tolist():
         assert mul[0, g] == g
@@ -133,7 +134,7 @@ def test_cycle_inverse_example():
     img = parse_cycles("(1 2 3 4 5)")
     table = group_build(GroupSpec.from_perm_generators([img], label="c5"))
     g = table.index_of(bytes(img))
-    assert table.elements[table.inverses[g]] == bytes(parse_cycles("(1 5 4 3 2)"))
+    assert table.elements[inverses(table)[g]] == bytes(parse_cycles("(1 5 4 3 2)"))
 
 
 def test_mixed_groups_rejected():
@@ -204,8 +205,9 @@ def test_matrix_groups_match_oracle(label):
     prods = mul_indices(table, idx[:, 0], idx[:, 1])
     for (i, j), k in zip(idx.tolist(), prods.tolist()):
         assert expected[k] == lift(mat_mul(expected[i], expected[j], p))
+    inverse = inverses(table)
     for i, m in enumerate(expected):
-        assert expected[table.inverses[i]] == lift(mat_inv(m, p))
+        assert expected[inverse[i]] == lift(mat_inv(m, p))
 
 
 # -- conjugacy classes -------------------------------------------------------
@@ -276,9 +278,9 @@ def test_conjugation_invariance(group_cache):
     table, classes, _, _ = group_cache("A:6")
     mul = table.full_mul_table()
     stream = make_stream(11)
-    pairs = stream.integers(0, table.order, size=(1000, 2))
+    pairs, inverse = stream.integers(0, table.order, size=(1000, 2)), inverses(table)
     for g, h in pairs:
-        conj = mul[mul[h, g], table.inverses[h]]
+        conj = mul[mul[h, g], inverse[h]]
         assert table.class_map[1][conj] == table.class_map[1][int(g)]
 
 
@@ -303,7 +305,7 @@ def test_conjugation_permutation_memory(group_cache, label, per_product):
     int64 field gathers per product, where a permutation product holds its row.
     """
     table, _, _, _ = group_cache(label)
-    expected = mul_indices(table, mul_indices(table, [1], np.arange(0, table.order, 997)), [table.inverses[1]])
+    expected = mul_indices(table, mul_indices(table, [1], np.arange(0, table.order, 997)), [inverses(table)[1]])
     perm, peak = _traced_peak(lambda: conjugation_permutation(table, 1))
     assert np.array_equal(perm[::997], expected)
     assert peak < 4 * table.order + per_product * ROW_CHUNK
@@ -517,9 +519,9 @@ def test_inverse_class_from_representatives(label):
     """inverse_class, taken from the representatives' inverses, is the class of every member's inverse."""
     table = group_build(GroupSpec.parse(label))
     classes = conj_classes(table)
-    reps, class_of = table.class_map
-    assert list(classes.inverse_class) == class_of[table.inverses[reps]].tolist()
-    assert np.array_equal(np.asarray(classes.inverse_class)[class_of], class_of[table.inverses])
+    (reps, class_of), inverse = table.class_map, inverses(table)
+    assert list(classes.inverse_class) == class_of[inverse[reps]].tolist()
+    assert np.array_equal(np.asarray(classes.inverse_class)[class_of], class_of[inverse])
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])

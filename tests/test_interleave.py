@@ -31,7 +31,6 @@ from classmix.interleave import (
     advantage,
     exact_distribution,
     explicit_tuple_set,
-    encode_tuples,
     fiber_sample,
     load_protocol,
     load_tuple_set,
@@ -41,14 +40,16 @@ from classmix.interleave import (
 from classmix.rng import make_stream
 
 from _oracles import (
+    ORACLE_LABELS,
     decode_fold_mc_counts,
     enumerate_fiber,
-    evaluate_codes,
     exact_conditional_acceptance,
     fold_exact_counts,
     full_tuple_set,
     interleave_product,
+    inverses,
     mask_of,
+    oracle_spec,
     packed,
     rectangle_bound_check,
     save_tuple_set,
@@ -83,10 +84,10 @@ def test_interleave_matches_unrolled_product(s3):
 
 
 def test_interleave_inverse_tuple_gives_identity(s3):
-    stream = make_stream(2)
+    stream, inverse = make_stream(2), inverses(s3)
     for _ in range(50):
         a = [int(x) for x in stream.integers(0, s3.order, size=3)]
-        b = [int(s3.inverses[x]) for x in a]
+        b = [int(inverse[x]) for x in a]
         # sequential cancellation requires interleaving a_i with its own inverse
         assert interleave_product(s3, a, b) == 0
 
@@ -339,23 +340,14 @@ def test_bits_pad_stays_zero(tmp_path, label, t):
 
 @pytest.mark.parametrize("label,t", [("A:5", 1), ("A:5", 2), ("S:3", 3)])
 def test_cover_bit_test_reads_the_unpacked_masks(label, t):
-    """cover reads one bit per code; on random codes it gives what the unpacked masks give, overlaps and gaps too."""
+    """contains, the bit test advantage counts with, reads one bit per code; on random codes it gives what the
+    unpacked masks give."""
     table = group_build(GroupSpec.parse(label))
     total = table.order**t
     sets = [seeded_tuple_set(table, t, density, make_stream(120 + i)) for i, density in enumerate((0.5, 0.3, 0.7))]
-    protocol = RectangleProtocol((Rectangle(sets[0], sets[1], 1), Rectangle(sets[2], sets[0], 0)))
-    a_codes, b_codes = (make_stream(s).integers(0, total, size=20_000) for s in (124, 125))
+    a_codes = make_stream(124).integers(0, total, size=20_000)
     for tset in sets:
         assert np.array_equal(tset.contains(a_codes), mask_of(tset)[a_codes])
-    bits, twice = np.full(len(a_codes), -1, dtype=np.int8), np.zeros(len(a_codes), dtype=bool)
-    for rect in protocol.rectangles:
-        inside = mask_of(rect.a_set)[a_codes] & mask_of(rect.b_set)[b_codes]
-        twice |= inside & (bits >= 0)
-        bits[inside] = rect.bit
-    got, first_twice, first_uncovered = protocol.cover(a_codes, b_codes)
-    assert np.array_equal(got, bits) and twice.any() and (bits < 0).any()
-    i, j = np.argmax(twice), np.argmax(bits < 0)
-    assert first_twice == (a_codes[i], b_codes[i]) and first_uncovered == (a_codes[j], b_codes[j])
 
 
 class _RecordingStream:
@@ -470,9 +462,8 @@ def test_seeded_tuple_sets_from_a_shared_stream(s3):
 
 
 def test_columns_decode_in_chunks(monkeypatch, a5):
-    """A ragged prime chunk: 97 codes round up to 13 bytes, so 2,077 chunks of 104 codes, 717 of them empty, the
-    last holding 96."""
-    monkeypatch.setattr(interleave, "ROW_CHUNK", 97)
+    """A ragged chunk of 13 bytes: 2,077 chunks of 104 codes, 717 of them empty, the last holding 96."""
+    monkeypatch.setattr(interleave, "_CHUNK_BYTES", 13)
     tset = seeded_tuple_set(a5, 3, 0.01, make_stream(91))
     assert np.array_equal(tset.columns, interleave.decode_tuples(np.flatnonzero(mask_of(tset)), 3, a5.order))
     assert tset.columns.dtype == np.uint8
@@ -779,7 +770,7 @@ def test_fiber_sample_arity_one(s3):
     mul = s3.full_mul_table()
     for ra, rb in zip(a_rows, b_rows):
         assert mul[ra[0], rb[0]] == 4
-        assert rb[0] == mul[s3.inverses[ra[0]], 4]
+        assert rb[0] == mul[inverses(s3)[ra[0]], 4]
 
 
 @pytest.mark.parametrize("arity", [1, 3])
@@ -792,6 +783,15 @@ def test_fiber_sample_draws_what_one_int64_call_draws(monkeypatch, a5, arity):
     assert np.array_equal(a_rows, reference.integers(0, a5.order, size=(30_001, arity)))
     assert np.array_equal(b_rows[:, :-1], reference.integers(0, a5.order, size=(30_001, arity - 1)))
     assert stream.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_dense_table_argmin_is_the_engine_inverse(label, tmp_path):
+    """The fiber completion reads x^-1 as the column where row x of the dense table holds the identity, index 0:
+    on every oracle group (all of order at most 4096) that is the inverse the engine computes."""
+    table = group_build(oracle_spec(label, tmp_path))
+    assert table.order <= 4096
+    assert np.array_equal(table.full_mul_table().argmin(axis=1), inverses(table))
 
 
 def test_fiber_enumeration_size(s3):
@@ -862,36 +862,11 @@ def test_advantage_matches_whole_array_acceptance(monkeypatch, a5, arity):
         assert stream.bit_generator.state == reference.bit_generator.state
 
 
-def test_advantage_names_a_later_overlap_before_an_earlier_uncovered_pair(monkeypatch, a5):
-    """Sample 0 is uncovered and a pair first drawn in a later chunk is covered twice: as over whole arrays, the
-    multiply covered pair is reported."""
-    monkeypatch.setattr(interleave, "ROW_CHUNK", 7777)
-    g, samples, total = 5, 20_000, a5.order**2
-    a_rows, b_rows = fiber_sample(a5, g, 2, make_stream(103), draws=samples)
-    a_codes, b_codes = encode_tuples(a_rows, a5.order), encode_tuples(b_rows, a5.order)
-    pairs = a_codes * total + b_codes
-    later = next(i for i in range(7777, samples) if a_codes[i] != a_codes[0] and pairs[i] not in pairs[:i])
-    rest, one_a, one_b = np.ones(total, dtype=bool), np.zeros(total, dtype=bool), np.zeros(total, dtype=bool)
-    rest[a_codes[0]] = False  # no rectangle covers a pair with a = a_codes[0]
-    one_a[a_codes[later]] = one_b[b_codes[later]] = True
-    protocol = RectangleProtocol(
-        rectangles=(
-            Rectangle(TupleSet(2, a5.order, packed(rest)), full_tuple_set(a5, 2), 1),
-            Rectangle(TupleSet(2, a5.order, packed(one_a)), TupleSet(2, a5.order, packed(one_b)), 0),
-        )
-    )
-    with pytest.raises(OverlappingRectangles) as expected:
-        whole_array_acceptance(protocol, a5, g, 2, make_stream(103), samples)
-    assert str(expected.value) == f"pair (a={a_codes[later]}, b={b_codes[later]}) multiply covered"
-    with pytest.raises(OverlappingRectangles, match=f"^{re.escape(str(expected.value))}$"):
-        advantage(protocol, a5, g, 0, samples=samples, stream=make_stream(103))
-
-
 def test_advantage_memory(monkeypatch, a5):
     """advantage keeps each sample's a coordinates, one byte each for A:5, plus O(ROW_CHUNK) per worker: the b draws
     of the pipeline's window and each chunk's completion, codes and bits."""
     protocol = _seeded_split_protocol(a5, 2, 104)
-    a5.full_mul_table(), a5.inverses
+    a5.full_mul_table()
     samples, workers = 1_000_000, 2
     monkeypatch.setattr(interleave, "_workers", lambda: workers)  # window size, on a machine of any size
     with ThreadPoolExecutor(workers) as pool:
@@ -953,20 +928,91 @@ def test_overlapping_rectangles_detected(s3):
         advantage(proto, s3, 0, 1, samples=10_000, stream=make_stream(4))
 
 
-def test_protocol_errors_name_first_pair_in_input_order(s3):
-    """The first bad pair in input order is reported, not the one with the smallest code."""
-    full = full_tuple_set(s3, 1)
-    low = explicit_tuple_set(s3, [(0,), (1,), (2,)])
-    b_codes = np.array([3, 1, 4, 0])
-    partial = RectangleProtocol(rectangles=(Rectangle(a_set=low, b_set=full, bit=1),))
-    with pytest.raises(UncoveredProbe, match=r"pair \(a=5, b=1\) not covered"):
-        evaluate_codes(partial, np.array([0, 5, 1, 3]), b_codes)
-    pair = explicit_tuple_set(s3, [(2,), (4,)])
-    double = RectangleProtocol(
-        rectangles=(Rectangle(a_set=full, b_set=full, bit=1), Rectangle(a_set=pair, b_set=full, bit=0))
-    )
-    with pytest.raises(OverlappingRectangles, match=r"pair \(a=4, b=1\) multiply covered"):
-        evaluate_codes(double, np.array([0, 4, 1, 2]), b_codes)
+def _outcome(fn, *args):
+    """(error type, message) of the partition error fn(*args) raises, or None when it raises none."""
+    try:
+        fn(*args)
+    except (OverlappingRectangles, UncoveredProbe) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _random_partition(table, t, stream, extra, missing):
+    """Rectangles A_i x B_ij over a random split of G^t into A parts and of G^t into B parts per A part, each
+    rectangle then given `extra` random codes of A and of B (overlaps) and stripped of `missing` codes of B (gaps);
+    `missing` random rows a lie in no A part at all (gaps)."""
+    total, order = table.order**t, table.order
+
+    def tset(mask):
+        return TupleSet(t, order, packed(mask))
+
+    rects = []
+    a_parts = stream.integers(0, 3, size=total)
+    a_parts[stream.integers(0, total, size=missing)] = -1
+    for i in np.unique(a_parts[a_parts >= 0]):
+        b_parts = stream.integers(0, 2, size=total)
+        for j in np.unique(b_parts):
+            a_mask, b_mask = a_parts == i, b_parts == j
+            a_mask[stream.integers(0, total, size=extra)] = True
+            b_mask[stream.integers(0, total, size=extra)] = True
+            b_mask[stream.integers(0, total, size=missing)] = False
+            rects.append(Rectangle(tset(a_mask), tset(b_mask), int(stream.integers(0, 2))))
+    return RectangleProtocol(tuple(rects))
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_check_partition_agrees_with_the_exhaustive_oracle(s3, t):
+    """On seeded random protocols over S:3, valid, overlapping, gapped or both, the partition check raises what an
+    evaluation of every pair of G^t x G^t in code order raises, naming the same least bad pair."""
+    outcomes = Counter()
+    for seed in range(60):
+        stream = make_stream(130 + seed)
+        extra, missing = (0, 0, 1, 2)[seed % 4], (0, 1, 0, 2)[seed // 4 % 4]
+        protocol = _random_partition(s3, t, stream, extra, missing)
+        got = _outcome(interleave._check_partition, protocol)
+        assert got == _outcome(validate_protocol_exact, protocol, s3), seed
+        outcomes[None if got is None else got[0]] += 1
+    assert set(outcomes) == {None, OverlappingRectangles, UncoveredProbe}, outcomes
+
+
+def _off_fiber_protocols(table, g, h, tmp_path):
+    """Protocol files over S:3 at t = 1, one with overlapping and one with uncovered pairs (a, b), every one with
+    a b outside {g, h}, so no fiber draw of g or h reaches them; and the least bad pair of each."""
+    mul, everything = table.full_mul_table(), list(range(table.order))
+    a_bad = [2, 4]
+    b_bad = [b for b in everything if all(mul[a, b] not in (g, h) for a in a_bad)][:2]
+    sets = {
+        "full": everything,
+        "a_bad": a_bad,
+        "b_bad": b_bad,
+        "a_rest": [a for a in everything if a not in a_bad],
+        "b_rest": [b for b in everything if b not in b_bad],
+    }
+    for name, codes in sets.items():
+        save_tuple_set(tmp_path / f"{name}.tuples", explicit_tuple_set(table, [(c,) for c in codes]), "S:3")
+    (tmp_path / "overlap.txt").write_text("1,full.tuples,full.tuples\n0,a_bad.tuples,b_bad.tuples\n")
+    (tmp_path / "gap.txt").write_text("1,a_rest.tuples,full.tuples\n0,a_bad.tuples,b_rest.tuples\n")
+    return (a_bad[0], b_bad[0]), tmp_path / "overlap.txt", tmp_path / "gap.txt"
+
+
+def test_advantage_checks_the_partition_off_the_fibers(s3, tmp_path, capsys):
+    """The bad pairs lie off both fibers, so no sample reaches them: advantage and the CLI still exit 12 on the
+    overlap and 8 on the gap before any draw, naming the least bad pair, as the exhaustive evaluation does."""
+    g, h = 0, 1
+    (a, b), overlap, gap = _off_fiber_protocols(s3, g, h, tmp_path)
+    cases = [(overlap, OverlappingRectangles, f"pair (a={a}, b={b}) multiply covered"),
+             (gap, UncoveredProbe, f"pair (a={a}, b={b}) not covered")]
+    for path, error, message in cases:
+        protocol = load_protocol(path, s3)
+        assert _outcome(validate_protocol_exact, protocol, s3) == (error, message)
+        stream = make_stream(6)
+        state = stream.bit_generator.state
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            advantage(protocol, s3, g, h, samples=10_000, stream=stream)
+        assert stream.bit_generator.state == state  # raised before any draw
+        argv = ["advantage", "S:3", "--protocol", str(path), "--g", str(g), "--h", str(h), "--samples", "10000"]
+        assert main(argv) == error.exit_code
+        assert capsys.readouterr().err == f"error[{error.exit_code}] {error.__name__}: {message}\n"
 
 
 # -- files -----------------------------------------------------------------------

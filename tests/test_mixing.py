@@ -32,6 +32,7 @@ from _oracles import (
     dist_to_uniform,
     from_constants,
     full_sweep_structure_constants,
+    inverses,
     l2_sq,
     oracle_spec,
     sym_elements,
@@ -379,10 +380,10 @@ def test_survey_translated_inverse_matches_full_sweep(group_cache):
     a = int(stream.integers(0, table.order))
     rep = survey(chartable, _coupling(table, classes, f"transinv:{a}"))
     # independent recomputation of the pair weights
-    mul = table.full_mul_table()
+    mul, inverse = table.full_mul_table(), inverses(table)
     counts = {}
     for x in range(table.order):
-        y = mul[table.inverses[x], a]
+        y = mul[inverse[x], a]
         key = (int(table.class_map[1][x]), int(table.class_map[1][y]))
         counts[key] = counts.get(key, 0) + 1
     for p in rep.pairs:
