@@ -296,9 +296,10 @@ def _cmd_interleave(args) -> int:
 
 def _cmd_advantage(args) -> int:
     table = _build_table(args)
-    protocol = load_protocol(args.protocol, table)
+    table.full_mul_table()  # exits 4 above MUL_TABLE_LIMIT before any tuple-set file is read
     g = _parse_element(table, args.g)
     h = _parse_element(table, args.h)
+    protocol = load_protocol(args.protocol, table)
     p_g, p_h = advantage(protocol, table, g, h, samples=args.samples, stream=make_stream(args.seed, 4))
     payload = {
         "p_g": p_g,

@@ -36,7 +36,6 @@ from .errors import (
     OverlappingRectangles,
     SpecSyntax,
     UncoveredProbe,
-    UnsupportedParameters,
     parse_int,
     read_input_text,
 )
@@ -46,27 +45,16 @@ MAX_MATERIALIZED = 64_000_000  # tuples of G^t or sampled tuple entries kept in 
 MIN_MC_SAMPLES = 10**4  # fewest Monte Carlo samples, checked by mc_distribution and `interleave --mc`
 MC_BLOCK = 1_000_000  # Monte Carlo draws per block; A's and B's index draws alternate per block, so it fixes the draw
 
-_POOL = None  # worker threads of _pipeline, one per usable CPU, started by the first kernel that uses them
-
 
 def _workers() -> int:
-    """The number of usable CPUs: the pool's size."""
+    """The number of usable CPUs: the size of each pipeline's pool."""
     if hasattr(os, "sched_getaffinity"):  # Linux: the CPUs this process may run on
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _pool():
-    global _POOL
-    if _POOL is None:
-        from concurrent.futures import ThreadPoolExecutor  # not at import: `import classmix.cli` starts no pool
-
-        _POOL = ThreadPoolExecutor(_workers())
-    return _POOL
-
-
 def _pipeline(fn, items):
-    """Yields fn(x) for each x of `items`, in order, each run on a worker thread.
+    """Yields fn(x) for each x of `items`, in order, each run on a worker thread of a pool of its own.
 
     The kernels hand the workers numpy calls that release the interpreter lock (gathers, table lookups,
     bincount, floor division), and each worker writes only its own slice of any shared output, so the
@@ -74,15 +62,19 @@ def _pipeline(fn, items):
     where the stream draws happen, so draws keep the calls and order of a serial loop.  Each item is
     submitted as it is taken, and once 2 x `_workers()` are outstanding the oldest result is yielded before
     the next item is taken.  Once submitted, an item is held only by its task, so it is freed as soon as
-    fn(item) returns.  Nothing runs unless the caller uses up the generator.
+    fn(item) returns.  Nothing runs unless the caller uses up the generator: the pool starts when the first
+    result is asked for, and its threads are joined before the generator ends or is closed.
     """
-    pool, window, pending = _pool(), 2 * _workers(), collections.deque()
-    for future in map(functools.partial(pool.submit, fn), items):  # no name holds an item once it is submitted
-        pending.append(future)
-        if len(pending) == window:
+    from concurrent.futures import ThreadPoolExecutor  # not at import: `import classmix.cli` starts no thread
+
+    workers, pending = _workers(), collections.deque()
+    with ThreadPoolExecutor(workers) as pool:
+        for future in map(functools.partial(pool.submit, fn), items):  # no name holds an item once it is submitted
+            pending.append(future)
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
             yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
 
 
 class TupleSet:
@@ -168,8 +160,6 @@ def explicit_tuple_set(table: GroupTable, rows: list[tuple[int, ...]]) -> TupleS
     if not rows:
         raise SpecSyntax("tuple set cannot be empty")
     t = len(rows[0])
-    if table.order**t > 2**63 - 1:  # codes are int64
-        raise UnsupportedParameters(f"|G|^t = {table.order}^{t} tuple codes overflow int64")
     total = _tuple_count(table.order, t)
     for r in rows:
         if len(r) != t:

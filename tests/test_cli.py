@@ -11,7 +11,6 @@ import sys
 import tracemalloc
 import weakref
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -104,7 +103,8 @@ def test_chartable_leaves_numpy_ma_unimported(tmp_path):
 
 
 def test_interleave_pool_starts_with_the_first_kernel(tmp_path):
-    """Importing the CLI and a chartable run start no thread and import no executor; an MC run starts the pool."""
+    """Importing the CLI and a chartable run start no thread and import no executor; an MC run imports the
+    executor, and each of its pipelines joins its own threads, so none is left once the run returns."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     script = """
@@ -115,10 +115,10 @@ print(*state())
 main(["chartable", "A:5", "--quiet"])
 print(*state())
 main(["interleave", "A:5", "--t", "3", "--mc", "100000", "--quiet"])
-print(state()[0], state()[1] > 1)
+print(*state())
 """
     done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True)
-    assert done.stdout.split() == ["False", "1", "False", "1", "True", "True"], done.stderr
+    assert done.stdout.split() == ["False", "1", "False", "1", "True", "1"], done.stderr
 
 
 def test_chartable_exits_13_on_orthogonality_residual(monkeypatch):
@@ -272,14 +272,13 @@ def test_interleave_mc_peaks_in_the_second_draw(monkeypatch):
     """A t=4 Monte Carlo run holds at most what drawing B holds, 4 1/4 bytes per tuple of G^t (A's bits, B's `first`
     and bits), the bound of test_seeded_tuple_set_memory; decoding B holds as much (both sets' bits and columns, 2
     bytes per tuple each at density 1/2).  Two workers fix the O(ROW_CHUNK) transients in flight."""
-    with ThreadPoolExecutor(2) as pool:
-        monkeypatch.setattr(interleave, "_POOL", pool)
-        tracemalloc.start()
-        try:
-            assert run_cli("interleave", "A:5", "--t", "4", "--mc", "20000", "--quiet") == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    monkeypatch.setattr(interleave, "_workers", lambda: 2)
+    tracemalloc.start()
+    try:
+        assert run_cli("interleave", "A:5", "--t", "4", "--mc", "20000", "--quiet") == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak <= 4 * 60**4 + 60**4 // 4 + (4 << 20)
 
 
@@ -325,6 +324,14 @@ def test_advantage_cli(tmp_path):
     assert payload["bit_budget"] == 0
 
 
+def test_advantage_checks_targets_before_the_protocol(tmp_path, capsys):
+    """A bad --h is reported before the protocol is opened: the tuple-set file it names does not exist."""
+    (tmp_path / "p.txt").write_text("1,missing.txt,missing.txt\n")
+    argv = ["advantage", "S:3", "--protocol", str(tmp_path / "p.txt"), "--g", "0", "--h", "999", "--quiet"]
+    assert run_cli(*argv) == 2
+    assert "element index 999 out of range" in capsys.readouterr().err
+
+
 def test_seed_changes_sampled_reports(tmp_path):
     for seed in ("1", "2"):
         run_cli(
@@ -359,7 +366,7 @@ def test_bijfile_coupling_is_exact_on_a9(tmp_path, group_cache):
 
 
 PROTOCOL_ARGS = ["advantage", "S:3", "--protocol", "{d}/p.txt", "--g", "0", "--h", "1", "--samples", "10"]
-S8_PROTOCOL_ARGS = ["advantage", "S:8", *PROTOCOL_ARGS[2:]]
+A5_PROTOCOL_ARGS = ["advantage", "A:5", *PROTOCOL_ARGS[2:]]
 EXACT_ARGS = ["interleave", "S:3", "--t", "1", "--alpha", "1.0"]
 FULL_S3_PROTOCOL = {"a.txt": "t=1 group=S:3\n" + "".join(f"{i}\n" for i in range(6)), "p.txt": "1,a.txt,a.txt\n"}
 
@@ -388,6 +395,8 @@ BAD_INPUTS = [
     ("protocol-bit-not-int", {"a.txt": "t=1 group=S:3\n0\n", "p.txt": "x,a.txt,a.txt\n"}, PROTOCOL_ARGS, 2),
     ("protocol-file-missing", {}, PROTOCOL_ARGS, 2),
     ("tuple-file-missing", {"p.txt": "1,a.txt,a.txt\n"}, PROTOCOL_ARGS, 2),
+    # S:7 is above groups.MUL_TABLE_LIMIT: refused before the protocol's (missing) tuple-set file is opened
+    ("advantage-group-above-table-limit", {"p.txt": "1,a.txt,a.txt\n"}, ["advantage", "S:7", *PROTOCOL_ARGS[2:]], 4),
     # a malformed file named by both rectangles, parsed once
     (
         "shared-tuple-file-malformed",
@@ -395,18 +404,18 @@ BAD_INPUTS = [
         PROTOCOL_ARGS,
         2,
     ),
-    # 40320^5 > 2^63: the code of this tuple would wrap to a negative int64
-    (
-        "tuple-code-overflows-int64",
-        {"a.txt": "t=5 group=S:8\n0,0,0,0,4\n", "p.txt": "1,a.txt,a.txt\n"},
-        S8_PROTOCOL_ARGS,
-        3,
-    ),
-    # 40320^3 fits in int64 but is above interleave.MAX_MATERIALIZED, so the mask is never allocated
+    # 60^10 fits in int64 but is above interleave.MAX_MATERIALIZED, so the mask is never allocated
     (
         "explicit-tuple-set-above-cap",
-        {"a.txt": "t=3 group=S:8\n0,0,4\n", "p.txt": "1,a.txt,a.txt\n"},
-        S8_PROTOCOL_ARGS,
+        {"a.txt": "t=10 group=A:5\n" + ",".join("0" * 10) + "\n", "p.txt": "1,a.txt,a.txt\n"},
+        A5_PROTOCOL_ARGS,
+        5,
+    ),
+    # 60^11 > 2^63: refused by the same cap, before any tuple code could wrap to a negative int64
+    (
+        "explicit-tuple-set-past-int64",
+        {"a.txt": "t=11 group=A:5\n" + ",".join("0" * 11) + "\n", "p.txt": "1,a.txt,a.txt\n"},
+        A5_PROTOCOL_ARGS,
         5,
     ),
     ("advantage-samples-zero", FULL_S3_PROTOCOL, [*PROTOCOL_ARGS[:-1], "0"], 2),
@@ -563,18 +572,30 @@ def test_class_level_functions_read_class_data_only():
 
 
 def test_only_the_pipeline_hands_work_to_the_pool():
-    """The worker pool has one entry point: no classmix code but `interleave._pipeline` names `_pool` or `.submit`,
-    so every kernel takes the pipeline's window and order."""
+    """Worker threads have one entry point: no classmix code but `interleave._pipeline` names an executor class
+    (ThreadPoolExecutor, say) or `.submit`, so only the pipeline makes a pool or hands it work, and every kernel
+    takes the pipeline's window and order."""
     root = Path(__file__).resolve().parents[1]
     callers = set()
     for path in sorted((root / "src" / "classmix").glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             for node in ast.walk(stmt):
-                if (isinstance(node, ast.Name) and node.id == "_pool") or (
-                    isinstance(node, ast.Attribute) and node.attr == "submit"
-                ):
-                    callers.add((path.stem, getattr(stmt, "name", None)))
-    assert callers == {("interleave", "_pipeline")}, callers
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and (name.endswith("Executor") or name == "submit"):
+                    callers.add((path.stem, getattr(stmt, "name", None), name))
+    assert callers == {("interleave", "_pipeline", "ThreadPoolExecutor"), ("interleave", "_pipeline", "submit")}, callers
+
+
+def test_no_module_holds_a_global_statement():
+    """No classmix function rebinds a module name: the package holds no state that lives across calls."""
+    root = Path(__file__).resolve().parents[1]
+    found = [
+        (path.stem, node.lineno)
+        for path in sorted((root / "src" / "classmix").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+    ]
+    assert not found, found
 
 
 def test_every_golden_report_key_is_named_by_the_cli():

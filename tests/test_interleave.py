@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -387,9 +388,7 @@ def test_draw_mask_at_choice_branch_edges(monkeypatch, total, m, method, chunk):
         monkeypatch.setattr(interleave, "_workers", lambda: workers)
         stream = make_stream(93)
         recorder = _RecordingStream(stream)
-        with ThreadPoolExecutor(workers) as pool:
-            monkeypatch.setattr(interleave, "_POOL", pool)
-            bits = interleave._draw_bits(total, m, recorder)
+        bits = interleave._draw_bits(total, m, recorder)
         assert np.array_equal(bits, packed(expected)), workers
         assert stream.bit_generator.state == reference.bit_generator.state
         assert recorder.calls == {method}
@@ -424,9 +423,7 @@ def test_swap_fills_hold_the_one_lock(monkeypatch):
     monkeypatch.setattr(interleave, "threading", types.SimpleNamespace(Lock=RecordingLock))
     monkeypatch.setattr(interleave, "_workers", lambda: 3)
     stream, reference = make_stream(97), make_stream(97)
-    with ThreadPoolExecutor(3) as pool:
-        monkeypatch.setattr(interleave, "_POOL", pool)
-        bits = interleave._draw_bits(total, m, stream)
+    bits = interleave._draw_bits(total, m, stream)
     expected = np.zeros(total, dtype=bool)
     expected[reference.choice(total, size=m, replace=False)] = True
     assert np.array_equal(bits, packed(expected))
@@ -481,13 +478,11 @@ def test_pipeline_holds_a_window_of_lazy_items(monkeypatch, workers):
             yield i
 
     monkeypatch.setattr(interleave, "_workers", lambda: workers)
-    with ThreadPoolExecutor(workers) as pool:
-        monkeypatch.setattr(interleave, "_POOL", pool)
-        results, pipeline = [], interleave._pipeline(lambda item: item, items())
-        assert not log  # nothing is taken before the caller asks for a result
-        for item in pipeline:
-            log.append(("yield", item))
-            results.append(item)
+    results, pipeline = [], interleave._pipeline(lambda item: item, items())
+    assert not log  # nothing is taken before the caller asks for a result
+    for item in pipeline:
+        log.append(("yield", item))
+        results.append(item)
     assert results == list(range(23))
     assert [i for kind, i in log if kind == "take"] == results
     held = np.cumsum([1 if kind == "take" else -1 for kind, _ in log])  # taken but not yet yielded
@@ -496,44 +491,42 @@ def test_pipeline_holds_a_window_of_lazy_items(monkeypatch, workers):
 
 
 class _CountingPool(ThreadPoolExecutor):
-    """Thread pool that counts the tasks handed to it, by the name of the function each task runs."""
+    """Thread pool that counts the tasks handed to every such pool, by the name of the function each task runs."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.tasks = Counter()
+    tasks = Counter()
 
     def submit(self, fn, *args, **kwargs):
         self.tasks[fn.__name__] += 1
         return super().submit(fn, *args, **kwargs)
 
 
-def _fanned_out(pool, kernel, *names):
-    """kernel(), after checking that it handed the pool more than one task, and more than one of each named task."""
-    pool.tasks.clear()
+def _fanned_out(kernel, *names):
+    """kernel(), after checking that it handed its pools more than one task, and more than one of each named task."""
+    tasks = _CountingPool.tasks
+    tasks.clear()
     result = kernel()
-    assert pool.tasks.total() > 1 and all(pool.tasks[name] > 1 for name in names), pool.tasks
+    assert tasks.total() > 1 and all(tasks[name] > 1 for name in names), tasks
     return result
 
 
 def _kernel_results(monkeypatch, table, workers):
-    """Seeded bits, MC counts, decoded columns, fiber rows and an advantage report, on a pool of `workers` threads.
+    """Seeded bits, MC counts, decoded columns, fiber rows and an advantage report, on pools of `workers` threads.
 
     The pipelined kernels (the swap fill of a seeded draw, the MC counts and the acceptance chunks) must each hand
-    the pool more than one task of their own; fiber_sample runs on the calling thread."""
+    their pools more than one task of their own; fiber_sample runs on the calling thread.  Each pipeline makes its
+    own pool, so the counting pool stands in for the executor class the pipeline imports."""
     monkeypatch.setattr(interleave, "MC_BLOCK", 12_345)
-    with _CountingPool(workers) as pool:
-        monkeypatch.setattr(interleave, "_POOL", pool)
-        a_set = _fanned_out(pool, lambda: seeded_tuple_set(table, 3, 0.5, make_stream(96)), "fill", "clear_chain_ends")
-        b_set = _fanned_out(pool, lambda: seeded_tuple_set(table, 3, 0.5, make_stream(97)), "fill", "clear_chain_ends")
-        a_cols = _fanned_out(pool, lambda: a_set.columns)
-        b_cols = _fanned_out(pool, lambda: b_set.columns)
-        mc = _fanned_out(pool, lambda: mc_distribution(a_cols, b_cols, 50_000, make_stream(98), table), "count")
-        fresh = _fanned_out(pool, lambda: TupleSet(a_set.arity, a_set.group_order, a_set.bits).columns)
-        fiber = fiber_sample(table, 7, 3, make_stream(99), draws=40_000)
-        protocol = _half_split_protocol(table)
-        report = _fanned_out(
-            pool, lambda: advantage(protocol, table, 0, 5, samples=30_000, stream=make_stream(100)), "accept"
-        )
+    monkeypatch.setattr(interleave, "_workers", lambda: workers)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _CountingPool)
+    a_set = _fanned_out(lambda: seeded_tuple_set(table, 3, 0.5, make_stream(96)), "fill", "clear_chain_ends")
+    b_set = _fanned_out(lambda: seeded_tuple_set(table, 3, 0.5, make_stream(97)), "fill", "clear_chain_ends")
+    a_cols = _fanned_out(lambda: a_set.columns)
+    b_cols = _fanned_out(lambda: b_set.columns)
+    mc = _fanned_out(lambda: mc_distribution(a_cols, b_cols, 50_000, make_stream(98), table), "count")
+    fresh = _fanned_out(lambda: TupleSet(a_set.arity, a_set.group_order, a_set.bits).columns)
+    fiber = fiber_sample(table, 7, 3, make_stream(99), draws=40_000)
+    protocol = _half_split_protocol(table)
+    report = _fanned_out(lambda: advantage(protocol, table, 0, 5, samples=30_000, stream=make_stream(100)), "accept")
     return (a_set.bits, b_set.bits, mc.counts, fresh, a_cols, b_cols, *fiber, report)
 
 
@@ -562,7 +555,7 @@ def test_kernels_do_not_depend_on_worker_count(monkeypatch, a5):
 
 
 def test_pool_without_sched_getaffinity(monkeypatch, a5):
-    """Where os has no sched_getaffinity (macOS, Windows) the pool takes os.cpu_count() workers, same counts."""
+    """Where os has no sched_getaffinity (macOS, Windows) each pool takes os.cpu_count() workers, same counts."""
     monkeypatch.setattr(interleave, "ROW_CHUNK", 7777)
     a_set = seeded_tuple_set(a5, 3, 0.5, make_stream(96))
     b_set = seeded_tuple_set(a5, 3, 0.5, make_stream(97))
@@ -570,15 +563,10 @@ def test_pool_without_sched_getaffinity(monkeypatch, a5):
     reference = decode_fold_mc_counts(a5.full_mul_table(), a_codes, b_codes, 3, 50_000, make_stream(98), 12_345)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(interleave, "_POOL", None)
     monkeypatch.setattr(interleave, "MC_BLOCK", 12_345)
-    try:
-        again = seeded_tuple_set(a5, 3, 0.5, make_stream(96))
-        assert interleave._POOL._max_workers == interleave._workers() == 3
-        mc = mc_distribution(a_set.columns, b_set.columns, 50_000, make_stream(98), a5)
-    finally:
-        if interleave._POOL is not None:
-            interleave._POOL.shutdown()
+    assert interleave._workers() == 3
+    again = seeded_tuple_set(a5, 3, 0.5, make_stream(96))
+    mc = mc_distribution(a_set.columns, b_set.columns, 50_000, make_stream(98), a5)
     assert np.array_equal(again.bits, a_set.bits)
     assert np.array_equal(mc.counts, reference)
 
@@ -592,16 +580,15 @@ def test_seeded_tuple_set_memory(monkeypatch, a5):
     """
     total = a5.order**4
     streams = make_stream(92), make_stream(93)  # made first: the first stream imports numpy.random, about 0.7 MB
-    with ThreadPoolExecutor(2) as pool:
-        monkeypatch.setattr(interleave, "_POOL", pool)
-        tracemalloc.start()
-        try:
-            held = seeded_tuple_set(a5, 4, 0.5, streams[0])
-            current, _ = tracemalloc.get_traced_memory()
-            second = seeded_tuple_set(a5, 4, 0.5, streams[1])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    monkeypatch.setattr(interleave, "_workers", lambda: 2)
+    tracemalloc.start()
+    try:
+        held = seeded_tuple_set(a5, 4, 0.5, streams[0])
+        current, _ = tracemalloc.get_traced_memory()
+        second = seeded_tuple_set(a5, 4, 0.5, streams[1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert current <= total // 8 + (64 << 10)
     assert peak <= 4 * total + total // 4 + (4 << 20)
     assert held.size == second.size == total // 2
@@ -616,14 +603,12 @@ def test_mc_distribution_index_memory(monkeypatch, a5):
     monkeypatch.setattr(interleave, "_workers", lambda: workers)
     for block in (500_000, 1_000_000):
         monkeypatch.setattr(interleave, "MC_BLOCK", block)
-        with ThreadPoolExecutor(workers) as pool:
-            monkeypatch.setattr(interleave, "_POOL", pool)
-            tracemalloc.start()
-            try:
-                mc_distribution(a_set.columns, b_set.columns, 2 * block + 12_345, make_stream(108), a5)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            mc_distribution(a_set.columns, b_set.columns, 2 * block + 12_345, make_stream(108), a5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert peak <= 48 * chunk * workers + 2 * workers * 8 * chunk, block
 
 
@@ -635,15 +620,14 @@ def test_mc_distribution_memory_does_not_grow_with_samples(monkeypatch, a5):
     cols = [seeded_tuple_set(a5, 2, 0.5, make_stream(s)).columns for s in (110, 111)]
     a5.full_mul_table()
     peaks = []
-    with ThreadPoolExecutor(2) as pool:
-        monkeypatch.setattr(interleave, "_POOL", pool)
-        for slices in (200, 8000):
-            tracemalloc.start()
-            try:
-                mc_distribution(*cols, 100 * slices, make_stream(112), a5)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+    monkeypatch.setattr(interleave, "_workers", lambda: 2)
+    for slices in (200, 8000):
+        tracemalloc.start()
+        try:
+            mc_distribution(*cols, 100 * slices, make_stream(112), a5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     assert peaks[1] <= peaks[0] + (512 << 10), peaks
 
 
@@ -697,9 +681,7 @@ def test_mc_pair_indices_die_once_counted(monkeypatch, a5):
 
     monkeypatch.setattr(interleave, "_pipeline", checking_pipeline)
     monkeypatch.setattr(interleave, "_chain", checking_chain)
-    with ThreadPoolExecutor(1) as pool:
-        monkeypatch.setattr(interleave, "_POOL", pool)
-        est = mc_distribution(*cols, 16_000, make_stream(115), a5)
+    est = mc_distribution(*cols, 16_000, make_stream(115), a5)
     assert est.counts.sum() == 16_000 and len(taken) == 16
     assert chained == added == [True] * 16 and max(live) <= 2
     assert dead(taken)
@@ -855,9 +837,7 @@ def test_advantage_matches_whole_array_acceptance(monkeypatch, a5, arity):
     for workers in (1, 3):
         monkeypatch.setattr(interleave, "_workers", lambda: workers)
         stream = make_stream(102)
-        with ThreadPoolExecutor(workers) as pool:
-            monkeypatch.setattr(interleave, "_POOL", pool)
-            rates = advantage(protocol, a5, 3, 41, samples=30_001, stream=stream)
+        rates = advantage(protocol, a5, 3, 41, samples=30_001, stream=stream)
         assert rates == (p_g, p_h), workers
         assert stream.bit_generator.state == reference.bit_generator.state
 
@@ -869,14 +849,12 @@ def test_advantage_memory(monkeypatch, a5):
     a5.full_mul_table()
     samples, workers = 1_000_000, 2
     monkeypatch.setattr(interleave, "_workers", lambda: workers)  # window size, on a machine of any size
-    with ThreadPoolExecutor(workers) as pool:
-        monkeypatch.setattr(interleave, "_POOL", pool)
-        tracemalloc.start()
-        try:
-            advantage(protocol, a5, 0, 5, samples=samples, stream=make_stream(105))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        advantage(protocol, a5, 0, 5, samples=samples, stream=make_stream(105))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak <= samples * 2 + 64 * interleave.ROW_CHUNK * workers
 
 
